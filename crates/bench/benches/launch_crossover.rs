@@ -1,4 +1,4 @@
-//! Sweep of `PipelineConfig::min_parallel_launch` through `RtDbscan`: where
+//! Sweep of `RtDbscan::min_parallel_launch` (the index's launch threshold): where
 //! does the parallel ray launch start to beat the sequential one?
 //!
 //! Below the threshold a launch runs on one thread (no fork/join overhead);

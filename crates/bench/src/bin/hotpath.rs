@@ -3,12 +3,11 @@
 //! Runs a fixed-seed, fig6-style **stage-1 sweep** (every point's
 //! ε-neighbour count, one batched launch over the whole dataset) on the
 //! binary backend and on a matrix of wide-batched configurations — query
-//! order × SIMD policy × node layout — and records wall-clock plus work
-//! counters to `BENCH_hotpath.json` at the repository root.  Index build
+//! order × SIMD policy — and records wall-clock plus work counters to
+//! `BENCH_hotpath.json` at the repository root.  Index build
 //! time is excluded: the file tracks the *steady-state query path* that
-//! the scratch-arena (PR 4) and coherence/SIMD/layout (PR 5) work
-//! optimises, so future PRs can prove (or be caught regressing) the
-//! hot-path trajectory.
+//! the scratch-arena and coherence/SIMD work optimises, so later changes
+//! can prove (or be caught regressing) the hot-path trajectory.
 //!
 //! # Usage
 //!
@@ -44,15 +43,8 @@
 //!   reported `best_ns` is the minimum, `mean_ns` the average).
 //! * `"baseline"` — `{ "results": [...] }`, recorded once and preserved
 //!   verbatim by later regenerations unless `--record-baseline` is
-//!   passed.  A `v1` baseline (pre-dating the per-cell config fields) is
-//!   migrated in place by annotating its cells with the legacy
-//!   configuration (`as-given` order, `scalar` SIMD, `f32` layout); a
-//!   `v2` baseline (pre-dating build timing) is annotated with
-//!   `"build_ns":null` ("not recorded"); a `v3` baseline's stale
-//!   `"build_ns":0` sentinels — zero never being a real build time — are
-//!   rewritten to the honest `null`; a `v4` baseline's cells already have
-//!   the current shape and carry forward verbatim (the `v5` change adds
-//!   only the per-run `"robustness"` section).
+//!   passed.  Cells recorded before build timing existed carry
+//!   `"build_ns":null` ("not recorded").
 //! * `"current"` — same shape, overwritten on every run.
 //! * `"build"` — the construction-time sweep, overwritten on every run:
 //!   `{ "results": [...] }` with one cell per (size × thread-count) LBVH
@@ -79,22 +71,22 @@
 //!
 //! Each entry of `results` is one measurement cell:
 //! `{"n": 100000, "backend": "wide-batched", "query_order": "morton",
-//!   "simd": "avx2", "layout": "quantized", "best_ns": …, "mean_ns": …,
+//!   "simd": "avx2", "layout": "f32", "best_ns": …, "mean_ns": …,
 //!   "build_ns": …, "rays": …, "dist_comps": …, "prim_tests": …,
 //!   "node_visits": …, "wide_node_visits": …, "batched_launches": …}` —
 //! `query_order` / `simd` / `layout` name the launch configuration
-//! (`simd` records the **resolved** level actually run; the binary
-//! backend, which has no wide kernels, reports `"n/a"` for all three),
+//! (`simd` records the **resolved** level actually run; `layout` is the
+//! wide scene's one node layout, `"f32"`; the binary backend, which has no
+//! wide kernels, reports `"n/a"` for all three),
 //! and `build_ns` is the wall-clock of the one index build the cell's
 //! launches ran against (the per-shard parallel build win lands here).
 //! The counters are the aggregate [`rtcore::hardware::WorkCounters`] of
 //! one stage-1 launch and must be identical run-to-run (they are work,
-//! not time; any drift is a correctness bug).  Every wide `f32`-layout
-//! cell must further agree with the binary cell on
-//! `dist_comps`/`prim_tests` (reordering and SIMD never change counted
-//! candidate work), and Morton cells must show strictly fewer
-//! `wide_node_visits` than their as-given twins — both asserted on every
-//! run, including `--smoke`.
+//! not time; any drift is a correctness bug).  Every wide cell must
+//! further agree with the binary cell on `dist_comps`/`prim_tests`
+//! (reordering and SIMD never change counted candidate work), and Morton
+//! cells must show strictly fewer `wide_node_visits` than their as-given
+//! twins — both asserted on every run, including `--smoke`.
 //!
 //! `--sharded` additionally sweeps the two-level (TLAS over sharded
 //! BLAS) backend at the 1M-point scale against a flat LBVH twin built
@@ -111,19 +103,13 @@
 use rtcore::bvh::{spheres_from_points, BuildParallelism, Bvh, BvhBuilder, LbvhBuilder};
 use rtcore::geometry::Point3;
 use rtcore::hardware::WorkCounters;
-use rtcore::index::{
-    IndexKind, NeighborIndexBuilder, QueryOrder, ShardingConfig, SimdPolicy, WideLayout,
-};
+use rtcore::index::{IndexKind, NeighborIndexBuilder, QueryOrder, ShardingConfig, SimdPolicy};
 use rtcore::telemetry::{PhaseKind, TelemetryConfig};
 use rtdbscan_datasets::{generate, PaperDataset};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 const SCHEMA: &str = "rtdbscan-hotpath/v5";
-const V1_SCHEMA: &str = "rtdbscan-hotpath/v1";
-const V2_SCHEMA: &str = "rtdbscan-hotpath/v2";
-const V3_SCHEMA: &str = "rtdbscan-hotpath/v3";
-const V4_SCHEMA: &str = "rtdbscan-hotpath/v4";
 const EPS: f32 = 0.4;
 const SEED: u64 = 42;
 /// The `--sharded` sweep's scale, search radius and shard-size ceiling.
@@ -133,37 +119,17 @@ const SHARDED_N: usize = 1_000_000;
 const SHARDED_EPS: f32 = 0.05;
 const SHARD_SIZE: usize = 1 << 16;
 
-/// One wide-backend launch configuration of the sweep.
-#[derive(Clone, Copy)]
-struct WideConfig {
-    query_order: QueryOrder,
-    simd: SimdPolicy,
-    layout: WideLayout,
-}
+/// The `layout` label of every wide cell: the wide scene's one node
+/// layout (full-precision `f32` lanes).
+const WIDE_LAYOUT: &str = "f32";
 
-/// The sweep matrix: the legacy configuration first (comparable with the
+/// The sweep matrix of wide-backend launch configurations (query order ×
+/// SIMD policy): the legacy configuration first (comparable with the
 /// pre-coherence baseline), then each coherence knob stacked on.
-const WIDE_CONFIGS: [WideConfig; 4] = [
-    WideConfig {
-        query_order: QueryOrder::AsGiven,
-        simd: SimdPolicy::Scalar,
-        layout: WideLayout::F32,
-    },
-    WideConfig {
-        query_order: QueryOrder::AsGiven,
-        simd: SimdPolicy::Auto,
-        layout: WideLayout::F32,
-    },
-    WideConfig {
-        query_order: QueryOrder::Morton,
-        simd: SimdPolicy::Auto,
-        layout: WideLayout::F32,
-    },
-    WideConfig {
-        query_order: QueryOrder::Morton,
-        simd: SimdPolicy::Auto,
-        layout: WideLayout::Quantized,
-    },
+const WIDE_CONFIGS: [(QueryOrder, SimdPolicy); 3] = [
+    (QueryOrder::AsGiven, SimdPolicy::Scalar),
+    (QueryOrder::AsGiven, SimdPolicy::Auto),
+    (QueryOrder::Morton, SimdPolicy::Auto),
 ];
 
 /// One measurement cell.
@@ -273,19 +239,18 @@ fn sweep_size(points: &[Point3], reps: usize) -> Vec<Cell> {
         EPS,
         reps,
     ));
-    for cfg in WIDE_CONFIGS {
+    for (query_order, simd) in WIDE_CONFIGS {
         let builder = NeighborIndexBuilder {
-            query_order: cfg.query_order,
-            simd: cfg.simd,
-            wide_layout: cfg.layout,
+            query_order,
+            simd,
             ..NeighborIndexBuilder::new(IndexKind::WideBatched)
         };
         // Record the level the policy actually resolved to, not the ask.
-        let resolved = cfg.simd.resolve().name();
+        let resolved = simd.resolve().name();
         cells.push(measure_stage1(
             &builder,
             "wide-batched",
-            (cfg.query_order.name(), resolved, cfg.layout.name()),
+            (query_order.name(), resolved, WIDE_LAYOUT),
             points,
             EPS,
             reps,
@@ -421,7 +386,7 @@ fn sweep_sharded(points: &[Point3], reps: usize) -> Vec<Cell> {
             ..NeighborIndexBuilder::new(IndexKind::WideBatched)
         },
         "wide-flat-lbvh",
-        ("as-given", resolved, "f32"),
+        ("as-given", resolved, WIDE_LAYOUT),
         points,
         SHARDED_EPS,
         reps,
@@ -434,7 +399,7 @@ fn sweep_sharded(points: &[Point3], reps: usize) -> Vec<Cell> {
             ..NeighborIndexBuilder::new(IndexKind::WideBatched)
         },
         "wide-sharded",
-        ("as-given", resolved, "f32"),
+        ("as-given", resolved, WIDE_LAYOUT),
         points,
         SHARDED_EPS,
         reps,
@@ -607,20 +572,14 @@ fn profile_sharded(points: &[Point3]) {
 }
 
 /// The counter invariants every sweep must satisfy (asserted in full runs
-/// and in `--smoke`): reordering and SIMD never change candidate work,
-/// Morton strictly reduces shared node fetches, and conservative
-/// quantisation can only add work.
+/// and in `--smoke`): reordering and SIMD never change candidate work, and
+/// Morton strictly reduces shared node fetches.
 fn assert_sweep_invariants(cells: &[Cell]) {
-    let find = |n: usize, order: &str, layout: &str| {
+    let find = |n: usize, order: &str| {
         cells
             .iter()
-            .find(|c| {
-                c.n == n
-                    && c.backend == "wide-batched"
-                    && c.query_order == order
-                    && c.layout == layout
-            })
-            .unwrap_or_else(|| panic!("missing wide cell n={n} order={order} layout={layout}"))
+            .find(|c| c.n == n && c.backend == "wide-batched" && c.query_order == order)
+            .unwrap_or_else(|| panic!("missing wide cell n={n} order={order}"))
     };
     let sizes: std::collections::BTreeSet<usize> = cells.iter().map(|c| c.n).collect();
     for &n in &sizes {
@@ -628,23 +587,21 @@ fn assert_sweep_invariants(cells: &[Cell]) {
             .iter()
             .find(|c| c.n == n && c.backend == "binary-bvh")
             .expect("binary cell");
-        let legacy = find(n, "as-given", "f32");
+        let legacy = find(n, "as-given");
         let simd = cells
             .iter()
             .find(|c| {
                 c.n == n
                     && c.backend == "wide-batched"
                     && c.query_order == "as-given"
-                    && c.layout == "f32"
                     && c.simd != legacy.simd
             })
             .unwrap_or(legacy);
-        let morton = find(n, "morton", "f32");
-        let quant = find(n, "morton", "quantized");
+        let morton = find(n, "morton");
         for cell in [legacy, simd, morton] {
             assert_eq!(
                 cell.counters.dist_comps, binary.counters.dist_comps,
-                "n={n}: wide f32 {}-order {} dist_comps must match binary",
+                "n={n}: wide {}-order {} dist_comps must match binary",
                 cell.query_order, cell.simd
             );
             assert_eq!(
@@ -662,15 +619,11 @@ fn assert_sweep_invariants(cells: &[Cell]) {
             morton.counters.wide_node_visits,
             legacy.counters.wide_node_visits
         );
-        assert!(
-            quant.counters.dist_comps >= morton.counters.dist_comps,
-            "n={n}: quantized boxes are conservative and can only add candidates"
-        );
     }
 }
 
 /// One instrumented stage-1 launch on the tuned wide configuration
-/// (Morton order, auto SIMD, quantized layout): exports the Chrome trace
+/// (Morton order, auto SIMD): exports the Chrome trace
 /// when `trace_out` is given and returns the heatmap's JSON when
 /// `heatmap` profiling was requested.  Runs apart from the timed sweep so
 /// recording overhead never lands in the recorded wall-clocks.
@@ -687,7 +640,6 @@ fn profile_stage1(
     let builder = NeighborIndexBuilder {
         query_order: QueryOrder::Morton,
         simd: SimdPolicy::Auto,
-        wide_layout: WideLayout::Quantized,
         telemetry: level,
         ..NeighborIndexBuilder::new(IndexKind::WideBatched)
     };
@@ -741,69 +693,6 @@ fn existing_section(path: &std::path::Path, key: &str) -> Option<String> {
         }
     }
     None
-}
-
-/// Migrate a `v1` baseline results line to the `v2` cell shape by
-/// annotating every cell with the legacy launch configuration it was
-/// recorded under (binary cells have no wide kernels and get `"n/a"`).
-fn migrate_v1_baseline(line: &str) -> String {
-    // The line is `{"results":[{cell},{cell},…]}` with no nested braces
-    // inside a cell, so cells split cleanly on `},{`.
-    let (Some(start), Some(end)) = (line.find('['), line.rfind(']')) else {
-        return line.to_string();
-    };
-    let body = &line[start + 1..end];
-    let cells: Vec<String> = if body.trim().is_empty() {
-        Vec::new()
-    } else {
-        body.split("},{")
-            .map(|cell| {
-                let cell = cell.trim_start_matches('{').trim_end_matches('}');
-                let (order, simd, layout) = if cell.contains("\"backend\":\"binary-bvh\"") {
-                    ("n/a", "n/a", "n/a")
-                } else {
-                    ("as-given", "scalar", "f32")
-                };
-                format!(
-                    "{{{cell},\"query_order\":\"{order}\",\"simd\":\"{simd}\",\
-                     \"layout\":\"{layout}\"}}"
-                )
-            })
-            .collect()
-    };
-    format!("{}[{}{}", &line[..start], cells.join(","), &line[end..])
-}
-
-/// Migrate a `v2` baseline results line to the current cell shape by
-/// annotating every cell with `"build_ns":null` — build time genuinely
-/// was not recorded, and `null` says so where the old `0` sentinel read
-/// like an impossibly fast build.
-fn migrate_v2_baseline(line: &str) -> String {
-    let (Some(start), Some(end)) = (line.find('['), line.rfind(']')) else {
-        return line.to_string();
-    };
-    let body = &line[start + 1..end];
-    let cells: Vec<String> = if body.trim().is_empty() {
-        Vec::new()
-    } else {
-        body.split("},{")
-            .map(|cell| {
-                let cell = cell.trim_start_matches('{').trim_end_matches('}');
-                format!("{{{cell},\"build_ns\":null}}")
-            })
-            .collect()
-    };
-    format!("{}[{}{}", &line[..start], cells.join(","), &line[end..])
-}
-
-/// Migrate a `v3` baseline results line to `v4`: the v3 migration stamped
-/// unknown build times as `"build_ns":0`, which later tooling cannot tell
-/// apart from a measured value.  Zero is never a real build time, so every
-/// such sentinel is rewritten to the honest `null`; measured (non-zero)
-/// values pass through untouched.
-fn migrate_v3_baseline(line: &str) -> String {
-    line.replace("\"build_ns\":0,", "\"build_ns\":null,")
-        .replace("\"build_ns\":0}", "\"build_ns\":null}")
 }
 
 /// Scan a results line for the `best_ns` of the best (minimum) cell of
@@ -923,7 +812,7 @@ fn main() {
         profile_stage1(&points, trace_out.as_deref(), heatmap).map(|json| {
             format!(
                 "{{\"heatmap\":{{\"n\":{profile_n},\"backend\":\"wide-batched\",\
-                 \"config\":\"morton/auto/quantized\",\"data\":{json}}}}}"
+                 \"config\":\"morton/auto/f32\",\"data\":{json}}}}}"
             )
         })
     } else {
@@ -975,30 +864,6 @@ fn main() {
             old_schema.as_deref(),
             existing_section(&out_path, "baseline"),
         ) {
-            (Some(s), Some(line)) if s == format!("\"{V1_SCHEMA}\"") => {
-                println!("note: migrating v1 baseline cells to the v5 schema (legacy config)");
-                migrate_v2_baseline(&migrate_v1_baseline(&line))
-            }
-            (Some(s), Some(line)) if s == format!("\"{V2_SCHEMA}\"") => {
-                println!(
-                    "note: migrating v2 baseline cells to the v5 schema (no recorded build time)"
-                );
-                migrate_v2_baseline(&line)
-            }
-            (Some(s), Some(line)) if s == format!("\"{V3_SCHEMA}\"") => {
-                println!(
-                    "note: migrating v3 baseline cells to the v5 schema \
-                     (build_ns 0-sentinels → null)"
-                );
-                migrate_v3_baseline(&line)
-            }
-            (Some(s), Some(line)) if s == format!("\"{V4_SCHEMA}\"") => {
-                println!(
-                    "note: v4 baseline cells already have the v5 shape; the new \
-                     robustness section is regenerated per run"
-                );
-                line
-            }
             (Some(s), Some(line)) if s == format!("\"{SCHEMA}\"") => line,
             _ => {
                 // Never silently replace a recorded baseline: if the file

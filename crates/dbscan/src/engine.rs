@@ -64,14 +64,13 @@ use rtcore::bvh::BuilderKind;
 use rtcore::fault::CancelScope;
 use rtcore::geometry::Point3;
 use rtcore::hardware::{DeviceModel, ExecutionPath, WorkCounters};
-use rtcore::index::{NeighborIndex, NeighborIndexBuilder, ShardingConfig};
-use rtcore::pipeline::GeometryKind;
+use rtcore::index::{GeometryKind, NeighborIndex, NeighborIndexBuilder, ShardingConfig};
 use rtcore::telemetry::PhaseKind;
 use rtcore::Result;
 use std::time::Duration;
 
 pub use rtcore::fault::{CancelToken, Deadline, FaultPlan, MemoryBudget};
-pub use rtcore::index::{IndexKind, QueryOrder, SimdPolicy, WideLayout};
+pub use rtcore::index::{IndexKind, QueryOrder, SimdPolicy};
 pub use rtcore::telemetry::TelemetryConfig;
 
 /// Which clustering algorithm the engine runs.  Every variant executes over
@@ -249,7 +248,6 @@ pub struct ClusterEngineBuilder {
     batch_size: Option<usize>,
     min_parallel_launch: Option<usize>,
     query_order: Option<QueryOrder>,
-    wide_layout: Option<WideLayout>,
     simd: Option<SimdPolicy>,
     shard_size: Option<usize>,
     device_memory_bytes: Option<u64>,
@@ -274,7 +272,6 @@ impl Default for ClusterEngineBuilder {
             batch_size: None,
             min_parallel_launch: None,
             query_order: None,
-            wide_layout: None,
             simd: None,
             shard_size: None,
             device_memory_bytes: None,
@@ -363,13 +360,6 @@ impl ClusterEngineBuilder {
     /// per-query backends have no packets and simply ignore the knob.
     pub fn query_order(mut self, order: QueryOrder) -> Self {
         self.query_order = Some(order);
-        self
-    }
-
-    /// Which node representation the wide-batched traversal reads
-    /// ([`IndexKind::WideBatched`] only); see [`WideLayout`].
-    pub fn wide_layout(mut self, layout: WideLayout) -> Self {
-        self.wide_layout = Some(layout);
         self
     }
 
@@ -479,10 +469,10 @@ impl ClusterEngineBuilder {
     }
 
     /// Hard ceiling on the bytes the built index may hold resident
-    /// (default [`MemoryBudget::Unlimited`]).  An over-budget build
-    /// degrades gracefully in a fixed order — drop the quantized node bake,
-    /// then evict the coldest shard BLASes to rebuild-on-demand — and only
-    /// refuses with [`rtcore::Error::OverBudget`] once fully degraded.
+    /// (default [`MemoryBudget::Unlimited`]).  An over-budget sharded build
+    /// first evicts its coldest shard BLASes to rebuild-on-demand; a build
+    /// that still does not fit is refused with
+    /// [`rtcore::Error::OverBudget`].
     pub fn memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.memory_budget = Some(budget);
         self
@@ -636,20 +626,6 @@ impl ClusterEngineBuilder {
             // and answer in the caller's order regardless, which is
             // exactly what the knob's contract promises.
             index.query_order = order;
-        }
-        if let Some(layout) = self.wide_layout {
-            if layout == WideLayout::Quantized && kind != IndexKind::WideBatched {
-                return Err(ConfigError::conflict(
-                    "wide_layout",
-                    format!("{layout:?}"),
-                    "index",
-                    format!(
-                        "the quantized node layout exists only on the wide batched backend, not {}",
-                        kind.name()
-                    ),
-                ));
-            }
-            index.wide_layout = layout;
         }
         if let Some(simd) = self.simd {
             if simd != SimdPolicy::Auto && kind != IndexKind::WideBatched {
@@ -1337,14 +1313,6 @@ mod tests {
                 None,
             ),
             (
-                b().index(IndexKind::BinaryBvh)
-                    .wide_layout(WideLayout::Quantized)
-                    .build()
-                    .unwrap_err(),
-                "wide_layout",
-                Some("index"),
-            ),
-            (
                 b().index(IndexKind::UniformGrid)
                     .simd(SimdPolicy::Avx2)
                     .build()
@@ -1475,7 +1443,6 @@ mod tests {
         let tuned = ClusterEngine::builder()
             .params(params)
             .query_order(QueryOrder::Morton)
-            .wide_layout(WideLayout::Quantized)
             .simd(SimdPolicy::Auto)
             .build()
             .unwrap();

@@ -33,10 +33,9 @@ use crate::stages;
 use rtcore::bvh::BuilderKind;
 use rtcore::geometry::Point3;
 use rtcore::hardware::ExecutionPath;
-use rtcore::index::{IndexKind, NeighborIndex, NeighborIndexBuilder};
-use rtcore::pipeline::{GeometryKind, PipelineConfig, TraversalEngine};
+use rtcore::index::{GeometryKind, IndexKind, NeighborIndex, NeighborIndexBuilder};
 use rtcore::telemetry::PhaseKind;
-use rtcore::Result;
+use rtcore::{Error, Result};
 
 /// Configuration of RT-DBSCAN.
 #[derive(Debug, Clone, Copy)]
@@ -55,11 +54,12 @@ pub struct RtDbscan {
     /// parallel launch.  Benches sweep it to locate the
     /// sequential-vs-parallel crossover.
     pub min_parallel_launch: usize,
-    /// Which traversal substrate both stages launch on.  Defaults to the
-    /// wide (BVH4) batched engine — the layout real RT cores walk; the
-    /// binary engine remains selectable as the oracle
-    /// ([`RtDbscan::with_binary_traversal`]).
-    pub traversal: TraversalEngine,
+    /// Which BVH backend both stages launch on.  Defaults to
+    /// [`IndexKind::WideBatched`] — the BVH4 layout real RT cores walk; the
+    /// binary BVH remains selectable as the oracle
+    /// ([`RtDbscan::with_binary_traversal`]).  BVH kinds only: the other
+    /// backends run the same stages through [`RtDbscan::run_on`].
+    pub traversal: IndexKind,
 }
 
 impl Default for RtDbscan {
@@ -68,8 +68,9 @@ impl Default for RtDbscan {
             compaction: true,
             builder: BuilderKind::BinnedSah,
             geometry: GeometryKind::CustomSpheres,
-            min_parallel_launch: PipelineConfig::default().min_parallel_launch,
-            traversal: TraversalEngine::WideBatched,
+            min_parallel_launch: NeighborIndexBuilder::new(IndexKind::WideBatched)
+                .min_parallel_launch,
+            traversal: IndexKind::WideBatched,
         }
     }
 }
@@ -99,7 +100,7 @@ impl RtDbscan {
     /// wide batched default is verified against.
     pub fn with_binary_traversal() -> Self {
         RtDbscan {
-            traversal: TraversalEngine::Binary,
+            traversal: IndexKind::BinaryBvh,
             ..RtDbscan::default()
         }
     }
@@ -110,10 +111,7 @@ impl RtDbscan {
     /// compaction pass and geometry presentation.
     pub fn index_builder(&self) -> NeighborIndexBuilder {
         NeighborIndexBuilder {
-            kind: match self.traversal {
-                TraversalEngine::WideBatched => IndexKind::WideBatched,
-                TraversalEngine::Binary => IndexKind::BinaryBvh,
-            },
+            kind: self.traversal,
             bvh_builder: self.builder,
             compaction: self.compaction,
             geometry: self.geometry,
@@ -220,6 +218,12 @@ impl DbscanAlgorithm for RtDbscan {
 
     fn run(&self, points: &[Point3], params: DbscanParams) -> Result<RunResult> {
         params.validate()?;
+        if !self.traversal.is_bvh() {
+            return Err(Error::InvalidConfig(format!(
+                "RT-DBSCAN traverses a BVH, not the {} index (use run_on for other backends)",
+                self.traversal.name()
+            )));
+        }
         let (index, build_time) = timed(|| self.index_builder().build(points, params.eps));
         let mut result = self.run_on(index?.as_ref(), points, params)?;
         result.timings.build += build_time;
@@ -483,7 +487,7 @@ mod tests {
         assert_eq!(parallel.index_builder().min_parallel_launch, 0);
         assert_eq!(
             RtDbscan::default().index_builder().min_parallel_launch,
-            PipelineConfig::default().min_parallel_launch
+            NeighborIndexBuilder::new(IndexKind::WideBatched).min_parallel_launch
         );
 
         let seq_run = sequential.run(&pts, params).unwrap();
@@ -511,7 +515,7 @@ mod tests {
     fn wide_batched_default_matches_binary_oracle_and_charges_fewer_node_visits() {
         let pts = blobs_with_noise();
         let params = DbscanParams::new(0.5, 5).unwrap();
-        assert_eq!(RtDbscan::default().traversal, TraversalEngine::WideBatched);
+        assert_eq!(RtDbscan::default().traversal, IndexKind::WideBatched);
         let wide = RtDbscan::default().run(&pts, params).unwrap();
         let binary = RtDbscan::with_binary_traversal().run(&pts, params).unwrap();
 
@@ -570,7 +574,6 @@ mod tests {
 
     #[test]
     fn run_on_accepts_any_backend() {
-        use rtcore::index::IndexKind;
         let pts = blobs_with_noise();
         let params = DbscanParams::new(0.5, 5).unwrap();
         let reference = ClassicDbscan::cluster(&pts, params).unwrap();
@@ -592,6 +595,13 @@ mod tests {
                 ExecutionPath::ShaderCore
             };
             assert_eq!(run.path, expected_path, "{kind:?}");
+            // `run` itself builds a BVH and refuses any other traversal.
+            let own = RtDbscan {
+                traversal: kind,
+                ..RtDbscan::without_compaction()
+            }
+            .run(&pts, params);
+            assert_eq!(own.is_ok(), kind.is_bvh(), "{kind:?}");
         }
     }
 }

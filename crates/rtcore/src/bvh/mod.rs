@@ -45,8 +45,7 @@ pub use tlas::{
 };
 pub use validate::{validate, BvhInvariantError};
 pub use wide::{
-    validate_wide, CompactWideNode, CompactWideNodes, PrimLanes, WideBvh, WideChild,
-    WideInvariantError, WideLayout, WideNode, WIDE_BRANCHING,
+    validate_wide, PrimLanes, WideBvh, WideChild, WideInvariantError, WideNode, WIDE_BRANCHING,
 };
 
 use crate::error::Result;

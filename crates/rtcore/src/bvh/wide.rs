@@ -360,390 +360,8 @@ impl WideBvh {
 }
 
 // ---------------------------------------------------------------------------
-// Traversal-time layouts: quantized nodes and SoA primitive lanes
+// Traversal-time layout: SoA primitive lanes
 // ---------------------------------------------------------------------------
-
-/// Which node representation a wide-batched traversal reads.
-///
-/// [`WideLayout::F32`] walks the full-precision [`WideNode`] array the
-/// collapse produced.  [`WideLayout::Quantized`] walks a
-/// [`CompactWideNodes`] mirror whose child boxes are stored as `u8` offsets
-/// against a per-node dequantisation frame — 80 bytes per node instead of
-/// 144, so a wide visit touches roughly half the memory.  Quantisation is
-/// **conservative**: a dequantised box always contains the exact `f32` box
-/// it stands for, so the hit mask can over-admit queries into subtrees but
-/// can never miss one, and the unchanged exact leaf distance test keeps
-/// every reported neighbour set identical.  The price is honest extra work
-/// where boxes were inflated (visible as slightly higher `dist_comps` /
-/// `prim_tests` in the counters).
-///
-/// # Examples
-///
-/// ```
-/// use rtcore::bvh::{spheres_from_points, BvhBuilder, CompactWideNodes, LbvhBuilder, WideBvh};
-/// use rtcore::bvh::{WideLayout, WIDE_BRANCHING};
-/// use rtcore::geometry::Point3;
-///
-/// let pts: Vec<Point3> = (0..64).map(|i| Point3::new(i as f32 * 0.3, 0.0, 0.0)).collect();
-/// let bvh = LbvhBuilder::default().build(spheres_from_points(&pts, 0.5)).unwrap();
-/// let wide = WideBvh::from_binary(&bvh);
-/// let compact = CompactWideNodes::from_wide(&wide);
-///
-/// assert_eq!(WideLayout::default(), WideLayout::F32);
-/// // Conservative containment: every dequantised child box contains the
-/// // exact f32 box it was quantised from.
-/// for (i, node) in wide.nodes.iter().enumerate() {
-///     for slot in 0..WIDE_BRANCHING {
-///         let exact = node.child_bounds(slot);
-///         if !exact.is_empty() {
-///             assert!(compact.child_bounds(i, slot).contains_aabb(&exact));
-///         }
-///     }
-/// }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WideLayout {
-    /// Full-precision `[f32; 4]` SoA lanes per axis (the default).
-    #[default]
-    F32,
-    /// Child boxes quantised to `u8` offsets against a per-node frame;
-    /// conservative, so hit masks over-admit but never miss.
-    Quantized,
-}
-
-impl WideLayout {
-    /// Report name used by benches and configuration dumps.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WideLayout::F32 => "f32",
-            WideLayout::Quantized => "quantized",
-        }
-    }
-}
-
-/// Child-tag value marking an empty slot of a [`CompactWideNode`].
-const COMPACT_EMPTY: u32 = u32::MAX;
-
-/// One wide node in the compact traversal-time layout: four child boxes as
-/// `u8` offsets against the node's dequantisation frame (`origin` +
-/// `scale` per axis), plus packed child references.  80 bytes, vs the 144
-/// of [`WideNode`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompactWideNode {
-    /// Dequantisation origin per axis (the union of the node's child-box
-    /// minima).
-    pub origin: [f32; 3],
-    /// Dequantisation step per axis, conservatively widened so every child
-    /// box survives the `u8` round trip contained.
-    pub scale: [f32; 3],
-    /// Quantised child minima, one `u8` per slot per axis.
-    pub qlo: [[u8; 4]; 3],
-    /// Quantised child maxima.
-    pub qhi: [[u8; 4]; 3],
-    /// Per-slot payload: nested node index (interior) or first primitive
-    /// (leaf).
-    pub child_payload: [u32; 4],
-    /// Per-slot tag: [`u32::MAX`] = empty, `0` = interior, otherwise the
-    /// leaf's primitive count.
-    pub child_tag: [u32; 4],
-}
-
-impl CompactWideNode {
-    /// The slot's child reference in [`WideChild`] form.
-    #[inline]
-    pub fn child(&self, slot: usize) -> WideChild {
-        match self.child_tag[slot] {
-            COMPACT_EMPTY => WideChild::Empty,
-            0 => WideChild::Node(self.child_payload[slot]),
-            count => WideChild::Leaf {
-                first_prim: self.child_payload[slot],
-                prim_count: count,
-            },
-        }
-    }
-
-    /// Bit `s` set ⇔ slot `s` is non-empty.  Quantised empty slots cannot
-    /// rely on inverted boxes (a degenerate frame collapses them), so the
-    /// hit mask is ANDed with this occupancy mask instead.
-    #[inline]
-    pub fn occupancy_mask(&self) -> u8 {
-        let mut m = 0u8;
-        for slot in 0..WIDE_BRANCHING {
-            m |= ((self.child_tag[slot] != COMPACT_EMPTY) as u8) << slot;
-        }
-        m
-    }
-
-    /// Dequantised lower bound of `slot` on `axis`.
-    #[inline]
-    fn lo(&self, axis: usize, slot: usize) -> f32 {
-        self.origin[axis] + self.qlo[axis][slot] as f32 * self.scale[axis]
-    }
-
-    /// Dequantised upper bound of `slot` on `axis`.
-    #[inline]
-    fn hi(&self, axis: usize, slot: usize) -> f32 {
-        self.origin[axis] + self.qhi[axis][slot] as f32 * self.scale[axis]
-    }
-
-    /// Reconstruct the (conservative) AABB of child slot `slot`.
-    pub fn child_bounds(&self, slot: usize) -> Aabb {
-        if self.child_tag[slot] == COMPACT_EMPTY {
-            return Aabb::EMPTY;
-        }
-        Aabb {
-            min: Point3::new(self.lo(0, slot), self.lo(1, slot), self.lo(2, slot)),
-            max: Point3::new(self.hi(0, slot), self.hi(1, slot), self.hi(2, slot)),
-        }
-    }
-
-    /// 4-bit point containment mask against the dequantised child boxes
-    /// (empty slots masked out via [`CompactWideNode::occupancy_mask`]).
-    #[inline]
-    pub fn point_hit_mask_xyz(&self, x: f32, y: f32, z: f32) -> u8 {
-        let q = [x, y, z];
-        let mut mask = 0u8;
-        for slot in 0..WIDE_BRANCHING {
-            let inside = (q[0] >= self.lo(0, slot))
-                & (q[0] <= self.hi(0, slot))
-                & (q[1] >= self.lo(1, slot))
-                & (q[1] <= self.hi(1, slot))
-                & (q[2] >= self.lo(2, slot))
-                & (q[2] <= self.hi(2, slot));
-            mask |= (inside as u8) << slot;
-        }
-        mask & self.occupancy_mask()
-    }
-
-    /// SSE2 form of [`CompactWideNode::point_hit_mask_xyz`]: the `u8` slot
-    /// offsets are widened and dequantised in-register with the exact
-    /// scalar arithmetic (`origin + q · scale`, no FMA), so the mask is
-    /// bit-identical.  The AVX2 dispatch level shares this kernel — with
-    /// four slots the dequantising chain has no 256-bit shape worth the
-    /// extra lane plumbing.
-    #[cfg(target_arch = "x86_64")]
-    #[inline]
-    pub fn point_hit_mask_xyz_sse2(&self, x: f32, y: f32, z: f32) -> u8 {
-        use std::arch::x86_64::*;
-        let q = [x, y, z];
-        // SAFETY: SSE2 is unconditionally available on x86_64.
-        unsafe {
-            let zero = _mm_setzero_si128();
-            let mut inside = _mm_castsi128_ps(_mm_set1_epi32(-1));
-            for (axis, &coord) in q.iter().enumerate() {
-                let origin = _mm_set1_ps(self.origin[axis]);
-                let scale = _mm_set1_ps(self.scale[axis]);
-                let widen = |bytes: [u8; 4]| -> __m128 {
-                    let v = _mm_cvtsi32_si128(i32::from_ne_bytes(bytes));
-                    let v16 = _mm_unpacklo_epi8(v, zero);
-                    _mm_cvtepi32_ps(_mm_unpacklo_epi16(v16, zero))
-                };
-                let lo = _mm_add_ps(origin, _mm_mul_ps(widen(self.qlo[axis]), scale));
-                let hi = _mm_add_ps(origin, _mm_mul_ps(widen(self.qhi[axis]), scale));
-                let qv = _mm_set1_ps(coord);
-                inside = _mm_and_ps(inside, _mm_cmpge_ps(qv, lo));
-                inside = _mm_and_ps(inside, _mm_cmple_ps(qv, hi));
-            }
-            (_mm_movemask_ps(inside) as u8) & self.occupancy_mask()
-        }
-    }
-
-    /// Dispatch the hit mask through the kernel for `level`.
-    #[inline]
-    pub fn point_hit_mask_xyz_at(&self, level: SimdLevel, x: f32, y: f32, z: f32) -> u8 {
-        match level {
-            SimdLevel::Scalar => self.point_hit_mask_xyz(x, y, z),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 | SimdLevel::Avx2 => self.point_hit_mask_xyz_sse2(x, y, z),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => self.point_hit_mask_xyz(x, y, z),
-        }
-    }
-}
-
-/// The smallest `f32` strictly greater than `v` (finite positive inputs
-/// only) — used to widen quantisation scales until containment holds.
-#[inline]
-fn f32_next_up(v: f32) -> f32 {
-    f32::from_bits(v.to_bits() + 1)
-}
-
-/// A [`WideBvh`]'s node array re-encoded in the compact quantised layout.
-///
-/// Shares the source tree's structure slot for slot (node `i` here mirrors
-/// `wide.nodes[i]`), so traversal reads these nodes and the source tree's
-/// primitive array.  Constructed once per scene by
-/// [`CompactWideNodes::from_wide`]; the conservative-containment invariant
-/// is property-tested in this module and in the workspace suite.
-#[derive(Debug, Clone, Default)]
-pub struct CompactWideNodes {
-    /// Quantised nodes, index-compatible with the source `WideBvh::nodes`.
-    pub nodes: Vec<CompactWideNode>,
-}
-
-impl CompactWideNodes {
-    /// Quantise every node of `wide`.  Each node's frame is the union of
-    /// its non-empty child boxes; slot minima round down and maxima round
-    /// up, with a fix-up pass per value (and a scale-widening pass per
-    /// axis) so the dequantised box always contains the exact one under
-    /// `f32` arithmetic.
-    pub fn from_wide(wide: &WideBvh) -> Self {
-        let nodes = wide.nodes.iter().map(quantize_node).collect();
-        CompactWideNodes { nodes }
-    }
-
-    /// Parallel form of [`CompactWideNodes::from_wide`].
-    ///
-    /// `quantize_node` is a pure per-node function, so a chunked parallel
-    /// map over the node array — chunks concatenated in index order —
-    /// produces the identical node sequence for every `workers` value.
-    pub fn from_wide_parallel(wide: &WideBvh, workers: usize) -> Self {
-        let n = wide.nodes.len();
-        if workers <= 1 || n < 2 {
-            return Self::from_wide(wide);
-        }
-        let workers = workers.min(n);
-        let chunk = n.div_ceil(workers);
-        let chunks: Vec<Vec<CompactWideNode>> = (0..workers)
-            .into_par_iter()
-            .map(|t| {
-                let lo = (t * chunk).min(n);
-                let hi = ((t + 1) * chunk).min(n);
-                wide.nodes[lo..hi].iter().map(quantize_node).collect()
-            })
-            .collect();
-        CompactWideNodes {
-            nodes: chunks.concat(),
-        }
-    }
-
-    /// Number of nodes (equals the source tree's).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Dequantised (conservative) child bounds of `slot` of node `node`.
-    pub fn child_bounds(&self, node: usize, slot: usize) -> Aabb {
-        self.nodes[node].child_bounds(slot)
-    }
-
-    /// Device-memory footprint of the compact node array in bytes.
-    pub fn device_bytes(&self) -> u64 {
-        std::mem::size_of::<CompactWideNode>() as u64 * self.nodes.len() as u64
-    }
-}
-
-/// Quantise one wide node (see [`CompactWideNodes::from_wide`]).
-fn quantize_node(node: &WideNode) -> CompactWideNode {
-    let mut child_payload = [0u32; 4];
-    let mut child_tag = [COMPACT_EMPTY; 4];
-    let mut frame = Aabb::EMPTY;
-    for slot in 0..WIDE_BRANCHING {
-        match node.children[slot] {
-            WideChild::Empty => {}
-            WideChild::Node(idx) => {
-                child_payload[slot] = idx;
-                child_tag[slot] = 0;
-                frame = frame.union(&node.child_bounds(slot));
-            }
-            WideChild::Leaf {
-                first_prim,
-                prim_count,
-            } => {
-                // A zero-primitive leaf (never produced by the builders,
-                // but representable) visits nothing either way; encoding it
-                // as empty keeps the tag space (0 = interior, MAX = empty)
-                // collision-free.
-                if prim_count > 0 {
-                    child_payload[slot] = first_prim;
-                    child_tag[slot] = prim_count;
-                    frame = frame.union(&node.child_bounds(slot));
-                }
-            }
-        }
-    }
-    let occupied = (0..WIDE_BRANCHING).filter(|&s| child_tag[s] != COMPACT_EMPTY);
-    let (origin, frame_max) = if frame.is_empty() {
-        ([0.0f32; 3], [0.0f32; 3])
-    } else {
-        (
-            [frame.min.x, frame.min.y, frame.min.z],
-            [frame.max.x, frame.max.y, frame.max.z],
-        )
-    };
-    let mut scale = [0.0f32; 3];
-    for axis in 0..3 {
-        if frame_max[axis] > origin[axis] {
-            // A frame spanning more than f32::MAX (finite corners, infinite
-            // extent) cannot represent its span as a finite difference;
-            // start from the largest finite step instead of +∞ so the
-            // dequantisation arithmetic stays NaN-free (an overflowing
-            // `origin + q·s` saturates to +∞, which only over-admits).
-            let extent = frame_max[axis] - origin[axis];
-            let mut s = if extent.is_finite() {
-                extent / 255.0
-            } else {
-                f32::MAX / 255.0
-            };
-            // Widen until the top of the frame survives the round trip:
-            // origin + 255·s must reach the exact frame maximum (rounding
-            // can land `origin + extent` short of it), or a child box
-            // touching the top could dequantise short.
-            while origin[axis] + 255.0 * s < frame_max[axis] {
-                s = f32_next_up(s);
-            }
-            scale[axis] = s;
-        }
-    }
-    let mut qlo = [[0u8; 4]; 3];
-    let mut qhi = [[0u8; 4]; 3];
-    // Empty slots get an inverted quantised box (lo=255, hi=0); they are
-    // excluded by the occupancy mask regardless.
-    for axis in 0..3 {
-        for slot in 0..WIDE_BRANCHING {
-            qlo[axis][slot] = 255;
-            qhi[axis][slot] = 0;
-        }
-    }
-    for slot in occupied {
-        let bounds = node.child_bounds(slot);
-        let lo = [bounds.min.x, bounds.min.y, bounds.min.z];
-        let hi = [bounds.max.x, bounds.max.y, bounds.max.z];
-        for axis in 0..3 {
-            let (o, s) = (origin[axis], scale[axis]);
-            if s == 0.0 {
-                // Degenerate axis: every box collapses to the origin plane,
-                // which the frame construction guarantees contains it.
-                qlo[axis][slot] = 0;
-                qhi[axis][slot] = 255;
-                continue;
-            }
-            // Round down, then walk down until the dequantised value no
-            // longer overshoots the exact minimum (q = 0 always works:
-            // the frame origin is the union minimum).
-            let mut q = (((lo[axis] - o) / s).floor()).clamp(0.0, 255.0) as u8;
-            while q > 0 && o + q as f32 * s > lo[axis] {
-                q -= 1;
-            }
-            qlo[axis][slot] = q;
-            // Round up, then walk up until the dequantised value covers the
-            // exact maximum (q = 255 always works by the scale widening).
-            let mut q = (((hi[axis] - o) / s).ceil()).clamp(0.0, 255.0) as u8;
-            while q < 255 && o + q as f32 * s < hi[axis] {
-                q += 1;
-            }
-            qhi[axis][slot] = q;
-        }
-    }
-    CompactWideNode {
-        origin,
-        scale,
-        qlo,
-        qhi,
-        child_payload,
-        child_tag,
-    }
-}
 
 /// Structure-of-arrays mirror of a wide scene's primitive array: the
 /// coordinate and multiplicity lanes the SIMD leaf-run kernels consume
@@ -1229,20 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bake_matches_sequential_for_all_worker_counts() {
-        let pts = grid(23, 0.6);
-        let bvh = LbvhBuilder::default()
-            .build(spheres_from_points(&pts, 0.4))
-            .unwrap();
-        let wide = WideBvh::from_binary(&bvh);
-        let seq = CompactWideNodes::from_wide(&wide);
-        for workers in [1usize, 2, 3, 7, 64, 4096] {
-            let par = CompactWideNodes::from_wide_parallel(&wide, workers);
-            assert_eq!(par.nodes, seq.nodes, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn collapse_roughly_halves_node_count_on_big_trees() {
         let pts = grid(40, 0.5);
         let bvh = LbvhBuilder::default()
@@ -1389,84 +993,13 @@ mod tests {
     }
 
     #[test]
-    fn quantized_child_boxes_always_contain_the_exact_f32_boxes() {
-        // Conservative containment over random trees from every builder:
-        // the whole point of the compact layout is that dequantised boxes
-        // can only over-admit, never miss.
-        for seed in [1u64, 77, 901, 4242] {
-            let pts = random_points(600, seed);
-            let builders: Vec<Box<dyn BvhBuilder>> = vec![
-                Box::new(LbvhBuilder::default()),
-                Box::new(SahBuilder::default()),
-                Box::new(MedianSplitBuilder::default()),
-            ];
-            for b in builders {
-                let bvh = b.build(spheres_from_points(&pts, 0.8)).unwrap();
-                let wide = WideBvh::from_binary(&bvh);
-                let compact = CompactWideNodes::from_wide(&wide);
-                assert_eq!(compact.node_count(), wide.node_count());
-                for (i, node) in wide.nodes.iter().enumerate() {
-                    for slot in 0..WIDE_BRANCHING {
-                        let exact = node.child_bounds(slot);
-                        if node.children[slot] == WideChild::Empty {
-                            assert_eq!(
-                                compact.nodes[i].child(slot),
-                                WideChild::Empty,
-                                "seed {seed} node {i} slot {slot}"
-                            );
-                            continue;
-                        }
-                        assert_eq!(node.children[slot], compact.nodes[i].child(slot));
-                        let dequant = compact.child_bounds(i, slot);
-                        assert!(
-                            dequant.contains_aabb(&exact),
-                            "seed {seed} builder {:?} node {i} slot {slot}: \
-                             {dequant:?} does not contain {exact:?}",
-                            b.kind()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_hit_mask_over_admits_but_never_misses() {
-        let pts = random_points(400, 9);
-        let bvh = LbvhBuilder::default()
-            .build(spheres_from_points(&pts, 1.5))
-            .unwrap();
-        let wide = WideBvh::from_binary(&bvh);
-        let compact = CompactWideNodes::from_wide(&wide);
-        let queries = random_points(200, 10);
-        for (node, cnode) in wide.nodes.iter().zip(&compact.nodes) {
-            for q in &queries {
-                let exact = node.point_hit_mask(*q);
-                let quant = cnode.point_hit_mask_xyz(q.x, q.y, q.z);
-                assert_eq!(exact & quant, exact, "quantised mask missed a hit");
-            }
-            // And the exact corners of every exact box must stay inside.
-            for slot in 0..WIDE_BRANCHING {
-                if node.children[slot] == WideChild::Empty {
-                    continue;
-                }
-                let b = node.child_bounds(slot);
-                for p in [b.min, b.max] {
-                    assert_ne!(cnode.point_hit_mask_xyz(p.x, p.y, p.z) & (1 << slot), 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn simd_hit_masks_match_scalar_on_both_layouts() {
+    fn simd_hit_masks_match_scalar() {
         use crate::simd::{detect_simd, SimdLevel};
         let pts = random_points(500, 33);
         let bvh = SahBuilder::default()
             .build(spheres_from_points(&pts, 1.0))
             .unwrap();
         let wide = WideBvh::from_binary(&bvh);
-        let compact = CompactWideNodes::from_wide(&wide);
         let queries = {
             let mut q = random_points(64, 34);
             q.push(wide.scene_bounds.min);
@@ -1478,17 +1011,12 @@ mod tests {
             if level > detect_simd() {
                 continue;
             }
-            for (node, cnode) in wide.nodes.iter().zip(&compact.nodes) {
+            for node in &wide.nodes {
                 for q in &queries {
                     assert_eq!(
                         node.point_hit_mask_xyz_at(level, q.x, q.y, q.z),
                         node.point_hit_mask_xyz(q.x, q.y, q.z),
-                        "{level:?} f32 mask at {q:?}"
-                    );
-                    assert_eq!(
-                        cnode.point_hit_mask_xyz_at(level, q.x, q.y, q.z),
-                        cnode.point_hit_mask_xyz(q.x, q.y, q.z),
-                        "{level:?} quantized mask at {q:?}"
+                        "{level:?} mask at {q:?}"
                     );
                 }
             }
@@ -1496,50 +1024,7 @@ mod tests {
     }
 
     #[test]
-    fn quantization_survives_frames_wider_than_f32_max() {
-        // Finite corners whose span overflows f32: the dequantisation
-        // frame cannot hold the extent as a finite difference.  The scale
-        // falls back to the largest finite step, arithmetic saturates to
-        // +∞ instead of producing NaN, and the masks stay conservative.
-        let pts = vec![
-            Point3::new(-1.7e38, -1.0e38, 0.0),
-            Point3::new(1.7e38, 1.2e38, 0.0),
-            Point3::new(0.0, 0.0, 0.0),
-            Point3::new(1.0, 1.0, 0.0),
-        ];
-        let bvh = MedianSplitBuilder::default()
-            .build(spheres_from_points(&pts, 1.0))
-            .unwrap();
-        let wide = WideBvh::from_binary(&bvh);
-        let compact = CompactWideNodes::from_wide(&wide);
-        for (i, node) in wide.nodes.iter().enumerate() {
-            for slot in 0..WIDE_BRANCHING {
-                if node.children[slot] == WideChild::Empty {
-                    continue;
-                }
-                let dequant = compact.child_bounds(i, slot);
-                assert!(
-                    !dequant.min.x.is_nan() && !dequant.max.x.is_nan(),
-                    "node {i} slot {slot} dequantised to NaN: {dequant:?}"
-                );
-            }
-            // Over-admit, never miss — including at the exact corners.
-            for &q in &pts {
-                let exact = node.point_hit_mask(q);
-                let quant = compact.nodes[i].point_hit_mask_xyz(q.x, q.y, q.z);
-                assert_eq!(exact & quant, exact, "node {i} at {q:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn compact_nodes_are_smaller_and_prim_lanes_mirror_primitives() {
-        assert!(
-            std::mem::size_of::<CompactWideNode>() * 2 <= std::mem::size_of::<WideNode>() + 16,
-            "compact node ({}) should be about half a wide node ({})",
-            std::mem::size_of::<CompactWideNode>(),
-            std::mem::size_of::<WideNode>()
-        );
+    fn prim_lanes_mirror_primitives() {
         let pts = random_points(123, 5);
         let bvh = LbvhBuilder::default()
             .build(spheres_from_points(&pts, 0.5))

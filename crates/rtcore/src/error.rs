@@ -40,8 +40,8 @@ pub enum Error {
         partial: Box<WorkCounters>,
     },
     /// An operation would exceed the configured [`crate::fault::MemoryBudget`]
-    /// even after every graceful-degradation step (dropping the quantized
-    /// bake, evicting cold shard scenes) was applied.
+    /// even after every graceful-degradation step (evicting cold shard
+    /// scenes) was applied.
     OverBudget {
         /// Bytes the structure would occupy after the operation.
         requested: u64,

@@ -24,9 +24,8 @@
 //!   structured error.
 //! * **Memory budgets** — a [`MemoryBudget`] is checked against the
 //!   `device_bytes()` accounting every index already exposes; on pressure
-//!   the engines degrade in documented order (drop the quantized bake,
-//!   evict the coldest shard BLAS to rebuild-on-demand, refuse inserts with
-//!   [`crate::Error::OverBudget`]).
+//!   the engines degrade in documented order (evict the coldest shard BLAS
+//!   to rebuild-on-demand, then refuse with [`crate::Error::OverBudget`]).
 //! * **Bounded retry** — a [`RetryPolicy`] with deterministic (tick-based,
 //!   never wall-clock) exponential backoff, shared by the quarantine
 //!   recovery path and the streaming rebuild path.
@@ -100,8 +99,6 @@ pub enum FaultSite {
     HlbvhBuild,
     /// Simulated failure in the BVH4 collapse pass.
     Bvh4Collapse,
-    /// Simulated failure in the quantized node bake.
-    QuantizedBake,
     /// A shard's bottom-level scene comes up poisoned (the shard starts
     /// quarantined and must be recovered).
     ShardBlasPoison,
@@ -112,11 +109,10 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every site, in pipeline order.
-    pub const ALL: [FaultSite; 6] = [
+    pub const ALL: [FaultSite; 5] = [
         FaultSite::ScratchGrow,
         FaultSite::HlbvhBuild,
         FaultSite::Bvh4Collapse,
-        FaultSite::QuantizedBake,
         FaultSite::ShardBlasPoison,
         FaultSite::LaunchDelay,
     ];
@@ -127,7 +123,6 @@ impl FaultSite {
             FaultSite::ScratchGrow => "scratch_grow",
             FaultSite::HlbvhBuild => "hlbvh_build",
             FaultSite::Bvh4Collapse => "bvh4_collapse",
-            FaultSite::QuantizedBake => "quantized_bake",
             FaultSite::ShardBlasPoison => "shard_blas_poison",
             FaultSite::LaunchDelay => "launch_delay",
         }
@@ -138,9 +133,8 @@ impl FaultSite {
             FaultSite::ScratchGrow => 0,
             FaultSite::HlbvhBuild => 1,
             FaultSite::Bvh4Collapse => 2,
-            FaultSite::QuantizedBake => 3,
-            FaultSite::ShardBlasPoison => 4,
-            FaultSite::LaunchDelay => 5,
+            FaultSite::ShardBlasPoison => 3,
+            FaultSite::LaunchDelay => 4,
         }
     }
 }
@@ -430,9 +424,9 @@ impl CancelScope {
 // ---------------------------------------------------------------------------
 
 /// A simulated device-memory budget checked against `device_bytes()`
-/// accounting.  On pressure the engines degrade in documented order: drop
-/// the quantized bake, evict the coldest shard BLAS to rebuild-on-demand,
-/// then refuse further growth with [`crate::Error::OverBudget`].
+/// accounting.  On pressure the engines degrade in documented order: evict
+/// the coldest shard BLAS to rebuild-on-demand, then refuse further growth
+/// with [`crate::Error::OverBudget`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemoryBudget {
     /// No budget: nothing ever degrades.
@@ -532,10 +526,10 @@ mod tests {
         // Sites are decorrelated: a different site sees a different pattern.
         let injector = FaultInjector::new(plan);
         let c: Vec<bool> = (0..64)
-            .map(|_| injector.fire(FaultSite::QuantizedBake))
+            .map(|_| injector.fire(FaultSite::Bvh4Collapse))
             .collect();
         assert_ne!(a, c);
-        assert_eq!(injector.hit_count(FaultSite::QuantizedBake), 64);
+        assert_eq!(injector.hit_count(FaultSite::Bvh4Collapse), 64);
     }
 
     #[cfg(feature = "fault-inject")]

@@ -6,7 +6,7 @@
 //!   and callers fold them; this keeps the hot path free of atomics, which is
 //!   the pattern the hpc guides recommend for rayon reductions.
 //! * [`SharedCounters`] — an atomic accumulator for contexts where a shared
-//!   sink is more convenient (for example the pipeline's parallel launch).
+//!   sink is more convenient (for example a parallel launch).
 //!
 //! All accumulation (the `+`/`+=` impls, the aggregate helpers and the
 //! [`SharedCounters`] merges) uses **saturating** arithmetic: a long-running

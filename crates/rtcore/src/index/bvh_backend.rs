@@ -2,28 +2,27 @@
 //! the wide (BVH4) batched engine.
 
 use super::{
-    charge_candidate, charge_candidates, uncharge_candidates, IndexCapabilities, IndexKind,
-    Neighbor, NeighborFlow, NeighborIndex, NeighborIndexBuilder, NeighborSink, NeighborVisitor,
+    charge_candidate, charge_candidates, uncharge_candidates, GeometryKind, IndexCapabilities,
+    IndexKind, Neighbor, NeighborFlow, NeighborIndex, NeighborIndexBuilder, NeighborSink,
+    NeighborVisitor,
 };
 use crate::bvh::BuilderKind;
 use crate::bvh::{
-    compact_coincident, refit, spheres_from_points, Bvh, BvhBuilder, CompactWideNodes, LbvhBuilder,
-    MedianSplitBuilder, PrimLanes, SahBuilder, WideBvh, WideLayout,
+    compact_coincident, refit, spheres_from_points, Bvh, BvhBuilder, LbvhBuilder,
+    MedianSplitBuilder, PrimLanes, SahBuilder, WideBvh,
 };
 use crate::error::{Error, Result};
-use crate::fault::{CancelScope, FaultInjector, FaultSite, MemoryBudget};
+use crate::fault::{CancelScope, FaultInjector, FaultSite};
 use crate::geometry::{Point3, Ray};
 use crate::hardware::sat_bump;
 use crate::hardware::WorkCounters;
-use crate::pipeline::GeometryKind;
 use crate::simd::SimdLevel;
 use crate::telemetry::{
     NodeHeatmap, PhaseKind, Telemetry, DIST_COMPS_BUCKETS, LATENCY_US_BUCKETS, OCCUPANCY_BUCKETS,
 };
 use crate::traversal::{
-    traverse_batch_runs_with_scratch_sink_cancel, traverse_batch_scene_with_scratch_sink,
-    traverse_wide_scene_with_scratch_sink, traverse_with_scratch_sink, LeafVisit, NoSink,
-    QueryOrder, ReorderScratch, ScratchPool, Traversal, TraversalScratch, WideScene,
+    traverse_batch_prims, traverse_batch_runs, traverse_wide, traverse_with_scratch_sink,
+    LeafVisit, NoSink, QueryOrder, ReorderScratch, ScratchPool, Traversal, TraversalScratch,
 };
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -617,34 +616,29 @@ impl NeighborIndex for BinaryBvhIndex {
 /// build time and queries launch in fixed-size ray packets, each wide node
 /// fetched once per packet (see [`crate::traversal::batch`]).
 ///
-/// Three coherence/layout knobs of the [`NeighborIndexBuilder`] shape the
-/// launches: [`QueryOrder::Morton`] sorts query origins along the Z-order
-/// curve before packets are cut (outputs restored to caller order
-/// bit-identically), [`WideLayout::Quantized`] walks the compact
-/// `u8`-quantised node mirror, and the [`crate::simd::SimdPolicy`] selects
-/// the hit-mask / leaf-distance kernels once at build.
+/// Two coherence knobs of the [`NeighborIndexBuilder`] shape the launches:
+/// [`QueryOrder::Morton`] sorts query origins along the Z-order curve
+/// before packets are cut (outputs restored to caller order
+/// bit-identically), and the [`crate::simd::SimdPolicy`] selects the
+/// hit-mask / leaf-distance kernels once at build.
 #[derive(Debug)]
 pub struct WideBatchedIndex {
     core: BvhCore,
     wide: Option<WideBvh>,
-    /// Quantised node mirror (only when `layout == Quantized`).
-    compact: Option<CompactWideNodes>,
     /// SoA primitive lanes for the SIMD leaf-run kernels.
     lanes: Option<PrimLanes>,
-    layout: WideLayout,
     query_order: QueryOrder,
     /// SIMD level resolved once at build — never re-detected per launch.
     simd: SimdLevel,
     batch_size: usize,
     /// Worker count resolved once from the builder's `build_parallelism`;
-    /// reused by refit-driven re-collapses and quantized re-bakes so
-    /// maintenance parallelises exactly like the initial build.
+    /// reused by refit-driven re-collapses so maintenance parallelises
+    /// exactly like the initial build.
     build_workers: usize,
     /// Pooled buffers for Morton launch reordering.
     reorder: ScratchPool<ReorderScratch>,
     /// Per-node visit profiler, only under
-    /// [`crate::telemetry::TelemetryConfig::Profile`].  Both node layouts
-    /// mirror each other's order, so one heatmap serves either.
+    /// [`crate::telemetry::TelemetryConfig::Profile`].
     heatmap: Option<NodeHeatmap>,
     /// Deterministic failpoint handle (disarmed under
     /// [`crate::fault::FaultPlan::Off`], where probes cost nothing).
@@ -653,11 +647,50 @@ pub struct WideBatchedIndex {
 
 impl WideBatchedIndex {
     /// Build from a [`NeighborIndexBuilder`] configuration (the builder's
-    /// `kind` field is ignored — this constructor always builds wide).
+    /// `kind` field is ignored — this constructor always builds wide).  A
+    /// finished index larger than the builder's
+    /// [`crate::fault::MemoryBudget`] is refused with
+    /// [`Error::OverBudget`].
     pub fn build(config: &NeighborIndexBuilder, points: &[Point3], eps: f32) -> Result<Self> {
         let fault = FaultInjector::new(config.fault);
         crate::fail_point!(fault, FaultSite::HlbvhBuild);
-        let mut core = BvhCore::build(config, points, eps)?;
+        let index = Self::from_core(config, BvhCore::build(config, points, eps)?, fault)?;
+        if let Some(limit) = config.memory_budget.limit() {
+            let bytes = index.device_bytes();
+            if bytes > limit {
+                return Err(Error::OverBudget {
+                    requested: bytes,
+                    budget: limit,
+                });
+            }
+        }
+        Ok(index)
+    }
+
+    /// Wrap an already-built binary tree (a shard's BLAS) into the wide
+    /// batched engine, skipping the compaction/builder front end — the
+    /// sharded scene ran those globally and enforces the memory budget
+    /// over the whole scene.  Spans open on the calling thread, so
+    /// per-shard parallel builds are visible in the trace through their
+    /// thread ids.
+    pub(crate) fn from_prebuilt(
+        config: &NeighborIndexBuilder,
+        bvh: Bvh,
+        eps: f32,
+        telemetry: Telemetry,
+    ) -> Result<Self> {
+        let core = BvhCore::from_prebuilt(config, bvh, eps, telemetry);
+        Self::from_core(config, core, FaultInjector::new(config.fault))
+    }
+
+    /// The one constructor body: collapse the core's binary tree to BVH4
+    /// (charged as build work), stage the SoA primitive lanes and size the
+    /// optional heatmap.
+    fn from_core(
+        config: &NeighborIndexBuilder,
+        mut core: BvhCore,
+        fault: FaultInjector,
+    ) -> Result<Self> {
         let build_workers = config.build_parallelism.resolved();
         crate::fail_point!(fault, FaultSite::Bvh4Collapse);
         let wide = {
@@ -673,150 +706,6 @@ impl WideBatchedIndex {
             }
             wide
         };
-        if config.wide_layout == WideLayout::Quantized {
-            crate::fail_point!(fault, FaultSite::QuantizedBake);
-        }
-        let compact = match (config.wide_layout, &wide) {
-            (WideLayout::Quantized, Some(w)) => {
-                let mut span = core.telemetry.span(PhaseKind::QuantizedBake);
-                // Re-encoding the node array is one more device-build pass.
-                sat_bump(
-                    &mut core.build_counters.build_node_ops,
-                    w.node_count() as u64,
-                );
-                span.add_counters(WorkCounters {
-                    build_node_ops: w.node_count() as u64,
-                    ..WorkCounters::ZERO
-                });
-                Some(CompactWideNodes::from_wide_parallel(w, build_workers))
-            }
-            _ => None,
-        };
-        let lanes = wide
-            .as_ref()
-            .map(|w| PrimLanes::from_primitives(&w.primitives));
-        let heatmap = config
-            .telemetry
-            .heatmap_enabled()
-            .then(|| wide.as_ref().map(NodeHeatmap::for_wide))
-            .flatten();
-        let mut this = WideBatchedIndex {
-            core,
-            wide,
-            compact,
-            lanes,
-            layout: config.wide_layout,
-            query_order: config.query_order,
-            simd: config.simd.resolve(),
-            batch_size: config.batch_size.max(1),
-            build_workers,
-            reorder: ScratchPool::new(),
-            heatmap,
-            fault,
-        };
-        this.enforce_budget(config.memory_budget)?;
-        Ok(this)
-    }
-
-    /// Enforce a [`MemoryBudget`] on the built structure.  Degradation
-    /// order: drop the quantized bake (queries fall back to the exact
-    /// full-precision layout — identical answers, conservative-hit work
-    /// differences only), then refuse with [`Error::OverBudget`].
-    fn enforce_budget(&mut self, budget: MemoryBudget) -> Result<()> {
-        let Some(limit) = budget.limit() else {
-            return Ok(());
-        };
-        if self.device_bytes() <= limit {
-            return Ok(());
-        }
-        {
-            // Clone the handle so the span outlives the &mut self call.
-            let telemetry = self.core.telemetry.clone();
-            let mut span = telemetry.span(PhaseKind::Degrade);
-            let freed_nodes = self.compact.as_ref().map_or(0, |c| c.nodes.len() as u64);
-            self.drop_quantized_bake();
-            span.add_counters(WorkCounters {
-                misc_ops: freed_nodes,
-                ..WorkCounters::ZERO
-            });
-        }
-        let bytes = self.device_bytes();
-        if bytes <= limit {
-            Ok(())
-        } else {
-            Err(Error::OverBudget {
-                requested: bytes,
-                budget: limit,
-            })
-        }
-    }
-
-    /// Drop the quantized node mirror (graceful-degradation step 1),
-    /// returning the bytes freed.  The launch path falls back to the
-    /// full-precision layout permanently — refits will not re-bake.
-    pub(crate) fn drop_quantized_bake(&mut self) -> u64 {
-        let freed = self
-            .compact
-            .as_ref()
-            .map_or(0, CompactWideNodes::device_bytes);
-        if freed > 0 {
-            self.compact = None;
-            self.layout = WideLayout::F32;
-        }
-        freed
-    }
-
-    /// True while the quantized node mirror is resident.
-    pub fn has_quantized_bake(&self) -> bool {
-        self.compact.is_some()
-    }
-
-    /// Wrap an already-built binary tree (a shard's BLAS) into the wide
-    /// batched engine: collapse to BVH4 (and bake the quantized mirror when
-    /// configured) exactly as [`WideBatchedIndex::build`] does, but skip the
-    /// compaction/builder front end — the sharded scene ran those globally.
-    /// Spans open on the calling thread, so per-shard parallel builds are
-    /// visible in the trace through their thread ids.
-    pub(crate) fn from_prebuilt(
-        config: &NeighborIndexBuilder,
-        bvh: Bvh,
-        eps: f32,
-        telemetry: Telemetry,
-    ) -> Result<Self> {
-        let fault = FaultInjector::new(config.fault);
-        let mut core = BvhCore::from_prebuilt(config, bvh, eps, telemetry);
-        let build_workers = config.build_parallelism.resolved();
-        crate::fail_point!(fault, FaultSite::Bvh4Collapse);
-        let wide = {
-            let mut span = core.telemetry.span(PhaseKind::Bvh4Collapse);
-            let wide = core
-                .bvh
-                .as_ref()
-                .map(|b| WideBvh::from_binary_parallel(b, build_workers, &core.telemetry));
-            if let Some(w) = &wide {
-                core.build_counters += w.collapse_counters;
-                span.add_counters(w.collapse_counters);
-            }
-            wide
-        };
-        if config.wide_layout == WideLayout::Quantized {
-            crate::fail_point!(fault, FaultSite::QuantizedBake);
-        }
-        let compact = match (config.wide_layout, &wide) {
-            (WideLayout::Quantized, Some(w)) => {
-                let mut span = core.telemetry.span(PhaseKind::QuantizedBake);
-                sat_bump(
-                    &mut core.build_counters.build_node_ops,
-                    w.node_count() as u64,
-                );
-                span.add_counters(WorkCounters {
-                    build_node_ops: w.node_count() as u64,
-                    ..WorkCounters::ZERO
-                });
-                Some(CompactWideNodes::from_wide_parallel(w, build_workers))
-            }
-            _ => None,
-        };
         let lanes = wide
             .as_ref()
             .map(|w| PrimLanes::from_primitives(&w.primitives));
@@ -828,9 +717,7 @@ impl WideBatchedIndex {
         Ok(WideBatchedIndex {
             core,
             wide,
-            compact,
             lanes,
-            layout: config.wide_layout,
             query_order: config.query_order,
             simd: config.simd.resolve(),
             batch_size: config.batch_size.max(1),
@@ -860,34 +747,23 @@ impl WideBatchedIndex {
             .map_or(crate::geometry::Aabb::EMPTY, |w| w.scene_bounds)
     }
 
-    /// The scene in the configured traversal layout.
-    fn scene(&self) -> Option<WideScene<'_>> {
-        let wide = self.wide.as_ref()?;
-        Some(match &self.compact {
-            Some(nodes) => WideScene::Quantized { wide, nodes },
-            None => WideScene::F32(wide),
-        })
-    }
-
-    /// Rebuild the traversal-time mirrors (compact nodes, SoA lanes) after
-    /// the wide scene changed shape.  Returns the work performed — the
-    /// quantisation re-encode costs `build_node_ops` exactly as it does at
-    /// initial build, so refit-heavy streaming maintenance is charged
-    /// honestly.
-    fn refresh_layout(&mut self) -> WorkCounters {
+    /// Re-collapse the wide scene after a refit changed the binary tree's
+    /// shape, then rebuild the traversal-time state that follows it (SoA
+    /// lanes, heatmap depth map).  Returns the collapse work, which is
+    /// also charged to the build counters.
+    fn recollapse(&mut self) -> WorkCounters {
         let mut counters = WorkCounters::ZERO;
-        self.compact = match (self.layout, &self.wide) {
-            (WideLayout::Quantized, Some(w)) => {
-                let mut span = self.core.telemetry.span(PhaseKind::QuantizedBake);
-                sat_bump(&mut counters.build_node_ops, w.node_count() as u64);
-                span.add_counters(WorkCounters {
-                    build_node_ops: w.node_count() as u64,
-                    ..WorkCounters::ZERO
-                });
-                Some(CompactWideNodes::from_wide_parallel(w, self.build_workers))
+        {
+            let mut span = self.core.telemetry.span(PhaseKind::Bvh4Collapse);
+            self.wide = self.core.bvh.as_ref().map(|b| {
+                WideBvh::from_binary_parallel(b, self.build_workers, &self.core.telemetry)
+            });
+            if let Some(w) = &self.wide {
+                counters += w.collapse_counters;
+                self.core.build_counters += w.collapse_counters;
+                span.add_counters(w.collapse_counters);
             }
-            _ => None,
-        };
+        }
         self.lanes = self
             .wide
             .as_ref()
@@ -942,7 +818,7 @@ impl WideBatchedIndex {
         cancel: Option<&CancelScope>,
     ) -> WorkCounters {
         let mut counters = WorkCounters::ZERO;
-        let Some(scene) = self.scene() else {
+        let Some(wide) = &self.wide else {
             return counters;
         };
         // Packet granularity: a tripped scope skips the whole packet.
@@ -960,8 +836,8 @@ impl WideBatchedIndex {
         let eps_sq = eps * eps;
         let geometry = self.core.geometry;
         with_sink!(self.heatmap.as_ref(), |vsink| {
-            traverse_batch_scene_with_scratch_sink(
-                scene,
+            traverse_batch_prims(
+                wide,
                 &scratch.rays,
                 &mut scratch.trav,
                 &mut counters,
@@ -1012,7 +888,7 @@ impl WideBatchedIndex {
     ) -> WorkCounters {
         use std::sync::atomic::Ordering;
         let mut counters = WorkCounters::ZERO;
-        let Some(scene) = self.scene() else {
+        let Some(wide) = &self.wide else {
             return counters;
         };
         // Packet granularity: a tripped scope skips the whole packet.
@@ -1045,32 +921,23 @@ impl WideBatchedIndex {
             let lanes = self.lanes.as_ref().expect("lanes exist with the scene");
             let simd = self.simd;
             with_sink!(self.heatmap.as_ref(), |vsink| {
-                traverse_batch_runs_with_scratch_sink_cancel(
-                    scene,
-                    rays,
-                    trav,
-                    &mut counters,
-                    simd,
-                    vsink,
-                    cancel,
-                    {
-                        let local = &mut *local;
-                        move |q, first, count, counters| {
-                            charge_candidates(geometry, count as u64, counters);
-                            local[q] += lanes.count_in_ball(
-                                simd,
-                                first as usize,
-                                count as usize,
-                                packet_queries[q],
-                                eps_sq,
-                            );
-                            LeafVisit {
-                                visited: count,
-                                terminate: false,
-                            }
+                traverse_batch_runs(wide, rays, trav, &mut counters, simd, vsink, cancel, {
+                    let local = &mut *local;
+                    move |q, first, count, counters| {
+                        charge_candidates(geometry, count as u64, counters);
+                        local[q] += lanes.count_in_ball(
+                            simd,
+                            first as usize,
+                            count as usize,
+                            packet_queries[q],
+                            eps_sq,
+                        );
+                        LeafVisit {
+                            visited: count,
+                            terminate: false,
                         }
-                    },
-                );
+                    }
+                });
             });
             if exclude_self {
                 for c in local.iter_mut() {
@@ -1079,7 +946,7 @@ impl WideBatchedIndex {
             }
         } else {
             traversal_count_launch(
-                scene,
+                wide,
                 rays,
                 trav,
                 &mut counters,
@@ -1215,7 +1082,7 @@ impl WideBatchedIndex {
 /// exit, keeping totals bit-identical to the per-candidate sink path.
 #[allow(clippy::too_many_arguments)]
 fn traversal_count_launch(
-    scene: WideScene<'_>,
+    wide: &WideBvh,
     rays: &[Ray],
     trav: &mut TraversalScratch,
     counters: &mut WorkCounters,
@@ -1230,10 +1097,10 @@ fn traversal_count_launch(
     exclude_self: bool,
     early_exit: Option<u64>,
 ) {
-    let all_prims = scene.primitives();
+    let all_prims = &wide.primitives;
     with_sink!(heatmap, |vsink| {
-        traverse_batch_runs_with_scratch_sink_cancel(
-            scene,
+        traverse_batch_runs(
+            wide,
             rays,
             trav,
             counters,
@@ -1306,10 +1173,6 @@ impl NeighborIndex for WideBatchedIndex {
     fn device_bytes(&self) -> u64 {
         self.core.bvh.as_ref().map_or(0, Bvh::device_bytes)
             + self.wide.as_ref().map_or(0, WideBvh::device_bytes)
-            + self
-                .compact
-                .as_ref()
-                .map_or(0, CompactWideNodes::device_bytes)
             + self.lanes.as_ref().map_or(0, PrimLanes::device_bytes)
     }
 
@@ -1330,7 +1193,7 @@ impl NeighborIndex for WideBatchedIndex {
         visit: &mut NeighborVisitor<'_>,
     ) {
         debug_assert!(eps <= self.core.eps, "query radius exceeds build radius");
-        let Some(scene) = self.scene() else { return };
+        let Some(wide) = &self.wide else { return };
         let mut local = WorkCounters::ZERO;
         sat_bump(&mut local.rays, 1);
         let ray = Ray::epsilon_ray(query);
@@ -1338,8 +1201,8 @@ impl NeighborIndex for WideBatchedIndex {
         let geometry = self.core.geometry;
         let mut guard = self.core.scratch.acquire();
         with_sink!(self.heatmap.as_ref(), |vsink| {
-            traverse_wide_scene_with_scratch_sink(
-                scene,
+            traverse_wide(
+                wide,
                 &ray,
                 &mut guard.trav,
                 &mut local,
@@ -1493,10 +1356,10 @@ impl NeighborIndex for WideBatchedIndex {
                 let start = packet * self.batch_size;
                 let len = self.batch_size.min(queries.len() - start);
                 let mut local = WorkCounters::ZERO;
-                let Some(scene) = self.scene() else {
+                let Some(wide) = &self.wide else {
                     return local;
                 };
-                let all_prims = scene.primitives();
+                let all_prims = &wide.primitives;
                 sat_bump(&mut local.rays, len as u64);
                 let packet_queries = &ordered[start..start + len];
                 let mut guard = self.core.scratch.acquire();
@@ -1508,8 +1371,8 @@ impl NeighborIndex for WideBatchedIndex {
                 let eps_sq = eps * eps;
                 let geometry = self.core.geometry;
                 with_sink!(self.heatmap.as_ref(), |vsink| {
-                    traverse_batch_runs_with_scratch_sink_cancel(
-                        scene,
+                    traverse_batch_runs(
+                        wide,
                         rays,
                         trav,
                         &mut local,
@@ -1554,42 +1417,13 @@ impl NeighborIndex for WideBatchedIndex {
     }
 
     fn remove(&mut self, retired: &[u32]) -> Result<WorkCounters> {
-        let mut counters = self.core.remove_impl(retired)?;
-        // The collapsed scene follows the binary tree's shape.
-        {
-            let mut span = self.core.telemetry.span(PhaseKind::Bvh4Collapse);
-            self.wide = self.core.bvh.as_ref().map(|b| {
-                WideBvh::from_binary_parallel(b, self.build_workers, &self.core.telemetry)
-            });
-            if let Some(w) = &self.wide {
-                counters += w.collapse_counters;
-                self.core.build_counters += w.collapse_counters;
-                span.add_counters(w.collapse_counters);
-            }
-        }
-        let relayout = self.refresh_layout();
-        counters += relayout;
-        self.core.build_counters += relayout;
-        Ok(counters)
+        let counters = self.core.remove_impl(retired)?;
+        Ok(counters + self.recollapse())
     }
 
     fn update(&mut self, moved: &[(u32, Point3)]) -> Result<WorkCounters> {
-        let mut counters = self.core.update_impl(moved)?;
-        {
-            let mut span = self.core.telemetry.span(PhaseKind::Bvh4Collapse);
-            self.wide = self.core.bvh.as_ref().map(|b| {
-                WideBvh::from_binary_parallel(b, self.build_workers, &self.core.telemetry)
-            });
-            if let Some(w) = &self.wide {
-                counters += w.collapse_counters;
-                self.core.build_counters += w.collapse_counters;
-                span.add_counters(w.collapse_counters);
-            }
-        }
-        let relayout = self.refresh_layout();
-        counters += relayout;
-        self.core.build_counters += relayout;
-        Ok(counters)
+        let counters = self.core.update_impl(moved)?;
+        Ok(counters + self.recollapse())
     }
 }
 

@@ -56,7 +56,7 @@ pub use csr::CsrNeighbors;
 pub use grid::UniformGridIndex;
 pub use sharded::{QuarantineReason, RecoveryStats, ShardSelect, ShardedIndex};
 
-pub use crate::bvh::{BuildParallelism, ShardingConfig, WideLayout};
+pub use crate::bvh::{BuildParallelism, ShardingConfig};
 pub use crate::simd::SimdPolicy;
 pub use crate::traversal::QueryOrder;
 
@@ -66,7 +66,6 @@ use crate::fault::{CancelScope, FaultPlan, MemoryBudget};
 use crate::geometry::Point3;
 use crate::hardware::sat_bump;
 use crate::hardware::WorkCounters;
-use crate::pipeline::GeometryKind;
 use crate::telemetry::{NodeHeatmap, Telemetry, TelemetryConfig};
 
 /// One verified neighbour reported by a backend: the exact distance test has
@@ -128,6 +127,22 @@ impl IndexKind {
     pub fn is_bvh(&self) -> bool {
         matches!(self, IndexKind::BinaryBvh | IndexKind::WideBatched)
     }
+}
+
+/// How sphere primitives are presented to the (simulated) hardware.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum GeometryKind {
+    /// Custom sphere primitives with a user Intersection program — the
+    /// configuration RT-DBSCAN uses.
+    #[default]
+    CustomSpheres,
+    /// Spheres tessellated into triangles so the hardware ray–triangle unit
+    /// can be used.  Every accepted hit must then go through the AnyHit
+    /// program, which Section VI-C measures as a 2–5× slowdown.
+    TriangleSpheres {
+        /// Number of triangles each sphere is tessellated into.
+        triangles_per_sphere: u32,
+    },
 }
 
 /// What a built backend can do, for callers that adapt to their substrate.
@@ -500,7 +515,7 @@ pub(crate) fn dispatch_batch(
 /// Shared candidate accounting: every candidate a backend's exact filter
 /// touches costs one `dist_comps`; the triangle-tessellation ablation
 /// additionally pays the tessellated primitive tests and one AnyHit bounce
-/// per candidate, exactly as the OptiX-style pipeline charged it.
+/// per candidate, the way an OptiX pipeline charges it.
 #[inline]
 pub(crate) fn charge_candidate(geometry: GeometryKind, counters: &mut WorkCounters) {
     if let GeometryKind::TriangleSpheres {
@@ -581,15 +596,12 @@ pub struct NeighborIndexBuilder {
     /// packets to make coherent).  Outputs are restored to caller order
     /// bit-identically either way; see [`QueryOrder`].
     pub query_order: QueryOrder,
-    /// Which node representation the wide-batched traversal reads
-    /// ([`IndexKind::WideBatched`] only); see [`WideLayout`].
-    pub wide_layout: WideLayout,
     /// SIMD policy for the wide-batched hit-mask and leaf-distance
     /// kernels, resolved once per index build; see [`SimdPolicy`].
     pub simd: SimdPolicy,
     /// Logical parallelism of acceleration-structure construction (the LBVH
-    /// encode/sort/emit, the BVH4 collapse and the quantized bake).  The
-    /// built structure is bit-identical for every setting —
+    /// encode/sort/emit and the BVH4 collapse).  The built structure is
+    /// bit-identical for every setting —
     /// [`BuildParallelism::Sequential`] (the default) runs the legacy
     /// single-threaded path, so all counter-identity guarantees hold
     /// unchanged.  BVH kinds only; with sharding the budget is divided
@@ -627,9 +639,9 @@ pub struct NeighborIndexBuilder {
     /// ```
     pub sharding: Option<ShardingConfig>,
     /// Simulated device-memory budget for the built structure.  On
-    /// pressure the build degrades gracefully in documented order — drop
-    /// the quantized bake, evict the coldest shard BLAS to
-    /// rebuild-on-demand — before refusing with [`Error::OverBudget`].
+    /// pressure a sharded scene first evicts its coldest shard BLASes to
+    /// rebuild-on-demand; a build that still does not fit is refused with
+    /// [`Error::OverBudget`].
     /// Degradations are observable under
     /// [`crate::telemetry::PhaseKind::Degrade`] spans.  The default is
     /// [`MemoryBudget::Unlimited`], which changes nothing.
@@ -653,7 +665,6 @@ impl NeighborIndexBuilder {
             batch_size: 512,
             min_parallel_launch: 256,
             query_order: QueryOrder::AsGiven,
-            wide_layout: WideLayout::F32,
             simd: SimdPolicy::Auto,
             build_parallelism: BuildParallelism::Sequential,
             telemetry: TelemetryConfig::Off,
@@ -910,6 +921,42 @@ mod tests {
                 b.build(&[Point3::new(f32::NAN, 0.0, 0.0)], 1.0).is_err(),
                 "{kind:?} NaN point"
             );
+        }
+    }
+
+    #[test]
+    fn default_geometry_is_custom_spheres() {
+        assert_eq!(GeometryKind::default(), GeometryKind::CustomSpheres);
+    }
+
+    #[test]
+    fn triangle_geometry_charges_anyhit() {
+        let pts = grid_points(12, 0.2);
+        for kind in [IndexKind::BinaryBvh, IndexKind::WideBatched] {
+            let run = |geometry| {
+                let index = NeighborIndexBuilder {
+                    geometry,
+                    ..NeighborIndexBuilder::new(kind)
+                }
+                .build(&pts, 0.25)
+                .unwrap();
+                let mut counters = WorkCounters::ZERO;
+                let csr = index.batch_neighbors_csr(&pts, 0.25, &mut counters);
+                let rows: Vec<Vec<u32>> =
+                    (0..pts.len()).map(|q| csr.neighbors(q).to_vec()).collect();
+                (rows, counters)
+            };
+            let (sphere_rows, sphere) = run(GeometryKind::CustomSpheres);
+            let (tri_rows, tri) = run(GeometryKind::TriangleSpheres {
+                triangles_per_sphere: 20,
+            });
+            // Same results …
+            assert_eq!(sphere_rows, tri_rows, "{kind:?}");
+            // … but the triangle path performs strictly more primitive tests
+            // and invokes AnyHit, while the sphere path never does.
+            assert_eq!(sphere.anyhit_invocations, 0, "{kind:?}");
+            assert!(tri.anyhit_invocations > 0, "{kind:?}");
+            assert!(tri.prim_tests > sphere.prim_tests, "{kind:?}");
         }
     }
 

@@ -30,8 +30,8 @@
 
 use super::bvh_backend::caller_ordinal;
 use super::{
-    charge_candidate, IndexCapabilities, IndexKind, Neighbor, NeighborFlow, NeighborIndex,
-    NeighborIndexBuilder, NeighborSink, NeighborVisitor, WideBatchedIndex,
+    charge_candidate, GeometryKind, IndexCapabilities, IndexKind, Neighbor, NeighborFlow,
+    NeighborIndex, NeighborIndexBuilder, NeighborSink, NeighborVisitor, WideBatchedIndex,
 };
 use crate::bvh::build::{lbvh_from_sorted, LbvhBuilder};
 use crate::bvh::tlas::{plan_shards_with, Tlas};
@@ -44,7 +44,6 @@ use crate::fault::{CancelScope, FaultInjector, FaultPlan, FaultSite, MemoryBudge
 use crate::geometry::{Aabb, Point3, Ray, Sphere};
 use crate::hardware::sat_bump;
 use crate::hardware::WorkCounters;
-use crate::pipeline::GeometryKind;
 use crate::telemetry::{
     NodeHeatmap, PhaseKind, Telemetry, DIST_COMPS_BUCKETS, LATENCY_US_BUCKETS, OCCUPANCY_BUCKETS,
 };
@@ -60,7 +59,7 @@ type ShardSlice = Mutex<Option<(Vec<Sphere>, Vec<u32>)>>;
 /// Why a shard's BLAS is quarantined (see [`ShardedIndex::quarantine_shard`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuarantineReason {
-    /// The per-shard BLAS build failed (an injected collapse/bake fault);
+    /// The per-shard BLAS build failed (an injected collapse fault);
     /// the scene construction degraded the shard instead of failing.
     BuildFailed,
     /// A [`crate::fault::FaultSite::ShardBlasPoison`] failpoint marked the
@@ -197,8 +196,8 @@ pub enum ShardSelect {
 }
 
 /// Two-level neighbour-search backend: a TLAS over Morton-range shards,
-/// each owning a bottom-level wide (BVH4 / quantized) scene answered by the
-/// wavefront packet engine.
+/// each owning a bottom-level wide (BVH4) scene answered by the wavefront
+/// packet engine.
 ///
 /// Built through [`NeighborIndexBuilder`] by setting
 /// [`NeighborIndexBuilder::sharding`] on the [`IndexKind::WideBatched`]
@@ -648,12 +647,10 @@ impl ShardedIndex {
     }
 
     /// Enforce a [`MemoryBudget`] on the whole two-level scene, degrading
-    /// gracefully in documented order: (1) drop quantized node bakes,
-    /// coldest shard first — answers are unchanged, only conservative-hit
-    /// work differs; (2) evict the coldest live BLASes into quarantine
-    /// (exact fallback, rebuild on the next [`ShardedIndex::recover`]);
-    /// (3) if the scene still exceeds the budget, refuse with
-    /// [`Error::OverBudget`].
+    /// gracefully in documented order: (1) evict the coldest live BLASes
+    /// into quarantine (exact fallback, rebuild on the next
+    /// [`ShardedIndex::recover`]); (2) if the scene still exceeds the
+    /// budget, refuse with [`Error::OverBudget`].
     pub fn enforce_budget(&mut self, budget: MemoryBudget) -> Result<()> {
         let Some(limit) = budget.limit() else {
             return Ok(());
@@ -665,38 +662,17 @@ impl ShardedIndex {
         let mut span = telemetry.span(PhaseKind::Degrade);
         let mut degrade_ops = 0u64;
         let mut within = false;
-        // Step 1: quantized bakes, coldest shard first (ties on shard id).
-        let mut bakes: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| {
-                self.shards[s]
-                    .live()
-                    .is_some_and(WideBatchedIndex::has_quantized_bake)
-            })
+        // Evict whole BLASes, coldest first (ties on shard id).
+        let mut live: Vec<usize> = (0..self.shards.len())
+            .filter(|&s| self.shards[s].live().is_some())
             .collect();
-        bakes.sort_by_key(|&s| (self.shard_heat(s as u32), s));
-        for s in bakes {
-            if let ShardSlot::Live(blas) = &mut self.shards[s] {
-                blas.drop_quantized_bake();
-                degrade_ops += 1;
-            }
+        live.sort_by_key(|&s| (self.shard_heat(s as u32), s));
+        for s in live {
+            self.quarantine_slot(s, QuarantineReason::Evicted);
+            degrade_ops += 1;
             if self.device_bytes() <= limit {
                 within = true;
                 break;
-            }
-        }
-        // Step 2: evict whole BLASes, coldest first.
-        if !within {
-            let mut live: Vec<usize> = (0..self.shards.len())
-                .filter(|&s| self.shards[s].live().is_some())
-                .collect();
-            live.sort_by_key(|&s| (self.shard_heat(s as u32), s));
-            for s in live {
-                self.quarantine_slot(s, QuarantineReason::Evicted);
-                degrade_ops += 1;
-                if self.device_bytes() <= limit {
-                    within = true;
-                    break;
-                }
             }
         }
         span.add_counters(WorkCounters {
@@ -1556,7 +1532,6 @@ impl NeighborIndex for ShardedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bvh::WideLayout;
     use crate::index::{Neighbor, NeighborIndexBuilder};
 
     fn blob_points(n: usize, seed: u64) -> Vec<Point3> {
@@ -1743,23 +1718,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_layout_keeps_labels_identical_sets() {
-        // The quantized BLAS mirror is conservative per shard-frame: sets
-        // stay exact even though traversal counters may grow.
-        let pts = blob_points(350, 44);
-        let eps = 0.6f32;
-        let flat = WideBatchedIndex::build(&flat_config(), &pts, eps).unwrap();
-        let q_config = NeighborIndexBuilder {
-            wide_layout: WideLayout::Quantized,
-            ..sharded_config(48)
-        };
-        let sharded = ShardedIndex::build(&q_config, &pts, eps).unwrap();
-        let (flat_rows, _) = sorted_rows(&flat, &pts, eps);
-        let (shard_rows, _) = sorted_rows(&sharded, &pts, eps);
-        assert_eq!(flat_rows, shard_rows);
-    }
-
-    #[test]
     fn quarantined_shard_answers_exactly_and_recovers() {
         let pts = blob_points(500, 77);
         let eps = 0.6f32;
@@ -1815,14 +1773,10 @@ mod tests {
     }
 
     #[test]
-    fn budget_degrades_bakes_then_evicts_then_refuses() {
+    fn budget_evicts_coldest_then_refuses() {
         let pts = blob_points(400, 55);
         let eps = 0.5f32;
-        let q_config = NeighborIndexBuilder {
-            wide_layout: WideLayout::Quantized,
-            ..sharded_config(48)
-        };
-        let mut sharded = ShardedIndex::build(&q_config, &pts, eps).unwrap();
+        let mut sharded = ShardedIndex::build(&sharded_config(48), &pts, eps).unwrap();
         let (healthy_rows, _) = sorted_rows(&sharded, &pts, eps);
         let bytes = sharded.device_bytes();
 
@@ -1831,14 +1785,14 @@ mod tests {
         assert_eq!(sharded.degraded_shard_count(), 0);
         assert_eq!(sharded.device_bytes(), bytes);
 
-        // Slightly over: dropping the coldest quantized bake frees enough.
+        // Slightly over: evicting the coldest BLAS frees enough.
         sharded
             .enforce_budget(MemoryBudget::Bytes(bytes - 1))
             .unwrap();
-        assert_eq!(sharded.degraded_shard_count(), 0, "no eviction needed");
+        assert_eq!(sharded.degraded_shard_count(), 1, "one eviction suffices");
         assert!(sharded.device_bytes() < bytes);
         let (rows, _) = sorted_rows(&sharded, &pts, eps);
-        assert_eq!(healthy_rows, rows, "answers survive the dropped bake");
+        assert_eq!(healthy_rows, rows, "answers survive the eviction");
 
         // Absurdly tight: every BLAS evicts and the scene still refuses.
         let err = sharded.enforce_budget(MemoryBudget::Bytes(1)).unwrap_err();

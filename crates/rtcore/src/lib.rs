@@ -11,11 +11,9 @@
 //! * [`bvh`] — bounding-volume-hierarchy builders (LBVH via Morton codes,
 //!   binned SAH, median split) plus the primitive-compaction pass the RT
 //!   device path uses.
-//! * [`traversal`] — a counted, stack-based BVH traversal engine with the
-//!   any-hit / early-termination hooks the OptiX pipeline exposes.
-//! * [`pipeline`] — the OptiX-like programming model: `RayGen`,
-//!   `Intersection`, `AnyHit`, `ClosestHit` and `Miss` programs, a geometry
-//!   group, and a parallel `launch`.
+//! * [`traversal`] — counted BVH traversal: the binary single-ray oracle
+//!   and the wide (BVH4) single-ray and ray-packet engines, with the
+//!   early-termination hook the OptiX pipeline exposes.
 //! * [`hardware`] — the device cost model.  All work performed by the
 //!   traversal engine and builders is counted, and a [`hardware::DeviceModel`]
 //!   converts those counts into simulated execution time for an RT-core
@@ -62,7 +60,6 @@ pub mod fault;
 pub mod geometry;
 pub mod hardware;
 pub mod index;
-pub mod pipeline;
 pub mod simd;
 pub mod telemetry;
 pub mod traversal;

@@ -49,7 +49,7 @@ impl SimdLevel {
 }
 
 /// Which SIMD level a launch should use — the configuration knob carried
-/// by `NeighborIndexBuilder` and `PipelineConfig`.
+/// by `NeighborIndexBuilder`.
 ///
 /// # Examples
 ///

@@ -11,9 +11,7 @@
 //! which levels of the tree dominate memory traffic.
 //!
 //! The accumulator is indexed by the node ids the engine already has in a
-//! register, and both wide-node layouts (`f32` and quantized) mirror each
-//! other's node order, so one heatmap serves either layout of the same
-//! tree.
+//! register.
 
 use crate::bvh::wide::WideChild;
 use crate::bvh::{Bvh, NodeKind, WideBvh};
@@ -43,9 +41,7 @@ impl NodeHeatmap {
         }
     }
 
-    /// A heatmap sized for a wide (BVH4) scene.  The quantized compact
-    /// layout mirrors the wide node array one-to-one, so this heatmap
-    /// serves both layouts.
+    /// A heatmap sized for a wide (BVH4) scene.
     pub fn for_wide(wide: &WideBvh) -> NodeHeatmap {
         let mut depths = vec![0u32; wide.nodes.len()];
         let mut stack: Vec<(u32, u32)> = Vec::new();

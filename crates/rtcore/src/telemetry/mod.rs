@@ -8,9 +8,9 @@
 //! Three layers, all hanging off one cloneable [`Telemetry`] handle:
 //!
 //! 1. **Spans** — [`Telemetry::span`] returns a [`Span`] RAII guard scoping
-//!    one pipeline phase ([`PhaseKind`]: LBVH build, BVH4 collapse,
-//!    quantized bake, Morton reorder, stage-1 launch, stage-2 union-find,
-//!    refit, rebuild, streaming slide).  On drop the span records its
+//!    one pipeline phase ([`PhaseKind`]: LBVH build, BVH4 collapse, Morton
+//!    reorder, stage-1 launch, stage-2 union-find, refit, rebuild,
+//!    streaming slide).  On drop the span records its
 //!    wall-time, thread, nesting depth and an attached [`WorkCounters`]
 //!    delta into a fixed-capacity ring buffer.  Export with
 //!    [`Telemetry::chrome_trace_json`] (open the file in `chrome://tracing`
@@ -72,8 +72,7 @@ use std::time::Instant;
 
 /// How much telemetry a component records.  `Copy`, so it travels through
 /// the `Copy` configuration structs ([`crate::index::NeighborIndexBuilder`],
-/// [`crate::pipeline::PipelineConfig`], streaming configs) like every other
-/// knob.
+/// streaming configs) like every other knob.
 ///
 /// ```
 /// use rtcore::telemetry::TelemetryConfig;
@@ -121,8 +120,6 @@ pub enum PhaseKind {
     LbvhBuild,
     /// Collapse of the binary tree into BVH4 wide nodes.
     Bvh4Collapse,
-    /// Re-encoding the wide nodes into the quantized compact layout.
-    QuantizedBake,
     /// Morton sorting a launch's queries into coherent order.
     MortonReorder,
     /// Stage 1: the batched neighbour-count launch over all points.
@@ -143,17 +140,16 @@ pub enum PhaseKind {
     /// union-find so sharded labels match the flat path.
     ShardStitch,
     /// A graceful-degradation step under memory pressure or fault
-    /// recovery: dropping the quantized bake, evicting or quarantining a
-    /// shard BLAS, or rebuilding one from quarantine.
+    /// recovery: evicting or quarantining a shard BLAS, or rebuilding one
+    /// from quarantine.
     Degrade,
 }
 
 impl PhaseKind {
     /// Every phase, in taxonomy order.
-    pub const ALL: [PhaseKind; 13] = [
+    pub const ALL: [PhaseKind; 12] = [
         PhaseKind::LbvhBuild,
         PhaseKind::Bvh4Collapse,
-        PhaseKind::QuantizedBake,
         PhaseKind::MortonReorder,
         PhaseKind::Stage1Launch,
         PhaseKind::Stage2UnionFind,
@@ -171,7 +167,6 @@ impl PhaseKind {
         match self {
             PhaseKind::LbvhBuild => "lbvh_build",
             PhaseKind::Bvh4Collapse => "bvh4_collapse",
-            PhaseKind::QuantizedBake => "quantized_bake",
             PhaseKind::MortonReorder => "morton_reorder",
             PhaseKind::Stage1Launch => "stage1_launch",
             PhaseKind::Stage2UnionFind => "stage2_union_find",

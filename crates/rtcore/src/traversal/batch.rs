@@ -1,21 +1,30 @@
 //! Batched traversal over wide (BVH4) scenes.
 //!
-//! Two engines are provided on top of [`WideBvh`]:
+//! Three crate-internal engine cores run on top of [`WideBvh`], one per
+//! traversal shape:
 //!
-//! * [`traverse_wide`] — one ray, wide nodes: each visit tests the ray
+//! * `traverse_wide` — one ray, wide nodes: each visit tests the ray
 //!   against all four packed child boxes (one
 //!   [`WorkCounters::wide_node_visits`] instead of the several binary
 //!   `node_visits` the collapsed levels used to cost).
-//! * [`traverse_batch`] — a *ray packet*: a slice of queries walks the tree
-//!   together in wavefront order.  Each wide node the packet reaches is
-//!   fetched **once** and tested against every query still interested in it,
-//!   so the per-node charge is amortised across the packet — the software
-//!   analogue of the many-rays-in-flight scheduling real RT cores perform.
-//!   Per-query hit callbacks and early termination behave exactly as in the
-//!   single-ray engine: a query that terminates stops receiving callbacks
-//!   while the rest of the packet continues.
+//! * `traverse_batch_prims` — a *ray packet*: a slice of queries walks
+//!   the tree together in wavefront order.  Each wide node the packet
+//!   reaches is fetched **once** and tested against every query still
+//!   interested in it, so the per-node charge is amortised across the
+//!   packet — the software analogue of the many-rays-in-flight scheduling
+//!   real RT cores perform.  Per-query hit callbacks and early termination
+//!   behave exactly as in the single-ray engine: a query that terminates
+//!   stops receiving callbacks while the rest of the packet continues.
+//! * `traverse_batch_runs` — the same packet engine handing each query's
+//!   whole run of candidate primitives per reached leaf slot to one
+//!   callback, the shape the SIMD leaf kernels consume.
 //!
-//! Both engines report the same hits as the binary
+//! The packet cores take the hit-mask SIMD level, a node-visit sink for
+//! the heatmap profiler and an optional [`CancelScope`]; the public entry
+//! points — [`traverse_batch_with_scratch`] and [`collect_sphere_hits_csr`]
+//! — pin them to the detected level, no profiling and no deadline.
+//!
+//! Every engine reports the same hits as the binary
 //! [`crate::traversal::traverse`] over the source tree (the collapse shares
 //! the primitive array, so even hit grouping per leaf is identical); only
 //! the node-visit accounting differs.  The equivalence is property-tested
@@ -29,15 +38,13 @@
 //! frames, and each packet's query origins are staged once into the
 //! scratch's SoA lanes so the 4-child box test reads three contiguous `f32`
 //! arrays instead of gathering from `Ray` structs.  Callers that launch
-//! repeatedly should hold a scratch (or a
-//! [`crate::traversal::ScratchPool`]) and use
-//! [`traverse_batch_with_scratch`]; the plain [`traverse_batch`] entry
-//! point allocates a one-shot scratch per call for convenience.
+//! repeatedly hold a scratch (or a [`crate::traversal::ScratchPool`]), so
+//! repeated launches perform no heap allocation after the first.
 
-use crate::bvh::wide::{CompactWideNode, CompactWideNodes, WideBvh, WideChild, WIDE_BRANCHING};
+use crate::bvh::wide::{WideBvh, WideChild, WIDE_BRANCHING};
 use crate::bvh::WideNode;
 use crate::fault::CancelScope;
-use crate::geometry::{Aabb, Ray, Sphere};
+use crate::geometry::{Ray, Sphere};
 use crate::hardware::sat_bump;
 use crate::hardware::WorkCounters;
 use crate::index::CsrNeighbors;
@@ -45,120 +52,59 @@ use crate::simd::{detect_simd, SimdLevel};
 use crate::traversal::scratch::SegFrame;
 use crate::traversal::{NoSink, Traversal, TraversalOutcome, TraversalScratch, VisitSink};
 
-// ---------------------------------------------------------------------------
-// Node views: the engines are generic over the node representation
-// (full-precision [`WideNode`] vs quantised [`CompactWideNode`]) and over
-// the hit-mask kernel (scalar / SSE2 / AVX2), monomorphised per launch so
-// the inner loops carry no dispatch.
-// ---------------------------------------------------------------------------
-
-/// Operations the wavefront engine needs from a wide-node representation.
-pub(crate) trait WideNodeOps: Sync {
-    /// The slot's child reference.
-    fn child_of(&self, slot: usize) -> WideChild;
-    /// Number of non-empty child slots — the lanes the lockstep box unit
-    /// charges for.
-    fn occupied_slots(&self) -> u64;
-    /// Portable point containment mask (the scalar reference kernel).
-    fn mask_scalar(&self, x: f32, y: f32, z: f32) -> u8;
-    /// 4-bit hit mask for a general (non-point) ray: four slab tests
-    /// against the slot boxes.  Empty slots can never set their bit.
-    fn ray_mask(&self, ray: &Ray) -> u8;
+/// Number of non-empty child slots — the lanes the lockstep box unit
+/// charges for.
+#[inline]
+fn occupied_slots(node: &WideNode) -> u64 {
+    node.children
+        .iter()
+        .filter(|c| **c != WideChild::Empty)
+        .count() as u64
 }
 
-impl WideNodeOps for WideNode {
-    #[inline]
-    fn child_of(&self, slot: usize) -> WideChild {
-        self.children[slot]
+/// 4-bit hit mask for a general (non-point) ray: four slab tests against
+/// the slot boxes.  Empty slots can never set their bit.
+#[inline]
+fn ray_mask(node: &WideNode, ray: &Ray) -> u8 {
+    if ray.is_point_query() {
+        return node.point_hit_mask(ray.origin);
     }
-
-    #[inline]
-    fn occupied_slots(&self) -> u64 {
-        self.children
-            .iter()
-            .filter(|c| **c != WideChild::Empty)
-            .count() as u64
-    }
-
-    #[inline]
-    fn mask_scalar(&self, x: f32, y: f32, z: f32) -> u8 {
-        self.point_hit_mask_xyz(x, y, z)
-    }
-
-    #[inline]
-    fn ray_mask(&self, ray: &Ray) -> u8 {
-        if ray.is_point_query() {
-            return self.point_hit_mask(ray.origin);
+    let mut mask = 0u8;
+    for slot in 0..WIDE_BRANCHING {
+        if node.child_bounds(slot).intersects_ray(ray) {
+            mask |= 1 << slot;
         }
-        let mut mask = 0u8;
-        for slot in 0..WIDE_BRANCHING {
-            if self.child_bounds(slot).intersects_ray(ray) {
-                mask |= 1 << slot;
-            }
-        }
-        mask
     }
-}
-
-impl WideNodeOps for CompactWideNode {
-    #[inline]
-    fn child_of(&self, slot: usize) -> WideChild {
-        self.child(slot)
-    }
-
-    #[inline]
-    fn occupied_slots(&self) -> u64 {
-        self.occupancy_mask().count_ones() as u64
-    }
-
-    #[inline]
-    fn mask_scalar(&self, x: f32, y: f32, z: f32) -> u8 {
-        self.point_hit_mask_xyz(x, y, z)
-    }
-
-    #[inline]
-    fn ray_mask(&self, ray: &Ray) -> u8 {
-        if ray.is_point_query() {
-            let o = ray.origin;
-            return self.point_hit_mask_xyz(o.x, o.y, o.z);
-        }
-        let mut mask = 0u8;
-        for slot in 0..WIDE_BRANCHING {
-            if self.child(slot) != WideChild::Empty && self.child_bounds(slot).intersects_ray(ray) {
-                mask |= 1 << slot;
-            }
-        }
-        mask
-    }
+    mask
 }
 
 /// A point hit-mask kernel, monomorphised into the engine body so the
 /// SIMD level is selected exactly once per launch — never per node.
-pub(crate) trait MaskKernel<N> {
+trait MaskKernel {
     /// 4-bit containment mask of `(x, y, z)` against the node's slots.
-    fn mask(node: &N, x: f32, y: f32, z: f32) -> u8;
+    fn mask(node: &WideNode, x: f32, y: f32, z: f32) -> u8;
 }
 
 /// The portable scalar kernel (and the bit-exactness oracle).
-pub(crate) struct KernelScalar;
+struct KernelScalar;
 
 /// The SSE2 lane-compare kernel (baseline on `x86_64`).
 #[cfg(target_arch = "x86_64")]
-pub(crate) struct KernelSse2;
+struct KernelSse2;
 
 /// The AVX2 kernel (runtime-detected before selection).
 #[cfg(target_arch = "x86_64")]
-pub(crate) struct KernelAvx2;
+struct KernelAvx2;
 
-impl<N: WideNodeOps> MaskKernel<N> for KernelScalar {
+impl MaskKernel for KernelScalar {
     #[inline]
-    fn mask(node: &N, x: f32, y: f32, z: f32) -> u8 {
-        node.mask_scalar(x, y, z)
+    fn mask(node: &WideNode, x: f32, y: f32, z: f32) -> u8 {
+        node.point_hit_mask_xyz(x, y, z)
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-impl MaskKernel<WideNode> for KernelSse2 {
+impl MaskKernel for KernelSse2 {
     #[inline]
     fn mask(node: &WideNode, x: f32, y: f32, z: f32) -> u8 {
         node.point_hit_mask_xyz_sse2(x, y, z)
@@ -166,83 +112,33 @@ impl MaskKernel<WideNode> for KernelSse2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-impl MaskKernel<WideNode> for KernelAvx2 {
+impl MaskKernel for KernelAvx2 {
     #[inline]
     fn mask(node: &WideNode, x: f32, y: f32, z: f32) -> u8 {
         // SAFETY: `KernelAvx2` is only selected after runtime detection
-        // (see `dispatch_runs`).
+        // (see `traverse_batch_runs`).
         unsafe { node.point_hit_mask_xyz_avx2(x, y, z) }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-impl MaskKernel<CompactWideNode> for KernelSse2 {
-    #[inline]
-    fn mask(node: &CompactWideNode, x: f32, y: f32, z: f32) -> u8 {
-        node.point_hit_mask_xyz_sse2(x, y, z)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl MaskKernel<CompactWideNode> for KernelAvx2 {
-    #[inline]
-    fn mask(node: &CompactWideNode, x: f32, y: f32, z: f32) -> u8 {
-        // The quantised node's dequantising chain has no 256-bit shape
-        // worth extra plumbing; the AVX2 level shares the SSE2 kernel.
-        node.point_hit_mask_xyz_sse2(x, y, z)
-    }
-}
-
-/// A wide scene in whichever node layout the launch traverses —
-/// full-precision [`WideNode`]s or the quantised
-/// [`crate::bvh::CompactWideNodes`] mirror (see
-/// [`crate::bvh::WideLayout`]).  Both layouts read the same leaf-ordered
-/// primitive array, so neighbour sets are identical; the quantised boxes
-/// are conservative and may only admit extra candidates.
-#[derive(Clone, Copy)]
-pub enum WideScene<'a> {
-    /// Full-precision SoA `[f32; 4]` lanes.
-    F32(&'a WideBvh),
-    /// Quantised `u8`-offset nodes mirroring `wide`'s structure.
-    Quantized {
-        /// The source scene (primitive array + scene bounds).
-        wide: &'a WideBvh,
-        /// The compact node mirror produced by
-        /// [`CompactWideNodes::from_wide`].
-        nodes: &'a CompactWideNodes,
-    },
-}
-
-impl<'a> WideScene<'a> {
-    /// The underlying full-precision scene (primitives + bounds).
-    pub fn wide(&self) -> &'a WideBvh {
-        match self {
-            WideScene::F32(wide) | WideScene::Quantized { wide, .. } => wide,
-        }
-    }
-
-    /// The leaf-ordered primitive array both layouts index into.
-    pub fn primitives(&self) -> &'a [Sphere] {
-        &self.wide().primitives
-    }
-}
-
-/// Single-ray wide traversal over a caller-provided node stack (the scratch
-/// and one-shot entry points share this body, generic over the node
-/// layout).
-#[allow(clippy::too_many_arguments)]
-fn traverse_wide_on_stack<N, S, F>(
-    nodes: &[N],
-    scene_bounds: &Aabb,
-    primitives: &[Sphere],
+/// Traverse a wide scene with a single ray, invoking `on_primitive` for
+/// every primitive in every leaf slot whose box the ray reaches.  The node
+/// stack comes from the caller-held scratch, so repeated queries allocate
+/// nothing once it has grown to the tree's depth.
+///
+/// Work is recorded as `wide_node_visits` (one per wide node) plus one
+/// `aabb_tests` per occupied child slot — the four boxes are tested in one
+/// lockstep lane compare ([`WideNode::point_hit_mask`]), but each occupied
+/// lane is still a box test as far as the cost model is concerned.
+pub(crate) fn traverse_wide<S, F>(
+    wide: &WideBvh,
     ray: &Ray,
-    stack: &mut Vec<u32>,
+    scratch: &mut TraversalScratch,
     counters: &mut WorkCounters,
     sink: S,
     mut on_primitive: F,
 ) -> TraversalOutcome
 where
-    N: WideNodeOps,
     S: VisitSink,
     F: FnMut(&Sphere, &mut WorkCounters) -> Traversal,
 {
@@ -250,28 +146,29 @@ where
         terminated_early: false,
         primitives_visited: 0,
     };
-    if nodes.is_empty() {
+    if wide.nodes.is_empty() {
         return outcome;
     }
     // Root test against the scene bounds, mirroring the binary engine.
     sat_bump(&mut counters.aabb_tests, 1);
-    if !scene_bounds.intersects_ray(ray) {
+    if !wide.scene_bounds.intersects_ray(ray) {
         return outcome;
     }
 
+    let stack = &mut scratch.node_stack;
     stack.clear();
     stack.push(0);
     'outer: while let Some(idx) = stack.pop() {
-        let node = &nodes[idx as usize];
+        let node = &wide.nodes[idx as usize];
         sat_bump(&mut counters.wide_node_visits, 1);
         sink.visit(idx);
-        sat_bump(&mut counters.aabb_tests, node.occupied_slots());
-        let mask = node.ray_mask(ray);
+        sat_bump(&mut counters.aabb_tests, occupied_slots(node));
+        let mask = ray_mask(node, ray);
         for slot in 0..WIDE_BRANCHING {
             if mask & (1 << slot) == 0 {
                 continue;
             }
-            match node.child_of(slot) {
+            match node.children[slot] {
                 WideChild::Empty => {}
                 WideChild::Node(child) => {
                     stack.push(child);
@@ -282,7 +179,7 @@ where
                 } => {
                     let first = first_prim as usize;
                     let count = prim_count as usize;
-                    for prim in &primitives[first..first + count] {
+                    for prim in &wide.primitives[first..first + count] {
                         sat_bump(&mut counters.prim_tests, 1);
                         outcome.primitives_visited += 1;
                         if on_primitive(prim, counters) == Traversal::Terminate {
@@ -297,147 +194,10 @@ where
     outcome
 }
 
-/// Traverse a wide scene with a single ray, invoking `on_primitive` for
-/// every primitive in every leaf slot whose box the ray reaches.
-///
-/// Work is recorded as `wide_node_visits` (one per wide node) plus one
-/// `aabb_tests` per occupied child slot — the four boxes are tested in one
-/// lockstep lane compare ([`crate::bvh::WideNode::point_hit_mask`]), but each occupied
-/// lane is still a box test as far as the cost model is concerned.
-pub fn traverse_wide<F>(
-    wide: &WideBvh,
-    ray: &Ray,
-    counters: &mut WorkCounters,
-    on_primitive: F,
-) -> TraversalOutcome
-where
-    F: FnMut(&Sphere, &mut WorkCounters) -> Traversal,
-{
-    let mut stack: Vec<u32> = Vec::with_capacity(32);
-    traverse_wide_on_stack(
-        &wide.nodes,
-        &wide.scene_bounds,
-        &wide.primitives,
-        ray,
-        &mut stack,
-        counters,
-        NoSink,
-        on_primitive,
-    )
-}
-
-/// [`traverse_wide`] reusing the node stack of a caller-held scratch —
-/// zero allocations once the stack has grown to the tree's depth.
-pub fn traverse_wide_with_scratch<F>(
-    wide: &WideBvh,
-    ray: &Ray,
-    scratch: &mut TraversalScratch,
-    counters: &mut WorkCounters,
-    on_primitive: F,
-) -> TraversalOutcome
-where
-    F: FnMut(&Sphere, &mut WorkCounters) -> Traversal,
-{
-    traverse_wide_on_stack(
-        &wide.nodes,
-        &wide.scene_bounds,
-        &wide.primitives,
-        ray,
-        &mut scratch.node_stack,
-        counters,
-        NoSink,
-        on_primitive,
-    )
-}
-
-/// Single-ray traversal of a [`WideScene`] in either node layout, reusing
-/// a caller-held scratch.  On the quantised layout hit masks are
-/// conservative (may admit extra leaf runs, never miss one), so reported
-/// hits are identical and only the counted box/candidate work can grow.
-pub fn traverse_wide_scene_with_scratch<F>(
-    scene: WideScene<'_>,
-    ray: &Ray,
-    scratch: &mut TraversalScratch,
-    counters: &mut WorkCounters,
-    on_primitive: F,
-) -> TraversalOutcome
-where
-    F: FnMut(&Sphere, &mut WorkCounters) -> Traversal,
-{
-    traverse_wide_scene_with_scratch_sink(scene, ray, scratch, counters, NoSink, on_primitive)
-}
-
-/// [`traverse_wide_scene_with_scratch`] with a node-visit sink for the
-/// heatmap profiler; `NoSink` monomorphises back to the plain body.
-pub(crate) fn traverse_wide_scene_with_scratch_sink<S, F>(
-    scene: WideScene<'_>,
-    ray: &Ray,
-    scratch: &mut TraversalScratch,
-    counters: &mut WorkCounters,
-    sink: S,
-    on_primitive: F,
-) -> TraversalOutcome
-where
-    S: VisitSink,
-    F: FnMut(&Sphere, &mut WorkCounters) -> Traversal,
-{
-    let wide = scene.wide();
-    match scene {
-        WideScene::F32(_) => traverse_wide_on_stack(
-            &wide.nodes,
-            &wide.scene_bounds,
-            &wide.primitives,
-            ray,
-            &mut scratch.node_stack,
-            counters,
-            sink,
-            on_primitive,
-        ),
-        WideScene::Quantized { nodes, .. } => traverse_wide_on_stack(
-            &nodes.nodes,
-            &wide.scene_bounds,
-            &wide.primitives,
-            ray,
-            &mut scratch.node_stack,
-            counters,
-            sink,
-            on_primitive,
-        ),
-    }
-}
-
-/// Traverse a wide scene with a packet of rays in wavefront order.
-///
-/// All rays walk the tree together: every wide node reached by at least one
-/// live ray is fetched and visited **once** (`wide_node_visits += 1`), with
-/// each live ray lane-tested against the node's non-empty child slots
-/// (`aabb_tests` per ray × slot).  `on_primitive` receives the packet-local
-/// query index alongside the primitive; returning [`Traversal::Terminate`]
-/// retires that query only — the rest of the packet continues.
-///
-/// One call is one batched launch (`batched_launches += 1`).  Returns a
-/// per-query [`TraversalOutcome`] in packet order.
-///
-/// This convenience entry point allocates a one-shot scratch; hot callers
-/// reuse one via [`traverse_batch_with_scratch`].
-pub fn traverse_batch<F>(
-    wide: &WideBvh,
-    rays: &[Ray],
-    counters: &mut WorkCounters,
-    on_primitive: F,
-) -> Vec<TraversalOutcome>
-where
-    F: FnMut(usize, &Sphere, &mut WorkCounters) -> Traversal,
-{
-    let mut scratch = TraversalScratch::default();
-    // analyze-allow: hot-path-alloc -- owned-result convenience wrapper; hot callers use the _with_scratch form
-    traverse_batch_with_scratch(wide, rays, &mut scratch, counters, on_primitive).to_vec()
-}
-
 /// What a leaf handler did with one query's run of candidate primitives
-/// (see [`traverse_batch_leaves_with_scratch`]).
+/// (see [`traverse_batch_runs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeafVisit {
+pub(crate) struct LeafVisit {
     /// Number of primitives actually processed, counting the one that
     /// triggered termination.  The engine charges `prim_tests` and the
     /// query's `primitives_visited` from this.
@@ -457,11 +217,22 @@ impl LeafVisit {
     }
 }
 
-/// [`traverse_batch`] over a caller-held [`TraversalScratch`]: the segment
-/// arena, frame stack, SoA lanes, alive flags and outcomes all reuse the
-/// scratch's grow-only buffers, so repeated launches perform no heap
-/// allocation after the first.  Returns the per-query outcomes as a slice
-/// borrowed from the scratch.
+/// Traverse a wide scene with a packet of rays in wavefront order, reusing
+/// a caller-held [`TraversalScratch`]: the segment arena, frame stack, SoA
+/// lanes, alive flags and outcomes all reuse the scratch's grow-only
+/// buffers, so repeated launches perform no heap allocation after the
+/// first.
+///
+/// All rays walk the tree together: every wide node reached by at least one
+/// live ray is fetched and visited **once** (`wide_node_visits += 1`), with
+/// each live ray lane-tested against the node's non-empty child slots
+/// (`aabb_tests` per ray × slot).  `on_primitive` receives the packet-local
+/// query index alongside the primitive; returning [`Traversal::Terminate`]
+/// retires that query only — the rest of the packet continues.
+///
+/// One call is one batched launch (`batched_launches += 1`).  Returns the
+/// per-query [`TraversalOutcome`]s in packet order, borrowed from the
+/// scratch.
 pub fn traverse_batch_with_scratch<'s, F>(
     wide: &WideBvh,
     rays: &[Ray],
@@ -472,110 +243,27 @@ pub fn traverse_batch_with_scratch<'s, F>(
 where
     F: FnMut(usize, &Sphere, &mut WorkCounters) -> Traversal,
 {
-    traverse_batch_scene_with_scratch(
-        WideScene::F32(wide),
+    traverse_batch_prims(
+        wide,
         rays,
         scratch,
         counters,
         detect_simd(),
-        on_primitive,
-    )
-}
-
-/// [`traverse_batch_with_scratch`] under a [`CancelScope`]: identical
-/// traversal, counters and outcomes while the scope stays untripped, but
-/// the launch winds down cooperatively (checked at packet-launch and
-/// wide-node-frontier granularity) once the deadline passes or the token
-/// is cancelled.
-///
-/// On cancellation every partial outcome is discarded and
-/// [`crate::Error::DeadlineExceeded`] is returned carrying the counters of
-/// the work performed by this launch; the caller's `counters` are only
-/// charged on success, so a cancelled launch never skews accounting.
-/// With [`CancelScope::none`] the call is bit-identical to
-/// [`traverse_batch_with_scratch`] (the alloc-regression and hotpath
-/// suites pin this).
-pub fn traverse_batch_with_scratch_cancellable<'s, F>(
-    wide: &WideBvh,
-    rays: &[Ray],
-    scratch: &'s mut TraversalScratch,
-    counters: &mut WorkCounters,
-    cancel: &CancelScope,
-    mut on_primitive: F,
-) -> crate::error::Result<&'s [TraversalOutcome]>
-where
-    F: FnMut(usize, &Sphere, &mut WorkCounters) -> Traversal,
-{
-    let prims = &wide.primitives;
-    let mut local = WorkCounters::ZERO;
-    let outcomes = traverse_batch_runs_with_scratch_sink_cancel(
-        WideScene::F32(wide),
-        rays,
-        scratch,
-        &mut local,
-        detect_simd(),
-        NoSink,
-        Some(cancel),
-        move |q, first, count, counters| {
-            let mut visited = 0u32;
-            for prim in &prims[first as usize..(first + count) as usize] {
-                visited += 1;
-                if on_primitive(q, prim, counters) == Traversal::Terminate {
-                    return LeafVisit {
-                        visited,
-                        terminate: true,
-                    };
-                }
-            }
-            LeafVisit {
-                visited,
-                terminate: false,
-            }
-        },
-    );
-    if cancel.tripped() {
-        return Err(crate::error::Error::DeadlineExceeded {
-            // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
-            partial: Box::new(local),
-        });
-    }
-    *counters += local;
-    Ok(outcomes)
-}
-
-/// [`traverse_batch_with_scratch`] generalised over the node layout and
-/// the hit-mask SIMD level: the per-primitive callback form over a
-/// [`WideScene`], with `level` resolved once by the caller (see
-/// [`crate::simd::SimdPolicy::resolve`]).
-pub fn traverse_batch_scene_with_scratch<'s, F>(
-    scene: WideScene<'_>,
-    rays: &[Ray],
-    scratch: &'s mut TraversalScratch,
-    counters: &mut WorkCounters,
-    level: SimdLevel,
-    on_primitive: F,
-) -> &'s [TraversalOutcome]
-where
-    F: FnMut(usize, &Sphere, &mut WorkCounters) -> Traversal,
-{
-    traverse_batch_scene_with_scratch_sink(
-        scene,
-        rays,
-        scratch,
-        counters,
-        level,
         NoSink,
         None,
         on_primitive,
     )
 }
 
-/// [`traverse_batch_scene_with_scratch`] with a node-visit sink for the
-/// heatmap profiler and an optional [`CancelScope`]; `NoSink` + `None`
-/// monomorphises back to the plain body.
+/// The per-primitive packet core behind [`traverse_batch_with_scratch`],
+/// with the hit-mask SIMD `level` resolved once by the caller (see
+/// [`crate::simd::SimdPolicy::resolve`]), a node-visit sink for the heatmap
+/// profiler and an optional [`CancelScope`] (see [`traverse_batch_runs`]
+/// for the cancellation contract).  `NoSink` + `None` monomorphises back
+/// to the plain body.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn traverse_batch_scene_with_scratch_sink<'s, S, F>(
-    scene: WideScene<'_>,
+pub(crate) fn traverse_batch_prims<'s, S, F>(
+    wide: &WideBvh,
     rays: &[Ray],
     scratch: &'s mut TraversalScratch,
     counters: &mut WorkCounters,
@@ -588,9 +276,9 @@ where
     S: VisitSink,
     F: FnMut(usize, &Sphere, &mut WorkCounters) -> Traversal,
 {
-    let prims = scene.primitives();
-    traverse_batch_runs_with_scratch_sink_cancel(
-        scene,
+    let prims = &wide.primitives;
+    traverse_batch_runs(
+        wide,
         rays,
         scratch,
         counters,
@@ -616,108 +304,35 @@ where
     )
 }
 
-/// The wavefront engine's leaf-segment form: `on_leaf` receives one
-/// query's **whole run of candidate primitives** per reached leaf slot —
-/// `(packet-local query, &[Sphere], packet counters)` — instead of one
-/// callback per primitive.
-///
-/// This is the shape the hot backends consume: a monomorphic candidate
-/// loop in the caller can hoist its per-candidate counter charging to one
-/// add per run (subtracting the tail on early termination), which is
-/// measurably cheaper than 150M+ per-candidate callback returns.  The
+/// The leaf-run packet core: `on_run` receives one query's whole run of
+/// candidate primitives per reached leaf slot as a **primitive range**
+/// `(packet-local query, first_prim, prim_count, packet counters)` — the
+/// shape the SIMD leaf kernels consume directly from the scene's SoA
+/// primitive lanes ([`crate::bvh::PrimLanes`]) without materialising a
+/// `&[Sphere]` slice, and the shape that lets a monomorphic candidate loop
+/// hoist its per-candidate counter charging to one add per run.  The
 /// handler reports how many primitives it actually processed via
 /// [`LeafVisit`]; the engine charges `prim_tests`/`primitives_visited`
-/// from that, so aggregate counters are bit-identical to the per-primitive
-/// form.
-pub fn traverse_batch_leaves_with_scratch<'s, F>(
-    wide: &WideBvh,
-    rays: &[Ray],
-    scratch: &'s mut TraversalScratch,
-    counters: &mut WorkCounters,
-    mut on_leaf: F,
-) -> &'s [TraversalOutcome]
-where
-    F: FnMut(usize, &[Sphere], &mut WorkCounters) -> LeafVisit,
-{
-    let prims = &wide.primitives;
-    traverse_batch_runs_with_scratch(
-        WideScene::F32(wide),
-        rays,
-        scratch,
-        counters,
-        detect_simd(),
-        move |q, first, count, counters| {
-            on_leaf(
-                q,
-                &prims[first as usize..(first + count) as usize],
-                counters,
-            )
-        },
-    )
-}
-
-/// The lowest-level wavefront entry point: `on_run` receives one query's
-/// whole candidate run per reached leaf slot as a **primitive range**
-/// `(packet-local query, first_prim, prim_count, packet counters)` —
-/// the shape the SIMD leaf kernels consume directly from the scene's SoA
-/// primitive lanes ([`crate::bvh::PrimLanes`]) without materialising a
-/// `&[Sphere]` slice.
+/// from that, so aggregate counters are bit-identical to the
+/// per-primitive form.
 ///
-/// The scene may be in either node layout and `level` selects the
-/// hit-mask kernel **once for the whole launch** (resolve a
-/// [`crate::simd::SimdPolicy`] first); the engine body is monomorphised
-/// per (layout × kernel) pair, so the per-node loop contains no dispatch.
-/// Counted work and traversal order are identical across SIMD levels; the
-/// quantised layout may conservatively admit extra runs (never drop one).
-pub fn traverse_batch_runs_with_scratch<'s, F>(
-    scene: WideScene<'_>,
-    rays: &[Ray],
-    scratch: &'s mut TraversalScratch,
-    counters: &mut WorkCounters,
-    level: SimdLevel,
-    on_run: F,
-) -> &'s [TraversalOutcome]
-where
-    F: FnMut(usize, u32, u32, &mut WorkCounters) -> LeafVisit,
-{
-    traverse_batch_runs_with_scratch_sink(scene, rays, scratch, counters, level, NoSink, on_run)
-}
-
-/// [`traverse_batch_runs_with_scratch`] with a node-visit sink for the
-/// heatmap profiler.  The sink joins the (layout × kernel) monomorphisation
-/// key, so the `NoSink` instantiations are exactly the engine bodies that
-/// exist without profiling — zero extra work on the default path.
-pub(crate) fn traverse_batch_runs_with_scratch_sink<'s, S, F>(
-    scene: WideScene<'_>,
-    rays: &[Ray],
-    scratch: &'s mut TraversalScratch,
-    counters: &mut WorkCounters,
-    level: SimdLevel,
-    sink: S,
-    on_run: F,
-) -> &'s [TraversalOutcome]
-where
-    S: VisitSink,
-    F: FnMut(usize, u32, u32, &mut WorkCounters) -> LeafVisit,
-{
-    traverse_batch_runs_with_scratch_sink_cancel(
-        scene, rays, scratch, counters, level, sink, None, on_run,
-    )
-}
-
-/// [`traverse_batch_runs_with_scratch_sink`] under an optional
-/// [`CancelScope`].  The scope is a **runtime** parameter — it does not
-/// join the monomorphisation key, so the cancellable and plain paths share
-/// the exact same engine bodies and the inert case costs one predictable
-/// null-check branch per frontier pop (measured ≤1% in the hotpath bench).
+/// `level` selects the hit-mask kernel **once for the whole launch**; the
+/// engine body is monomorphised per (kernel × sink) pair, so the per-node
+/// loop contains no dispatch and the `NoSink` instantiations are exactly
+/// the bodies that exist without profiling.  Counted work and traversal
+/// order are identical across SIMD levels.
 ///
-/// When the scope trips, the engine winds down mid-wavefront: the caller
-/// MUST treat the outcome slice and any sink/`on_run` output as garbage,
-/// check [`CancelScope::tripped`] after the call, and surface
-/// [`crate::Error::DeadlineExceeded`] instead of results.
+/// The [`CancelScope`] is a **runtime** parameter — it does not join the
+/// monomorphisation key, so the cancellable and plain paths share the
+/// exact same engine bodies and the inert case costs one predictable
+/// null-check branch per frontier pop.  When the scope trips, the engine
+/// winds down mid-wavefront: the caller MUST treat the outcome slice and
+/// any sink/`on_run` output as garbage, check [`CancelScope::tripped`]
+/// after the call, and surface [`crate::Error::DeadlineExceeded`] instead
+/// of results.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn traverse_batch_runs_with_scratch_sink_cancel<'s, S, F>(
-    scene: WideScene<'_>,
+pub(crate) fn traverse_batch_runs<'s, S, F>(
+    wide: &WideBvh,
     rays: &[Ray],
     scratch: &'s mut TraversalScratch,
     counters: &mut WorkCounters,
@@ -730,98 +345,22 @@ where
     S: VisitSink,
     F: FnMut(usize, u32, u32, &mut WorkCounters) -> LeafVisit,
 {
-    let wide = scene.wide();
-    match scene {
-        WideScene::F32(_) => match level {
-            SimdLevel::Scalar => wavefront_core::<WideNode, KernelScalar, S, F>(
-                &wide.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => wavefront_core::<WideNode, KernelSse2, S, F>(
-                &wide.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => wavefront_core::<WideNode, KernelAvx2, S, F>(
-                &wide.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => wavefront_core::<WideNode, KernelScalar, S, F>(
-                &wide.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-        },
-        WideScene::Quantized { nodes, .. } => match level {
-            SimdLevel::Scalar => wavefront_core::<CompactWideNode, KernelScalar, S, F>(
-                &nodes.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => wavefront_core::<CompactWideNode, KernelSse2, S, F>(
-                &nodes.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => wavefront_core::<CompactWideNode, KernelAvx2, S, F>(
-                &nodes.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => wavefront_core::<CompactWideNode, KernelScalar, S, F>(
-                &nodes.nodes,
-                &wide.scene_bounds,
-                rays,
-                scratch,
-                counters,
-                sink,
-                cancel,
-                on_run,
-            ),
-        },
+    match level {
+        SimdLevel::Scalar => wavefront_core::<KernelScalar, S, F>(
+            wide, rays, scratch, counters, sink, cancel, on_run,
+        ),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse2 => {
+            wavefront_core::<KernelSse2, S, F>(wide, rays, scratch, counters, sink, cancel, on_run)
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            wavefront_core::<KernelAvx2, S, F>(wide, rays, scratch, counters, sink, cancel, on_run)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => wavefront_core::<KernelScalar, S, F>(
+            wide, rays, scratch, counters, sink, cancel, on_run,
+        ),
     }
 }
 
@@ -830,11 +369,9 @@ where
 const CANCEL_POLL_INTERVAL: u32 = 64;
 
 /// The monomorphic wavefront engine body: one instantiation per
-/// (node layout × mask kernel) pair.
-#[allow(clippy::too_many_arguments)]
-fn wavefront_core<'s, N, K, S, F>(
-    nodes: &[N],
-    scene_bounds: &Aabb,
+/// (mask kernel × visit sink) pair.
+fn wavefront_core<'s, K, S, F>(
+    wide: &WideBvh,
     rays: &[Ray],
     scratch: &'s mut TraversalScratch,
     counters: &mut WorkCounters,
@@ -843,11 +380,11 @@ fn wavefront_core<'s, N, K, S, F>(
     mut on_run: F,
 ) -> &'s [TraversalOutcome]
 where
-    N: WideNodeOps,
-    K: MaskKernel<N>,
+    K: MaskKernel,
     S: VisitSink,
     F: FnMut(usize, u32, u32, &mut WorkCounters) -> LeafVisit,
 {
+    let nodes = &wide.nodes;
     let n = rays.len();
     scratch.outcomes.clear();
     scratch.outcomes.resize(
@@ -893,7 +430,7 @@ where
     frames.clear();
     for (q, ray) in rays.iter().enumerate() {
         sat_bump(&mut counters.aabb_tests, 1);
-        if scene_bounds.intersects_ray(ray) {
+        if wide.scene_bounds.intersects_ray(ray) {
             arena.push(q as u32);
         }
     }
@@ -946,7 +483,7 @@ where
                 let mask = if all_point_queries {
                     K::mask(node, qx[qi], qy[qi], qz[qi])
                 } else {
-                    node.ray_mask(&rays[qi])
+                    ray_mask(node, &rays[qi])
                 };
                 live.push(q);
                 masks.push(mask);
@@ -962,7 +499,7 @@ where
         sink.visit(frame.node);
         sat_bump(
             &mut counters.aabb_tests,
-            node.occupied_slots() * live.len() as u64,
+            occupied_slots(node) * live.len() as u64,
         );
 
         for slot in 0..WIDE_BRANCHING {
@@ -976,7 +513,7 @@ where
             if arena.len() == child_start {
                 continue;
             }
-            match node.child_of(slot) {
+            match node.children[slot] {
                 WideChild::Empty => {
                     unreachable!("empty slots can never match the hit mask")
                 }
@@ -1013,35 +550,12 @@ where
     outcomes
 }
 
-/// Convenience batched query mirroring
-/// [`crate::traversal::collect_sphere_hits`]: for each ray, the
-/// `point_index` of every sphere it actually hits (exact sphere test),
-/// excluding the matching entry of `exclude` (per-query self-intersection
-/// filter; pass an empty slice for no exclusions).
-pub fn collect_sphere_hits_batch(
-    wide: &WideBvh,
-    rays: &[Ray],
-    exclude: &[Option<u32>],
-    counters: &mut WorkCounters,
-) -> Vec<Vec<u32>> {
-    // analyze-allow: hot-path-alloc -- owned-result convenience helper for tests/tools, one alloc per call, not per visit
-    let mut hits: Vec<Vec<u32>> = vec![Vec::new(); rays.len()];
-    traverse_batch(wide, rays, counters, |q, sphere, counters| {
-        sat_bump(&mut counters.dist_comps, 1);
-        if sphere.intersects_ray(&rays[q])
-            && exclude.get(q).copied().flatten() != Some(sphere.point_index)
-        {
-            hits[q].push(sphere.point_index);
-        }
-        Traversal::Continue
-    });
-    hits
-}
-
-/// CSR-mode variant of [`collect_sphere_hits_batch`]: the same traversal
-/// and identical counters, but the per-ray hit lists land in one
-/// [`CsrNeighbors`] (flat `offsets` + `indices`) instead of a
-/// `Vec<Vec<u32>>` — one output structure for the whole packet, rebuilt in
+/// Batched query mirroring [`crate::traversal::collect_sphere_hits`]: for
+/// each ray, the `point_index` of every sphere it actually hits (exact
+/// sphere test), excluding the matching entry of `exclude` (per-query
+/// self-intersection filter; pass an empty slice for no exclusions).  The
+/// per-ray hit lists land in one [`CsrNeighbors`] (flat `offsets` +
+/// `indices`) — one output structure for the whole packet, rebuilt in
 /// place so a reused `out` (and `scratch`) makes the steady state
 /// allocation-free.  Hit order within each ray matches the callback order
 /// of the wavefront traversal.
@@ -1090,6 +604,28 @@ mod tests {
             .collect()
     }
 
+    fn empty_wide() -> WideBvh {
+        WideBvh::from_binary(&crate::bvh::Bvh {
+            nodes: vec![],
+            primitives: vec![],
+            builder: crate::bvh::BuilderKind::Lbvh,
+            build_counters: WorkCounters::ZERO,
+        })
+    }
+
+    /// Per-ray hit lists of one packet through the CSR entry point.
+    fn csr_hits(
+        wide: &WideBvh,
+        rays: &[Ray],
+        exclude: &[Option<u32>],
+        counters: &mut WorkCounters,
+    ) -> CsrNeighbors {
+        let mut csr = CsrNeighbors::default();
+        let mut scratch = TraversalScratch::default();
+        collect_sphere_hits_csr(wide, rays, exclude, &mut scratch, counters, &mut csr);
+        csr
+    }
+
     #[test]
     fn wide_single_ray_matches_binary_for_every_builder() {
         let points = scatter(400);
@@ -1099,6 +635,7 @@ mod tests {
             Box::new(SahBuilder::default()),
             Box::new(MedianSplitBuilder::default()),
         ];
+        let mut scratch = TraversalScratch::default();
         for builder in builders {
             let bvh = builder.build(spheres_from_points(&points, radius)).unwrap();
             let wide = WideBvh::from_binary(&bvh);
@@ -1109,13 +646,20 @@ mod tests {
                 binary.sort_unstable();
                 let mut wc = WorkCounters::ZERO;
                 let mut wide_hits = Vec::new();
-                traverse_wide(&wide, &ray, &mut wc, |sphere, counters| {
-                    counters.dist_comps += 1;
-                    if sphere.intersects_ray(&ray) && sphere.point_index != q as u32 {
-                        wide_hits.push(sphere.point_index);
-                    }
-                    Traversal::Continue
-                });
+                traverse_wide(
+                    &wide,
+                    &ray,
+                    &mut scratch,
+                    &mut wc,
+                    NoSink,
+                    |sphere, counters| {
+                        counters.dist_comps += 1;
+                        if sphere.intersects_ray(&ray) && sphere.point_index != q as u32 {
+                            wide_hits.push(sphere.point_index);
+                        }
+                        Traversal::Continue
+                    },
+                );
                 wide_hits.sort_unstable();
                 assert_eq!(wide_hits, binary, "builder {:?} query {q}", builder.kind());
                 assert!(wc.wide_node_visits > 0);
@@ -1138,19 +682,22 @@ mod tests {
         let exclude: Vec<Option<u32>> = (0..points.len()).map(|i| Some(i as u32)).collect();
 
         let mut batch_counters = WorkCounters::ZERO;
-        let batch_hits = collect_sphere_hits_batch(&wide, &rays, &exclude, &mut batch_counters);
+        let batch_hits = csr_hits(&wide, &rays, &exclude, &mut batch_counters);
         assert_eq!(batch_counters.batched_launches, 1);
 
         let mut single_counters = WorkCounters::ZERO;
         let mut single_wide_visits = 0u64;
+        let mut scratch = TraversalScratch::default();
         for (i, ray) in rays.iter().enumerate() {
             let mut c = WorkCounters::ZERO;
             let mut expected = collect_sphere_hits(&bvh, ray, Some(i as u32), &mut single_counters);
             expected.sort_unstable();
-            let mut got = batch_hits[i].clone();
+            let mut got = batch_hits.neighbors(i).to_vec();
             got.sort_unstable();
             assert_eq!(got, expected, "query {i}");
-            traverse_wide(&wide, ray, &mut c, |_, _| Traversal::Continue);
+            traverse_wide(&wide, ray, &mut scratch, &mut c, NoSink, |_, _| {
+                Traversal::Continue
+            });
             single_wide_visits += c.wide_node_visits;
         }
         // The packet shares node fetches: strictly fewer wide visits than
@@ -1178,14 +725,16 @@ mod tests {
         let rays: Vec<Ray> = points.iter().map(|&p| Ray::epsilon_ray(p)).collect();
         let mut counters = WorkCounters::ZERO;
         let mut seen = vec![0u32; rays.len()];
-        let outcomes = traverse_batch(&wide, &rays, &mut counters, |q, _, _| {
-            seen[q] += 1;
-            if q == 0 && seen[q] >= 3 {
-                Traversal::Terminate
-            } else {
-                Traversal::Continue
-            }
-        });
+        let mut scratch = TraversalScratch::default();
+        let outcomes =
+            traverse_batch_with_scratch(&wide, &rays, &mut scratch, &mut counters, |q, _, _| {
+                seen[q] += 1;
+                if q == 0 && seen[q] >= 3 {
+                    Traversal::Terminate
+                } else {
+                    Traversal::Continue
+                }
+            });
         assert!(outcomes[0].terminated_early);
         assert_eq!(outcomes[0].primitives_visited, 3);
         for (q, outcome) in outcomes.iter().enumerate().skip(1) {
@@ -1196,15 +745,14 @@ mod tests {
 
     #[test]
     fn empty_scene_and_empty_packet() {
-        let empty = WideBvh::from_binary(&crate::bvh::Bvh {
-            nodes: vec![],
-            primitives: vec![],
-            builder: crate::bvh::BuilderKind::Lbvh,
-            build_counters: WorkCounters::ZERO,
-        });
+        let empty = empty_wide();
         let mut counters = WorkCounters::ZERO;
+        let mut scratch = TraversalScratch::default();
         let rays = vec![Ray::epsilon_ray(Point3::ORIGIN)];
-        let outcomes = traverse_batch(&empty, &rays, &mut counters, |_, _, _| Traversal::Continue);
+        let outcomes =
+            traverse_batch_with_scratch(&empty, &rays, &mut scratch, &mut counters, |_, _, _| {
+                Traversal::Continue
+            });
         assert_eq!(outcomes[0].primitives_visited, 0);
         assert_eq!(counters.batched_launches, 1);
         assert_eq!(counters.wide_node_visits, 0);
@@ -1215,7 +763,10 @@ mod tests {
             .unwrap();
         let wide = WideBvh::from_binary(&bvh);
         let mut counters = WorkCounters::ZERO;
-        let outcomes = traverse_batch(&wide, &[], &mut counters, |_, _, _| Traversal::Continue);
+        let outcomes =
+            traverse_batch_with_scratch(&wide, &[], &mut scratch, &mut counters, |_, _, _| {
+                Traversal::Continue
+            });
         assert!(outcomes.is_empty());
         assert_eq!(counters, WorkCounters::ZERO);
     }
@@ -1232,8 +783,8 @@ mod tests {
             Ray::epsilon_ray(Point3::new(-1e6, 0.0, 0.0)),
         ];
         let mut counters = WorkCounters::ZERO;
-        let hits = collect_sphere_hits_batch(&wide, &rays, &[], &mut counters);
-        assert!(hits.iter().all(Vec::is_empty));
+        let hits = csr_hits(&wide, &rays, &[], &mut counters);
+        assert!((0..rays.len()).all(|q| hits.neighbors(q).is_empty()));
         assert_eq!(counters.wide_node_visits, 0);
         assert_eq!(counters.aabb_tests, 2);
     }
@@ -1249,12 +800,12 @@ mod tests {
         let rays: Vec<Ray> = points.iter().map(|&p| Ray::epsilon_ray(p)).collect();
         let exclude: Vec<Option<u32>> = (0..points.len()).map(|i| Some(i as u32)).collect();
         let mut counters = WorkCounters::ZERO;
-        let batch = collect_sphere_hits_batch(&wide, &rays, &exclude, &mut counters);
+        let batch = csr_hits(&wide, &rays, &exclude, &mut counters);
         for (i, ray) in rays.iter().enumerate() {
             let mut c = WorkCounters::ZERO;
             let mut expected = collect_sphere_hits(&bvh, ray, Some(i as u32), &mut c);
             expected.sort_unstable();
-            let mut got = batch[i].clone();
+            let mut got = batch.neighbors(i).to_vec();
             got.sort_unstable();
             assert_eq!(got, expected, "query {i}");
         }
@@ -1270,12 +821,7 @@ mod tests {
             .build(spheres_from_points(&points, 0.8))
             .unwrap();
         let wide = WideBvh::from_binary(&bvh);
-        let empty = WideBvh::from_binary(&crate::bvh::Bvh {
-            nodes: vec![],
-            primitives: vec![],
-            builder: crate::bvh::BuilderKind::Lbvh,
-            build_counters: WorkCounters::ZERO,
-        });
+        let empty = empty_wide();
         let rays: Vec<Ray> = points.iter().map(|&p| Ray::epsilon_ray(p)).collect();
 
         let mut reused = TraversalScratch::default();
@@ -1328,6 +874,9 @@ mod tests {
 
     #[test]
     fn scratch_and_one_shot_entry_points_agree() {
+        // A one-shot scratch (fresh per call) and a scratch held across
+        // calls report identical outcomes and counters, for the packet and
+        // the single-ray engine alike.
         let points = scatter(300);
         let bvh = LbvhBuilder::default()
             .build(spheres_from_points(&points, 1.0))
@@ -1336,10 +885,17 @@ mod tests {
         let rays: Vec<Ray> = points.iter().map(|&p| Ray::epsilon_ray(p)).collect();
 
         let mut c_one_shot = WorkCounters::ZERO;
-        let one_shot = traverse_batch(&wide, &rays, &mut c_one_shot, |_, _, c| {
-            c.dist_comps += 1;
-            Traversal::Continue
-        });
+        let one_shot = traverse_batch_with_scratch(
+            &wide,
+            &rays,
+            &mut TraversalScratch::default(),
+            &mut c_one_shot,
+            |_, _, c| {
+                c.dist_comps += 1;
+                Traversal::Continue
+            },
+        )
+        .to_vec();
         let mut scratch = TraversalScratch::default();
         let mut c_scratch = WorkCounters::ZERO;
         let with_scratch =
@@ -1350,12 +906,19 @@ mod tests {
         assert_eq!(one_shot, with_scratch);
         assert_eq!(c_one_shot, c_scratch);
 
-        // Single-ray scratch variant agrees with the plain one as well.
+        // Single-ray engine: one-shot scratch vs the warmed packet scratch.
         let ray = Ray::epsilon_ray(points[7]);
         let mut c_a = WorkCounters::ZERO;
-        let a = traverse_wide(&wide, &ray, &mut c_a, |_, _| Traversal::Continue);
+        let a = traverse_wide(
+            &wide,
+            &ray,
+            &mut TraversalScratch::default(),
+            &mut c_a,
+            NoSink,
+            |_, _| Traversal::Continue,
+        );
         let mut c_b = WorkCounters::ZERO;
-        let b = traverse_wide_with_scratch(&wide, &ray, &mut scratch, &mut c_b, |_, _| {
+        let b = traverse_wide(&wide, &ray, &mut scratch, &mut c_b, NoSink, |_, _| {
             Traversal::Continue
         });
         assert_eq!(a, b);
@@ -1378,13 +941,25 @@ mod tests {
         let rays: Vec<Ray> = points.iter().map(|&p| Ray::epsilon_ray(p)).collect();
         let exclude: Vec<Option<u32>> = (0..points.len()).map(|i| Some(i as u32)).collect();
 
+        // Vec-of-Vec reference through the per-primitive packet entry point.
         let mut c_vec = WorkCounters::ZERO;
-        let lists = collect_sphere_hits_batch(&wide, &rays, &exclude, &mut c_vec);
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); rays.len()];
+        traverse_batch_with_scratch(
+            &wide,
+            &rays,
+            &mut TraversalScratch::default(),
+            &mut c_vec,
+            |q, sphere, counters| {
+                sat_bump(&mut counters.dist_comps, 1);
+                if sphere.intersects_ray(&rays[q]) && exclude[q] != Some(sphere.point_index) {
+                    lists[q].push(sphere.point_index);
+                }
+                Traversal::Continue
+            },
+        );
 
-        let mut scratch = TraversalScratch::default();
-        let mut csr = CsrNeighbors::default();
         let mut c_csr = WorkCounters::ZERO;
-        collect_sphere_hits_csr(&wide, &rays, &exclude, &mut scratch, &mut c_csr, &mut csr);
+        let csr = csr_hits(&wide, &rays, &exclude, &mut c_csr);
 
         assert_eq!(c_vec, c_csr, "CSR mode must not change counted work");
         assert_eq!(csr.num_queries(), lists.len());

@@ -20,17 +20,8 @@ pub mod batch;
 pub mod order;
 pub mod scratch;
 
-pub use batch::{
-    collect_sphere_hits_batch, collect_sphere_hits_csr, traverse_batch,
-    traverse_batch_leaves_with_scratch, traverse_batch_runs_with_scratch,
-    traverse_batch_scene_with_scratch, traverse_batch_with_scratch,
-    traverse_batch_with_scratch_cancellable, traverse_wide, traverse_wide_scene_with_scratch,
-    traverse_wide_with_scratch, LeafVisit, WideScene,
-};
-pub(crate) use batch::{
-    traverse_batch_runs_with_scratch_sink_cancel, traverse_batch_scene_with_scratch_sink,
-    traverse_wide_scene_with_scratch_sink,
-};
+pub use batch::{collect_sphere_hits_csr, traverse_batch_with_scratch};
+pub(crate) use batch::{traverse_batch_prims, traverse_batch_runs, traverse_wide, LeafVisit};
 pub use order::{QueryOrder, ReorderScratch};
 pub use scratch::{PoolGuard, ScratchPool, TraversalScratch};
 

@@ -37,8 +37,7 @@ use rtcore::fault::{CancelScope, FaultInjector, FaultSite};
 use rtcore::geometry::{Point3, Ray, Sphere};
 use rtcore::hardware::sat_bump;
 use rtcore::hardware::WorkCounters;
-use rtcore::index::CsrNeighbors;
-use rtcore::pipeline::TraversalEngine;
+use rtcore::index::{CsrNeighbors, IndexKind};
 use rtcore::telemetry::{PhaseKind, Telemetry};
 use rtcore::traversal::{traverse, traverse_batch_with_scratch, Traversal, TraversalScratch};
 use rtcore::Result;
@@ -1014,9 +1013,7 @@ impl StreamingClusterer {
     /// engine is configured and no valid collapse is cached.  The collapse
     /// is device-build work.
     fn ensure_wide_scene(&mut self) {
-        if self.config.snapshot_traversal == TraversalEngine::WideBatched
-            && self.wide_scene.is_none()
-        {
+        if self.config.snapshot_traversal == IndexKind::WideBatched && self.wide_scene.is_none() {
             if self.fault.fire(FaultSite::Bvh4Collapse) {
                 // Degrade: this repair walks the binary scene per query —
                 // identical answers, no wide collapse resident.
@@ -1065,7 +1062,7 @@ impl StreamingClusterer {
 
         // Main indexed scene.
         match (&self.wide_scene, &self.scene) {
-            (Some(wide), _) if self.config.snapshot_traversal == TraversalEngine::WideBatched => {
+            (Some(wide), _) if self.config.snapshot_traversal == IndexKind::WideBatched => {
                 traverse_batch_with_scratch(
                     wide,
                     rays,
@@ -1293,8 +1290,8 @@ mod tests {
             cfg.snapshot_traversal = engine;
             StreamingClusterer::new(cfg).unwrap()
         };
-        let mut wide = make(rtcore::pipeline::TraversalEngine::WideBatched);
-        let mut binary = make(rtcore::pipeline::TraversalEngine::Binary);
+        let mut wide = make(IndexKind::WideBatched);
+        let mut binary = make(IndexKind::BinaryBvh);
         for wave in 0..8 {
             let pts: Vec<Point3> = (0..20)
                 .map(|i| {

@@ -4,7 +4,6 @@
 //! streaming shapes alike.
 
 use crate::{StreamingClusterer, StreamingConfig, WindowPolicy};
-use rtcore::pipeline::TraversalEngine;
 use rtdbscan::engine::{ClusterEngine, IndexKind};
 
 /// Streaming entry points on [`ClusterEngine`] (bring this trait into scope
@@ -12,9 +11,9 @@ use rtdbscan::engine::{ClusterEngine, IndexKind};
 ///
 /// The engine's ε / `minPts` parameters carry over unchanged; its backend
 /// choice selects the snapshot-repair traversal substrate: the wide batched
-/// backend maps to [`TraversalEngine::WideBatched`], every other backend to
-/// the binary oracle (the streaming scene is maintained by refit and
-/// rebuild, which are BVH operations).
+/// backend keeps [`IndexKind::WideBatched`], every other backend maps to
+/// the [`IndexKind::BinaryBvh`] oracle (the streaming scene is maintained
+/// by refit and rebuild, which are BVH operations).
 ///
 /// ```
 /// use rtcore::geometry::Point3;
@@ -49,8 +48,8 @@ impl EngineStreamExt for ClusterEngine {
     fn streaming_config(&self, window: WindowPolicy) -> StreamingConfig {
         let mut config = StreamingConfig::new(self.params(), window);
         config.snapshot_traversal = match self.index_kind() {
-            IndexKind::WideBatched => TraversalEngine::WideBatched,
-            _ => TraversalEngine::Binary,
+            IndexKind::WideBatched => IndexKind::WideBatched,
+            _ => IndexKind::BinaryBvh,
         };
         config
     }
@@ -102,7 +101,7 @@ mod tests {
             .build()
             .unwrap()
             .streaming_config(WindowPolicy::Count(10));
-        assert_eq!(wide.snapshot_traversal, TraversalEngine::WideBatched);
+        assert_eq!(wide.snapshot_traversal, IndexKind::WideBatched);
         for kind in [
             IndexKind::BinaryBvh,
             IndexKind::UniformGrid,
@@ -114,7 +113,7 @@ mod tests {
                 .build()
                 .unwrap()
                 .streaming_config(WindowPolicy::Count(10));
-            assert_eq!(cfg.snapshot_traversal, TraversalEngine::Binary, "{kind:?}");
+            assert_eq!(cfg.snapshot_traversal, IndexKind::BinaryBvh, "{kind:?}");
         }
     }
 

@@ -2,7 +2,7 @@
 
 use rtcore::bvh::{BuildParallelism, RefitPolicy};
 use rtcore::fault::{FaultPlan, MemoryBudget, RetryPolicy};
-use rtcore::pipeline::TraversalEngine;
+use rtcore::index::IndexKind;
 use rtcore::telemetry::TelemetryConfig;
 use rtdbscan::DbscanParams;
 
@@ -52,13 +52,13 @@ pub struct StreamingConfig {
     /// once the dead fraction of the indexed primitives exceeds this;
     /// below it, retired primitives are only filtered out of hit lists.
     pub refit_dead_fraction: f32,
-    /// Traversal substrate for the snapshot repair pass over the main
-    /// indexed scene.  [`TraversalEngine::WideBatched`] (the default)
-    /// collapses the main BVH into the wide format once per (re)build and
-    /// walks all core-point queries through it as ray packets; the binary
-    /// engine remains selectable as the oracle.  Delta BVHs are small and
+    /// BVH kind the snapshot repair pass traverses over the main indexed
+    /// scene.  [`IndexKind::WideBatched`] (the default) collapses the main
+    /// BVH into the wide format once per (re)build and walks all core-point
+    /// queries through it as ray packets; [`IndexKind::BinaryBvh`] remains
+    /// selectable as the oracle.  BVH kinds only.  Delta BVHs are small and
     /// short-lived and always traverse binary.
-    pub snapshot_traversal: TraversalEngine,
+    pub snapshot_traversal: IndexKind,
     /// Telemetry recording level.  Off (the default) allocates no recorder
     /// and leaves the ingest/snapshot paths bit-identical to a
     /// telemetry-free build; any enabled level records phase spans for
@@ -98,7 +98,7 @@ impl StreamingConfig {
             refit_policy: RefitPolicy::default(),
             max_pending_fraction: 0.25,
             refit_dead_fraction: 0.03125,
-            snapshot_traversal: TraversalEngine::WideBatched,
+            snapshot_traversal: IndexKind::WideBatched,
             telemetry: TelemetryConfig::Off,
             build_parallelism: BuildParallelism::Sequential,
             memory_budget: MemoryBudget::Unlimited,
@@ -123,6 +123,12 @@ impl StreamingConfig {
             return Err(rtcore::Error::InvalidConfig(format!(
                 "refit_dead_fraction must be in [0, 1], got {}",
                 self.refit_dead_fraction
+            )));
+        }
+        if !self.snapshot_traversal.is_bvh() {
+            return Err(rtcore::Error::InvalidConfig(format!(
+                "snapshot_traversal walks the streaming BVH; the {} index has none",
+                self.snapshot_traversal.name()
             )));
         }
         if self.build_parallelism == BuildParallelism::Threads(0) {
@@ -181,6 +187,12 @@ mod tests {
             ..good
         };
         assert!(bad_dead.validate().is_err());
+
+        let bad_traversal = StreamingConfig {
+            snapshot_traversal: IndexKind::UniformGrid,
+            ..good
+        };
+        assert!(bad_traversal.validate().is_err());
 
         let bad_threads = StreamingConfig {
             build_parallelism: BuildParallelism::Threads(0),

@@ -8,7 +8,8 @@
 //! Crate map (see `README.md` for the full tour):
 //!
 //! * [`rtcore`] — the software ray-tracing substrate (geometry, BVH
-//!   builders and refit, traversal, OptiX-style pipeline, device model).
+//!   builders and refit, traversal, neighbour-index backends, device
+//!   model).
 //! * [`rtdbscan`] — RT-DBSCAN and the baselines it is compared against.
 //! * [`rtdbscan_datasets`] — synthetic analogues of the paper's datasets,
 //!   plus replayable point streams.

@@ -6,9 +6,9 @@
 //! **zero** heap allocations — the property the `TraversalScratch` /
 //! `ScratchPool` design exists to provide.  Measurements run on the
 //! sequential dispatch path (the parallel path hands work to scoped
-//! threads, whose spawning allocates by design); a static mutex serialises
-//! the measured sections so concurrently running tests cannot blur each
-//! other's counts.
+//! threads, whose spawning allocates by design), that is, entirely on the
+//! calling thread.  The allocator counts per thread, so tests running
+//! concurrently in the same binary cannot blur each other's counts.
 //!
 //! The same file property-tests the CSR output mode: on blobs plus exact
 //! duplicates plus exact-ε boundary pairs, `batch_neighbors_csr` must
@@ -21,6 +21,7 @@ use rtcore::geometry::Point3;
 use rtcore::hardware::WorkCounters;
 use rtcore::index::{CsrNeighbors, IndexKind, NeighborFlow, NeighborIndexBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -30,21 +31,31 @@ use std::sync::Mutex;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls made by the current thread.  `const`-initialised
+    /// and without a destructor, so the allocator can bump it without
+    /// allocating.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc_call() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc_call();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc_call();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc_call();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -56,23 +67,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serialises measured sections across the test binary's worker threads
-/// (any concurrent test's allocations would otherwise leak into a
-/// measurement).  Recovers from poisoning: a failed sibling test must not
-/// cascade.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
-
-fn measure_guard() -> std::sync::MutexGuard<'static, ()> {
-    MEASURE_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Allocation calls performed by `f` (alloc + alloc_zeroed + realloc).
+/// Allocation calls performed by `f` on the calling thread (alloc +
+/// alloc_zeroed + realloc).
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    let before = ALLOC_CALLS.with(Cell::get);
     f();
-    ALLOC_CALLS.load(Ordering::SeqCst) - before
+    ALLOC_CALLS.with(Cell::get) - before
 }
 
 // ---------------------------------------------------------------------------
@@ -124,7 +124,6 @@ fn steady_state_batch_neighbors_is_allocation_free_on_every_backend() {
             NeighborFlow::Continue
         };
 
-        let guard = measure_guard();
         // Warm-up launch: grows every per-worker scratch arena.
         let mut counters = WorkCounters::ZERO;
         index.batch_neighbors(&points, eps, &mut counters, &sink);
@@ -139,7 +138,6 @@ fn steady_state_batch_neighbors_is_allocation_free_on_every_backend() {
                 index.batch_neighbors(&points, eps, &mut c, &sink);
             }
         });
-        drop(guard);
         assert_eq!(
             allocs, 0,
             "{kind:?}: steady-state batch_neighbors must not allocate"
@@ -156,7 +154,6 @@ fn steady_state_count_mode_is_allocation_free() {
         let index = sequential_builder(kind).build(&points, eps).unwrap();
         let counts: Vec<AtomicU64> = (0..points.len()).map(|_| AtomicU64::new(0)).collect();
 
-        let guard = measure_guard();
         let mut counters = WorkCounters::ZERO;
         index.batch_neighbor_counts(&points, eps, true, None, &mut counters, &counts);
 
@@ -169,7 +166,6 @@ fn steady_state_count_mode_is_allocation_free() {
                 index.batch_neighbor_counts(&points, eps, true, None, &mut c, &counts);
             }
         });
-        drop(guard);
         assert_eq!(
             allocs, 0,
             "{kind:?}: steady-state batch_neighbor_counts must not allocate"
@@ -202,7 +198,6 @@ fn steady_state_session_launches_are_allocation_free() {
         hits.fetch_add(1, Ordering::Relaxed);
         NeighborFlow::Continue
     };
-    let guard = measure_guard();
     let mut c = WorkCounters::ZERO;
     index.batch_neighbors(&points, eps, &mut c, &sink);
 
@@ -212,7 +207,6 @@ fn steady_state_session_launches_are_allocation_free() {
             index.batch_neighbors(&points, eps, &mut c, &sink);
         }
     });
-    drop(guard);
     assert_eq!(
         allocs, 0,
         "steady-state launches through a reused engine session must not allocate"
@@ -236,7 +230,6 @@ fn inert_cancel_scope_is_allocation_free_and_counter_identical() {
         let sink =
             |_q: usize, _n: rtcore::index::Neighbor, _c: &mut WorkCounters| NeighborFlow::Continue;
 
-        let guard = measure_guard();
         let mut unchecked = WorkCounters::ZERO;
         index.batch_neighbors(&points, eps, &mut unchecked, &sink);
 
@@ -249,7 +242,6 @@ fn inert_cancel_scope_is_allocation_free_and_counter_identical() {
                     .unwrap();
             }
         });
-        drop(guard);
         assert_eq!(
             allocs, 0,
             "{kind:?}: an inert scope must not allocate in steady state"
@@ -278,7 +270,6 @@ fn csr_rebuild_into_warm_buffers_is_allocation_free() {
 
     let mut scratch = TraversalScratch::default();
     let mut csr = CsrNeighbors::new();
-    let guard = measure_guard();
     let mut c = WorkCounters::ZERO;
     collect_sphere_hits_csr(&wide, &rays, &exclude, &mut scratch, &mut c, &mut csr);
     assert!(csr.total_neighbors() > 0);
@@ -289,7 +280,6 @@ fn csr_rebuild_into_warm_buffers_is_allocation_free() {
             collect_sphere_hits_csr(&wide, &rays, &exclude, &mut scratch, &mut c, &mut csr);
         }
     });
-    drop(guard);
     assert_eq!(
         allocs, 0,
         "CSR rebuilds into warm buffers must not allocate"
@@ -319,7 +309,6 @@ fn explicit_telemetry_off_keeps_the_steady_state_allocation_free() {
         );
         let counts: Vec<AtomicU64> = (0..points.len()).map(|_| AtomicU64::new(0)).collect();
 
-        let guard = measure_guard();
         let mut counters = WorkCounters::ZERO;
         index.batch_neighbor_counts(&points, eps, true, None, &mut counters, &counts);
 
@@ -329,7 +318,6 @@ fn explicit_telemetry_off_keeps_the_steady_state_allocation_free() {
                 index.batch_neighbor_counts(&points, eps, true, None, &mut c, &counts);
             }
         });
-        drop(guard);
         assert_eq!(
             allocs, 0,
             "{kind:?}: explicit TelemetryConfig::Off must not allocate in steady state"
@@ -367,7 +355,6 @@ proptest! {
         eps in 0.4f32..1.2,
         seed in 0u64..u64::MAX,
     ) {
-        let _guard = measure_guard();
         let mut points = workload(n_per_blob, eps);
         // Seed-dependent jitter point so cases differ.
         points.push(Point3::new_2d((seed % 97) as f32 * 0.1, (seed % 89) as f32 * 0.1));
@@ -401,7 +388,6 @@ proptest! {
         early_exit_bit in 0u64..2,
     ) {
         let early_exit = early_exit_bit == 1;
-        let _guard = measure_guard();
         let points = workload(n_per_blob, eps);
         let min_pts = 5u64;
         for kind in IndexKind::ALL {

@@ -1,7 +1,7 @@
 //! Cross-crate tests for the coherence-aware traversal stack: Morton query
-//! reordering, SIMD kernel dispatch and the quantized wide-node layout.
+//! reordering and SIMD kernel dispatch.
 //!
-//! Three guarantees are pinned here:
+//! Two guarantees are pinned here:
 //!
 //! 1. **Reordering is invisible in the answers** — a Morton-ordered run
 //!    produces identical clusterings (core flags + partition, hence
@@ -13,16 +13,11 @@
 //!    input must) drop.
 //! 2. **SIMD is bit-exact** — forcing the scalar kernels reproduces the
 //!    auto-dispatched run exactly, counters included.
-//! 3. **Quantisation is conservative** — the compact layout reports the
-//!    same neighbour sets and clusterings, and can only add candidate
-//!    work, never skip any.
 
 use proptest::prelude::*;
 use rtcore::geometry::Point3;
 use rtcore::hardware::WorkCounters;
-use rtcore::index::{
-    IndexKind, NeighborFlow, NeighborIndexBuilder, QueryOrder, SimdPolicy, WideLayout,
-};
+use rtcore::index::{IndexKind, NeighborFlow, NeighborIndexBuilder, QueryOrder, SimdPolicy};
 use rtdbscan::engine::{Algo, ClusterEngine};
 use rtdbscan::metrics::same_clustering;
 use rtdbscan::DbscanParams;
@@ -209,16 +204,15 @@ proptest! {
     ) {
         use std::sync::atomic::{AtomicU64, Ordering};
         let points = workload(n_per_blob, eps, seed);
-        let build = |simd: SimdPolicy, layout: WideLayout| {
+        let build = |simd: SimdPolicy| {
             NeighborIndexBuilder {
                 simd,
-                wide_layout: layout,
                 ..builder_with(IndexKind::WideBatched, QueryOrder::Morton)
             }
             .build(&points, eps)
             .unwrap()
         };
-        let reference = build(SimdPolicy::Scalar, WideLayout::F32);
+        let reference = build(SimdPolicy::Scalar);
         let (ref_lists, ref_counters) = sink_lists(reference.as_ref(), &points, eps);
         let ref_counts: Vec<AtomicU64> = (0..points.len()).map(|_| AtomicU64::new(0)).collect();
         let mut ref_cc = WorkCounters::ZERO;
@@ -226,34 +220,18 @@ proptest! {
         let ref_counts: Vec<u64> = ref_counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
 
         for simd in [SimdPolicy::Auto, SimdPolicy::Sse2, SimdPolicy::Avx2] {
-            for layout in [WideLayout::F32, WideLayout::Quantized] {
-                let index = build(simd, layout);
-                let (lists, counters) = sink_lists(index.as_ref(), &points, eps);
-                prop_assert_eq!(&ref_lists, &lists, "{:?}/{:?} neighbour sets", simd, layout);
-                let counts: Vec<AtomicU64> =
-                    (0..points.len()).map(|_| AtomicU64::new(0)).collect();
-                let mut cc = WorkCounters::ZERO;
-                index.batch_neighbor_counts(&points, eps, true, None, &mut cc, &counts);
-                let counts: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-                prop_assert_eq!(&ref_counts, &counts, "{:?}/{:?} counts", simd, layout);
-                match layout {
-                    // Same layout ⇒ SIMD must be invisible in every counter.
-                    WideLayout::F32 => {
-                        prop_assert_eq!(ref_counters, counters, "{:?} sink counters", simd);
-                        prop_assert_eq!(ref_cc, cc, "{:?} count counters", simd);
-                    }
-                    // Quantised boxes are conservative ⇒ work can only grow.
-                    WideLayout::Quantized => {
-                        prop_assert!(
-                            counters.dist_comps >= ref_counters.dist_comps,
-                            "quantized dist_comps {} < f32 {}",
-                            counters.dist_comps,
-                            ref_counters.dist_comps
-                        );
-                        prop_assert!(counters.prim_tests >= ref_counters.prim_tests);
-                    }
-                }
-            }
+            let index = build(simd);
+            let (lists, counters) = sink_lists(index.as_ref(), &points, eps);
+            prop_assert_eq!(&ref_lists, &lists, "{:?} neighbour sets", simd);
+            let counts: Vec<AtomicU64> =
+                (0..points.len()).map(|_| AtomicU64::new(0)).collect();
+            let mut cc = WorkCounters::ZERO;
+            index.batch_neighbor_counts(&points, eps, true, None, &mut cc, &counts);
+            let counts: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            prop_assert_eq!(&ref_counts, &counts, "{:?} counts", simd);
+            // SIMD must be invisible in every counter.
+            prop_assert_eq!(ref_counters, counters, "{:?} sink counters", simd);
+            prop_assert_eq!(ref_cc, cc, "{:?} count counters", simd);
         }
     }
 }
@@ -293,29 +271,4 @@ fn morton_reduces_wide_node_visits_on_incoherent_input() {
         m.wide_node_visits,
         a.wide_node_visits
     );
-}
-
-#[test]
-fn quantized_session_explores_min_pts_like_f32() {
-    let points = workload(40, 0.8, 7);
-    let engine = |layout: WideLayout| {
-        ClusterEngine::builder()
-            .eps(0.8)
-            .min_pts(4)
-            .wide_layout(layout)
-            .query_order(QueryOrder::Morton)
-            .build()
-            .unwrap()
-    };
-    let f32_session = engine(WideLayout::F32).session(&points).unwrap();
-    let quant_session = engine(WideLayout::Quantized).session(&points).unwrap();
-    assert_eq!(
-        f32_session.neighbor_counts(),
-        quant_session.neighbor_counts()
-    );
-    for min_pts in [2usize, 4, 9] {
-        let a = f32_session.cluster(min_pts).unwrap().clustering;
-        let b = quant_session.cluster(min_pts).unwrap().clustering;
-        assert_eq!(a.core, b.core, "minPts={min_pts}");
-    }
 }

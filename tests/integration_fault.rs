@@ -252,8 +252,8 @@ fn budget_enforcement_degrades_gracefully_then_refuses() {
         "fitting budgets must not degrade"
     );
 
-    // A squeeze: degradation (bake drops, then cold-shard eviction) must
-    // bring the scene under budget while every answer stays exact.
+    // A squeeze: degradation (cold-shard eviction) must bring the scene
+    // under budget while every answer stays exact.
     let limit = full * 3 / 4;
     index
         .as_sharded_mut()

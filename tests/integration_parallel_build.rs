@@ -6,9 +6,9 @@
 //! fields) match the sequential build exactly — on friendly inputs and on
 //! the degenerate ones (duplicates, exact-ε spacings, identical Morton
 //! codes).  The same promise extends down the pipeline: the parallel BVH4
-//! collapse and the parallel quantized bake reproduce their sequential
-//! twins node for node, and index-level queries through a
-//! parallel-built backend return the same rows and counters.
+//! collapse reproduces its sequential twin node for node, and index-level
+//! queries through a parallel-built backend return the same rows and
+//! counters.
 //!
 //! The radix-sort/prefix-sum handoff uses no atomics — each parallel
 //! stage writes disjoint regions and joins before the next reads — so
@@ -18,8 +18,8 @@
 
 use proptest::prelude::*;
 use rtcore::bvh::{
-    spheres_from_points, validate, validate_wide, BuildParallelism, BvhBuilder, CompactWideNodes,
-    LbvhBuilder, WideBvh,
+    spheres_from_points, validate, validate_wide, BuildParallelism, BvhBuilder, LbvhBuilder,
+    WideBvh,
 };
 use rtcore::geometry::Point3;
 use rtcore::hardware::WorkCounters;
@@ -36,14 +36,13 @@ fn without_parallel_charges(mut c: WorkCounters) -> WorkCounters {
 
 /// The core property: for each thread count, the parallel build of
 /// `points` is bit-identical to the sequential build, through the binary
-/// tree, the BVH4 collapse, and the quantized bake.
+/// tree and the BVH4 collapse.
 fn assert_parallel_build_identical(points: &[Point3], eps: f32) {
     let telemetry = Telemetry::disabled();
     let spheres = spheres_from_points(points, eps);
     let seq = LbvhBuilder::default().build(spheres.clone()).unwrap();
     validate(&seq).unwrap();
     let wide_seq = WideBvh::from_binary(&seq);
-    let compact_seq = CompactWideNodes::from_wide(&wide_seq);
     for threads in [1usize, 2, 3, 8] {
         let par = LbvhBuilder {
             parallelism: BuildParallelism::Threads(threads),
@@ -70,11 +69,6 @@ fn assert_parallel_build_identical(points: &[Point3], eps: f32) {
         validate_wide(&wide_par).unwrap();
         assert_eq!(wide_par.nodes, wide_seq.nodes, "threads={threads}: BVH4");
         assert_eq!(wide_par.primitives, wide_seq.primitives);
-        let compact_par = CompactWideNodes::from_wide_parallel(&wide_par, threads);
-        assert_eq!(
-            compact_par.nodes, compact_seq.nodes,
-            "threads={threads}: quantized bake"
-        );
     }
 }
 
@@ -185,7 +179,6 @@ fn sorted_rows(
 
 #[test]
 fn index_level_parallel_build_matches_sequential_queries() {
-    // Quantized layout so the parallel bake is on the queried path too.
     let pts: Vec<Point3> = (0..900)
         .map(|i| Point3::new((i % 30) as f32 * 0.3, (i / 30) as f32 * 0.3, 0.0))
         .collect();
@@ -193,7 +186,6 @@ fn index_level_parallel_build_matches_sequential_queries() {
     let build = |parallelism| {
         NeighborIndexBuilder {
             build_parallelism: parallelism,
-            wide_layout: rtcore::index::WideLayout::Quantized,
             min_parallel_launch: 0,
             batch_size: 64,
             ..NeighborIndexBuilder::new(IndexKind::WideBatched)

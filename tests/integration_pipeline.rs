@@ -30,7 +30,7 @@ fn brute_force_neighbors(points: &[Point3], q: usize, radius: f32) -> Vec<u32> {
     let mut out: Vec<u32> = points
         .iter()
         .enumerate()
-        .filter(|&(i, p)| i != q && points[q].distance(*p) <= radius)
+        .filter(|&(i, p)| i != q && points[q].distance_squared(*p) <= radius * radius)
         .map(|(i, _)| i as u32)
         .collect();
     out.sort_unstable();
