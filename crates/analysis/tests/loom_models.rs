@@ -16,7 +16,7 @@
 //! onto the model-aware atomics.
 #![cfg(feature = "loom-models")]
 
-use loom::sync::atomic::{AtomicU64, Ordering};
+use loom::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use loom::sync::{Arc, Mutex};
 use loom::thread;
 use rtcore::hardware::{SharedCounters, WorkCounters};
@@ -106,8 +106,53 @@ fn concurrent_dsu_find_during_union_is_linearizable() {
     });
 }
 
-/// The epoch union-find is `&mut`-only, so stage-2 shares it behind a
-/// mutex; the model proves lock-protected unions from two threads plus an
+/// Model of stage 2's border claim (`rtdbscan::stages::form_clusters`):
+/// each core lowers a border point's claim slot — a probe load, then a
+/// `fetch_min` only when its index is smaller — while a core–core union
+/// runs alongside, and after the join the border is unioned with its
+/// claim.  Cores 1 and 2 form one cluster, core 0 another, and the claims
+/// arrive out of index order (2, 0, 1).  In every schedule the slot must
+/// end at the lowest core index and the border must share core 0's root:
+/// which cluster a border joins is a function of the input, not of the
+/// schedule.
+#[test]
+fn border_claim_settles_on_the_lowest_core_in_every_schedule() {
+    const BORDER: usize = 3;
+    let schedules = loom::model(|| {
+        let dsu = Arc::new(ConcurrentDisjointSet::new(4));
+        let slot = Arc::new(AtomicU32::new(u32::MAX));
+        let spawn_core = |p: u32, core_neighbor: Option<usize>| {
+            let (dsu, slot) = (Arc::clone(&dsu), Arc::clone(&slot));
+            thread::spawn(move || {
+                if let Some(q) = core_neighbor {
+                    dsu.union(p as usize, q);
+                }
+                if p < slot.load(Ordering::Relaxed) {
+                    slot.fetch_min(p, Ordering::Relaxed);
+                }
+            })
+        };
+        let cores = [
+            spawn_core(2, Some(1)),
+            spawn_core(0, None),
+            spawn_core(1, None),
+        ];
+        for core in cores {
+            core.join().unwrap();
+        }
+        // The joins publish every lowered value to this reader.
+        let claim = slot.load(Ordering::Relaxed);
+        assert_eq!(claim, 0, "the claim must settle on the lowest core");
+        dsu.union(claim as usize, BORDER);
+        assert_eq!(dsu.find(BORDER), dsu.find(0), "border joins core 0");
+        assert!(!dsu.same_set(BORDER, 2), "border must not join {{1, 2}}");
+        assert_eq!(dsu.find(2), 1, "the {{1, 2}} cluster keeps its own root");
+    });
+    assert!(schedules > 1, "scheduler explored only one interleaving");
+}
+
+/// The epoch union-find is `&mut`-only, so concurrent callers share it
+/// behind a mutex; the model proves lock-protected unions from two threads plus an
 /// O(1) epoch reset behave like their serial counterparts in every
 /// schedule.
 #[test]

@@ -22,16 +22,26 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 #[derive(Debug)]
 pub struct ConcurrentDisjointSet {
     parent: Vec<AtomicUsize>,
-    finds: AtomicU64,
+    finds: OwnLines<AtomicU64>,
     merges: AtomicU64,
 }
+
+/// Keeps a value on cache lines of its own.  Every `find` on every worker
+/// bumps the `finds` tally, and every `find` reads the `parent` header:
+/// sharing a line made each bump evict that header from the other workers,
+/// by an amount that depended on where the set landed in memory, so stage
+/// 2's time changed from one process to the next.  128 bytes also covers
+/// the adjacent-line prefetcher's pairs.
+#[derive(Debug)]
+#[repr(align(128))]
+struct OwnLines<T>(T);
 
 impl ConcurrentDisjointSet {
     /// Create `n` singleton sets.
     pub fn new(n: usize) -> Self {
         ConcurrentDisjointSet {
             parent: (0..n).map(AtomicUsize::new).collect(),
-            finds: AtomicU64::new(0),
+            finds: OwnLines(AtomicU64::new(0)),
             merges: AtomicU64::new(0),
         }
     }
@@ -53,7 +63,7 @@ impl ConcurrentDisjointSet {
     // AcqRel (Relaxed on failure — a lost race is retried, nothing is
     // published).  The `finds` tally is Relaxed: statistics only.
     pub fn find(&self, mut x: usize) -> usize {
-        self.finds.fetch_add(1, Ordering::Relaxed);
+        self.finds.0.fetch_add(1, Ordering::Relaxed);
         loop {
             let p = self.parent[x].load(Ordering::Acquire);
             if p == x {
@@ -139,7 +149,7 @@ impl ConcurrentDisjointSet {
     // phase joins.
     pub fn op_counts(&self) -> (u64, u64) {
         (
-            self.finds.load(Ordering::Relaxed),
+            self.finds.0.load(Ordering::Relaxed),
             self.merges.load(Ordering::Relaxed),
         )
     }

@@ -10,8 +10,8 @@
 //! * [`ConcurrentDisjointSet`] — a lock-free version over atomics that many
 //!   rayon workers can update concurrently, standing in for the GPU-side
 //!   parallel Union-Find of FDBSCAN/RT-DBSCAN (including the "critical
-//!   section" union of Algorithm 3, line 14, which is expressed here as a
-//!   compare-and-swap claim);
+//!   section" union of Algorithm 3, line 14, which stage 2 expresses as an
+//!   atomic lowest-index border claim unioned after the launch);
 //! * [`EpochDisjointSet`] — union-by-rank with O(1) whole-structure reset
 //!   via epoch stamping, used by the streaming clusterer to re-form
 //!   clusters across sliding-window snapshots without reallocating.

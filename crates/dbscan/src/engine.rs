@@ -65,7 +65,6 @@ use rtcore::fault::CancelScope;
 use rtcore::geometry::Point3;
 use rtcore::hardware::{DeviceModel, ExecutionPath, WorkCounters};
 use rtcore::index::{GeometryKind, NeighborIndex, NeighborIndexBuilder, ShardingConfig};
-use rtcore::telemetry::PhaseKind;
 use rtcore::Result;
 use std::time::Duration;
 
@@ -374,10 +373,10 @@ impl ClusterEngineBuilder {
     /// Build a **two-level scene**: the Morton-sorted primitives are cut
     /// into shards of at most `shard_size` points, each shard owns a
     /// bottom-level BVH4 scene built in parallel, and a top-level BVH
-    /// (TLAS) routes every query to the shards it overlaps.  Stage 2 then
-    /// stitches clusters across shard boundaries through the epoch
-    /// union-find, producing the same clustering as the flat scene.
-    /// Wide-batched backend only.
+    /// (TLAS) routes every query to the shards it overlaps.  Both stages
+    /// launch through the TLAS exactly as they launch over a flat index, so
+    /// the labels are bit-identical to the flat scene's.  Wide-batched
+    /// backend only.
     ///
     /// ```
     /// use rtdbscan::prelude::*;
@@ -859,8 +858,9 @@ impl ClusterEngine {
     /// surfaces as [`rtcore::Error::DeadlineExceeded`] carrying the work
     /// counted so far, and every partial stage result (counts, union-find
     /// merges, claims) is discarded — a cancelled run never returns a wrong
-    /// clustering.  With [`CancelScope::none`] the counted work is
-    /// bit-identical to [`ClusterEngine::run`]'s two-stage formulation.
+    /// clustering.  With [`CancelScope::none`] the labels and the counted
+    /// work are bit-identical to [`ClusterEngine::run`]'s two-stage
+    /// formulation: both run the same driver.
     ///
     /// Like [`ClusterEngine::session`], this always runs the two-stage
     /// formulation over the engine's backend, whatever [`Algo`] was
@@ -869,86 +869,12 @@ impl ClusterEngine {
     pub fn run_cancellable(&self, points: &[Point3], scope: &CancelScope) -> Result<RunResult> {
         self.params.validate()?;
         self.check_launch(points.len())?;
-        let params = self.params;
-        let (index, build_time) = timed(|| self.index.build(points, params.eps));
-        let index = index?;
-        let n = points.len();
-        let path = if index.capabilities().rt_core {
-            ExecutionPath::RtCore
-        } else {
-            ExecutionPath::ShaderCore
-        };
-        if n == 0 {
-            return Ok(RunResult {
-                clustering: Clustering::new(vec![], vec![]),
-                timings: PhaseTimings {
-                    build: build_time,
-                    ..PhaseTimings::default()
-                },
-                counters: PhaseCounters::default(),
-                path,
-                device_bytes: 0,
-            });
-        }
-
-        let early = (self.algo == Algo::FdbscanEarlyExit).then_some(params.min_pts);
-        let (stage1, stage1_time) = timed(|| {
-            let span = index.telemetry().map(|t| t.span(PhaseKind::Stage1Launch));
-            let out = stages::count_all_neighbors_cancellable(
-                index.as_ref(),
-                points,
-                params.eps,
-                early,
-                scope,
-            );
-            if let Some(mut s) = span {
-                if let Ok((_, counters)) = &out {
-                    s.add_counters(*counters);
-                }
-            }
-            out
-        });
-        let (counts, stage1_counters) = stage1?;
-        let core: Vec<bool> = counts
-            .iter()
-            .map(|&count| count as usize >= params.min_pts)
-            .collect();
-
-        let (stage2, stage2_time) = timed(|| {
-            let span = index
-                .telemetry()
-                .map(|t| t.span(PhaseKind::Stage2UnionFind));
-            let out =
-                stages::form_clusters_cancellable(index.as_ref(), points, &core, params.eps, scope);
-            if let Some(mut s) = span {
-                if let Ok((_, counters)) = &out {
-                    s.add_counters(*counters);
-                }
-            }
-            out
-        });
-        let (labels, stage2_counters) = stage2?;
-
-        let device_bytes = index.device_bytes()
-            + std::mem::size_of_val(points) as u64
-            + (n * std::mem::size_of::<usize>()) as u64 // union-find parents
-            + 2 * n as u64; // core + claimed flags
-
-        Ok(RunResult {
-            clustering: Clustering::new(labels, core),
-            timings: PhaseTimings {
-                build: build_time,
-                core_identification: stage1_time,
-                cluster_formation: stage2_time,
-            },
-            counters: PhaseCounters {
-                build: index.build_counters(),
-                core_identification: stage1_counters,
-                cluster_formation: stage2_counters,
-            },
-            path,
-            device_bytes,
-        })
+        let (index, build_time) = timed(|| self.index.build(points, self.params.eps));
+        let early_exit = self.algo == Algo::FdbscanEarlyExit;
+        let mut result =
+            stages::run_two_stage(index?.as_ref(), points, self.params, early_exit, scope)?;
+        result.timings.build += build_time;
+        Ok(result)
     }
 
     /// Build the index and record every point's ε-neighbour count once,
@@ -961,12 +887,7 @@ impl ClusterEngine {
     pub fn session(&self, points: &[Point3]) -> Result<ClusterSession> {
         self.check_launch(points.len())?;
         let (index, build_time) = timed(|| self.index.build(points, self.params.eps));
-        Ok(ClusterSession::create(
-            index?,
-            points,
-            self.params.eps,
-            build_time,
-        ))
+        ClusterSession::create(index?, points, self.params.eps, build_time)
     }
 }
 
@@ -1024,21 +945,17 @@ impl ClusterSession {
         points: &[Point3],
         eps: f32,
         build_time: Duration,
-    ) -> Self {
+    ) -> Result<Self> {
         let path = if index.capabilities().rt_core {
             ExecutionPath::RtCore
         } else {
             ExecutionPath::ShaderCore
         };
-        let ((neighbor_counts, stage1_counters), stage1_time) = timed(|| {
-            let span = index.telemetry().map(|t| t.span(PhaseKind::Stage1Launch));
-            let out = stages::count_all_neighbors(index.as_ref(), points, eps, None);
-            if let Some(mut s) = span {
-                s.add_counters(out.1);
-            }
-            out
+        let (stage1, stage1_time) = timed(|| {
+            stages::count_all_neighbors(index.as_ref(), points, eps, None, &CancelScope::none())
         });
-        ClusterSession {
+        let (neighbor_counts, stage1_counters) = stage1?;
+        Ok(ClusterSession {
             points: points.to_vec(),
             eps,
             build_counters: index.build_counters(),
@@ -1048,7 +965,7 @@ impl ClusterSession {
             stage1_counters,
             build_time,
             stage1_time,
-        }
+        })
     }
 
     /// The search radius this session was built for.
@@ -1120,17 +1037,16 @@ impl ClusterSession {
             .iter()
             .map(|&c| c as usize >= min_pts)
             .collect();
-        let ((labels, stage2_counters), stage2_time) = timed(|| {
-            let span = self
-                .index
-                .telemetry()
-                .map(|t| t.span(PhaseKind::Stage2UnionFind));
-            let out = stages::form_clusters(self.index.as_ref(), &self.points, &core, self.eps);
-            if let Some(mut s) = span {
-                s.add_counters(out.1);
-            }
-            out
+        let (stage2, stage2_time) = timed(|| {
+            stages::form_clusters(
+                self.index.as_ref(),
+                &self.points,
+                &core,
+                self.eps,
+                &CancelScope::none(),
+            )
         });
+        let (labels, stage2_counters) = stage2?;
 
         Ok(RunResult {
             clustering: Clustering::new(labels, core),
@@ -1145,9 +1061,7 @@ impl ClusterSession {
                 cluster_formation: stage2_counters,
             },
             path: self.path,
-            device_bytes: self.index.device_bytes()
-                + (n * std::mem::size_of::<Point3>()) as u64
-                + 8 * n as u64,
+            device_bytes: stages::device_bytes(self.index.as_ref(), n),
         })
     }
 
@@ -1481,6 +1395,7 @@ mod tests {
         let f = flat.run(&pts).unwrap();
         let s = sharded.run(&pts).unwrap();
         assert_eq!(f.clustering.core, s.clustering.core);
+        assert_eq!(f.clustering.labels, s.clustering.labels);
         assert!(same_clustering(&f.clustering, &s.clustering, &pts, params));
         assert_eq!(
             f.counters.core_identification.dist_comps, s.counters.core_identification.dist_comps,
@@ -1505,7 +1420,7 @@ mod tests {
         let run = session.cluster(5).unwrap();
         assert!(run.counters.cluster_formation.tlas_node_visits > 0);
         let trace = session.index().telemetry().unwrap().chrome_trace_json();
-        for phase in ["tlas_build", "tlas_visit", "shard_stitch"] {
+        for phase in ["tlas_build", "tlas_visit"] {
             assert!(trace.contains(phase), "missing {phase} span in {trace}");
         }
     }
@@ -1539,8 +1454,9 @@ mod tests {
         let pts = blobs();
         let params = DbscanParams::new(0.5, 5).unwrap();
         // Flat and sharded backends: the none-scope cancellable path must be
-        // bit-identical to the plain two-stage run (counters included — this
-        // is the "deadline checks are free when unset" contract).
+        // bit-identical to the plain two-stage run (labels and counters —
+        // this is the "deadline checks are free when unset" contract), and a
+        // session's stage 2 must produce the same labels and work.
         for build in [
             ClusterEngine::builder().params(params),
             ClusterEngine::builder().params(params).shard_size(48),
@@ -1548,26 +1464,22 @@ mod tests {
             let engine = build.build().unwrap();
             let plain = engine.run(&pts).unwrap();
             let cancellable = engine.run_cancellable(&pts, &CancelScope::none()).unwrap();
+            let session = engine.session(&pts).unwrap().cluster(5).unwrap();
             assert_eq!(plain.clustering.core, cancellable.clustering.core);
-            assert!(same_clustering(
-                &plain.clustering,
-                &cancellable.clustering,
-                &pts,
-                params
-            ));
+            assert_eq!(plain.clustering.labels, cancellable.clustering.labels);
+            assert_eq!(plain.clustering.labels, session.clustering.labels);
             assert_eq!(
                 plain.counters.core_identification,
                 cancellable.counters.core_identification
             );
-            if engine.index_config().sharding.is_none() {
-                // The sharded uncancellable path runs the stitched (two
-                // launch) shape, which counts work differently; flat paths
-                // must match bit for bit.
-                assert_eq!(
-                    plain.counters.cluster_formation,
-                    cancellable.counters.cluster_formation
-                );
-            }
+            assert_eq!(
+                plain.counters.cluster_formation,
+                cancellable.counters.cluster_formation
+            );
+            assert_eq!(
+                plain.counters.cluster_formation,
+                session.counters.cluster_formation
+            );
         }
     }
 

@@ -13,28 +13,29 @@
 //!    `minPts` neighbours are core points.
 //! 3. **Stage 2 — cluster formation** (Algorithm 3, lines 7–18): one ray per
 //!    core point; core neighbours merge through a parallel Union-Find and
-//!    border points are claimed atomically (the paper's critical section).
-//!    Neighbour lists are never materialised — the distance work is simply
-//!    recomputed, which is what keeps the memory footprint minimal.
+//!    each border point is claimed atomically for its lowest-index core
+//!    neighbour (the paper's critical section), so labels do not depend on
+//!    thread timing.  Neighbour lists are never materialised — the distance
+//!    work is simply recomputed, which is what keeps the memory footprint
+//!    minimal.
 //!
-//! Since the `NeighborIndex` redesign both stages run over *any* backend
-//! ([`RtDbscan::run_on`]): the default is the wide (BVH4) batched index —
-//! the layout real RT cores walk — with the binary BVH index as the
-//! traversal oracle, but the same two stages execute unchanged over a
-//! uniform grid or a brute-force scan.  The per-candidate work accounting
-//! (one `dist_comps` per Intersection-program invocation, AnyHit bounces for
-//! the triangle ablation) lives in the backend and is bit-identical to the
-//! pre-redesign pipeline launches.
+//! Both stages are the shared two-stage driver in `stages` and run over
+//! *any* backend ([`RtDbscan::run_on`]): the default is the wide (BVH4)
+//! batched index — the layout real RT cores walk — with the binary BVH
+//! index as the traversal oracle, but the same two stages execute unchanged
+//! over a two-level sharded scene, a uniform grid or a brute-force scan.
+//! The per-candidate work accounting (one `dist_comps` per
+//! Intersection-program invocation, AnyHit bounces for the triangle
+//! ablation) lives in the backend and is bit-identical to the pre-redesign
+//! pipeline launches.
 
-use crate::labels::Clustering;
 use crate::params::DbscanParams;
-use crate::runner::{timed, DbscanAlgorithm, PhaseCounters, PhaseTimings, RunResult};
+use crate::runner::{timed, DbscanAlgorithm, RunResult};
 use crate::stages;
 use rtcore::bvh::BuilderKind;
+use rtcore::fault::CancelScope;
 use rtcore::geometry::Point3;
-use rtcore::hardware::ExecutionPath;
 use rtcore::index::{GeometryKind, IndexKind, NeighborIndex, NeighborIndexBuilder};
-use rtcore::telemetry::PhaseKind;
 use rtcore::{Error, Result};
 
 /// Configuration of RT-DBSCAN.
@@ -132,73 +133,7 @@ impl RtDbscan {
         points: &[Point3],
         params: DbscanParams,
     ) -> Result<RunResult> {
-        params.validate()?;
-        let n = points.len();
-        let path = if index.capabilities().rt_core {
-            ExecutionPath::RtCore
-        } else {
-            ExecutionPath::ShaderCore
-        };
-        if n == 0 {
-            return Ok(RunResult {
-                clustering: Clustering::new(vec![], vec![]),
-                timings: PhaseTimings::default(),
-                counters: PhaseCounters::default(),
-                path,
-                device_bytes: 0,
-            });
-        }
-
-        // ------------------------------------------------------------------
-        // Stage 1: one query per point, count neighbours, mark core points.
-        // ------------------------------------------------------------------
-        let ((counts, stage1_counters), stage1_time) = timed(|| {
-            let span = index.telemetry().map(|t| t.span(PhaseKind::Stage1Launch));
-            let out = stages::count_all_neighbors(index, points, params.eps, None);
-            if let Some(mut s) = span {
-                s.add_counters(out.1);
-            }
-            out
-        });
-        let core: Vec<bool> = counts
-            .iter()
-            .map(|&count| count as usize >= params.min_pts)
-            .collect();
-
-        // ------------------------------------------------------------------
-        // Stage 2: one query per core point, union-find cluster formation.
-        // ------------------------------------------------------------------
-        let ((labels, stage2_counters), stage2_time) = timed(|| {
-            let span = index
-                .telemetry()
-                .map(|t| t.span(PhaseKind::Stage2UnionFind));
-            let out = stages::form_clusters(index, points, &core, params.eps);
-            if let Some(mut s) = span {
-                s.add_counters(out.1);
-            }
-            out
-        });
-
-        let device_bytes = index.device_bytes()
-            + std::mem::size_of_val(points) as u64
-            + (n * std::mem::size_of::<usize>()) as u64 // union-find parents
-            + 2 * n as u64; // core + claimed flags
-
-        Ok(RunResult {
-            clustering: Clustering::new(labels, core),
-            timings: PhaseTimings {
-                build: std::time::Duration::ZERO,
-                core_identification: stage1_time,
-                cluster_formation: stage2_time,
-            },
-            counters: PhaseCounters {
-                build: index.build_counters(),
-                core_identification: stage1_counters,
-                cluster_formation: stage2_counters,
-            },
-            path,
-            device_bytes,
-        })
+        stages::run_two_stage(index, points, params, false, &CancelScope::none())
     }
 }
 
@@ -237,7 +172,7 @@ mod tests {
     use crate::classic::ClassicDbscan;
     use crate::fdbscan::Fdbscan;
     use crate::metrics::same_clustering;
-    use rtcore::hardware::WorkCounters;
+    use rtcore::hardware::{ExecutionPath, WorkCounters};
 
     /// The engine-level session the removed `RtDbscanSession` shim used to
     /// wrap: default RT-DBSCAN configuration, any `minPts` per cluster call.

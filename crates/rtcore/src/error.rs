@@ -25,8 +25,6 @@ pub enum Error {
         /// Bytes still available on the simulated device.
         available: u64,
     },
-    /// A launch was attempted against a pipeline with no geometry attached.
-    MissingGeometry,
     /// A configuration value was out of range (for example a zero radius).
     InvalidConfig(String),
     /// A cancellable launch tripped its deadline or cancel token.
@@ -70,7 +68,6 @@ impl fmt::Display for Error {
                 f,
                 "simulated device out of memory: requested {requested} bytes, {available} available"
             ),
-            Error::MissingGeometry => write!(f, "pipeline launched without geometry"),
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Error::DeadlineExceeded { partial } => write!(
                 f,
@@ -130,7 +127,7 @@ mod tests {
     #[test]
     fn errors_are_comparable() {
         assert_eq!(Error::EmptyScene, Error::EmptyScene);
-        assert_ne!(Error::EmptyScene, Error::MissingGeometry);
+        assert_ne!(Error::EmptyScene, Error::InvalidConfig("x".into()));
     }
 
     #[test]

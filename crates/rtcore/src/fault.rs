@@ -543,7 +543,6 @@ mod tests {
 
     #[test]
     fn fail_point_returns_structured_error() {
-        use crate::error::Error;
         fn step(injector: &FaultInjector) -> crate::Result<()> {
             fail_point!(injector, FaultSite::Bvh4Collapse);
             Ok(())
@@ -554,12 +553,11 @@ mod tests {
             let injector = FaultInjector::new(FaultPlan::Seeded { seed: 0, one_in: 1 });
             assert_eq!(
                 step(&injector),
-                Err(Error::FaultInjected {
+                Err(crate::error::Error::FaultInjected {
                     site: "bvh4_collapse"
                 })
             );
         }
-        let _ = Error::MissingGeometry; // silence unused import without the feature
     }
 
     #[test]

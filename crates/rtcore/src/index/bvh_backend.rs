@@ -1260,7 +1260,8 @@ impl NeighborIndex for WideBatchedIndex {
                 partial: Box::new(WorkCounters::ZERO),
             });
         }
-        let total = self.batch_neighbors_impl(queries, eps, sink, Some(scope));
+        let total =
+            self.batch_neighbors_impl(queries, eps, sink, scope.is_active().then_some(scope));
         if scope.tripped() {
             return Err(Error::DeadlineExceeded {
                 // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
@@ -1311,7 +1312,7 @@ impl NeighborIndex for WideBatchedIndex {
             exclude_self,
             early_exit,
             counts,
-            Some(scope),
+            scope.is_active().then_some(scope),
         );
         if scope.tripped() {
             return Err(Error::DeadlineExceeded {

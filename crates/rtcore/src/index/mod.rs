@@ -54,7 +54,7 @@ pub use brute::BruteForceIndex;
 pub use bvh_backend::{BinaryBvhIndex, WideBatchedIndex};
 pub use csr::CsrNeighbors;
 pub use grid::UniformGridIndex;
-pub use sharded::{QuarantineReason, RecoveryStats, ShardSelect, ShardedIndex};
+pub use sharded::{QuarantineReason, RecoveryStats, ShardedIndex};
 
 pub use crate::bvh::{BuildParallelism, ShardingConfig};
 pub use crate::simd::SimdPolicy;
@@ -426,9 +426,9 @@ pub trait NeighborIndex: std::fmt::Debug + Send + Sync {
         None
     }
 
-    /// Downcast to the two-level sharded backend, when this index is one.
-    /// Engine stages use this to route stage 2 through the cross-shard
-    /// stitching launches instead of one flat launch.
+    /// Downcast to the two-level sharded backend, when this index is one —
+    /// the read-only entry point for shard inspection
+    /// ([`ShardedIndex::shard_count`], [`ShardedIndex::owner_shard`]).
     fn as_sharded(&self) -> Option<&ShardedIndex> {
         None
     }

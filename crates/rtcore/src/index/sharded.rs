@@ -184,17 +184,6 @@ struct ShardScratch {
     counts: Vec<AtomicU64>,
 }
 
-/// Which shards a stitched stage-2 launch targets per query (see
-/// [`ShardedIndex::batch_neighbors_stitched`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardSelect {
-    /// Only the query's owning shard — the intra-shard clustering pass.
-    Owner,
-    /// Every overlapping shard *except* the owner — the cross-shard
-    /// boundary pass whose edges the stitcher merges.
-    CrossOnly,
-}
-
 /// Two-level neighbour-search backend: a TLAS over Morton-range shards,
 /// each owning a bottom-level wide (BVH4) scene answered by the wavefront
 /// packet engine.
@@ -748,30 +737,25 @@ impl ShardedIndex {
 
     /// TLAS-descend every ray of one packet and lay out the per-shard
     /// sub-launch plan in `scratch.pairs` (sorted by shard, packet order
-    /// within a shard).  `filter(caller ordinal, shard)` prunes shards per
-    /// query — the stitched stage-2 passes select owner-only or cross-only
-    /// launches through it.
+    /// within a shard).
     #[allow(clippy::too_many_arguments)]
     fn plan_packet(
         tlas: &Tlas,
         shards: &[ShardSlot],
         ordered: &[Point3],
-        perm: Option<&[u32]>,
         start: usize,
         len: usize,
         overlaps: &mut Vec<u32>,
         pairs: &mut Vec<(u32, u32)>,
         counters: &mut WorkCounters,
-        filter: &(impl Fn(usize, u32) -> bool + ?Sized),
     ) {
         pairs.clear();
         for pos in 0..len {
             let ray = Ray::epsilon_ray(ordered[start + pos]);
             overlaps.clear();
             tlas.overlapping(&ray, counters, overlaps);
-            let global = caller_ordinal(perm, start + pos);
             for &s in overlaps.iter() {
-                if shards[s as usize].answers() && filter(global, s) {
+                if shards[s as usize].answers() {
                     pairs.push((s, pos as u32));
                 }
             }
@@ -856,7 +840,6 @@ impl ShardedIndex {
         len: usize,
         eps: f32,
         sink: &NeighborSink<'_>,
-        filter: &(impl Fn(usize, u32) -> bool + ?Sized),
         cancel: Option<&CancelScope>,
     ) -> WorkCounters {
         let mut local = WorkCounters::ZERO;
@@ -876,13 +859,11 @@ impl ShardedIndex {
             &self.tlas,
             &self.shards,
             ordered,
-            perm,
             start,
             len,
             overlaps,
             pairs,
             &mut local,
-            filter,
         );
         let mut i = 0;
         while i < pairs.len() {
@@ -960,13 +941,11 @@ impl ShardedIndex {
             &self.tlas,
             &self.shards,
             ordered,
-            perm,
             start,
             len,
             overlaps,
             pairs,
             &mut local,
-            &|_, _| true,
         );
         cells.clear();
         cells.resize_with(len, AtomicU64::default);
@@ -1051,7 +1030,6 @@ impl ShardedIndex {
         queries: &[Point3],
         eps: f32,
         sink: &NeighborSink<'_>,
-        filter: &(dyn Fn(usize, u32) -> bool + Sync),
         cancel: Option<&CancelScope>,
     ) -> WorkCounters {
         debug_assert!(eps <= self.eps, "query radius exceeds the build radius");
@@ -1070,7 +1048,7 @@ impl ShardedIndex {
             |packet| {
                 let start = packet * self.batch_size;
                 let len = self.batch_size.min(queries.len() - start);
-                self.trace_packet_sharded(ordered, perm, start, len, eps, sink, filter, cancel)
+                self.trace_packet_sharded(ordered, perm, start, len, eps, sink, cancel)
             },
         );
         total += setup;
@@ -1079,33 +1057,6 @@ impl ShardedIndex {
         self.record_launch_metrics(queries.len(), start_ns, &total);
         self.record(&total);
         total
-    }
-
-    /// Stage-2 stitching entry: launch each query against the shards
-    /// [`ShardSelect`] picks relative to its owning shard.  `owners[i]` is
-    /// the owning shard of `queries[i]` (from [`ShardedIndex::owner_shard`]).
-    /// The union of an [`ShardSelect::Owner`] and a
-    /// [`ShardSelect::CrossOnly`] launch over the same queries reports
-    /// exactly the neighbours (and charges exactly the candidate work) of
-    /// one plain [`NeighborIndex::batch_neighbors`] launch.
-    pub fn batch_neighbors_stitched(
-        &self,
-        queries: &[Point3],
-        owners: &[u32],
-        select: ShardSelect,
-        eps: f32,
-        counters: &mut WorkCounters,
-        sink: &NeighborSink<'_>,
-    ) {
-        assert_eq!(queries.len(), owners.len(), "one owning shard per query");
-        *counters += match select {
-            ShardSelect::Owner => {
-                self.launch_sink(queries, eps, sink, &|q, s| owners[q] == s, None)
-            }
-            ShardSelect::CrossOnly => {
-                self.launch_sink(queries, eps, sink, &|q, s| owners[q] != s, None)
-            }
-        };
     }
 
     /// Count-mode twin of [`ShardedIndex::launch_sink`]: same reorder /
@@ -1277,7 +1228,7 @@ impl NeighborIndex for ShardedIndex {
         counters: &mut WorkCounters,
         sink: &NeighborSink<'_>,
     ) {
-        *counters += self.launch_sink(queries, eps, sink, &|_, _| true, None);
+        *counters += self.launch_sink(queries, eps, sink, None);
     }
 
     fn batch_neighbor_counts(
@@ -1316,7 +1267,7 @@ impl NeighborIndex for ShardedIndex {
                 partial: Box::new(WorkCounters::ZERO),
             });
         }
-        let total = self.launch_sink(queries, eps, sink, &|_, _| true, Some(scope));
+        let total = self.launch_sink(queries, eps, sink, scope.is_active().then_some(scope));
         if scope.tripped() {
             return Err(Error::DeadlineExceeded {
                 // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
@@ -1349,7 +1300,13 @@ impl NeighborIndex for ShardedIndex {
                 partial: Box::new(WorkCounters::ZERO),
             });
         }
-        let total = self.launch_counts(queries, eps, exclude_self, counts, Some(scope));
+        let total = self.launch_counts(
+            queries,
+            eps,
+            exclude_self,
+            counts,
+            scope.is_active().then_some(scope),
+        );
         if scope.tripped() {
             return Err(Error::DeadlineExceeded {
                 // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
@@ -1628,56 +1585,25 @@ mod tests {
     }
 
     #[test]
-    fn stitched_launches_partition_the_neighbor_set() {
-        let pts = blob_points(400, 21);
-        let eps = 0.7f32;
-        let sharded = ShardedIndex::build(&sharded_config(48), &pts, eps).unwrap();
-        let owners: Vec<u32> = (0..pts.len())
-            .map(|i| sharded.owner_shard(i as u32).unwrap())
-            .collect();
-        let collect = |select: Option<ShardSelect>| {
-            let rows: Vec<Mutex<Vec<u32>>> =
-                (0..pts.len()).map(|_| Mutex::new(Vec::new())).collect();
-            let mut c = WorkCounters::ZERO;
-            let sink = |q: usize, n: Neighbor, _: &mut WorkCounters| {
-                rows[q].lock().push(n.index);
-                NeighborFlow::Continue
-            };
-            match select {
-                Some(s) => sharded.batch_neighbors_stitched(&pts, &owners, s, eps, &mut c, &sink),
-                None => sharded.batch_neighbors(&pts, eps, &mut c, &sink),
-            }
-            let rows: Vec<Vec<u32>> = rows
-                .into_iter()
-                .map(|m| {
-                    let mut v = m.into_inner();
-                    v.sort_unstable();
-                    v
-                })
-                .collect();
-            (rows, c)
-        };
-        let (all, call) = collect(None);
-        let (intra, cintra) = collect(Some(ShardSelect::Owner));
-        let (cross, ccross) = collect(Some(ShardSelect::CrossOnly));
-        for q in 0..pts.len() {
-            let mut merged: Vec<u32> = intra[q].iter().chain(&cross[q]).copied().collect();
-            merged.sort_unstable();
-            assert_eq!(merged, all[q], "query {q}");
-        }
-        assert_eq!(
-            cintra.dist_comps + ccross.dist_comps,
-            call.dist_comps,
-            "intra + cross candidate work must equal the plain launch"
-        );
-    }
-
-    #[test]
     fn eviction_drops_blases_and_keeps_answers_correct() {
         let pts = blob_points(300, 33);
         let eps = 0.5f32;
         let mut sharded = ShardedIndex::build(&sharded_config(32), &pts, eps).unwrap();
         let before = sharded.live_shard_count();
+        let mut gone = vec![false; pts.len()];
+        // Remaining queries answer exactly (vs brute force).
+        let check = |sharded: &ShardedIndex, gone: &[bool]| {
+            let mut c = WorkCounters::ZERO;
+            for q in (0..pts.len()).step_by(17) {
+                let mut got = sharded.neighbors_of(pts[q], eps, Some(q as u32), &mut c);
+                got.sort_unstable();
+                let want: Vec<u32> = (0..pts.len())
+                    .filter(|&j| j != q && !gone[j] && pts[j].distance_squared(pts[q]) <= eps * eps)
+                    .map(|j| j as u32)
+                    .collect();
+                assert_eq!(got, want, "query {q}");
+            }
+        };
         // Evict every point of shard 0 → that BLAS must drop.
         let shard0: Vec<u32> = (0..pts.len() as u32)
             .filter(|&i| sharded.owner_shard(i) == Some(0))
@@ -1686,24 +1612,24 @@ mod tests {
         sharded.remove(&shard0).unwrap();
         assert_eq!(sharded.live_shard_count(), before - 1);
         assert_eq!(sharded.owner_shard(shard0[0]), None);
-        // Remaining queries still answer exactly (vs brute force).
-        let mut c = WorkCounters::ZERO;
-        for q in (0..pts.len()).step_by(17) {
-            let mut got = sharded.neighbors_of(pts[q], eps, Some(q as u32), &mut c);
-            got.sort_unstable();
-            let mut want: Vec<u32> = pts
-                .iter()
-                .enumerate()
-                .filter(|&(j, p)| {
-                    j != q
-                        && !shard0.contains(&(j as u32))
-                        && p.distance_squared(pts[q]) <= eps * eps
-                })
-                .map(|(j, _)| j as u32)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "query {q}");
-        }
+        shard0.iter().for_each(|&i| gone[i as usize] = true);
+        check(&sharded, &gone);
+        // Retire every third survivor: the touched shards refit in place.
+        let thinned: Vec<u32> = (0..pts.len() as u32)
+            .filter(|&i| !gone[i as usize] && i % 3 == 0)
+            .collect();
+        let work = sharded.remove(&thinned).unwrap();
+        assert!(work.refit_node_ops > 0 || work.refits > 0);
+        thinned.iter().for_each(|&i| gone[i as usize] = true);
+        check(&sharded, &gone);
+        // Retiring the rest empties the scene: no BLAS is left live.
+        let rest: Vec<u32> = (0..pts.len() as u32)
+            .filter(|&i| !gone[i as usize])
+            .collect();
+        sharded.remove(&rest).unwrap();
+        assert!(sharded.is_empty());
+        assert_eq!(sharded.live_shard_count(), 0);
+        check(&sharded, &vec![true; pts.len()]);
     }
 
     #[test]

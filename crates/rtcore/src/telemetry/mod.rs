@@ -124,7 +124,9 @@ pub enum PhaseKind {
     MortonReorder,
     /// Stage 1: the batched neighbour-count launch over all points.
     Stage1Launch,
-    /// Stage 2: union-find cluster formation over core points.
+    /// Stage 2: the union-find cluster-formation launch over core points
+    /// (one launch on flat and sharded scenes alike) and the border-claim
+    /// unions after it.
     Stage2UnionFind,
     /// In-place BVH refit after removals/updates.
     Refit,
@@ -136,9 +138,6 @@ pub enum PhaseKind {
     TlasBuild,
     /// TLAS descent enumerating the BLASes a query packet overlaps.
     TlasVisit,
-    /// Cross-shard boundary pass merging clusters through the epoch
-    /// union-find so sharded labels match the flat path.
-    ShardStitch,
     /// A graceful-degradation step under memory pressure or fault
     /// recovery: evicting or quarantining a shard BLAS, or rebuilding one
     /// from quarantine.
@@ -147,7 +146,7 @@ pub enum PhaseKind {
 
 impl PhaseKind {
     /// Every phase, in taxonomy order.
-    pub const ALL: [PhaseKind; 12] = [
+    pub const ALL: [PhaseKind; 11] = [
         PhaseKind::LbvhBuild,
         PhaseKind::Bvh4Collapse,
         PhaseKind::MortonReorder,
@@ -158,7 +157,6 @@ impl PhaseKind {
         PhaseKind::StreamingSlide,
         PhaseKind::TlasBuild,
         PhaseKind::TlasVisit,
-        PhaseKind::ShardStitch,
         PhaseKind::Degrade,
     ];
 
@@ -175,7 +173,6 @@ impl PhaseKind {
             PhaseKind::StreamingSlide => "streaming_slide",
             PhaseKind::TlasBuild => "tlas_build",
             PhaseKind::TlasVisit => "tlas_visit",
-            PhaseKind::ShardStitch => "shard_stitch",
             PhaseKind::Degrade => "degrade",
         }
     }

@@ -592,6 +592,12 @@ pub mod sync {
                         self.0.fetch_sub(value, Ordering::SeqCst)
                     }
 
+                    /// Model-aware fetch_min.
+                    pub fn fetch_min(&self, value: $int, _order: Ordering) -> $int {
+                        yield_point();
+                        self.0.fetch_min(value, Ordering::SeqCst)
+                    }
+
                     /// Model-aware compare_exchange.
                     pub fn compare_exchange(
                         &self,

@@ -24,14 +24,15 @@
 //!   the partition dirty, to be re-formed lazily by the next
 //!   [`StreamingClusterer::snapshot`] with a stage-2-only pass (the O(1)
 //!   epoch reset makes that re-formation allocation-free).
-//! * [`ShardedWindow`] — streaming eviction over a two-level (TLAS over
-//!   sharded BLAS) scene: aging out a region of space empties its shard and
-//!   drops the whole bottom-level BVH, so no rebuild debt accumulates where
-//!   the window has moved on.
 //! * [`StreamingSnapshotAlgorithm`] — a [`rtdbscan::DbscanAlgorithm`]
 //!   adapter that replays a batch input through the streaming path, so the
 //!   oracle and metrics machinery (`same_clustering`, ARI/NMI, the bench
 //!   harness) applies to the streaming subsystem unchanged.
+//!
+//! Eviction over a two-level (TLAS over sharded BLAS) scene needs no
+//! wrapper here: `NeighborIndex::remove` on an `rtcore::index::ShardedIndex`
+//! routes retirements to their owning shards and drops every bottom-level
+//! BVH that eviction empties (see `examples/sharded_scene.rs`).
 //!
 //! Every piece of work — traversals, pending scans, refits, rebuilds,
 //! union/find traffic — is recorded in `rtcore::hardware::WorkCounters`,
@@ -44,11 +45,9 @@
 mod adapter;
 mod clusterer;
 mod engine_ext;
-mod sharded_window;
 mod window;
 
 pub use adapter::StreamingSnapshotAlgorithm;
 pub use clusterer::{IngestReport, StreamingClusterer, StreamingStats};
 pub use engine_ext::EngineStreamExt;
-pub use sharded_window::{ShardedWindow, ShardedWindowStats};
 pub use window::{StreamingConfig, WindowPolicy};

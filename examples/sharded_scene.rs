@@ -1,5 +1,5 @@
 //! Two-level scenes: the same clustering through a TLAS over sharded
-//! bottom-level BVHs, with cross-shard cluster stitching.
+//! bottom-level BVHs.
 //!
 //! ```text
 //! cargo run --release --example sharded_scene
@@ -13,9 +13,7 @@
 //! payoff: evicting a whole region of space drops its bottom-level BVH
 //! outright instead of refitting it.
 
-use rtdbscan::metrics::same_clustering;
 use rtdbscan_repro::prelude::*;
-use rtdbscan_stream::ShardedWindow;
 
 fn main() {
     // --- 1. A long chain of blobs, so clusters straddle shard cuts. --------
@@ -72,38 +70,42 @@ fn main() {
         sharded.counters.core_identification.blas_launches,
     );
     assert_eq!(flat.clustering.core, sharded.clustering.core);
+    assert_eq!(flat.clustering.labels, sharded.clustering.labels);
     assert_eq!(
         flat.counters.core_identification.dist_comps,
         sharded.counters.core_identification.dist_comps
     );
-    assert!(same_clustering(
-        &flat.clustering,
-        &sharded.clustering,
-        &points,
-        params
-    ));
     println!("=> identical labels and identical candidate work\n");
 
     // --- 3. Streaming eviction: aging out a region drops its BLAS. ---------
-    let mut window = ShardedWindow::build(&points, params.eps, 1024).unwrap();
-    let before = window.stats();
+    // Removal refits the scene in place, which needs one primitive per
+    // point, so this scene is built without compaction.
+    let engine = ClusterEngine::builder()
+        .params(params)
+        .compaction(false)
+        .shard_size(1024)
+        .build()
+        .unwrap();
+    let mut index = engine.build_index(&points).unwrap();
+    let scene = index.as_sharded_mut().unwrap();
+    let live_before = scene.live_shard_count();
     println!(
-        "window: {} shards planned over {} points",
-        before.planned_shards,
-        window.len()
+        "scene: {} shards planned over {} points",
+        scene.shard_count(),
+        scene.len()
     );
     // Retire everything the first two shards own (the oldest Morton range).
     let expired: Vec<u32> = (0..points.len() as u32)
-        .filter(|&i| matches!(window.index().owner_shard(i), Some(0) | Some(1)))
+        .filter(|&i| matches!(scene.owner_shard(i), Some(0) | Some(1)))
         .collect();
-    window.evict(&expired).unwrap();
-    let after = window.stats();
+    scene.remove(&expired).unwrap();
+    let dropped = live_before - scene.live_shard_count();
     println!(
         "evicted {} points: {} BLASes dropped, {} shards still live, {} points remain",
-        after.evicted_points,
-        after.dropped_blases,
-        after.live_shards,
-        window.len()
+        expired.len(),
+        dropped,
+        scene.live_shard_count(),
+        scene.len()
     );
-    assert!(after.dropped_blases >= 2);
+    assert!(dropped >= 2);
 }

@@ -102,7 +102,7 @@ fn sorted_rows(
 #[test]
 fn boundary_spanning_cluster_stitches_into_one_label() {
     // One dense line of points crossing every shard cut: the flat path sees
-    // one cluster, and the stitched path must agree even though every
+    // one cluster, and the sharded path must agree even though every
     // ε-neighbourhood on a cut straddles two BLASes.
     let pts: Vec<Point3> = (0..600)
         .map(|i| Point3::new_2d(i as f32 * 0.4, 0.0))
@@ -147,7 +147,7 @@ fn boundary_spanning_cluster_stitches_into_one_label() {
 #[test]
 fn exact_eps_distances_agree_across_the_shard_cut() {
     // Grid spacing exactly ε: every on-boundary pair must be admitted (or
-    // not) identically by both paths — a ULP of slop in the stitched
+    // not) identically by both paths — a ULP of slop in the per-BLAS
     // distance math would show up here.
     let eps = 1.0f32;
     let pts: Vec<Point3> = (0..24 * 24)
@@ -166,8 +166,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Property: on arbitrary blob + noise + duplicate workloads, the
-    /// sharded engine produces identical core flags and an equivalent
-    /// clustering to the flat engine, with identical stage-1 candidate
+    /// sharded engine produces identical core flags and bit-identical
+    /// labels to the flat engine, with identical stage-1 candidate
     /// counters.
     #[test]
     fn sharded_engine_matches_flat_engine(
@@ -200,6 +200,7 @@ proptest! {
             .run(&pts)
             .unwrap();
         prop_assert_eq!(&flat.clustering.core, &sharded.clustering.core);
+        prop_assert_eq!(&flat.clustering.labels, &sharded.clustering.labels);
         prop_assert!(same_clustering(&flat.clustering, &sharded.clustering, &pts, params));
         prop_assert_eq!(
             flat.counters.core_identification.dist_comps,
