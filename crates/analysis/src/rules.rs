@@ -15,7 +15,7 @@
 //! use rtdbscan_analyze::rules::registry;
 //!
 //! let rules = registry();
-//! assert_eq!(rules.len(), 5);
+//! assert_eq!(rules.len(), 6);
 //! // Every rule has a kebab-case name and a one-line summary.
 //! for rule in &rules {
 //!     assert!(rule.name.chars().all(|c| c.is_ascii_lowercase() || c == '-'));
@@ -122,6 +122,15 @@ pub fn registry() -> Vec<Rule> {
             },
             check: lib_unwrap,
         },
+        Rule {
+            name: "shared-tally",
+            summary: "no `.fetch_add` on a shared atomic in stage 2, the \
+                      union-find, traversal or the index backends — keep \
+                      tallies per worker in `WorkCounters`; indexed cells \
+                      (`counts[q].fetch_add`) stay legal",
+            applies: |p| SHARED_TALLY_SCOPE.iter().any(|s| p.starts_with(s)),
+            check: shared_tally,
+        },
     ]
 }
 
@@ -168,6 +177,15 @@ const HOT_MODULES: &[&str] = &[
     "crates/rtcore/src/traversal/batch.rs",
     "crates/rtcore/src/index/bvh_backend.rs",
     "crates/rtcore/src/index/sharded.rs",
+];
+
+/// Paths `shared-tally` inspects: the hot loops where one shared counter
+/// bumped by every worker serialises them on a single cache line.
+const SHARED_TALLY_SCOPE: &[&str] = &[
+    "crates/dbscan/src/stages.rs",
+    "crates/dbscan/src/disjoint_set/",
+    "crates/rtcore/src/traversal/",
+    "crates/rtcore/src/index/",
 ];
 
 /// Modules allowed to use atomics at all.  Everything else reaching for
@@ -444,6 +462,39 @@ fn lib_unwrap(ctx: &FileContext) -> Vec<Finding> {
                     "`panic!` in library code — return a structured error \
                  (fault-tolerant callers must never see a panic), or waive \
                  with the invariant that rules it out"
+                        .to_owned(),
+                ),
+            );
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// shared-tally
+// ---------------------------------------------------------------------------
+
+/// `.fetch_add` whose receiver does not end in an index (`]`).  A receiver
+/// like `self.finds` is one cell every worker bumps; `counts[q]` is a
+/// per-query (or per-shard) cell with one writer at a time, which is how
+/// the count output mode and the shard popularity ticks are built.
+fn shared_tally(ctx: &FileContext) -> Vec<Finding> {
+    let mut out = Vec::new();
+    let toks = ctx.tokens;
+    for w in code_windows(toks, 3) {
+        let [receiver_end, dot, method] = [&toks[w], &toks[w + 1], &toks[w + 2]];
+        if dot.is_punct(".")
+            && method.is_ident("fetch_add")
+            && !receiver_end.is_punct("]")
+            && !ctx.in_test_region(method.line)
+        {
+            out.push(
+                ctx.finding(
+                    "shared-tally",
+                    method,
+                    "`.fetch_add` on a shared atomic — every worker bumping one \
+                 cell serialises them on its cache line; tally into the \
+                 worker's `WorkCounters` and merge when the workers join"
                         .to_owned(),
                 ),
             );
@@ -769,6 +820,17 @@ mod tests {
             "fn f(x: u8) { match x { 0 => {} _ => unreachable!(\"masked\") } }\n#[cfg(test)]\nmod t { fn g() { panic!(\"fine in tests\") } }",
         )
         .is_empty());
+    }
+
+    #[test]
+    fn shared_tally_spares_indexed_cells_and_other_paths() {
+        let src = "// ordering: tallies\nfn f(s: &S, q: usize) { s.finds.fetch_add(1, Ordering::Relaxed); s.counts[q].fetch_add(1, Ordering::Relaxed); }";
+        let f = ctx_findings("crates/rtcore/src/index/grid.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "shared-tally");
+        assert!(ctx_findings("crates/rtcore/src/telemetry/mod.rs", src)
+            .iter()
+            .all(|f| f.rule != "shared-tally"));
     }
 
     #[test]

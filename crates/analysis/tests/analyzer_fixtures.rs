@@ -150,6 +150,25 @@ fn fault_module_panic_span_waiver_and_unreachable_exemption() {
 }
 
 #[test]
+fn shared_tally_spans_indexed_cells_and_waiver() {
+    let report = analyze_fixture(
+        "shared_tally.rs",
+        "crates/dbscan/src/disjoint_set/concurrent.rs",
+    );
+    assert_eq!(
+        spans(&report),
+        vec![("shared-tally", 14, 20), ("shared-tally", 15, 22)],
+        "{:#?}",
+        report.findings
+    );
+    assert!(report.findings[0].message.contains("WorkCounters"));
+    assert_eq!(
+        report.waivers_used, 1,
+        "the waived shared bump must be counted; indexed cells and test code need no waiver"
+    );
+}
+
+#[test]
 fn lexer_tricky_cases_are_clean() {
     // Analyzed as a hot, allowlisted, unwrap-scoped module so every rule
     // runs; all the "violations" live inside strings and comments.

@@ -32,47 +32,92 @@ fn concurrent_dsu_overlapping_unions_converge() {
         let a = {
             let dsu = Arc::clone(&dsu);
             thread::spawn(move || {
-                dsu.union(0, 1);
+                dsu.union(0, 1, &mut WorkCounters::default());
             })
         };
         let b = {
             let dsu = Arc::clone(&dsu);
             thread::spawn(move || {
-                dsu.union(1, 2);
+                dsu.union(1, 2, &mut WorkCounters::default());
             })
         };
         a.join().unwrap();
         b.join().unwrap();
-        assert!(dsu.same_set(0, 2), "unions did not merge transitively");
-        assert_eq!(dsu.find(0), 0, "links must point at the smallest index");
-        assert_eq!(dsu.find(1), 0);
-        assert_eq!(dsu.find(2), 0);
+        let mut t = WorkCounters::ZERO;
+        assert!(
+            dsu.same_set(0, 2, &mut t),
+            "unions did not merge transitively"
+        );
+        assert_eq!(
+            dsu.find(0, &mut t),
+            0,
+            "links must point at the smallest index"
+        );
+        assert_eq!(dsu.find(1, &mut t), 0);
+        assert_eq!(dsu.find(2, &mut t), 0);
     });
     assert!(schedules > 1, "scheduler explored only one interleaving");
 }
 
 /// Two threads racing to union the *same* pair: the linking CAS guarantees
 /// exactly one of them performs the merge in every interleaving (this is
-/// the linearization point of `union`).
+/// the linearization point of `union`), and only the winner's tally
+/// records it.
 #[test]
 fn concurrent_dsu_racing_same_pair_merges_once() {
     loom::model(|| {
         let dsu = Arc::new(ConcurrentDisjointSet::new(2));
         let spawn_union = |dsu: &Arc<ConcurrentDisjointSet>| {
             let dsu = Arc::clone(dsu);
-            thread::spawn(move || dsu.union(0, 1))
+            thread::spawn(move || {
+                let mut tally = WorkCounters::ZERO;
+                let merged = dsu.union(0, 1, &mut tally);
+                (merged, tally.union_ops)
+            })
         };
         let a = spawn_union(&dsu);
         let b = spawn_union(&dsu);
-        let merged_a = a.join().unwrap();
-        let merged_b = b.join().unwrap();
+        let (merged_a, tally_a) = a.join().unwrap();
+        let (merged_b, tally_b) = b.join().unwrap();
         assert!(
             merged_a ^ merged_b,
             "exactly one thread must win the linking CAS (a={merged_a}, b={merged_b})"
         );
-        let (_, merges) = dsu.op_counts();
-        assert_eq!(merges, 1, "merge counter must record the single link");
+        assert_eq!(tally_a, merged_a as u64, "a's tally must match its merge");
+        assert_eq!(tally_b, merged_b as u64, "b's tally must match its merge");
     });
+}
+
+/// Three threads race overlapping unions, each charging its own tally, one
+/// of them redundant once the other two land: {0,1}, {1,2} and {0,2} over
+/// four elements.  In every schedule the tallied `union_ops` must sum to
+/// the elements minus the final sets (4 − 2), which is what makes stage
+/// 2's per-worker `union_ops` exact whatever the thread count.
+#[test]
+fn concurrent_dsu_per_worker_union_tallies_sum_exactly() {
+    const N: usize = 4;
+    let schedules = loom::model(|| {
+        let dsu = Arc::new(ConcurrentDisjointSet::new(N));
+        let spawn_union = |a: usize, b: usize| {
+            let dsu = Arc::clone(&dsu);
+            thread::spawn(move || {
+                let mut tally = WorkCounters::ZERO;
+                dsu.union(a, b, &mut tally);
+                tally.union_ops
+            })
+        };
+        let workers = [spawn_union(0, 1), spawn_union(1, 2), spawn_union(0, 2)];
+        let merged: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        let mut t = WorkCounters::ZERO;
+        let sets = (0..N).filter(|&i| dsu.find(i, &mut t) == i).count();
+        assert_eq!(sets, 2, "{{0, 1, 2}} and {{3}}");
+        assert_eq!(
+            merged,
+            (N - sets) as u64,
+            "per-worker union tallies must sum to elements minus final sets"
+        );
+    });
+    assert!(schedules > 1, "scheduler explored only one interleaving");
 }
 
 /// A `find` racing a `union` observes either the pre-link or post-link
@@ -83,17 +128,18 @@ fn concurrent_dsu_racing_same_pair_merges_once() {
 fn concurrent_dsu_find_during_union_is_linearizable() {
     loom::model(|| {
         let dsu = Arc::new(ConcurrentDisjointSet::new(3));
+        let mut t = WorkCounters::ZERO;
         // Pre-link 1 under 2 so the racing union must re-root a chain.
-        dsu.union(1, 2);
+        dsu.union(1, 2, &mut t);
         let u = {
             let dsu = Arc::clone(&dsu);
             thread::spawn(move || {
-                dsu.union(0, 2);
+                dsu.union(0, 2, &mut WorkCounters::default());
             })
         };
         let f = {
             let dsu = Arc::clone(&dsu);
-            thread::spawn(move || dsu.find(2))
+            thread::spawn(move || dsu.find(2, &mut WorkCounters::default()))
         };
         let observed = f.join().unwrap();
         u.join().unwrap();
@@ -101,8 +147,12 @@ fn concurrent_dsu_find_during_union_is_linearizable() {
             observed == 0 || observed == 1,
             "find must see a valid pre- or post-union root, got {observed}"
         );
-        assert_eq!(dsu.find(2), 0, "post-join root must be the merged minimum");
-        assert!(dsu.same_set(0, 1));
+        assert_eq!(
+            dsu.find(2, &mut t),
+            0,
+            "post-join root must be the merged minimum"
+        );
+        assert!(dsu.same_set(0, 1, &mut t));
     });
 }
 
@@ -125,7 +175,7 @@ fn border_claim_settles_on_the_lowest_core_in_every_schedule() {
             let (dsu, slot) = (Arc::clone(&dsu), Arc::clone(&slot));
             thread::spawn(move || {
                 if let Some(q) = core_neighbor {
-                    dsu.union(p as usize, q);
+                    dsu.union(p as usize, q, &mut WorkCounters::default());
                 }
                 if p < slot.load(Ordering::Relaxed) {
                     slot.fetch_min(p, Ordering::Relaxed);
@@ -143,10 +193,22 @@ fn border_claim_settles_on_the_lowest_core_in_every_schedule() {
         // The joins publish every lowered value to this reader.
         let claim = slot.load(Ordering::Relaxed);
         assert_eq!(claim, 0, "the claim must settle on the lowest core");
-        dsu.union(claim as usize, BORDER);
-        assert_eq!(dsu.find(BORDER), dsu.find(0), "border joins core 0");
-        assert!(!dsu.same_set(BORDER, 2), "border must not join {{1, 2}}");
-        assert_eq!(dsu.find(2), 1, "the {{1, 2}} cluster keeps its own root");
+        let mut t = WorkCounters::ZERO;
+        dsu.union(claim as usize, BORDER, &mut t);
+        assert_eq!(
+            dsu.find(BORDER, &mut t),
+            dsu.find(0, &mut t),
+            "border joins core 0"
+        );
+        assert!(
+            !dsu.same_set(BORDER, 2, &mut t),
+            "border must not join {{1, 2}}"
+        );
+        assert_eq!(
+            dsu.find(2, &mut t),
+            1,
+            "the {{1, 2}} cluster keeps its own root"
+        );
     });
     assert!(schedules > 1, "scheduler explored only one interleaving");
 }

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rayon::prelude::*;
+use rtcore::hardware::WorkCounters;
 use rtdbscan::disjoint_set::{ConcurrentDisjointSet, SequentialDisjointSet};
 
 /// Deterministic pseudo-random union pairs resembling DBSCAN's stage 2:
@@ -41,10 +42,11 @@ fn bench_union_find(c: &mut Criterion) {
         |b, _| {
             b.iter(|| {
                 let dsu = ConcurrentDisjointSet::new(n);
+                let mut tally = WorkCounters::ZERO;
                 for &(a, bb) in &pairs {
-                    dsu.union(a, bb);
+                    dsu.union(a, bb, &mut tally);
                 }
-                std::hint::black_box(dsu.find(0))
+                std::hint::black_box(dsu.find(0, &mut tally))
             })
         },
     );
@@ -55,10 +57,17 @@ fn bench_union_find(c: &mut Criterion) {
         |b, _| {
             b.iter(|| {
                 let dsu = ConcurrentDisjointSet::new(n);
-                pairs.par_iter().for_each(|&(a, bb)| {
-                    dsu.union(a, bb);
-                });
-                std::hint::black_box(dsu.find(0))
+                // Each work item charges a tally of its own, summed after
+                // the join, as stage 2's packets do.
+                let merges: u64 = pairs
+                    .par_iter()
+                    .map(|&(a, bb)| {
+                        let mut tally = WorkCounters::ZERO;
+                        dsu.union(a, bb, &mut tally);
+                        tally.union_ops
+                    })
+                    .sum();
+                std::hint::black_box(merges)
             })
         },
     );

@@ -3,10 +3,12 @@
 //! engine-façade guard for the `NeighborIndex` redesign.
 //!
 //! Before the wall-clock groups run, a counter report is printed for each
-//! size: rays / distance computations / primitive tests (which must match
-//! exactly between the two engines — proof that both answered identical
-//! queries), the node-visit counters, and the simulated-device node-visit
-//! charge under the RT-core cost profile.  At every size — including
+//! size: stage-1 rays / distance computations / primitive tests (which must
+//! match exactly between the two engines — proof that both answered
+//! identical queries), stage 2's labels and merges (which must match too;
+//! its sampling launch follows each engine's emission order, so its query
+//! work may differ), the node-visit counters, and the simulated-device
+//! node-visit charge under the RT-core cost profile.  At every size — including
 //! n ≥ 100 000 — the wide batched engine must report a strictly smaller
 //! simulated node-visit charge than the binary engine; the process aborts
 //! with a panic otherwise, so regressions cannot print a plausible-looking
@@ -40,27 +42,42 @@ fn report_and_assert(n: usize, points: &[rtcore::geometry::Point3], params: Dbsc
         .run(points, params)
         .unwrap();
 
-    let w = wide.counters.core_identification + wide.counters.cluster_formation;
-    let b = binary.counters.core_identification + binary.counters.cluster_formation;
-    assert_eq!(w.rays, b.rays, "n={n}: engines launched different queries");
+    let (w1, b1) = (
+        &wide.counters.core_identification,
+        &binary.counters.core_identification,
+    );
     assert_eq!(
-        w.dist_comps, b.dist_comps,
+        w1.rays, b1.rays,
+        "n={n}: engines launched different queries"
+    );
+    assert_eq!(
+        w1.dist_comps, b1.dist_comps,
         "n={n}: engines filtered different candidates"
     );
     assert_eq!(
-        w.prim_tests, b.prim_tests,
+        w1.prim_tests, b1.prim_tests,
         "n={n}: engines tested different primitives"
     );
     assert_eq!(
         wide.clustering.core, binary.clustering.core,
         "n={n}: engines disagreed on core points"
     );
+    assert_eq!(
+        wide.clustering.labels, binary.clustering.labels,
+        "n={n}: engines formed different clusters"
+    );
+    assert_eq!(
+        wide.counters.cluster_formation.union_ops, binary.counters.cluster_formation.union_ops,
+        "n={n}: engines merged a different number of sets"
+    );
+    let w = wide.counters.core_identification + wide.counters.cluster_formation;
+    let b = binary.counters.core_identification + binary.counters.cluster_formation;
 
     let profile = CostProfile::rt_core();
     let wide_ns = node_visit_charge_ns(&profile, &w);
     let binary_ns = node_visit_charge_ns(&profile, &b);
     println!(
-        "n={n:>7}  (dist_comps identical on both engines)\n\
+        "n={n:>7}  (stage-1 dist_comps identical on both engines)\n\
          \tbinary: charge={binary_ns:>12.0} ns  [{}]\n\
          \twide:   charge={wide_ns:>12.0} ns  [{}]  ({:.2}x cheaper)",
         b.summary_line(),

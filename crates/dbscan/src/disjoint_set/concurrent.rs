@@ -8,41 +8,34 @@
 //! under races: the final forest depends only on the set of union pairs, not
 //! on their interleaving, which is what makes the parallel clustering
 //! reproducible.
+//!
+//! The forest keeps no statistics of its own.  Every `find` and `union`
+//! charges the caller's [`WorkCounters`] tally instead: inside a launch that
+//! is the packet-local counter set the neighbour sink receives, merged when
+//! the workers join, so no worker ever writes a cache line another worker
+//! reads on its hot path.
 
 // Under the `loom` feature the forest's atomics become model-aware so the
 // interleaving checker can exhaustively schedule concurrent unions; release
 // builds compile to the std atomics with zero overhead.
 #[cfg(feature = "loom")]
-use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use loom::sync::atomic::{AtomicUsize, Ordering};
+use rtcore::hardware::{sat_bump, WorkCounters};
 #[cfg(not(feature = "loom"))]
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A disjoint-set forest that can be updated concurrently from many threads
 /// through shared references.
 #[derive(Debug)]
 pub struct ConcurrentDisjointSet {
     parent: Vec<AtomicUsize>,
-    finds: OwnLines<AtomicU64>,
-    merges: AtomicU64,
 }
-
-/// Keeps a value on cache lines of its own.  Every `find` on every worker
-/// bumps the `finds` tally, and every `find` reads the `parent` header:
-/// sharing a line made each bump evict that header from the other workers,
-/// by an amount that depended on where the set landed in memory, so stage
-/// 2's time changed from one process to the next.  128 bytes also covers
-/// the adjacent-line prefetcher's pairs.
-#[derive(Debug)]
-#[repr(align(128))]
-struct OwnLines<T>(T);
 
 impl ConcurrentDisjointSet {
     /// Create `n` singleton sets.
     pub fn new(n: usize) -> Self {
         ConcurrentDisjointSet {
             parent: (0..n).map(AtomicUsize::new).collect(),
-            finds: OwnLines(AtomicU64::new(0)),
-            merges: AtomicU64::new(0),
         }
     }
 
@@ -56,14 +49,15 @@ impl ConcurrentDisjointSet {
         self.parent.is_empty()
     }
 
-    /// Find the representative of `x` with path halving.
+    /// Find the representative of `x` with path halving, charging one
+    /// `find_ops` to `tally`.
     // ordering: Acquire on parent loads pairs with the AcqRel CAS in
     // `union`/the halving CAS, so a thread that observes a link also
     // observes everything published before it; the halving CAS itself is
     // AcqRel (Relaxed on failure — a lost race is retried, nothing is
-    // published).  The `finds` tally is Relaxed: statistics only.
-    pub fn find(&self, mut x: usize) -> usize {
-        self.finds.0.fetch_add(1, Ordering::Relaxed);
+    // published).
+    pub fn find(&self, mut x: usize, tally: &mut WorkCounters) -> usize {
+        sat_bump(&mut tally.find_ops, 1);
         loop {
             let p = self.parent[x].load(Ordering::Acquire);
             if p == x {
@@ -85,15 +79,16 @@ impl ConcurrentDisjointSet {
     }
 
     /// Merge the sets containing `a` and `b`.  Returns `true` if this call
-    /// performed the merge (false if they were already in the same set).
+    /// performed the merge (false if they were already in the same set);
+    /// a performed merge charges one `union_ops` to `tally`, so the tallies
+    /// of every caller sum to the elements minus the final sets.
     // ordering: the linking CAS is AcqRel — Release publishes the new edge
     // to subsequent Acquire loads in `find`, Acquire orders this thread
     // against the edge it replaces; failure uses Acquire because the
-    // observed value feeds the retry's root resolution.  The `merges`
-    // tally is Relaxed: statistics only.
-    pub fn union(&self, a: usize, b: usize) -> bool {
-        let mut ra = self.find(a);
-        let mut rb = self.find(b);
+    // observed value feeds the retry's root resolution.
+    pub fn union(&self, a: usize, b: usize, tally: &mut WorkCounters) -> bool {
+        let mut ra = self.find(a, tally);
+        let mut rb = self.find(b, tally);
         loop {
             if ra == rb {
                 return false;
@@ -104,13 +99,13 @@ impl ConcurrentDisjointSet {
             let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
             match self.parent[hi].compare_exchange(hi, lo, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
-                    self.merges.fetch_add(1, Ordering::Relaxed);
+                    sat_bump(&mut tally.union_ops, 1);
                     return true;
                 }
                 Err(_) => {
                     // Someone moved `hi` first; re-resolve the roots and retry.
-                    ra = self.find(ra);
-                    rb = self.find(rb);
+                    ra = self.find(ra, tally);
+                    rb = self.find(rb, tally);
                 }
             }
         }
@@ -122,12 +117,12 @@ impl ConcurrentDisjointSet {
     /// pattern: parallel union phase, join, then read).
     // ordering: Acquire root re-checks pair with union's Release CAS so a
     // root that still self-parents here really was a root at the check.
-    pub fn same_set(&self, a: usize, b: usize) -> bool {
+    pub fn same_set(&self, a: usize, b: usize, tally: &mut WorkCounters) -> bool {
         // Re-check after resolving both to tolerate a concurrent union that
         // finished between the two finds.
         loop {
-            let ra = self.find(a);
-            let rb = self.find(b);
+            let ra = self.find(a, tally);
+            let rb = self.find(b, tally);
             if ra == rb {
                 return true;
             }
@@ -140,18 +135,8 @@ impl ConcurrentDisjointSet {
     }
 
     /// Final representative of every element; call after the parallel phase.
-    pub fn roots(&self) -> Vec<usize> {
-        (0..self.len()).map(|i| self.find(i)).collect()
-    }
-
-    /// (find operations, successful merges) performed so far.
-    // ordering: Relaxed — monitoring tallies, read after the parallel
-    // phase joins.
-    pub fn op_counts(&self) -> (u64, u64) {
-        (
-            self.finds.0.load(Ordering::Relaxed),
-            self.merges.load(Ordering::Relaxed),
-        )
+    pub fn roots(&self, tally: &mut WorkCounters) -> Vec<usize> {
+        (0..self.len()).map(|i| self.find(i, tally)).collect()
     }
 }
 
@@ -163,36 +148,45 @@ mod tests {
     #[test]
     fn basic_union_find() {
         let dsu = ConcurrentDisjointSet::new(4);
+        let mut t = WorkCounters::ZERO;
         assert_eq!(dsu.len(), 4);
-        assert!(dsu.union(0, 1));
-        assert!(!dsu.union(1, 0));
-        assert!(dsu.same_set(0, 1));
-        assert!(!dsu.same_set(0, 2));
-        assert!(dsu.union(2, 3));
-        assert!(dsu.union(0, 3));
-        assert!(dsu.same_set(1, 2));
-        let (finds, merges) = dsu.op_counts();
-        assert_eq!(merges, 3);
-        assert!(finds > 0);
+        assert!(dsu.union(0, 1, &mut t));
+        assert!(!dsu.union(1, 0, &mut t));
+        assert!(dsu.same_set(0, 1, &mut t));
+        assert!(!dsu.same_set(0, 2, &mut t));
+        assert!(dsu.union(2, 3, &mut t));
+        assert!(dsu.union(0, 3, &mut t));
+        assert!(dsu.same_set(1, 2, &mut t));
+        assert_eq!(t.union_ops, 3);
+        assert!(t.find_ops > 0);
     }
 
     #[test]
     fn empty_is_fine() {
         let dsu = ConcurrentDisjointSet::new(0);
         assert!(dsu.is_empty());
-        assert!(dsu.roots().is_empty());
+        assert!(dsu.roots(&mut WorkCounters::default()).is_empty());
     }
 
     #[test]
     fn parallel_chain_union_produces_one_set() {
         let n = 10_000;
         let dsu = ConcurrentDisjointSet::new(n);
-        (0..n - 1).into_par_iter().for_each(|i| {
-            dsu.union(i, i + 1);
-        });
-        let root0 = dsu.find(0);
+        // One tally per item, folded after the join: the performed merges
+        // sum to the elements minus the final sets (n - 1 for a chain).
+        let merged: u64 = (0..n - 1)
+            .into_par_iter()
+            .map(|i| {
+                let mut t = WorkCounters::ZERO;
+                dsu.union(i, i + 1, &mut t);
+                t.union_ops
+            })
+            .sum();
+        assert_eq!(merged, n as u64 - 1);
+        let mut t = WorkCounters::ZERO;
+        let root0 = dsu.find(0, &mut t);
         for i in (0..n).step_by(97) {
-            assert_eq!(dsu.find(i), root0);
+            assert_eq!(dsu.find(i, &mut t), root0);
         }
     }
 
@@ -210,16 +204,21 @@ mod tests {
             .collect();
         let conc = ConcurrentDisjointSet::new(n);
         pairs.par_iter().for_each(|&(a, b)| {
-            conc.union(a, b);
+            conc.union(a, b, &mut WorkCounters::default());
         });
         let mut seq = SequentialDisjointSet::new(n);
         for &(a, b) in &pairs {
             seq.union(a, b);
         }
         // Compare partitions via canonical root-of-first-member maps.
+        let mut t = WorkCounters::ZERO;
         for i in 0..n {
             for j in [0, 1, 7, 500, n - 1] {
-                assert_eq!(conc.same_set(i, j), seq.same_set(i, j), "pair ({i},{j})");
+                assert_eq!(
+                    conc.same_set(i, j, &mut t),
+                    seq.same_set(i, j),
+                    "pair ({i},{j})"
+                );
             }
         }
     }
@@ -227,46 +226,33 @@ mod tests {
     #[test]
     fn roots_are_self_parents() {
         let dsu = ConcurrentDisjointSet::new(100);
+        let mut t = WorkCounters::ZERO;
         for i in 0..50 {
-            dsu.union(i, i + 50);
+            dsu.union(i, i + 50, &mut t);
         }
-        for (i, r) in dsu.roots().into_iter().enumerate() {
-            assert_eq!(dsu.find(r), r, "root of {i} is not a root");
+        for (i, r) in dsu.roots(&mut t).into_iter().enumerate() {
+            assert_eq!(dsu.find(r, &mut t), r, "root of {i} is not a root");
         }
     }
 
     #[test]
     fn deterministic_forest_under_concurrency() {
         // The same union set applied twice in parallel must give the same
-        // same_set relation (linking by smallest index makes it so).
+        // roots: links always point at the smallest index of the set, so
+        // every root is its set's minimum, whatever the interleaving.
         let n = 1000;
         let pairs: Vec<(usize, usize)> = (0..n).map(|i| (i, (i * 37 + 11) % n)).collect();
         let run = || {
             let dsu = ConcurrentDisjointSet::new(n);
             pairs.par_iter().for_each(|&(a, b)| {
-                dsu.union(a, b);
+                dsu.union(a, b, &mut WorkCounters::default());
             });
-            dsu.roots()
+            dsu.roots(&mut WorkCounters::default())
         };
-        // Roots themselves are deterministic because links always point to
-        // the smallest index in the set after full path resolution.
         let a: Vec<usize> = run();
-        let b: Vec<usize> = run();
-        // Compare the partitions they induce.
-        let canon = |roots: &[usize]| {
-            let mut map = std::collections::HashMap::new();
-            let mut next = 0usize;
-            roots
-                .iter()
-                .map(|r| {
-                    *map.entry(*r).or_insert_with(|| {
-                        let v = next;
-                        next += 1;
-                        v
-                    })
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(canon(&a), canon(&b));
+        assert_eq!(a, run());
+        for (i, &r) in a.iter().enumerate() {
+            assert!(r <= i, "root {r} of {i} is not its set's minimum");
+        }
     }
 }

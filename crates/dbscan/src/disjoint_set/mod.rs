@@ -16,8 +16,14 @@
 //!   via epoch stamping, used by the streaming clusterer to re-form
 //!   clusters across sliding-window snapshots without reallocating.
 //!
-//! Both structures count the union/find work they perform so the device
-//! cost model can charge it.
+//! Every structure counts the union/find work it performs so the device
+//! cost model can charge it.  The sequential and epoch structures are
+//! `&mut`-only and keep their own tallies; the concurrent forest keeps none
+//! and charges each `find`/`union` to a [`WorkCounters`] tally the caller
+//! passes in (one per worker), so its statistics never become a shared
+//! cache line.
+//!
+//! [`WorkCounters`]: rtcore::hardware::WorkCounters
 
 mod concurrent;
 mod epoch;
@@ -30,6 +36,7 @@ pub use sequential::SequentialDisjointSet;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtcore::hardware::WorkCounters;
 
     /// The two implementations must agree on the final partition for any
     /// sequence of unions.
@@ -52,15 +59,16 @@ mod tests {
 
         let mut seq = SequentialDisjointSet::new(n);
         let conc = ConcurrentDisjointSet::new(n);
+        let mut t = WorkCounters::ZERO;
         for &(a, b) in &unions {
             seq.union(a, b);
-            conc.union(a, b);
+            conc.union(a, b, &mut t);
         }
         for i in 0..n {
             for j in 0..n.min(50) {
                 assert_eq!(
                     seq.same_set(i, j),
-                    conc.same_set(i, j),
+                    conc.same_set(i, j, &mut t),
                     "disagreement on ({i}, {j})"
                 );
             }

@@ -865,14 +865,18 @@ impl ClusterEngine {
     /// Like [`ClusterEngine::session`], this always runs the two-stage
     /// formulation over the engine's backend, whatever [`Algo`] was
     /// configured (stage boundaries are where cancellation composes);
-    /// [`Algo::FdbscanEarlyExit`]'s stage-1 early exit is honoured.
+    /// [`Algo::FdbscanEarlyExit`]'s stage-1 early exit is honoured, and the
+    /// work is charged to the configured algorithm's execution path, as
+    /// [`ClusterEngine::run`] charges it.
     pub fn run_cancellable(&self, points: &[Point3], scope: &CancelScope) -> Result<RunResult> {
         self.params.validate()?;
         self.check_launch(points.len())?;
         let (index, build_time) = timed(|| self.index.build(points, self.params.eps));
+        let index = index?;
         let early_exit = self.algo == Algo::FdbscanEarlyExit;
+        let path = self.path_on(index.as_ref());
         let mut result =
-            stages::run_two_stage(index?.as_ref(), points, self.params, early_exit, scope)?;
+            stages::run_two_stage(index.as_ref(), points, self.params, early_exit, path, scope)?;
         result.timings.build += build_time;
         Ok(result)
     }
@@ -883,11 +887,24 @@ impl ClusterEngine {
     ///
     /// The session always uses the two-stage formulation (stage-1 counts
     /// are exactly what it caches), whatever [`Algo`] the engine was built
-    /// with — the backend is still this engine's backend.
+    /// with — the backend is still this engine's backend, and its results
+    /// report the configured algorithm's execution path.
     pub fn session(&self, points: &[Point3]) -> Result<ClusterSession> {
         self.check_launch(points.len())?;
         let (index, build_time) = timed(|| self.index.build(points, self.params.eps));
-        ClusterSession::create(index?, points, self.params.eps, build_time)
+        let index = index?;
+        let path = self.path_on(index.as_ref());
+        ClusterSession::create(index, points, self.params.eps, build_time, path)
+    }
+
+    /// The execution path the configured algorithm charges its work to:
+    /// RT-DBSCAN's depends on the backend, every baseline runs on the
+    /// shader cores whatever the backend.
+    fn path_on(&self, index: &dyn NeighborIndex) -> ExecutionPath {
+        match self.algo {
+            Algo::Rt => RtDbscan::path_on(index),
+            _ => ExecutionPath::ShaderCore,
+        }
     }
 }
 
@@ -939,18 +956,15 @@ pub struct ClusterSession {
 }
 
 impl ClusterSession {
-    /// Record stage-1 neighbour counts over an already-built index.
+    /// Record stage-1 neighbour counts over an already-built index; every
+    /// result of the session reports `path`.
     pub(crate) fn create(
         index: Box<dyn NeighborIndex>,
         points: &[Point3],
         eps: f32,
         build_time: Duration,
+        path: ExecutionPath,
     ) -> Result<Self> {
-        let path = if index.capabilities().rt_core {
-            ExecutionPath::RtCore
-        } else {
-            ExecutionPath::ShaderCore
-        };
         let (stage1, stage1_time) = timed(|| {
             stages::count_all_neighbors(index.as_ref(), points, eps, None, &CancelScope::none())
         });
@@ -1041,6 +1055,7 @@ impl ClusterSession {
             stages::form_clusters(
                 self.index.as_ref(),
                 &self.points,
+                &self.neighbor_counts,
                 &core,
                 self.eps,
                 &CancelScope::none(),
@@ -1453,18 +1468,31 @@ mod tests {
         use rtcore::fault::CancelScope;
         let pts = blobs();
         let params = DbscanParams::new(0.5, 5).unwrap();
-        // Flat and sharded backends: the none-scope cancellable path must be
-        // bit-identical to the plain two-stage run (labels and counters —
-        // this is the "deadline checks are free when unset" contract), and a
-        // session's stage 2 must produce the same labels and work.
+        // Flat and sharded backends, RT-DBSCAN and FDBSCAN: the none-scope
+        // cancellable path must be bit-identical to the plain two-stage run
+        // (labels and counters — this is the "deadline checks are free when
+        // unset" contract), a session's stage 2 must produce the same labels
+        // and work, and all three must charge the algorithm's execution
+        // path, so the device model prices them alike.
         for build in [
             ClusterEngine::builder().params(params),
             ClusterEngine::builder().params(params).shard_size(48),
+            ClusterEngine::builder()
+                .params(params)
+                .algorithm(Algo::Fdbscan),
         ] {
             let engine = build.build().unwrap();
             let plain = engine.run(&pts).unwrap();
             let cancellable = engine.run_cancellable(&pts, &CancelScope::none()).unwrap();
             let session = engine.session(&pts).unwrap().cluster(5).unwrap();
+            let algo = engine.algo();
+            assert_eq!(plain.path, cancellable.path, "{algo:?}");
+            assert_eq!(plain.path, session.path, "{algo:?}");
+            assert_eq!(
+                engine.simulate(&plain).total(),
+                engine.simulate(&cancellable).total(),
+                "{algo:?}"
+            );
             assert_eq!(plain.clustering.core, cancellable.clustering.core);
             assert_eq!(plain.clustering.labels, cancellable.clustering.labels);
             assert_eq!(plain.clustering.labels, session.clustering.labels);

@@ -81,10 +81,14 @@ impl Fdbscan {
         points: &[Point3],
         params: DbscanParams,
     ) -> Result<RunResult> {
-        let mut result =
-            stages::run_two_stage(index, points, params, self.early_exit, &CancelScope::none())?;
-        result.path = ExecutionPath::ShaderCore;
-        Ok(result)
+        stages::run_two_stage(
+            index,
+            points,
+            params,
+            self.early_exit,
+            ExecutionPath::ShaderCore,
+            &CancelScope::none(),
+        )
     }
 }
 
@@ -202,7 +206,10 @@ mod tests {
         assert_eq!(r.path, ExecutionPath::ShaderCore);
         assert!(r.counters.build.build_prims as usize == pts.len());
         assert!(r.counters.core_identification.rays as usize == pts.len());
-        assert!(r.counters.cluster_formation.rays as usize <= pts.len());
+        // One full query per core at most, plus one sampling query per core
+        // when the sampled skip is tried.
+        let core_count = r.clustering.core_count();
+        assert!(r.counters.cluster_formation.rays as usize <= pts.len() + core_count);
         assert!(r.counters.cluster_formation.union_ops > 0);
         assert!(r.device_bytes > 0);
         assert_eq!(r.clustering.len(), pts.len());

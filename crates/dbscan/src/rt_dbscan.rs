@@ -35,6 +35,7 @@ use crate::stages;
 use rtcore::bvh::BuilderKind;
 use rtcore::fault::CancelScope;
 use rtcore::geometry::Point3;
+use rtcore::hardware::ExecutionPath;
 use rtcore::index::{GeometryKind, IndexKind, NeighborIndex, NeighborIndexBuilder};
 use rtcore::{Error, Result};
 
@@ -133,7 +134,18 @@ impl RtDbscan {
         points: &[Point3],
         params: DbscanParams,
     ) -> Result<RunResult> {
-        stages::run_two_stage(index, points, params, false, &CancelScope::none())
+        let path = Self::path_on(index);
+        stages::run_two_stage(index, points, params, false, path, &CancelScope::none())
+    }
+
+    /// The execution path RT-DBSCAN's work over `index` is charged to: the
+    /// RT cores when the backend is BVH-backed, the shader cores otherwise.
+    pub(crate) fn path_on(index: &dyn NeighborIndex) -> ExecutionPath {
+        if index.capabilities().rt_core {
+            ExecutionPath::RtCore
+        } else {
+            ExecutionPath::ShaderCore
+        }
     }
 }
 

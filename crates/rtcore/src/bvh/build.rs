@@ -44,7 +44,8 @@ pub enum BuildParallelism {
     /// Single-threaded build (the default; exact legacy code path).
     #[default]
     Sequential,
-    /// One logical chunk per available core.
+    /// One logical chunk per worker of the thread pool
+    /// (`rayon::current_num_threads`, which honours `RAYON_NUM_THREADS`).
     Auto,
     /// A fixed logical chunk count (clamped to at least 1).
     Threads(usize),
@@ -55,9 +56,7 @@ impl BuildParallelism {
     pub fn resolved(self) -> usize {
         match self {
             BuildParallelism::Sequential => 1,
-            BuildParallelism::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            BuildParallelism::Auto => rayon::current_num_threads(),
             BuildParallelism::Threads(t) => t.max(1),
         }
     }

@@ -14,8 +14,13 @@
 //! ordered `collect` stays deterministic: chunk results are concatenated
 //! in chunk order, which for 1:1 adapters reproduces the sequential order
 //! exactly.
+//!
+//! The worker count is [`current_num_threads`]: `RAYON_NUM_THREADS` when it
+//! is set to a positive number, read once per process as real rayon reads
+//! it when its global pool starts, else one worker per available core.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 pub mod prelude {
     //! The rayon prelude: the traits call sites import with `use
@@ -25,10 +30,42 @@ pub mod prelude {
     };
 }
 
-fn max_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// Most workers a `RAYON_NUM_THREADS` value can ask for.  A larger value is
+/// capped here, so a stray setting can never make one parallel call start
+/// thousands of threads.
+const MAX_ENV_THREADS: usize = 64;
+
+/// The number of workers parallel iterators split their work across:
+/// `RAYON_NUM_THREADS` when it holds a positive number (capped at 64),
+/// else the available parallelism.  Read once per process; `0` and values
+/// that are not numbers fall back to the default, as in rayon.
+pub fn current_num_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        let env = std::env::var("RAYON_NUM_THREADS").ok();
+        threads_from_env(env.as_deref()).unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+    })
+}
+
+/// The worker count a `RAYON_NUM_THREADS` value asks for, if it asks for
+/// one: a positive number, capped at [`MAX_ENV_THREADS`].
+fn threads_from_env(value: Option<&str>) -> Option<usize> {
+    let n: usize = value?.trim().parse().ok()?;
+    (n > 0).then(|| n.min(MAX_ENV_THREADS))
+}
+
+/// How `n > 0` base indices split across `workers`: `(chunks, chunk
+/// length)`, one scoped thread per chunk.  Ceiling-sized chunks can cover
+/// `n` in fewer chunks than workers (10 items over 8 workers is five chunks
+/// of two), so the chunk count is recomputed from the length and no thread
+/// is handed an empty or inverted range.
+fn split(n: usize, workers: usize) -> (usize, usize) {
+    let chunk = n.div_ceil(workers.clamp(1, n));
+    (n.div_ceil(chunk), chunk)
 }
 
 /// Run `produce` for every index in `[0, n)`, split across scoped threads,
@@ -38,17 +75,16 @@ fn collect_chunks<I: ParallelIterator>(it: &I) -> Vec<Vec<I::Item>> {
     if n == 0 {
         return Vec::new();
     }
-    let threads = max_threads().min(n);
-    if threads <= 1 {
+    let (chunks, chunk) = split(n, current_num_threads());
+    if chunks <= 1 {
         let mut local = Vec::with_capacity(n);
         for i in 0..n {
             it.produce(i, &mut |x| local.push(x));
         }
         return vec![local];
     }
-    let chunk = n.div_ceil(threads);
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (0..chunks)
             .map(|t| {
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(n);
@@ -106,18 +142,17 @@ pub trait ParallelIterator: Sized + Send + Sync {
         if n == 0 {
             return;
         }
-        let threads = max_threads().min(n);
-        if threads <= 1 {
+        let (chunks, chunk) = split(n, current_num_threads());
+        if chunks <= 1 {
             for i in 0..n {
                 self.produce(i, &mut |x| f(x));
             }
             return;
         }
-        let chunk = n.div_ceil(threads);
         let it = &self;
         let f = &f;
         std::thread::scope(|s| {
-            for t in 0..threads {
+            for t in 0..chunks {
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(n);
                 s.spawn(move || {
@@ -342,6 +377,49 @@ where
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+
+    #[test]
+    fn env_thread_count_is_positive_numbers_capped() {
+        use super::{threads_from_env, MAX_ENV_THREADS};
+        assert_eq!(threads_from_env(None), None);
+        assert_eq!(threads_from_env(Some("0")), None);
+        assert_eq!(threads_from_env(Some("")), None);
+        assert_eq!(threads_from_env(Some("two")), None);
+        assert_eq!(threads_from_env(Some("-3")), None);
+        assert_eq!(threads_from_env(Some("1")), Some(1));
+        assert_eq!(threads_from_env(Some(" 8 ")), Some(8));
+        // Pure parsing: no thread is started for the oversized values.
+        assert_eq!(threads_from_env(Some("100000")), Some(MAX_ENV_THREADS));
+        assert_eq!(
+            threads_from_env(Some("99999999999999999999999")),
+            None,
+            "a value past usize is not a number of threads"
+        );
+        assert!(super::current_num_threads() >= 1);
+    }
+
+    #[test]
+    fn split_never_hands_out_an_empty_chunk() {
+        use super::split;
+        assert_eq!(split(10, 8), (5, 2));
+        assert_eq!(split(10, 2), (2, 5));
+        assert_eq!(split(3, 8), (3, 1));
+        assert_eq!(split(1, 4), (1, 1));
+        assert_eq!(split(7, 0), (1, 7));
+        for n in 1..200 {
+            for workers in 1..=64 {
+                let (chunks, chunk) = split(n, workers);
+                assert!(
+                    chunks <= workers && chunks * chunk >= n,
+                    "{n} over {workers}"
+                );
+                assert!(
+                    (chunks - 1) * chunk < n,
+                    "{n} over {workers}: empty last chunk"
+                );
+            }
+        }
+    }
 
     #[test]
     fn map_collect_preserves_order() {

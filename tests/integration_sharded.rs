@@ -17,9 +17,9 @@ use rtcore::bvh::{
 };
 use rtcore::geometry::Point3;
 use rtcore::hardware::WorkCounters;
-use rtcore::index::{IndexKind, NeighborIndex, NeighborIndexBuilder, ShardingConfig};
+use rtcore::index::{IndexKind, NeighborIndex, NeighborIndexBuilder, QueryOrder, ShardingConfig};
 use rtdbscan::metrics::same_clustering;
-use rtdbscan::{ClusterEngine, DbscanParams};
+use rtdbscan::{ClusterEngine, DbscanParams, RunResult};
 
 /// Mixed workload: blobs laid out in a row (so clusters span the Morton
 /// shard cuts), plus far-away noise and exact duplicates.
@@ -168,7 +168,10 @@ proptest! {
     /// Property: on arbitrary blob + noise + duplicate workloads, the
     /// sharded engine produces identical core flags and bit-identical
     /// labels to the flat engine, with identical stage-1 candidate
-    /// counters.
+    /// counters.  A dense, mostly-core single blob engages stage 2's
+    /// sampled skip (its stage-2 candidate work falls below stage 1's),
+    /// and its labels stay bit-identical between flat and sharded scenes
+    /// and between Morton and as-given query order.
     #[test]
     fn sharded_engine_matches_flat_engine(
         blobs in 1usize..5,
@@ -210,6 +213,38 @@ proptest! {
             flat.counters.core_identification.prim_tests,
             sharded.counters.core_identification.prim_tests
         );
+
+        let dense = workload(1, 200, noise, duplicates, seed);
+        let run = |shard: Option<usize>, order: QueryOrder| -> RunResult {
+            let mut b = ClusterEngine::builder()
+                .eps(eps)
+                .min_pts(min_pts)
+                .bvh_builder(BuilderKind::Lbvh)
+                .query_order(order);
+            if let Some(s) = shard {
+                b = b.shard_size(s);
+            }
+            b.build().unwrap().run(&dense).unwrap()
+        };
+        let flat = run(None, QueryOrder::Morton);
+        let (stage1, stage2) = (
+            &flat.counters.core_identification,
+            &flat.counters.cluster_formation,
+        );
+        prop_assert!(
+            stage2.dist_comps < stage1.dist_comps,
+            "the sampled skip did not engage: stage 2 {} vs stage 1 {} dist_comps",
+            stage2.dist_comps,
+            stage1.dist_comps
+        );
+        for (shard, order) in [
+            (Some(shard), QueryOrder::Morton),
+            (None, QueryOrder::AsGiven),
+            (Some(shard), QueryOrder::AsGiven),
+        ] {
+            let other = run(shard, order);
+            prop_assert_eq!(&flat.clustering.labels, &other.clustering.labels, "{:?} {:?}", shard, order);
+        }
     }
 
     /// Property: the raw index surfaces agree — per-row sorted CSR

@@ -46,23 +46,25 @@ fn wide_batched_beats_binary_on_simulated_node_visits_at_scale() {
         .run(&points, params)
         .unwrap();
 
-    // Both paths answered identical queries: same rays, same exact distance
-    // filters, same primitive candidates, same answers.
-    for (w, b) in [
-        (
-            &wide.counters.core_identification,
-            &binary.counters.core_identification,
-        ),
-        (
-            &wide.counters.cluster_formation,
-            &binary.counters.cluster_formation,
-        ),
-    ] {
-        assert_eq!(w.rays, b.rays);
-        assert_eq!(w.dist_comps, b.dist_comps);
-        assert_eq!(w.prim_tests, b.prim_tests);
-    }
+    // Stage 1 answered identical queries on both paths: same rays, same
+    // exact distance filters, same primitive candidates, same answers.
+    let (w, b) = (
+        &wide.counters.core_identification,
+        &binary.counters.core_identification,
+    );
+    assert_eq!(w.rays, b.rays);
+    assert_eq!(w.dist_comps, b.dist_comps);
+    assert_eq!(w.prim_tests, b.prim_tests);
     assert_eq!(wide.clustering.core, binary.clustering.core);
+    // Stage 2's sampling launch stops each query after its first core
+    // neighbours in the backend's emission order, so its query work differs
+    // between the engines; the clustering it forms may not: bit-identical
+    // labels, and the same number of merges.
+    assert_eq!(wide.clustering.labels, binary.clustering.labels);
+    assert_eq!(
+        wide.counters.cluster_formation.union_ops,
+        binary.counters.cluster_formation.union_ops
+    );
     assert!(same_clustering(
         &wide.clustering,
         &binary.clustering,
