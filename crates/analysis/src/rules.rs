@@ -175,8 +175,10 @@ const COUNTER_FIELDS: &[&str] = &[
 /// guarantee); `hot-path-alloc` only inspects these.
 const HOT_MODULES: &[&str] = &[
     "crates/rtcore/src/traversal/batch.rs",
+    "crates/rtcore/src/traversal/order.rs",
     "crates/rtcore/src/index/bvh_backend.rs",
     "crates/rtcore/src/index/sharded.rs",
+    "crates/rtcore/src/bvh/tlas.rs",
 ];
 
 /// Paths `shared-tally` inspects: the hot loops where one shared counter

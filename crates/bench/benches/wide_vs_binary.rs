@@ -21,8 +21,9 @@
 //! engine and asserts they report identical per-point neighbour counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use rtcore::bvh::BuilderKind;
 use rtcore::hardware::{CostProfile, WorkCounters};
-use rtcore::index::IndexKind;
+use rtcore::index::{IndexKind, QueryOrder};
 use rtdbscan::engine::{Algo, ClusterEngine};
 use rtdbscan::{DbscanAlgorithm, DbscanParams, RtDbscan};
 use rtdbscan_datasets::{generate, PaperDataset};
@@ -94,12 +95,15 @@ fn report_and_assert(n: usize, points: &[rtcore::geometry::Point3], params: Dbsc
 /// The redesign guard: the engine façade must cost nothing and every
 /// backend must answer every query identically.
 fn assert_facade_is_free(n: usize, points: &[rtcore::geometry::Point3], params: DbscanParams) {
-    // (1) Zero added hot-path work: direct call vs engine call, counter
-    // identity on the quantities the RT device charges per query.
+    // (1) Zero added hot-path work: direct call vs engine call pinned to
+    // the same (paper) configuration, counter identity on the quantities
+    // the RT device charges per query.
     let direct = RtDbscan::default().run(points, params).unwrap();
     let engine = ClusterEngine::builder()
         .algorithm(Algo::Rt)
         .index(IndexKind::WideBatched)
+        .bvh_builder(BuilderKind::BinnedSah)
+        .query_order(QueryOrder::AsGiven)
         .params(params)
         .build()
         .unwrap();
@@ -115,6 +119,18 @@ fn assert_facade_is_free(n: usize, points: &[rtcore::geometry::Point3], params: 
     );
     assert_eq!(direct.counters.build, via_engine.counters.build);
     assert_eq!(direct.clustering.core, via_engine.clustering.core);
+    // The engine's own default (LBVH, Morton launches) labels identically.
+    let default_engine = ClusterEngine::builder()
+        .algorithm(Algo::Rt)
+        .params(params)
+        .build()
+        .unwrap()
+        .run(points)
+        .unwrap();
+    assert_eq!(
+        direct.clustering.labels, default_engine.clustering.labels,
+        "n={n}: the engine default must label like the paper configuration"
+    );
 
     // (2) Backend identity: all four backends, driven through the engine's
     // session mode, report identical per-point neighbour counts.

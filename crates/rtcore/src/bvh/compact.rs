@@ -18,7 +18,7 @@
 //! The pass is part of the RT path only; the FDBSCAN/ArborX-style baseline
 //! keeps one primitive per point, as the original library does.
 
-use crate::geometry::{Point3, Sphere};
+use crate::geometry::{morton_encode_3d, radix_sort_perm_by_key, Aabb, Point3, Sphere};
 use std::collections::HashMap;
 
 /// Result of compacting a point set into sphere primitives.
@@ -64,36 +64,91 @@ impl CompactionResult {
 /// `-0.0 == 0.0`), so no tolerance parameter is involved and the pass cannot
 /// change clustering semantics: coincident points have identical
 /// ε-neighbourhoods by definition.
+///
+/// The pass sorts instead of hashing: coincident points share a Morton code,
+/// so a stable radix sort by code leaves every group inside one run of equal
+/// codes.  One pass over the runs then splits each run by exact
+/// [`Point3::bit_key`].  Each group's representative is its lowest index
+/// (the first-seen point of a scan in input order) and the spheres come out
+/// in ascending representative order.
 pub fn compact_coincident(points: &[Point3], radius: f32) -> CompactionResult {
-    let mut first_seen: HashMap<(u32, u32, u32), u32> = HashMap::with_capacity(points.len());
-    let mut spheres: Vec<Sphere> = Vec::with_capacity(points.len());
-    // Maps representative point index -> index of its sphere in `spheres`.
-    let mut sphere_of_rep: HashMap<u32, usize> = HashMap::new();
-    let mut representative_of = vec![0u32; points.len()];
+    let n = points.len();
+    // Codes are computed from the canonical key coordinates, so points that
+    // share a key share a code whatever the sign of their zeros.
+    let canonical = |p: Point3| {
+        let (x, y, z) = p.bit_key();
+        Point3::new(f32::from_bits(x), f32::from_bits(y), f32::from_bits(z))
+    };
+    let bounds = Aabb::from_point_slice(points);
+    let extent = bounds.extent();
+    let mut codes: Vec<u32> = points
+        .iter()
+        .map(|&p| morton_encode_3d(canonical(p), bounds.min, extent))
+        .collect();
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    let mut lane: Vec<u32> = Vec::with_capacity(n);
+    radix_sort_perm_by_key(&codes, &mut order, &mut lane);
 
+    let mut representative_of: Vec<u32> = (0..n as u32).collect();
+    let mut run_start = 0;
+    while run_start < n {
+        let code = codes[order[run_start] as usize];
+        let mut run_end = run_start + 1;
+        while run_end < n && codes[order[run_end] as usize] == code {
+            run_end += 1;
+        }
+        group_run(
+            points,
+            &mut order[run_start..run_end],
+            &mut representative_of,
+        );
+        run_start = run_end;
+    }
+    drop((order, lane));
+    // Tally multiplicities per representative in the code lane, which is
+    // free again.
+    let multiplicity = &mut codes;
+    multiplicity.fill(0);
+    for &rep in &representative_of {
+        multiplicity[rep as usize] += 1;
+    }
+    let mut spheres: Vec<Sphere> = Vec::with_capacity(n);
     for (i, &p) in points.iter().enumerate() {
-        let key = p.bit_key();
-        match first_seen.get(&key) {
-            Some(&rep) => {
-                representative_of[i] = rep;
-                let sphere_idx = sphere_of_rep[&rep];
-                spheres[sphere_idx].multiplicity += 1;
-            }
-            None => {
-                let rep = i as u32;
-                first_seen.insert(key, rep);
-                representative_of[i] = rep;
-                sphere_of_rep.insert(rep, spheres.len());
-                spheres.push(Sphere::new(p, radius, rep));
-            }
+        if representative_of[i] == i as u32 {
+            let mut sphere = Sphere::new(p, radius, i as u32);
+            sphere.multiplicity = multiplicity[i];
+            spheres.push(sphere);
         }
     }
 
-    let merged = (points.len() - spheres.len()) as u64;
+    let merged = (n - spheres.len()) as u64;
     CompactionResult {
         spheres,
         representative_of,
         merged,
+    }
+}
+
+/// Split one run of equal Morton codes into groups of equal
+/// [`Point3::bit_key`], pointing every member at its group's lowest index.
+/// Sorting by key (ties by index) keeps a pile of thousands of coincident
+/// points at O(k log k).
+fn group_run(points: &[Point3], run: &mut [u32], representative_of: &mut [u32]) {
+    if run.len() <= 1 {
+        return;
+    }
+    run.sort_unstable_by_key(|&i| (points[i as usize].bit_key(), i));
+    let mut group_start = 0;
+    for k in 1..=run.len() {
+        let boundary = k == run.len()
+            || points[run[k] as usize].bit_key() != points[run[group_start] as usize].bit_key();
+        if boundary {
+            let rep = run[group_start];
+            for &i in &run[group_start + 1..k] {
+                representative_of[i as usize] = rep;
+            }
+            group_start = k;
+        }
     }
 }
 

@@ -90,7 +90,9 @@ pub fn plan_shards_with(
     // Push right before left so the explicit stack pops ranges in ascending
     // order.
     let n = sorted_prims.len();
+    // analyze-allow: hot-path-alloc -- build path: the shard range list is allocated once per scene plan
     let mut ranges = Vec::new();
+    // analyze-allow: hot-path-alloc -- build path: the cut-descent stack is allocated once per scene plan
     let mut stack = vec![(0usize, n)];
     while let Some((start, end)) = stack.pop() {
         if end - start <= max_shard {
@@ -156,6 +158,7 @@ impl Tlas {
     /// leaves with empty boxes — `intersects_ray` never hits them.  Charges
     /// one `build_node_ops` per emitted node.
     pub fn build(shard_bounds: &[Aabb], counters: &mut WorkCounters) -> Tlas {
+        // analyze-allow: hot-path-alloc -- build path: the node array is allocated once per TLAS (re)build, not per query
         let mut tlas = Tlas { nodes: Vec::new() };
         if !shard_bounds.is_empty() {
             tlas.emit(shard_bounds, 0, shard_bounds.len(), counters);
@@ -215,26 +218,70 @@ impl Tlas {
     /// gate — so the enumeration is conservative: a BLAS that could produce
     /// candidates is always listed (a listed BLAS may still produce none).
     pub fn overlapping(&self, ray: &Ray, counters: &mut WorkCounters, out: &mut Vec<u32>) {
+        self.descend(
+            counters,
+            |node| node.intersects_ray(ray),
+            |shard, _, _| out.push(shard),
+        );
+    }
+
+    /// Call `leaf(shard, leaf_box, counters)` for every shard leaf whose box
+    /// overlaps `bounds`, in ascending shard order, charging
+    /// `tlas_node_visits` for every node popped.  A packet router bounds
+    /// its rays once, descends with that box, and then tests each ray only
+    /// against the leaf boxes reached: a leaf containing a ray's origin
+    /// overlaps any box containing that origin, and so does each of its
+    /// ancestors, so no leaf a per-ray [`Tlas::overlapping`] would list is
+    /// missed.
+    pub(crate) fn for_each_leaf_overlapping(
+        &self,
+        bounds: &Aabb,
+        counters: &mut WorkCounters,
+        leaf: impl FnMut(u32, &Aabb, &mut WorkCounters),
+    ) {
+        self.descend(counters, |node| node.intersects_aabb(bounds), leaf);
+    }
+
+    /// Depth-first descent on a fixed-size stack: pop a node, charge one
+    /// `tlas_node_visits`, skip it unless `enter` accepts its box, hand
+    /// leaves to `leaf` and push interior children right-then-left so
+    /// leaves come out in ascending shard order.
+    fn descend(
+        &self,
+        counters: &mut WorkCounters,
+        enter: impl Fn(&Aabb) -> bool,
+        mut leaf: impl FnMut(u32, &Aabb, &mut WorkCounters),
+    ) {
         if self.nodes.is_empty() {
             return;
         }
-        let mut stack = vec![0u32];
-        while let Some(ni) = stack.pop() {
+        // `Tlas::build` splits shard ranges at their midpoint, so the tree
+        // depth is at most ceil(log2(shards)) <= 32 and a depth-first walk
+        // holds at most depth + 1 pending nodes.
+        let mut stack = [0u32; TLAS_STACK];
+        let mut top = 1usize;
+        while top > 0 {
+            top -= 1;
+            let ni = stack[top];
             sat_bump(&mut counters.tlas_node_visits, 1);
             let node = &self.nodes[ni as usize];
-            if !node.bounds.intersects_ray(ray) {
+            if !enter(&node.bounds) {
                 continue;
             }
             match node.kind {
-                TlasNodeKind::Leaf { shard } => out.push(shard),
+                TlasNodeKind::Leaf { shard } => leaf(shard, &node.bounds, counters),
                 TlasNodeKind::Internal { left, right } => {
-                    stack.push(right);
-                    stack.push(left);
+                    stack[top] = right;
+                    stack[top + 1] = left;
+                    top += 2;
                 }
             }
         }
     }
 }
+
+/// Pending-node capacity of the TLAS descent stack (see [`Tlas::descend`]).
+const TLAS_STACK: usize = 64;
 
 #[cfg(test)]
 mod tests {

@@ -12,11 +12,11 @@ mod sphere;
 mod vec3;
 
 pub use aabb::Aabb;
-pub(crate) use morton::SendPtr;
 pub use morton::{
     morton_encode_3d, morton_encode_normalized, radix_sort_by_code, radix_sort_by_code_parallel,
     MortonCode, RadixSortStats,
 };
+pub(crate) use morton::{radix_sort_perm_by_key, SendPtr};
 pub use point::Point3;
 pub use ray::{Ray, RayInterval};
 pub use sphere::Sphere;

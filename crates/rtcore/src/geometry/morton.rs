@@ -14,7 +14,10 @@
 //! parallel scatter into disjoint output regions).  Both produce bit-identical
 //! output and charge exactly the same number of scatter operations; the
 //! parallel variant additionally reports its cross-chunk histogram merges so
-//! the cost model can see where the bookkeeping differs.
+//! the cost model can see where the bookkeeping differs.  A third,
+//! [`radix_sort_perm_by_key`], sorts a bare `u32` permutation by a key lane
+//! in the same order, for the Morton launch reorder and primitive
+//! compaction, which need no sorted copy of their inputs.
 
 use rayon::prelude::*;
 
@@ -111,6 +114,53 @@ pub fn radix_sort_by_code(codes: &mut Vec<MortonCode>) -> u64 {
         std::mem::swap(codes, &mut scratch);
     }
     ops
+}
+
+/// Stable LSD radix sort of a permutation by per-element keys (8-bit
+/// digits, 4 passes): on return `perm` lists `0..keys.len()` ordered by
+/// `keys[i]`, ties by ascending `i` — exactly the order
+/// [`radix_sort_by_code`] gives `(code, index)` pairs built in index order.
+///
+/// Only `u32` lanes move: `perm` and the caller-held ping-pong lane `buf`
+/// are grow-only, so a warm caller sorts without touching the allocator.
+/// The digit histograms do not depend on element order, so all four come
+/// from one sequential pass over `keys`, and a pass whose digit is the same
+/// for every key (a stable no-op) is skipped.  Returns the scatter
+/// operations charged, the same `4 × n` as [`radix_sort_by_code`].
+pub(crate) fn radix_sort_perm_by_key(keys: &[u32], perm: &mut Vec<u32>, buf: &mut Vec<u32>) -> u64 {
+    let n = keys.len();
+    perm.clear();
+    perm.extend(0..n as u32);
+    if n <= 1 {
+        return 0;
+    }
+    let mut counts = [[0usize; 256]; 4];
+    for &k in keys {
+        for (pass, histogram) in counts.iter_mut().enumerate() {
+            histogram[((k >> (pass * 8)) & 0xff) as usize] += 1;
+        }
+    }
+    buf.clear();
+    buf.resize(n, 0);
+    for (pass, histogram) in counts.iter().enumerate() {
+        if histogram.contains(&n) {
+            continue;
+        }
+        let shift = pass * 8;
+        let mut offsets = [0usize; 256];
+        let mut running = 0usize;
+        for (digit, &count) in histogram.iter().enumerate() {
+            offsets[digit] = running;
+            running += count;
+        }
+        for &i in perm.iter() {
+            let digit = ((keys[i as usize] >> shift) & 0xff) as usize;
+            buf[offsets[digit]] = i;
+            offsets[digit] += 1;
+        }
+        std::mem::swap(perm, buf);
+    }
+    4 * n as u64
 }
 
 /// Raw-pointer wrapper that lets chunk workers write into *disjoint* regions

@@ -53,10 +53,30 @@ pub(crate) fn caller_ordinal(perm: Option<&[u32]>, pos: usize) -> usize {
     perm.map_or(pos, |p| p[pos] as usize)
 }
 
+/// Fill a packet's ray staging buffer with the epsilon rays of launch
+/// positions `start..start + len`, gathering each origin through `ids`
+/// (identity when `None`).  The buffer is grow-only, so a warm worker
+/// stages without allocating.
+#[inline]
+fn stage_rays(
+    rays: &mut Vec<Ray>,
+    queries: &[Point3],
+    ids: Option<&[u32]>,
+    start: usize,
+    len: usize,
+) {
+    rays.clear();
+    rays.extend(
+        (start..start + len).map(|pos| Ray::epsilon_ray(queries[caller_ordinal(ids, pos)])),
+    );
+}
+
 /// Per-worker reusable state for one packet (or one single-ray query):
 /// the staged epsilon rays plus the traversal scratch.  Checked out of the
 /// core's [`ScratchPool`] for the duration of one work item; grow-only, so
-/// the steady state never touches the allocator.
+/// the steady state never touches the allocator.  The rays are the
+/// packet's only copy of its query origins: they are gathered through the
+/// launch permutation, and `rays[q].origin` is packet query `q`.
 #[derive(Debug, Default)]
 struct PacketScratch {
     rays: Vec<Ray>,
@@ -779,8 +799,8 @@ impl WideBatchedIndex {
     /// Check a reorder scratch out of the pool and Morton-sort the launch
     /// into it (no-op returning `None` under [`QueryOrder::AsGiven`] or
     /// for trivial launches).  Callers keep the guard alive for the launch
-    /// and reborrow the `points` / `perm` slices out of it; the sort
-    /// scatter work lands in `setup.misc_ops`.
+    /// and reborrow the `perm` slice out of it; the sort scatter work lands
+    /// in `setup.misc_ops`.
     fn morton_guard(
         &self,
         queries: &[Point3],
@@ -804,13 +824,14 @@ impl WideBatchedIndex {
     /// buffer and the traversal scratch come from the core's worker pool;
     /// packet boundaries are fixed by `batch_size`, so neither the work
     /// performed nor its accounting depends on how packets are scheduled.
-    /// `ordered` is the launch-order query array and `perm` maps packet
-    /// positions back to caller ordinals (None = identity).
+    /// Launch position `i` is query `queries[id]` reported to the sink as
+    /// ordinal `id`, where `id = ids[i]` (`None` = identity); the packet
+    /// covers positions `start..start + len`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn trace_packet(
         &self,
-        ordered: &[Point3],
-        perm: Option<&[u32]>,
+        queries: &[Point3],
+        ids: Option<&[u32]>,
         start: usize,
         len: usize,
         eps: f32,
@@ -826,32 +847,29 @@ impl WideBatchedIndex {
             return counters;
         }
         sat_bump(&mut counters.rays, len as u64);
-        let packet_queries = &ordered[start..start + len];
         let mut guard = self.core.scratch.acquire();
-        let scratch = &mut *guard;
-        scratch.rays.clear();
-        scratch
-            .rays
-            .extend(packet_queries.iter().map(|&q| Ray::epsilon_ray(q)));
+        let PacketScratch { rays, trav, .. } = &mut *guard;
+        stage_rays(rays, queries, ids, start, len);
+        let rays: &[Ray] = rays;
         let eps_sq = eps * eps;
         let geometry = self.core.geometry;
         with_sink!(self.heatmap.as_ref(), |vsink| {
             traverse_batch_prims(
                 wide,
-                &scratch.rays,
-                &mut scratch.trav,
+                rays,
+                trav,
                 &mut counters,
                 self.simd,
                 vsink,
                 cancel,
                 |q, sphere, counters| {
                     charge_candidate(geometry, counters);
-                    if sphere.center.distance_squared(packet_queries[q]) <= eps_sq {
+                    if sphere.center.distance_squared(rays[q].origin) <= eps_sq {
                         let n = Neighbor {
                             index: sphere.point_index,
                             multiplicity: sphere.multiplicity,
                         };
-                        match sink(caller_ordinal(perm, start + q), n, counters) {
+                        match sink(caller_ordinal(ids, start + q), n, counters) {
                             NeighborFlow::Continue => Traversal::Continue,
                             NeighborFlow::Stop => Traversal::Terminate,
                         }
@@ -872,12 +890,14 @@ impl WideBatchedIndex {
     /// [`WideBatchedIndex::trace_packet`] — only the per-neighbour dynamic
     /// dispatch is gone.  The no-early-exit path runs the SIMD leaf-run
     /// kernel over the SoA primitive lanes (bit-identical to the scalar
-    /// sphere test; see [`crate::simd`]).
+    /// sphere test; see [`crate::simd`]).  Positions map to queries and
+    /// count cells through `ids` exactly as in
+    /// [`WideBatchedIndex::trace_packet`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn trace_count_packet(
         &self,
-        ordered: &[Point3],
-        perm: Option<&[u32]>,
+        queries: &[Point3],
+        ids: Option<&[u32]>,
         start: usize,
         len: usize,
         eps: f32,
@@ -896,15 +916,14 @@ impl WideBatchedIndex {
             return counters;
         }
         sat_bump(&mut counters.rays, len as u64);
-        let packet_queries = &ordered[start..start + len];
         let mut guard = self.core.scratch.acquire();
         let PacketScratch {
             rays,
             trav,
             counts: local,
         } = &mut *guard;
-        rays.clear();
-        rays.extend(packet_queries.iter().map(|&q| Ray::epsilon_ray(q)));
+        stage_rays(rays, queries, ids, start, len);
+        let rays: &[Ray] = rays;
         local.clear();
         local.resize(len, 0);
         let eps_sq = eps * eps;
@@ -929,7 +948,7 @@ impl WideBatchedIndex {
                             simd,
                             first as usize,
                             count as usize,
-                            packet_queries[q],
+                            rays[q].origin,
                             eps_sq,
                         );
                         LeafVisit {
@@ -955,12 +974,11 @@ impl WideBatchedIndex {
                 cancel,
                 |q| {
                     if exclude_self {
-                        self.representative_of(caller_ordinal(perm, start + q) as u32)
+                        self.representative_of(caller_ordinal(ids, start + q) as u32)
                     } else {
                         u32::MAX
                     }
                 },
-                packet_queries,
                 local,
                 eps_sq,
                 geometry,
@@ -973,7 +991,7 @@ impl WideBatchedIndex {
                 // ordering: Relaxed — one flush per sub-range per launch,
                 // distinct caller ordinals per worker; the dispatching
                 // join publishes the cells to the caller.
-                counts[caller_ordinal(perm, start + i)].fetch_add(c, Ordering::Relaxed);
+                counts[caller_ordinal(ids, start + i)].fetch_add(c, Ordering::Relaxed);
             }
         }
         counters
@@ -994,15 +1012,12 @@ impl WideBatchedIndex {
         cancel: Option<&CancelScope>,
     ) -> WorkCounters {
         debug_assert!(eps <= self.core.eps, "query radius exceeds build radius");
-        // Morton launch order (if configured): the guard keeps the permuted
-        // buffers alive across the parallel dispatch; sinks still see
+        // Morton launch order (if configured): the guard keeps the
+        // permutation alive across the parallel dispatch; sinks still see
         // caller ordinals.
         let mut setup = WorkCounters::ZERO;
         let reorder = self.morton_guard(queries, &mut setup);
-        let (ordered, perm): (&[Point3], Option<&[u32]>) = match reorder.as_deref() {
-            Some(g) => (&g.points, Some(&g.perm)),
-            None => (queries, None),
-        };
+        let perm = reorder.as_deref().map(|g| g.perm.as_slice());
         // Fixed packet boundaries, derived arithmetically — no materialised
         // range list on the launch path.
         let start_ns = self.core.telemetry.now_ns();
@@ -1013,7 +1028,7 @@ impl WideBatchedIndex {
             |packet| {
                 let start = packet * self.batch_size;
                 let len = self.batch_size.min(queries.len() - start);
-                self.trace_packet(ordered, perm, start, len, eps, sink, cancel)
+                self.trace_packet(queries, perm, start, len, eps, sink, cancel)
             },
         );
         total += setup;
@@ -1043,10 +1058,7 @@ impl WideBatchedIndex {
         );
         let mut setup = WorkCounters::ZERO;
         let reorder = self.morton_guard(queries, &mut setup);
-        let (ordered, perm): (&[Point3], Option<&[u32]>) = match reorder.as_deref() {
-            Some(g) => (&g.points, Some(&g.perm)),
-            None => (queries, None),
-        };
+        let perm = reorder.as_deref().map(|g| g.perm.as_slice());
         let start_ns = self.core.telemetry.now_ns();
         let packets = queries.len().div_ceil(self.batch_size);
         let mut total = super::dispatch_batch(
@@ -1056,7 +1068,7 @@ impl WideBatchedIndex {
                 let start = packet * self.batch_size;
                 let len = self.batch_size.min(queries.len() - start);
                 self.trace_count_packet(
-                    ordered,
+                    queries,
                     perm,
                     start,
                     len,
@@ -1090,7 +1102,6 @@ fn traversal_count_launch(
     heatmap: Option<&NodeHeatmap>,
     cancel: Option<&CancelScope>,
     rep_of: impl Fn(usize) -> u32,
-    packet_queries: &[Point3],
     local: &mut [u64],
     eps_sq: f32,
     geometry: GeometryKind,
@@ -1110,7 +1121,7 @@ fn traversal_count_launch(
             |q, first, count, counters| {
                 let prims = &all_prims[first as usize..(first + count) as usize];
                 charge_candidates(geometry, prims.len() as u64, counters);
-                let query = packet_queries[q];
+                let query = rays[q].origin;
                 let rep = rep_of(q);
                 let count = &mut local[q];
                 let mut visited = 0u32;
@@ -1342,10 +1353,7 @@ impl NeighborIndex for WideBatchedIndex {
         // callback-mode launch whatever the query order.
         let mut setup = WorkCounters::ZERO;
         let reorder = self.morton_guard(queries, &mut setup);
-        let (ordered, perm): (&[Point3], Option<&[u32]>) = match reorder.as_deref() {
-            Some(g) => (&g.points, Some(&g.perm)),
-            None => (queries, None),
-        };
+        let perm = reorder.as_deref().map(|g| g.perm.as_slice());
         // analyze-allow: hot-path-alloc -- one shared pair-sink allocation per launch, amortised over every packet
         let pairs_shared: Mutex<Vec<(u32, u32)>> = Mutex::new(Vec::new());
         let start_ns = self.core.telemetry.now_ns();
@@ -1362,11 +1370,10 @@ impl NeighborIndex for WideBatchedIndex {
                 };
                 let all_prims = &wide.primitives;
                 sat_bump(&mut local.rays, len as u64);
-                let packet_queries = &ordered[start..start + len];
                 let mut guard = self.core.scratch.acquire();
                 let PacketScratch { rays, trav, .. } = &mut *guard;
-                rays.clear();
-                rays.extend(packet_queries.iter().map(|&q| Ray::epsilon_ray(q)));
+                stage_rays(rays, queries, perm, start, len);
+                let rays: &[Ray] = rays;
                 let mut pairs = std::mem::take(&mut trav.pairs);
                 pairs.clear();
                 let eps_sq = eps * eps;
@@ -1383,7 +1390,7 @@ impl NeighborIndex for WideBatchedIndex {
                         |q, first, count, c| {
                             let prims = &all_prims[first as usize..(first + count) as usize];
                             charge_candidates(geometry, prims.len() as u64, c);
-                            let query = packet_queries[q];
+                            let query = rays[q].origin;
                             for prim in prims {
                                 if prim.center.distance_squared(query) <= eps_sq {
                                     pairs.push((

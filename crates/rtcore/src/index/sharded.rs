@@ -4,9 +4,13 @@
 //! The flat [`super::WideBatchedIndex`] builds one BVH over the whole scene;
 //! this backend cuts the same Morton-sorted primitive array into contiguous
 //! shards ([`crate::bvh::tlas::plan_shards`]), builds one bottom-level wide
-//! scene per shard **in parallel**, and answers queries by descending a
-//! small top-level BVH to enumerate the shards a query overlaps, then
-//! reusing the existing wavefront packet engine per BLAS.
+//! scene per shard **in parallel**, and answers queries by routing each
+//! packet through a small top-level BVH, then reusing the existing
+//! wavefront packet engine per BLAS.  Routing bounds the packet's origins,
+//! descends the TLAS once with that box, and tests each ray only against
+//! the leaf boxes it reaches — under Morton order a packet mostly lies in
+//! one shard, so this costs about one descent per packet instead of one
+//! per ray, for the same `(shard, ray)` plan.
 //!
 //! # Equivalence to the flat path
 //!
@@ -24,9 +28,9 @@
 //! per (packet, overlapping shard) engine dispatch.
 //!
 //! `early_exit` hints are honoured as *exact* counting (the hint is a lower
-//! bound, so `count >= min` core decisions are unchanged); unlike the flat
-//! hot path, packet planning allocates per-shard sub-lists, which is why
-//! this backend is not under the flat path's zero-allocation contract.
+//! bound, so `count >= min` core decisions are unchanged).  Packet plans,
+//! per-shard sub-lists and count cells live in pooled, grow-only scratch,
+//! so warm launches allocate nothing, as on the flat path.
 
 use super::bvh_backend::caller_ordinal;
 use super::{
@@ -170,17 +174,20 @@ pub struct RecoveryStats {
     pub exhausted: usize,
 }
 
-/// Per-worker reusable buffers for one sharded packet: the TLAS descent
-/// output, the (shard, packet position) launch plan, the per-shard query
-/// sub-lists, and the packet-local count cells.
+/// Per-worker reusable buffers for one sharded packet: the packet's query
+/// origins, the (shard, packet position) launch plan, one shard's
+/// sub-launch ids, and the packet-local count cells.
 #[derive(Debug, Default)]
 struct ShardScratch {
-    overlaps: Vec<u32>,
+    /// The packet's query origins, gathered through the launch
+    /// permutation (`origins[pos]` is packet position `pos`).
+    origins: Vec<Point3>,
     /// `(shard, packet position)` pairs, sorted by shard so each shard's
     /// sub-launch is one contiguous run in packet order.
     pairs: Vec<(u32, u32)>,
-    sub_queries: Vec<Point3>,
-    sub_perm: Vec<u32>,
+    /// One shard's sub-launch ids: caller ordinals in sink mode, packet
+    /// positions in count mode.
+    sub_ids: Vec<u32>,
     counts: Vec<AtomicU64>,
 }
 
@@ -242,6 +249,12 @@ impl ShardedIndex {
             Error::InvalidConfig("ShardedIndex::build requires the sharding knob".into())
         })?;
         let telemetry = Telemetry::new(config.telemetry);
+        // Compaction, the global Morton encode + sort and the shard-cut
+        // descent run under one build span — the flat backend compacts
+        // inside its build span too.  The planner may use the full
+        // parallelism budget: the per-shard builds have not started yet,
+        // so there is nothing to oversubscribe.
+        let mut build_span = telemetry.span(PhaseKind::LbvhBuild);
         let mut build_counters = WorkCounters::ZERO;
         let (spheres, representative_of) = if config.compaction {
             let compaction = compact_coincident(points, eps);
@@ -254,6 +267,16 @@ impl ShardedIndex {
                 (0..points.len() as u32).collect(),
             )
         };
+        let plan = if spheres.is_empty() {
+            None
+        } else {
+            let plan =
+                plan_shards_with(spheres, sharding.max_shard_size, config.build_parallelism)?;
+            build_counters += plan.counters;
+            Some(plan)
+        };
+        build_span.add_counters(build_counters);
+        drop(build_span);
 
         let mut index = ShardedIndex {
             n: points.len(),
@@ -279,23 +302,11 @@ impl ShardedIndex {
             query_counters: Mutex::new(WorkCounters::ZERO),
             reorder: ScratchPool::new(),
             scratch: ScratchPool::new(),
-            telemetry,
+            telemetry: telemetry.clone(),
         };
-        if spheres.is_empty() {
+        let Some(plan) = plan else {
             return Ok(index);
-        }
-
-        // Global Morton encode + sort + shard-cut descent.  The planner may
-        // use the full parallelism budget — the per-shard builds have not
-        // started yet, so there is nothing to oversubscribe.
-        let plan = {
-            let mut span = index.telemetry.span(PhaseKind::LbvhBuild);
-            let plan =
-                plan_shards_with(spheres, sharding.max_shard_size, config.build_parallelism)?;
-            span.add_counters(plan.counters);
-            plan
         };
-        index.build_counters += plan.counters;
         for (s, &(lo, hi)) in plan.ranges.iter().enumerate() {
             for p in &plan.sorted_prims[lo..hi] {
                 index.owner_shard[p.point_index as usize] = s as u32;
@@ -322,7 +333,6 @@ impl ShardedIndex {
                 )))
             })
             .collect();
-        let telemetry = index.telemetry.clone();
         // The shards themselves run in parallel, so each nested build only
         // gets its share of the parallelism budget; with at least as many
         // shards as workers this degrades to sequential per-shard builds
@@ -735,32 +745,44 @@ impl ShardedIndex {
         Some(guard)
     }
 
-    /// TLAS-descend every ray of one packet and lay out the per-shard
-    /// sub-launch plan in `scratch.pairs` (sorted by shard, packet order
-    /// within a shard).
+    /// Route one packet: gather its origins through the launch permutation
+    /// into `origins`, bound them, descend the TLAS once with that box, and
+    /// test each ray only against the boxes of the answering shards the
+    /// packet box reaches — the containment test a per-ray descent ends in
+    /// (see [`Tlas::for_each_leaf_overlapping`]), so the plan is the same
+    /// `(shard, position)` set.  Charges one `tlas_node_visits` per node
+    /// popped and per ray-vs-leaf test.  The plan lands in `pairs`, sorted
+    /// by shard (leaves come out in shard order), packet order within a
+    /// shard.
     #[allow(clippy::too_many_arguments)]
     fn plan_packet(
         tlas: &Tlas,
         shards: &[ShardSlot],
-        ordered: &[Point3],
+        queries: &[Point3],
+        perm: Option<&[u32]>,
         start: usize,
         len: usize,
-        overlaps: &mut Vec<u32>,
+        origins: &mut Vec<Point3>,
         pairs: &mut Vec<(u32, u32)>,
         counters: &mut WorkCounters,
     ) {
+        origins.clear();
+        origins.extend((start..start + len).map(|pos| queries[caller_ordinal(perm, pos)]));
         pairs.clear();
-        for pos in 0..len {
-            let ray = Ray::epsilon_ray(ordered[start + pos]);
-            overlaps.clear();
-            tlas.overlapping(&ray, counters, overlaps);
-            for &s in overlaps.iter() {
-                if shards[s as usize].answers() {
-                    pairs.push((s, pos as u32));
+        let origins: &[Point3] = origins;
+        let packet = Aabb::from_point_slice(origins);
+        tlas.for_each_leaf_overlapping(&packet, counters, |shard, leaf, counters| {
+            if !shards[shard as usize].answers() {
+                return;
+            }
+            for (pos, &origin) in origins.iter().enumerate() {
+                sat_bump(&mut counters.tlas_node_visits, 1);
+                if leaf.intersects_ray(&Ray::epsilon_ray(origin)) {
+                    pairs.push((shard, pos as u32));
                 }
             }
-        }
-        pairs.sort_unstable();
+        });
+        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "plan is sorted");
     }
 
     /// Exact linear fallback over a quarantined shard's primitives (sink
@@ -769,19 +791,21 @@ impl ShardedIndex {
     /// are the same — so degraded answers are bit-identical to live ones.
     /// What differs is the work: every resident candidate is charged one
     /// [`charge_candidate`], the price of having no BLAS to cull with.
+    /// Query `queries[id]` answers as ordinal `id` for every `id` in `ids`.
     fn degraded_trace_sink(
         &self,
         deg: &DegradedShard,
-        sub_queries: &[Point3],
-        sub_perm: &[u32],
+        queries: &[Point3],
+        ids: &[u32],
         eps: f32,
         sink: &NeighborSink<'_>,
         local: &mut WorkCounters,
     ) {
         let eps_sq = eps * eps;
-        sat_bump(&mut local.rays, sub_queries.len() as u64);
-        for (qi, &q) in sub_queries.iter().enumerate() {
-            let ordinal = sub_perm[qi] as usize;
+        sat_bump(&mut local.rays, ids.len() as u64);
+        for &id in ids {
+            let ordinal = id as usize;
+            let q = queries[ordinal];
             for s in &deg.spheres {
                 charge_candidate(self.geometry, local);
                 if s.center.distance_squared(q) <= eps_sq {
@@ -799,19 +823,21 @@ impl ShardedIndex {
 
     /// Count-mode twin of [`ShardedIndex::degraded_trace_sink`]: exact
     /// multiplicity-weighted counts flushed once per query into the
-    /// packet-local cells, exactly like a live sub-launch flushes.
+    /// packet-local cells, exactly like a live sub-launch flushes.  Query
+    /// `queries[id]` flushes into `cells[id]` for every `id` in `ids`.
     fn degraded_trace_counts(
         &self,
         deg: &DegradedShard,
-        sub_queries: &[Point3],
-        sub_positions: &[u32],
+        queries: &[Point3],
+        ids: &[u32],
         eps: f32,
         cells: &[AtomicU64],
         local: &mut WorkCounters,
     ) {
         let eps_sq = eps * eps;
-        sat_bump(&mut local.rays, sub_queries.len() as u64);
-        for (qi, &q) in sub_queries.iter().enumerate() {
+        sat_bump(&mut local.rays, ids.len() as u64);
+        for &id in ids {
+            let q = queries[id as usize];
             let mut count = 0u64;
             for s in &deg.spheres {
                 charge_candidate(self.geometry, local);
@@ -823,18 +849,19 @@ impl ShardedIndex {
                 // ordering: Relaxed — packet-local cell with one writer (this
                 // sequential loop); the packet's flush reads it afterwards on
                 // the same thread.
-                cells[sub_positions[qi] as usize].fetch_add(count, Ordering::Relaxed);
+                cells[id as usize].fetch_add(count, Ordering::Relaxed);
             }
         }
     }
 
     /// Sink-mode sharded packet: plan, then one wavefront engine launch per
-    /// overlapped shard, each charged as one `blas_launches`.  Sinks see
-    /// caller ordinals directly through the sub-launch permutation.
+    /// overlapped shard, each charged as one `blas_launches`.  A sub-launch
+    /// gathers its origins from the caller's queries through its caller
+    /// ordinals, which sinks also see directly.
     #[allow(clippy::too_many_arguments)]
     fn trace_packet_sharded(
         &self,
-        ordered: &[Point3],
+        queries: &[Point3],
         perm: Option<&[u32]>,
         start: usize,
         len: usize,
@@ -849,19 +876,19 @@ impl ShardedIndex {
         }
         let mut guard = self.scratch.acquire();
         let ShardScratch {
-            overlaps,
+            origins,
             pairs,
-            sub_queries,
-            sub_perm,
+            sub_ids,
             ..
         } = &mut *guard;
         Self::plan_packet(
             &self.tlas,
             &self.shards,
-            ordered,
+            queries,
+            perm,
             start,
             len,
-            overlaps,
+            origins,
             pairs,
             &mut local,
         );
@@ -871,13 +898,11 @@ impl ShardedIndex {
                 break;
             }
             let shard = pairs[i].0;
-            sub_queries.clear();
-            sub_perm.clear();
+            sub_ids.clear();
             let mut j = i;
             while j < pairs.len() && pairs[j].0 == shard {
                 let pos = pairs[j].1 as usize;
-                sub_queries.push(ordered[start + pos]);
-                sub_perm.push(caller_ordinal(perm, start + pos) as u32);
+                sub_ids.push(caller_ordinal(perm, start + pos) as u32);
                 j += 1;
             }
             // ordering: Relaxed — monotonic popularity tick; nothing is
@@ -887,17 +912,17 @@ impl ShardedIndex {
             match &self.shards[shard as usize] {
                 ShardSlot::Live(blas) => {
                     local += blas.trace_packet(
-                        sub_queries,
-                        Some(sub_perm),
+                        queries,
+                        Some(sub_ids),
                         0,
-                        sub_queries.len(),
+                        sub_ids.len(),
                         eps,
                         sink,
                         cancel,
                     );
                 }
                 ShardSlot::Degraded(deg) => {
-                    self.degraded_trace_sink(deg, sub_queries, sub_perm, eps, sink, &mut local);
+                    self.degraded_trace_sink(deg, queries, sub_ids, eps, sink, &mut local);
                 }
                 // plan_packet only emits pairs for answering slots.
                 ShardSlot::Retired => {}
@@ -912,10 +937,11 @@ impl ShardedIndex {
     /// like the flat packet tracer), and the packet flushes the
     /// `saturating_sub(1)` self-exclusion algebra to the shared cells once
     /// per query — bit-identical to the flat count path's adjustment.
+    /// Sub-launches read the packet's gathered origins by packet position.
     #[allow(clippy::too_many_arguments)]
     fn trace_count_packet_sharded(
         &self,
-        ordered: &[Point3],
+        queries: &[Point3],
         perm: Option<&[u32]>,
         start: usize,
         len: usize,
@@ -931,19 +957,19 @@ impl ShardedIndex {
         }
         let mut guard = self.scratch.acquire();
         let ShardScratch {
-            overlaps,
+            origins,
             pairs,
-            sub_queries,
-            sub_perm,
+            sub_ids,
             counts: cells,
         } = &mut *guard;
         Self::plan_packet(
             &self.tlas,
             &self.shards,
-            ordered,
+            queries,
+            perm,
             start,
             len,
-            overlaps,
+            origins,
             pairs,
             &mut local,
         );
@@ -958,13 +984,10 @@ impl ShardedIndex {
                 return local;
             }
             let shard = pairs[i].0;
-            sub_queries.clear();
-            sub_perm.clear();
+            sub_ids.clear();
             let mut j = i;
             while j < pairs.len() && pairs[j].0 == shard {
-                let pos = pairs[j].1;
-                sub_queries.push(ordered[start + pos as usize]);
-                sub_perm.push(pos);
+                sub_ids.push(pairs[j].1);
                 j += 1;
             }
             // ordering: Relaxed — monotonic popularity tick; nothing is
@@ -974,10 +997,10 @@ impl ShardedIndex {
             match &self.shards[shard as usize] {
                 ShardSlot::Live(blas) => {
                     local += blas.trace_count_packet(
-                        sub_queries,
-                        Some(sub_perm),
+                        origins,
+                        Some(sub_ids),
                         0,
-                        sub_queries.len(),
+                        sub_ids.len(),
                         eps,
                         false,
                         None,
@@ -986,7 +1009,7 @@ impl ShardedIndex {
                     );
                 }
                 ShardSlot::Degraded(deg) => {
-                    self.degraded_trace_counts(deg, sub_queries, sub_perm, eps, cells, &mut local);
+                    self.degraded_trace_counts(deg, origins, sub_ids, eps, cells, &mut local);
                 }
                 // plan_packet only emits pairs for answering slots.
                 ShardSlot::Retired => {}
@@ -1035,10 +1058,7 @@ impl ShardedIndex {
         debug_assert!(eps <= self.eps, "query radius exceeds the build radius");
         let mut setup = WorkCounters::ZERO;
         let reorder = self.morton_guard(queries, &mut setup);
-        let (ordered, perm): (&[Point3], Option<&[u32]>) = match reorder.as_deref() {
-            Some(g) => (&g.points, Some(&g.perm)),
-            None => (queries, None),
-        };
+        let perm = reorder.as_deref().map(|g| g.perm.as_slice());
         let start_ns = self.telemetry.now_ns();
         let mut span = self.telemetry.span(PhaseKind::TlasVisit);
         let packets = queries.len().div_ceil(self.batch_size);
@@ -1048,7 +1068,7 @@ impl ShardedIndex {
             |packet| {
                 let start = packet * self.batch_size;
                 let len = self.batch_size.min(queries.len() - start);
-                self.trace_packet_sharded(ordered, perm, start, len, eps, sink, cancel)
+                self.trace_packet_sharded(queries, perm, start, len, eps, sink, cancel)
             },
         );
         total += setup;
@@ -1077,10 +1097,7 @@ impl ShardedIndex {
         );
         let mut setup = WorkCounters::ZERO;
         let reorder = self.morton_guard(queries, &mut setup);
-        let (ordered, perm): (&[Point3], Option<&[u32]>) = match reorder.as_deref() {
-            Some(g) => (&g.points, Some(&g.perm)),
-            None => (queries, None),
-        };
+        let perm = reorder.as_deref().map(|g| g.perm.as_slice());
         let start_ns = self.telemetry.now_ns();
         let mut span = self.telemetry.span(PhaseKind::TlasVisit);
         let packets = queries.len().div_ceil(self.batch_size);
@@ -1091,7 +1108,7 @@ impl ShardedIndex {
                 let start = packet * self.batch_size;
                 let len = self.batch_size.min(queries.len() - start);
                 self.trace_count_packet_sharded(
-                    ordered,
+                    queries,
                     perm,
                     start,
                     len,
@@ -1582,6 +1599,90 @@ mod tests {
             }
             assert_eq!(c1.dist_comps, c2.dist_comps);
         }
+    }
+
+    /// Per-packet routing plans exactly the `(shard, position)` pairs a
+    /// per-ray TLAS descent enumerates: random packets (scattered ones that
+    /// straddle shards, coherent ones, points outside the scene), through a
+    /// random launch permutation, over a scene with a degraded and a
+    /// retired shard.
+    #[test]
+    fn packet_plan_equals_per_ray_tlas_enumeration() {
+        let pts = blob_points(800, 21);
+        let eps = 0.5f32;
+        let mut sharded = ShardedIndex::build(&sharded_config(48), &pts, eps).unwrap();
+        assert!(sharded.shard_count() > 4);
+        sharded
+            .quarantine_shard(1, QuarantineReason::ValidationFailed)
+            .unwrap();
+        let shard2: Vec<u32> = (0..pts.len() as u32)
+            .filter(|&i| sharded.owner_shard(i) == Some(2))
+            .collect();
+        sharded.remove(&shard2).unwrap();
+        assert!(matches!(sharded.shards[1], ShardSlot::Degraded(_)));
+        assert!(matches!(sharded.shards[2], ShardSlot::Retired));
+
+        let mut state = 0x9e37_79b9_u64;
+        let mut next = move |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as usize) % m
+        };
+        // Queries: every indexed point, a few far outside the scene, and a
+        // few exactly on the retired shard's old points.
+        let mut queries = pts.clone();
+        queries.extend((0..20).map(|i| Point3::new(-50.0 + i as f32, 100.0, 3.0)));
+        queries.extend(shard2.iter().take(10).map(|&i| pts[i as usize]));
+        let mut perm: Vec<u32> = (0..queries.len() as u32).collect();
+        for i in (1..perm.len()).rev() {
+            perm.swap(i, next(i + 1));
+        }
+
+        let (mut origins, mut pairs) = (Vec::new(), Vec::new());
+        let mut overlaps = Vec::new();
+        let mut straddled = 0;
+        for round in 0..200 {
+            let len = 1 + next(64);
+            let start = next(queries.len() - len + 1);
+            // Alternate caller order (scattered packets under the random
+            // permutation, coherent runs without one).
+            let ids = (round % 2 == 0).then_some(perm.as_slice());
+            let mut c = WorkCounters::ZERO;
+            ShardedIndex::plan_packet(
+                &sharded.tlas,
+                &sharded.shards,
+                &queries,
+                ids,
+                start,
+                len,
+                &mut origins,
+                &mut pairs,
+                &mut c,
+            );
+            let mut expected = Vec::new();
+            let mut per_ray = WorkCounters::ZERO;
+            for pos in 0..len {
+                let origin = queries[caller_ordinal(ids, start + pos)];
+                assert_eq!(origins[pos], origin);
+                overlaps.clear();
+                sharded
+                    .tlas
+                    .overlapping(&Ray::epsilon_ray(origin), &mut per_ray, &mut overlaps);
+                for &s in &overlaps {
+                    if sharded.shards[s as usize].answers() {
+                        expected.push((s, pos as u32));
+                    }
+                }
+            }
+            expected.sort_unstable();
+            assert_eq!(pairs, expected, "round {round}: start {start} len {len}");
+            let mut shards_hit: Vec<u32> = pairs.iter().map(|&(s, _)| s).collect();
+            shards_hit.dedup();
+            straddled += usize::from(shards_hit.len() > 1);
+            assert!(c.tlas_node_visits > 0);
+        }
+        assert!(straddled > 20, "random packets must straddle shards");
     }
 
     #[test]

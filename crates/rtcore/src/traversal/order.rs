@@ -13,12 +13,14 @@
 //! with) before packets are cut, and carries the permutation so every
 //! output mode — sink callbacks, `batch_neighbor_counts`,
 //! `batch_neighbors_csr` — is restored to caller order bit-identically.
+//! Only the permutation is kept: each packet gathers its origins through
+//! it, so no sorted copy of the queries exists.
 //! Per-query traversal work is invariant under reordering (a query visits
 //! the same nodes and candidates whichever packet it rides in), so
 //! `rays`, `dist_comps` and `prim_tests` are unchanged; only the shared
 //! `wide_node_visits` drop.
 
-use crate::geometry::{morton_encode_3d, radix_sort_by_code, Aabb, MortonCode, Point3};
+use crate::geometry::{morton_encode_3d, radix_sort_perm_by_key, Aabb, Point3};
 
 /// In what order a batched launch feeds queries into packets.
 ///
@@ -28,6 +30,12 @@ use crate::geometry::{morton_encode_3d, radix_sort_by_code, Aabb, MortonCode, Po
 /// only the shared node-fetch work (`wide_node_visits`) shrinks.
 /// Backends that answer queries one at a time (binary BVH, grid, brute
 /// force) have no packets to make coherent and ignore the knob.
+///
+/// The cluster engine's RT-DBSCAN default runs `Morton` (with the LBVH
+/// builder): it cuts stage-1 time on every measured workload and, for the
+/// two-level scene, keeps a packet inside few shards.  The index builder
+/// and the paper-reproduction `RtDbscan::default()` keep `AsGiven`, so the
+/// reproduced tables and the oracle comparisons do not move.
 ///
 /// # Examples
 ///
@@ -66,7 +74,9 @@ use crate::geometry::{morton_encode_3d, radix_sort_by_code, Aabb, MortonCode, Po
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueryOrder {
-    /// Feed packets in the caller's order (the default).
+    /// Feed packets in the caller's order (the enum and
+    /// [`crate::index::NeighborIndexBuilder`] default; the paper-reproduction
+    /// configuration keeps it).
     #[default]
     AsGiven,
     /// Morton-sort query origins before cutting packets, restoring caller
@@ -84,44 +94,41 @@ impl QueryOrder {
     }
 }
 
-/// Grow-only working buffers for one reordered launch: the Morton codes,
-/// the permutation and the permuted query array.  Pooled per worker by the
-/// batched backends so the steady state stays allocation-light.
+/// Grow-only working buffers for one reordered launch: one `u32` Morton
+/// key per query, the `u32` launch permutation and one `u32` radix lane —
+/// 12 bytes per query, allocation-free once warm.  Pooled per worker by
+/// the batched backends.
+///
+/// No permuted copy of the queries is kept: a packet gathers its origins
+/// through the launch permutation into the ray staging buffer it fills
+/// anyway, so the scratch stays small even while it lives across a whole
+/// launch.
 #[derive(Debug, Default)]
 pub struct ReorderScratch {
-    codes: Vec<MortonCode>,
+    /// Morton code of each query, in caller order.
+    keys: Vec<u32>,
     /// `perm[i]` is the caller index of the i-th query in sorted order.
     pub(crate) perm: Vec<u32>,
-    /// The queries permuted into sorted order (`points[i] =
-    /// queries[perm[i]]`).
-    pub(crate) points: Vec<Point3>,
+    /// Ping-pong lane of the permutation radix sort.
+    buf: Vec<u32>,
 }
 
 impl ReorderScratch {
-    /// Sort `queries` along the Morton curve into this scratch's `perm` /
-    /// `points` buffers.  Returns the number of sort scatter operations
-    /// performed (charged as `misc_ops` by the callers — reordering is
-    /// real launch-setup work, but it is not a candidate test).
+    /// Sort `queries` along the Morton curve into this scratch's `perm`:
+    /// ascending 30-bit code, ties by caller index.  Returns the number of
+    /// sort scatter operations performed plus one per query for the
+    /// encode (charged as `misc_ops` by the callers — reordering is real
+    /// launch-setup work, but it is not a candidate test).
     pub fn order_morton(&mut self, queries: &[Point3]) -> u64 {
         let bounds = Aabb::from_point_slice(queries);
         let extent = bounds.extent();
-        self.codes.clear();
-        self.codes.reserve(queries.len());
-        for (i, &q) in queries.iter().enumerate() {
-            self.codes.push(MortonCode {
-                code: morton_encode_3d(q, bounds.min, extent),
-                index: i as u32,
-            });
-        }
-        let ops = radix_sort_by_code(&mut self.codes);
-        self.perm.clear();
-        self.points.clear();
-        self.perm.reserve(queries.len());
-        self.points.reserve(queries.len());
-        for c in &self.codes {
-            self.perm.push(c.index);
-            self.points.push(queries[c.index as usize]);
-        }
+        self.keys.clear();
+        self.keys.extend(
+            queries
+                .iter()
+                .map(|&q| morton_encode_3d(q, bounds.min, extent)),
+        );
+        let ops = radix_sort_perm_by_key(&self.keys, &mut self.perm, &mut self.buf);
         ops + queries.len() as u64
     }
 }
@@ -139,10 +146,9 @@ mod tests {
         let ops = scratch.order_morton(&queries);
         assert!(ops > 0);
         let mut seen = vec![false; queries.len()];
-        for (k, &orig) in scratch.perm.iter().enumerate() {
+        for &orig in &scratch.perm {
             assert!(!seen[orig as usize], "duplicate index {orig}");
             seen[orig as usize] = true;
-            assert_eq!(scratch.points[k], queries[orig as usize]);
         }
         assert!(seen.iter().all(|&s| s));
         // The two interleaved clusters must come out contiguous: the first
@@ -164,10 +170,60 @@ mod tests {
                 .collect();
             scratch.order_morton(&queries);
             assert_eq!(scratch.perm.len(), n);
-            assert_eq!(scratch.points.len(), n);
+            assert_eq!(scratch.keys.len(), n);
         }
         assert_eq!(QueryOrder::default(), QueryOrder::AsGiven);
         assert_eq!(QueryOrder::Morton.name(), "morton");
         assert_eq!(QueryOrder::AsGiven.name(), "as-given");
+    }
+
+    /// The permutation is exactly the order the `(code, index)` pair sort
+    /// produced before the scratch went copy-free: ascending code, ties by
+    /// caller index — on inputs with many shared codes, through one warm
+    /// scratch whose buffers shrink and grow between launches.
+    #[test]
+    fn permutation_equals_the_code_index_pair_sort() {
+        use crate::geometry::{radix_sort_by_code, MortonCode};
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 40) as u32
+        };
+        let mut scratch = ReorderScratch::default();
+        for n in [2usize, 3, 300, 1, 4096, 57, 0, 1000] {
+            // Coarse coordinates so many queries share a 30-bit code, plus
+            // exact duplicates and a 3-D spread.
+            let queries: Vec<Point3> = (0..n)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        Point3::new(1.0, 2.0, 3.0)
+                    } else {
+                        Point3::new(
+                            (next() % 50) as f32 * 0.5,
+                            (next() % 9) as f32,
+                            (next() % 3) as f32 * 100.0,
+                        )
+                    }
+                })
+                .collect();
+            let bounds = Aabb::from_point_slice(&queries);
+            let mut pairs: Vec<MortonCode> = queries
+                .iter()
+                .enumerate()
+                .map(|(i, &q)| MortonCode {
+                    code: morton_encode_3d(q, bounds.min, bounds.extent()),
+                    index: i as u32,
+                })
+                .collect();
+            let pair_ops = radix_sort_by_code(&mut pairs);
+            let ops = scratch.order_morton(&queries);
+            let expected: Vec<u32> = pairs.iter().map(|c| c.index).collect();
+            assert_eq!(scratch.perm, expected, "n={n}");
+            // The charged work is unchanged too: 4 scatter passes plus one
+            // encode per query.
+            assert_eq!(ops, pair_ops + n as u64, "n={n}");
+        }
     }
 }

@@ -173,6 +173,103 @@ fn steady_state_count_mode_is_allocation_free() {
     }
 }
 
+/// Warm one sink launch and one count launch on `index`, then assert that
+/// three more of each allocate nothing on the calling thread.
+fn assert_sink_and_count_steady_state(
+    index: &dyn rtcore::index::NeighborIndex,
+    points: &[Point3],
+    eps: f32,
+    what: &str,
+) {
+    let hits = AtomicU64::new(0);
+    let sink = |_q: usize, _n: rtcore::index::Neighbor, _c: &mut WorkCounters| {
+        hits.fetch_add(1, Ordering::Relaxed);
+        NeighborFlow::Continue
+    };
+    let counts: Vec<AtomicU64> = (0..points.len()).map(|_| AtomicU64::new(0)).collect();
+    let mut warm = WorkCounters::ZERO;
+    index.batch_neighbors(points, eps, &mut warm, &sink);
+    index.batch_neighbor_counts(points, eps, true, None, &mut warm, &counts);
+    let warm_hits = hits.swap(0, Ordering::Relaxed);
+    assert!(warm_hits > 0, "{what}: workload must produce neighbours");
+
+    let sink_allocs = allocations_during(|| {
+        for _ in 0..3 {
+            let mut c = WorkCounters::ZERO;
+            index.batch_neighbors(points, eps, &mut c, &sink);
+        }
+    });
+    assert_eq!(
+        sink_allocs, 0,
+        "{what}: steady-state batch_neighbors must not allocate"
+    );
+    assert_eq!(hits.load(Ordering::Relaxed), 3 * warm_hits, "{what}");
+
+    let count_allocs = allocations_during(|| {
+        for _ in 0..3 {
+            for c in &counts {
+                c.store(0, Ordering::Relaxed);
+            }
+            let mut c = WorkCounters::ZERO;
+            index.batch_neighbor_counts(points, eps, true, None, &mut c, &counts);
+        }
+    });
+    assert_eq!(
+        count_allocs, 0,
+        "{what}: steady-state batch_neighbor_counts must not allocate"
+    );
+}
+
+#[test]
+fn steady_state_sharded_launches_are_allocation_free() {
+    use rtcore::bvh::BuilderKind;
+    use rtcore::index::{QueryOrder, ShardingConfig};
+
+    // The two-level scene: per-packet TLAS routing, per-shard sub-launches
+    // and the packet-local count cells all run on pooled, grow-only
+    // scratch, in caller order and in Morton order.
+    let eps = 0.9f32;
+    let points = workload(400, eps);
+    for order in [QueryOrder::AsGiven, QueryOrder::Morton] {
+        let index = NeighborIndexBuilder {
+            bvh_builder: BuilderKind::Lbvh,
+            query_order: order,
+            sharding: Some(ShardingConfig::new(64)),
+            ..sequential_builder(IndexKind::WideBatched)
+        }
+        .build(&points, eps)
+        .unwrap();
+        assert!(
+            index.as_sharded().is_some_and(|s| s.shard_count() > 1),
+            "the scene must actually shard"
+        );
+        assert_sink_and_count_steady_state(
+            index.as_ref(),
+            &points,
+            eps,
+            &format!("sharded {order:?}"),
+        );
+    }
+}
+
+#[test]
+fn steady_state_morton_launches_are_allocation_free() {
+    use rtcore::index::QueryOrder;
+
+    // Morton-ordered wide launches: the pooled reorder scratch (keys,
+    // permutation, radix lane) and the permutation-gathered ray staging
+    // are grow-only.
+    let eps = 0.9f32;
+    let points = workload(400, eps);
+    let index = NeighborIndexBuilder {
+        query_order: QueryOrder::Morton,
+        ..sequential_builder(IndexKind::WideBatched)
+    }
+    .build(&points, eps)
+    .unwrap();
+    assert_sink_and_count_steady_state(index.as_ref(), &points, eps, "wide Morton");
+}
+
 #[test]
 fn steady_state_session_launches_are_allocation_free() {
     use rtdbscan::engine::{Algo, ClusterEngine};

@@ -16,6 +16,8 @@
 //!    engine, the session and manual drivers.
 
 use proptest::prelude::*;
+use rtcore::bvh::BuilderKind;
+use rtdbscan::engine::QueryOrder;
 use rtdbscan_repro::prelude::*;
 
 fn blobs_duplicates_boundary(eps: f32, seed: u64) -> Vec<Point3> {
@@ -109,10 +111,22 @@ fn engine_facade_adds_zero_counter_cost_over_direct_calls() {
     let pts = blobs_duplicates_boundary(0.5, 21);
     let params = DbscanParams::new(0.5, 5).unwrap();
 
-    // RT-DBSCAN, wide batched (the defaults on both paths).
+    // RT-DBSCAN, wide batched.  The engine's default (LBVH, Morton
+    // launches) labels exactly like the paper configuration...
     let direct = RtDbscan::default().run(&pts, params).unwrap();
+    let default_run = ClusterEngine::builder()
+        .params(params)
+        .build()
+        .unwrap()
+        .run(&pts)
+        .unwrap();
+    assert_eq!(direct.clustering.labels, default_run.clustering.labels);
+    assert_eq!(direct.clustering.core, default_run.clustering.core);
+    // ...and pinned to that configuration the façade adds zero cost.
     let engine_run = ClusterEngine::builder()
         .params(params)
+        .bvh_builder(BuilderKind::BinnedSah)
+        .query_order(QueryOrder::AsGiven)
         .build()
         .unwrap()
         .run(&pts)

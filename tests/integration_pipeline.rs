@@ -160,8 +160,94 @@ fn query_structure_handles_updates_of_radius_via_rebuild() {
     );
 }
 
+/// O(n²) reference for `compact_coincident`: each point's representative
+/// is the lowest index with the same `bit_key`.
+fn compaction_oracle(points: &[Point3]) -> Vec<u32> {
+    (0..points.len())
+        .map(|i| {
+            (0..=i)
+                .find(|&j| points[j].bit_key() == points[i].bit_key())
+                .unwrap() as u32
+        })
+        .collect()
+}
+
+/// A compaction stress input: fresh points, exact duplicates, signed-zero
+/// twins, distinct points a hair apart (they share a 30-bit Morton code),
+/// and a run of `pile` coincident points scattered through the order.
+fn compaction_input(seed: u64, n: usize, pile: usize) -> Vec<Point3> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut pts: Vec<Point3> = Vec::with_capacity(n + pile);
+    for _ in 0..n {
+        let kind = next() % 5;
+        let p = match (kind, pts.last().copied()) {
+            (1, Some(_)) => pts[next() as usize % pts.len()],
+            (2, _) => {
+                let sign = |b: u64| if b == 0 { 0.0f32 } else { -0.0f32 };
+                Point3::new(sign(next() % 2), (next() % 4) as f32, sign(next() % 2))
+            }
+            (3, Some(last)) => Point3::new(last.x + 1e-3, last.y, last.z),
+            _ => Point3::new(
+                (next() % 10_000) as f32 * 0.01,
+                (next() % 10_000) as f32 * 0.01,
+                (next() % 3) as f32,
+            ),
+        };
+        pts.push(p);
+    }
+    let pile_point = Point3::new(42.5, 17.25, 1.0);
+    for _ in 0..pile {
+        let at = next() as usize % (pts.len() + 1);
+        pts.insert(at, pile_point);
+    }
+    pts
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Property: the sort-based compaction matches the O(n²) `bit_key`
+    /// oracle exactly — representatives, ascending representative order,
+    /// multiplicities and the merge count — on duplicate runs, signed
+    /// zeros, distinct points sharing a Morton code and a pile of over
+    /// 5,000 coincident points.
+    #[test]
+    fn compaction_matches_the_quadratic_oracle(
+        seed in 0u64..u64::MAX,
+        n in 0usize..400,
+        pile in 5_000usize..5_200,
+    ) {
+        let pts = compaction_input(seed, n, pile);
+        let reps = compaction_oracle(&pts);
+        let c = compact_coincident(&pts, 0.25);
+        prop_assert_eq!(&c.representative_of, &reps);
+        let mut multiplicity = vec![0u32; pts.len()];
+        for &r in &reps {
+            multiplicity[r as usize] += 1;
+        }
+        let expected: Vec<(u32, u32)> = (0..pts.len() as u32)
+            .filter(|&i| reps[i as usize] == i)
+            .map(|i| (i, multiplicity[i as usize]))
+            .collect();
+        let got: Vec<(u32, u32)> = c.spheres.iter().map(|s| (s.point_index, s.multiplicity)).collect();
+        prop_assert_eq!(got, expected);
+        for s in &c.spheres {
+            // The representative's own coordinates, signed zeros included.
+            let rep = pts[s.point_index as usize];
+            let bits = |p: Point3| (p.x.to_bits(), p.y.to_bits(), p.z.to_bits());
+            prop_assert!(bits(s.center) == bits(rep));
+            prop_assert!(s.radius == 0.25);
+        }
+        prop_assert_eq!(c.merged, (pts.len() - c.spheres.len()) as u64);
+        prop_assert!(c.merged as usize >= pile - 1);
+    }
+
 
     /// Property: for arbitrary point clouds and radii, the RT query primitive
     /// returns exactly the brute-force neighbour set.

@@ -12,7 +12,7 @@
 
 use rtcore::geometry::Point3;
 use rtcore::hardware::WorkCounters;
-use rtcore::index::{IndexKind, NeighborIndexBuilder, QueryOrder};
+use rtcore::index::{IndexKind, NeighborIndexBuilder, QueryOrder, ShardingConfig};
 use rtcore::telemetry::{PhaseKind, Telemetry, TelemetryConfig};
 use rtdbscan::engine::{Algo, ClusterEngine};
 use std::sync::atomic::AtomicU64;
@@ -181,6 +181,43 @@ fn engine_session_records_the_documented_phases() {
         .unwrap();
     assert!(stage1.counters.rays > 0 && stage1.counters.dist_comps > 0);
     assert_eq!(telemetry.dropped_spans(), 0);
+}
+
+/// A sharded build compacts under its build span, as the flat build does:
+/// on a duplicate-bearing input the `lbvh_build` spans carry every merge the
+/// index reports (the global span holds them all; per-shard builds merge
+/// nothing).
+#[test]
+fn sharded_build_span_covers_compaction() {
+    let eps = 0.9f32;
+    let points = workload(150, eps);
+    let index = NeighborIndexBuilder {
+        compaction: true,
+        sharding: Some(ShardingConfig::new(64)),
+        telemetry: TelemetryConfig::Spans,
+        ..NeighborIndexBuilder::new(IndexKind::WideBatched)
+    }
+    .build(&points, eps)
+    .unwrap();
+    let merges = index.build_counters().compaction_merges;
+    assert!(merges >= 2, "the workload carries exact duplicates");
+    let build_spans: Vec<_> = index
+        .telemetry()
+        .expect("Spans level is enabled")
+        .spans()
+        .into_iter()
+        .filter(|s| s.phase == PhaseKind::LbvhBuild)
+        .collect();
+    assert!(
+        build_spans.len() > 2,
+        "one global build span plus one per shard, got {}",
+        build_spans.len()
+    );
+    let in_spans: u64 = build_spans
+        .iter()
+        .map(|s| s.counters.compaction_merges)
+        .sum();
+    assert_eq!(in_spans, merges, "compaction ran outside the build spans");
 }
 
 // ---------------------------------------------------------------------------
