@@ -94,8 +94,14 @@
 //! `"wide-flat-lbvh"` twin on `dist_comps`/`prim_tests` exactly (aligned
 //! sharding reproduces the flat leaf partition), and a spans-enabled
 //! build shows the per-shard parallel `lbvh_build` spans under
-//! `tlas_build`.  In `--smoke --sharded` the 1M sweep runs with one
-//! repetition and nothing is written.
+//! `tlas_build`.  These two cells also carry `"tlas_node_visits"` and the
+//! index's resident `"device_bytes"`.  Every run asserts that both keep at
+//! most [`MAX_BYTES_PER_PRIM`] resident bytes per primitive (one copy of
+//! the scene: BVH4 nodes plus 20 B of primitive lanes), and that the
+//! as-given sharded launch charges at most [`MAX_AS_GIVEN_TLAS_VISITS`]
+//! TLAS visits (no more than routing every ray on its own).  In
+//! `--smoke --sharded` the 1M sweep runs with one repetition and nothing
+//! is written.
 //!
 //! The `baseline`/`current` sections are each a single line so the
 //! regeneration pass can carry the baseline forward without a JSON parser.
@@ -118,6 +124,15 @@ const SEED: u64 = 42;
 const SHARDED_N: usize = 1_000_000;
 const SHARDED_EPS: f32 = 0.05;
 const SHARD_SIZE: usize = 1 << 16;
+/// Ceiling on the 1M cells' resident index bytes per primitive.  A wide
+/// index holds its BVH4 nodes and 20 B of SoA lanes per primitive (about
+/// 44 B in all on this input); a second resident copy of the scene (the
+/// binary tree, or a sphere array beside the lanes) breaks it.
+const MAX_BYTES_PER_PRIM: u64 = 56;
+/// Ceiling on the as-given sharded cell's `tlas_node_visits`: what routing
+/// each ray through its own TLAS descent charged on this input.  Packet
+/// routing must never cost more.
+const MAX_AS_GIVEN_TLAS_VISITS: u64 = 27_922_368;
 
 /// The `layout` label of every wide cell: the wide scene's one node
 /// layout (full-precision `f32` lanes).
@@ -142,6 +157,8 @@ struct Cell {
     best_ns: u128,
     mean_ns: u128,
     build_ns: u128,
+    /// The index's resident bytes ([`rtcore::index::NeighborIndex::device_bytes`]).
+    device_bytes: u64,
     counters: WorkCounters,
 }
 
@@ -167,6 +184,17 @@ impl Cell {
             c.node_visits,
             c.wide_node_visits,
             c.batched_launches,
+        )
+    }
+
+    /// [`Cell::to_json`] plus the two-level sweep's routing counter and
+    /// resident bytes.
+    fn to_json_sharded(&self) -> String {
+        let mut json = self.to_json();
+        json.pop();
+        format!(
+            "{json},\"tlas_node_visits\":{},\"device_bytes\":{}}}",
+            self.counters.tlas_node_visits, self.device_bytes
         )
     }
 }
@@ -224,6 +252,7 @@ fn measure_stage1(
         best_ns: best,
         mean_ns: total / reps as u128,
         build_ns,
+        device_bytes: index.device_bytes(),
         counters,
     }
 }
@@ -416,6 +445,24 @@ fn sweep_sharded(points: &[Point3], reps: usize) -> Vec<Cell> {
         sharded.counters.tlas_node_visits > 0 && sharded.counters.blas_launches > 0,
         "the sharded launch must route through the TLAS"
     );
+    assert!(
+        sharded.counters.tlas_node_visits <= MAX_AS_GIVEN_TLAS_VISITS,
+        "as-given packet routing charged {} TLAS visits, more than per-ray routing's {}",
+        sharded.counters.tlas_node_visits,
+        MAX_AS_GIVEN_TLAS_VISITS
+    );
+    for cell in [&flat, &sharded] {
+        let per_prim = cell.device_bytes as f64 / cell.n as f64;
+        println!(
+            "{}: {per_prim:.1} resident bytes per primitive",
+            cell.backend
+        );
+        assert!(
+            cell.device_bytes <= MAX_BYTES_PER_PRIM * cell.n as u64,
+            "{} keeps {per_prim:.1} B per primitive resident, more than {MAX_BYTES_PER_PRIM}",
+            cell.backend
+        );
+    }
     vec![flat, sharded]
 }
 
@@ -678,7 +725,16 @@ fn profile_stage1(
 }
 
 fn results_line(cells: &[Cell]) -> String {
-    let entries: Vec<String> = cells.iter().map(Cell::to_json).collect();
+    let entries: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            if c.n == SHARDED_N {
+                c.to_json_sharded()
+            } else {
+                c.to_json()
+            }
+        })
+        .collect();
     format!("{{\"results\":[{}]}}", entries.join(","))
 }
 

@@ -218,48 +218,100 @@ impl Tlas {
     /// gate — so the enumeration is conservative: a BLAS that could produce
     /// candidates is always listed (a listed BLAS may still produce none).
     pub fn overlapping(&self, ray: &Ray, counters: &mut WorkCounters, out: &mut Vec<u32>) {
+        self.for_each_leaf_hit(ray, counters, |shard| out.push(shard));
+    }
+
+    /// Call `leaf(shard)` for every shard leaf the ray overlaps, in
+    /// ascending shard order, charging `tlas_node_visits` for every node
+    /// popped — the enumeration behind [`Tlas::overlapping`], without the
+    /// output vector.
+    pub(crate) fn for_each_leaf_hit(
+        &self,
+        ray: &Ray,
+        counters: &mut WorkCounters,
+        leaf: impl FnMut(u32),
+    ) {
+        self.for_each_leaf_hit_from(&[0], ray, counters, leaf);
+    }
+
+    /// [`Tlas::for_each_leaf_hit`] for a ray whose origin is already known
+    /// to lie in the root box (a packet router that tested the packet's
+    /// box against the root knows it for every ray of the packet): the
+    /// root's own test is skipped and the descent starts at its children.
+    pub(crate) fn for_each_leaf_hit_below_root(
+        &self,
+        ray: &Ray,
+        counters: &mut WorkCounters,
+        leaf: impl FnMut(u32),
+    ) {
+        match self.nodes.first().map(|n| n.kind) {
+            Some(TlasNodeKind::Internal { left, right }) => {
+                self.for_each_leaf_hit_from(&[left, right], ray, counters, leaf)
+            }
+            _ => self.for_each_leaf_hit(ray, counters, leaf),
+        }
+    }
+
+    fn for_each_leaf_hit_from(
+        &self,
+        start: &[u32],
+        ray: &Ray,
+        counters: &mut WorkCounters,
+        mut leaf: impl FnMut(u32),
+    ) {
         self.descend(
+            start,
             counters,
             |node| node.intersects_ray(ray),
-            |shard, _, _| out.push(shard),
+            |shard, _| {
+                leaf(shard);
+                true
+            },
         );
     }
 
-    /// Call `leaf(shard, leaf_box, counters)` for every shard leaf whose box
-    /// overlaps `bounds`, in ascending shard order, charging
-    /// `tlas_node_visits` for every node popped.  A packet router bounds
-    /// its rays once, descends with that box, and then tests each ray only
-    /// against the leaf boxes reached: a leaf containing a ray's origin
-    /// overlaps any box containing that origin, and so does each of its
-    /// ancestors, so no leaf a per-ray [`Tlas::overlapping`] would list is
-    /// missed.
+    /// Call `leaf(shard, leaf_box)` for every shard leaf whose box overlaps
+    /// `bounds`, in ascending shard order, charging `tlas_node_visits` for
+    /// every node popped; the descent stops as soon as `leaf` returns
+    /// `false`, and the return value says whether it ran to the end.  A
+    /// packet router bounds its rays once, descends with that box, and then
+    /// tests each ray only against the leaf boxes reached: a leaf
+    /// containing a ray's origin overlaps any box containing that origin,
+    /// and so does each of its ancestors, so no leaf a per-ray
+    /// [`Tlas::overlapping`] would list is missed.
     pub(crate) fn for_each_leaf_overlapping(
         &self,
         bounds: &Aabb,
         counters: &mut WorkCounters,
-        leaf: impl FnMut(u32, &Aabb, &mut WorkCounters),
-    ) {
-        self.descend(counters, |node| node.intersects_aabb(bounds), leaf);
+        leaf: impl FnMut(u32, &Aabb) -> bool,
+    ) -> bool {
+        self.descend(&[0], counters, |node| node.intersects_aabb(bounds), leaf)
     }
 
-    /// Depth-first descent on a fixed-size stack: pop a node, charge one
-    /// `tlas_node_visits`, skip it unless `enter` accepts its box, hand
-    /// leaves to `leaf` and push interior children right-then-left so
-    /// leaves come out in ascending shard order.
+    /// Depth-first descent from the `start` nodes (left to right) on a
+    /// fixed-size stack: pop a node, charge one `tlas_node_visits`, skip it
+    /// unless `enter` accepts its box, hand leaves to `leaf` and push
+    /// interior children right-then-left so leaves come out in ascending
+    /// shard order.  Stops (returning `false`) at the first leaf `leaf`
+    /// rejects.
     fn descend(
         &self,
+        start: &[u32],
         counters: &mut WorkCounters,
         enter: impl Fn(&Aabb) -> bool,
-        mut leaf: impl FnMut(u32, &Aabb, &mut WorkCounters),
-    ) {
+        mut leaf: impl FnMut(u32, &Aabb) -> bool,
+    ) -> bool {
         if self.nodes.is_empty() {
-            return;
+            return true;
         }
         // `Tlas::build` splits shard ranges at their midpoint, so the tree
         // depth is at most ceil(log2(shards)) <= 32 and a depth-first walk
-        // holds at most depth + 1 pending nodes.
+        // holds at most depth + 2 pending nodes.
         let mut stack = [0u32; TLAS_STACK];
-        let mut top = 1usize;
+        let mut top = start.len();
+        for (slot, &node) in stack.iter_mut().zip(start.iter().rev()) {
+            *slot = node;
+        }
         while top > 0 {
             top -= 1;
             let ni = stack[top];
@@ -269,7 +321,11 @@ impl Tlas {
                 continue;
             }
             match node.kind {
-                TlasNodeKind::Leaf { shard } => leaf(shard, &node.bounds, counters),
+                TlasNodeKind::Leaf { shard } => {
+                    if !leaf(shard, &node.bounds) {
+                        return false;
+                    }
+                }
                 TlasNodeKind::Internal { left, right } => {
                     stack[top] = right;
                     stack[top + 1] = left;
@@ -277,6 +333,7 @@ impl Tlas {
                 }
             }
         }
+        true
     }
 }
 

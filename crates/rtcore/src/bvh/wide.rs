@@ -13,10 +13,11 @@
 //! AABB has the largest surface area is replaced by its own two children
 //! (expanding the fattest box first minimises the area the packed node
 //! exposes to rays).  Leaves are never expanded — they become leaf slots
-//! whose ranges index a *copy* of the source tree's re-ordered primitive
-//! array (identical layout, so a collapse cannot reorder hits; the copy is
-//! what lets the wide scene live independently of the binary one, and
-//! [`WideBvh::device_bytes`] charges it honestly).
+//! whose ranges index the scene's structure-of-arrays primitive lanes
+//! ([`PrimLanes`]), staged in the source tree's primitive order (so a
+//! collapse cannot reorder hits).  The lanes are the wide scene's only copy
+//! of its primitives: once collapsed, the scene lives independently of the
+//! binary tree, which its owner drops.
 //! A set that still has fewer than four members is padded with
 //! [`WideChild::Empty`] slots whose lanes hold the empty AABB (rejected by
 //! every overlap test for free).
@@ -29,6 +30,16 @@
 //! memory — the exact shape SIMD units and RT-core box testers consume.
 //! Child references are packed `u32` payloads tagged by [`WideChild`].
 //!
+//! # Maintenance in place
+//!
+//! [`WideBvh::remove_points`] and [`WideBvh::update_centers`] refit the
+//! wide scene without a binary tree: they edit the lanes (compacting each
+//! leaf's survivors, or writing new centres), then recompute every slot box
+//! in one reverse sweep over the node array — a child's index is always
+//! larger than its parent's, so children are refitted first.  A slot that
+//! loses its last primitive becomes [`WideChild::Empty`], and nodes cut off
+//! that way are pruned, so every [`validate_wide`] invariant survives.
+//!
 //! # Cost model
 //!
 //! Traversal over a `WideBvh` counts one
@@ -38,6 +49,7 @@
 //! ([`crate::hardware::CostProfile::wide_visit_fraction`]), which is what
 //! lets benches demonstrate the simulated-device win of wide nodes.
 
+use crate::bvh::refit::RefitStats;
 use crate::bvh::{Bvh, NodeKind};
 use crate::geometry::{Aabb, Point3, Sphere};
 use crate::hardware::sat_bump;
@@ -93,6 +105,11 @@ impl WideNode {
         self.max_lanes[0][slot] = bounds.max.x;
         self.max_lanes[1][slot] = bounds.max.y;
         self.max_lanes[2][slot] = bounds.max.z;
+    }
+
+    /// Union of the four child boxes (empty slots add nothing).
+    pub(crate) fn bounds(&self) -> Aabb {
+        (0..WIDE_BRANCHING).fold(Aabb::EMPTY, |acc, slot| acc.union(&self.child_bounds(slot)))
     }
 
     /// Reconstruct the AABB of child slot `slot`.
@@ -216,19 +233,24 @@ impl WideNode {
     }
 }
 
-/// A collapsed 4-wide BVH.
+/// A collapsed 4-wide BVH: the wide nodes plus the scene's one resident
+/// copy of its primitives, the SoA [`PrimLanes`].
 ///
-/// Node 0 is the root.  `primitives` is the same re-ordered array the source
-/// binary tree produced, so leaf ranges mean exactly what they meant there.
+/// Node 0 is the root.  The lanes hold the primitives in the order the
+/// source binary tree left them, so leaf ranges mean exactly what they
+/// meant there.  Nothing else is kept: the binary tree is not needed after
+/// the collapse, and [`WideBvh::remove_points`] / [`WideBvh::update_centers`]
+/// refit the wide nodes in place.  [`WideBvh::device_bytes`] is therefore
+/// `size_of::<WideNode>()` per node plus 20 B per lane slot.
 #[derive(Debug, Clone)]
 pub struct WideBvh {
     /// Flat wide-node storage; index 0 is the root.
     pub nodes: Vec<WideNode>,
     /// Bounds of the whole scene (the source tree's root bounds).
     pub scene_bounds: Aabb,
-    /// Primitives, re-ordered so leaf ranges are contiguous (shared layout
-    /// with the source binary tree).
-    pub primitives: Vec<Sphere>,
+    /// The primitives in leaf order, as SoA lanes (centres,
+    /// multiplicities, point ids) plus the radius they share.
+    pub lanes: PrimLanes,
     /// Work the collapse performed (node emissions), for the cost model.
     pub collapse_counters: WorkCounters,
 }
@@ -244,7 +266,7 @@ impl WideBvh {
             return WideBvh {
                 nodes: Vec::new(),
                 scene_bounds: Aabb::EMPTY,
-                primitives: Vec::new(),
+                lanes: PrimLanes::from_primitives(&[]),
                 collapse_counters: counters,
             };
         }
@@ -259,7 +281,7 @@ impl WideBvh {
         WideBvh {
             nodes,
             scene_bounds: bvh.nodes[0].bounds,
-            primitives: bvh.primitives.clone(),
+            lanes: PrimLanes::from_primitives(&bvh.primitives),
             collapse_counters: counters,
         }
     }
@@ -337,7 +359,7 @@ impl WideBvh {
         WideBvh {
             nodes,
             scene_bounds: bvh.nodes[0].bounds,
-            primitives: bvh.primitives.clone(),
+            lanes: PrimLanes::from_primitives(&bvh.primitives),
             collapse_counters: counters,
         }
     }
@@ -349,13 +371,149 @@ impl WideBvh {
 
     /// Number of primitives.
     pub fn primitive_count(&self) -> usize {
-        self.primitives.len()
+        self.lanes.len()
     }
 
-    /// Estimated device-memory footprint in bytes (wide nodes + primitives).
+    /// Estimated device-memory footprint in bytes (wide nodes + primitive
+    /// lanes).
     pub fn device_bytes(&self) -> u64 {
-        std::mem::size_of::<WideNode>() as u64 * self.nodes.len() as u64
-            + std::mem::size_of::<Sphere>() as u64 * self.primitives.len() as u64
+        std::mem::size_of::<WideNode>() as u64 * self.nodes.len() as u64 + self.lanes.device_bytes()
+    }
+
+    /// Remove every primitive whose point id satisfies `should_remove`, in
+    /// place: each leaf keeps its survivors, in ascending `first_prim`
+    /// order, and shrinks its count (the lanes compact stably, exactly as
+    /// [`crate::bvh::refit::remove_points`] compacts a binary tree's
+    /// primitive array), then one reverse sweep over the nodes recomputes
+    /// every slot box (see the module docs: emptied slots become
+    /// [`WideChild::Empty`] and cut-off nodes are pruned).  Charges one
+    /// `refits`, one `misc_ops` per primitive tested and one
+    /// `refit_node_ops` per node swept.  A scene left with no primitive has
+    /// no nodes either.
+    pub fn remove_points<F>(&mut self, should_remove: F, counters: &mut WorkCounters) -> RefitStats
+    where
+        F: Fn(u32) -> bool,
+    {
+        let before = self.lanes.len();
+        let kept_before = self.lanes.retain(|id| !should_remove(id));
+        for node in &mut self.nodes {
+            for child in &mut node.children {
+                if let WideChild::Leaf {
+                    first_prim,
+                    prim_count,
+                } = child
+                {
+                    let lo = kept_before[*first_prim as usize];
+                    let hi = kept_before[(*first_prim + *prim_count) as usize];
+                    *first_prim = lo;
+                    *prim_count = hi - lo;
+                }
+            }
+        }
+        let nodes_refit = self.refit(counters);
+        sat_bump(&mut counters.refits, 1);
+        sat_bump(&mut counters.misc_ops, before as u64);
+        RefitStats {
+            nodes_refit,
+            prims_removed: (before - self.lanes.len()) as u64,
+        }
+    }
+
+    /// Move primitives in place: `moved(id)` gives the new centre of point
+    /// `id` (`None` leaves it where it is).  The topology stays; the same
+    /// reverse sweep as [`WideBvh::remove_points`] re-bounds it.  Charges
+    /// like [`crate::bvh::refit::update_spheres`].
+    pub fn update_centers<F>(&mut self, moved: F, counters: &mut WorkCounters) -> RefitStats
+    where
+        F: FnMut(u32) -> Option<Point3>,
+    {
+        self.lanes.move_centers(moved);
+        sat_bump(&mut counters.misc_ops, self.lanes.len() as u64);
+        let nodes_refit = self.refit(counters);
+        sat_bump(&mut counters.refits, 1);
+        RefitStats {
+            nodes_refit,
+            prims_removed: 0,
+        }
+    }
+
+    /// One reverse sweep over the node array recomputing every child-slot
+    /// box (leaf slots from their lane range, interior slots from the
+    /// nested node's slots) and then `scene_bounds`.  One sweep suffices
+    /// because every child sits at a larger index than its parent (the
+    /// collapse allocates children after their parent, and the parallel
+    /// splice preserves that).  A slot left with no primitive becomes
+    /// [`WideChild::Empty`]; nodes cut off that way are pruned.  Returns
+    /// the nodes swept, charged as `refit_node_ops`.
+    fn refit(&mut self, counters: &mut WorkCounters) -> u64 {
+        let swept = self.nodes.len() as u64;
+        let mut orphaned = false;
+        for i in (0..self.nodes.len()).rev() {
+            let mut node = self.nodes[i];
+            for slot in 0..WIDE_BRANCHING {
+                let bounds = match node.children[slot] {
+                    WideChild::Empty => continue,
+                    WideChild::Leaf {
+                        first_prim,
+                        prim_count,
+                    } => self.lanes.bounds(first_prim as usize, prim_count as usize),
+                    WideChild::Node(child) => self.nodes[child as usize].bounds(),
+                };
+                if bounds.is_empty() {
+                    orphaned |= matches!(node.children[slot], WideChild::Node(_));
+                    node.children[slot] = WideChild::Empty;
+                }
+                node.set_bounds(slot, &bounds);
+            }
+            self.nodes[i] = node;
+        }
+        sat_bump(&mut counters.refit_node_ops, swept);
+        self.scene_bounds = self.nodes.first().map_or(Aabb::EMPTY, WideNode::bounds);
+        if self.scene_bounds.is_empty() {
+            self.nodes.clear();
+        } else if orphaned {
+            self.prune_unreachable(counters);
+        }
+        swept
+    }
+
+    /// Drop the nodes a refit cut off and renumber the rest in order, so
+    /// every child still follows its parent.  Charges one `misc_ops` per
+    /// node scanned.
+    fn prune_unreachable(&mut self, counters: &mut WorkCounters) {
+        let n = self.nodes.len();
+        let mut reachable = vec![false; n];
+        let mut renamed = vec![0u32; n];
+        reachable[0] = true;
+        let mut kept = 0u32;
+        for i in 0..n {
+            if !reachable[i] {
+                continue;
+            }
+            renamed[i] = kept;
+            kept += 1;
+            for child in &self.nodes[i].children {
+                if let WideChild::Node(c) = *child {
+                    reachable[c as usize] = true;
+                }
+            }
+        }
+        // `renamed[i] <= i`, so a forward copy never overwrites a node it
+        // has yet to read.
+        for i in 0..n {
+            if !reachable[i] {
+                continue;
+            }
+            let mut node = self.nodes[i];
+            for child in node.children.iter_mut() {
+                if let WideChild::Node(c) = child {
+                    *c = renamed[*c as usize];
+                }
+            }
+            self.nodes[renamed[i] as usize] = node;
+        }
+        self.nodes.truncate(kept as usize);
+        sat_bump(&mut counters.misc_ops, n as u64);
     }
 }
 
@@ -363,17 +521,28 @@ impl WideBvh {
 // Traversal-time layout: SoA primitive lanes
 // ---------------------------------------------------------------------------
 
-/// Structure-of-arrays mirror of a wide scene's primitive array: the
-/// coordinate and multiplicity lanes the SIMD leaf-run kernels consume
-/// (see [`crate::simd`]).  Lanes are padded with `+∞` coordinates /
-/// zero multiplicities so vector loads may read whole vectors past a
-/// run's end without admitting phantom candidates.
-#[derive(Debug, Clone, Default)]
+/// The primitives of a wide scene in structure-of-arrays form — its only
+/// resident copy of them: the coordinate and multiplicity lanes the SIMD
+/// leaf-run kernels consume (see [`crate::simd`]), a `u32` point-id lane,
+/// and the radius every primitive shares (the build ε).  A reader that
+/// wants a [`Sphere`] gets one rebuilt by value ([`PrimLanes::spheres`]);
+/// its centre is the same three `f32`s, so every distance test is
+/// bit-identical to one against the source sphere.
+///
+/// Lanes are padded with `+∞` coordinates / zero multiplicities /
+/// `u32::MAX` ids so vector loads may read whole vectors past a run's end
+/// without admitting phantom candidates.  Each lane slot, padding
+/// included, costs 20 B.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PrimLanes {
     x: Vec<f32>,
     y: Vec<f32>,
     z: Vec<f32>,
     mult: Vec<u32>,
+    /// `Sphere::point_index` of each primitive.
+    ids: Vec<u32>,
+    /// The radius every primitive shares.
+    radius: f32,
     /// True when every primitive has multiplicity 1 (no compaction): hit
     /// counts are then plain popcounts and the multiplicity lane is never
     /// read.
@@ -382,14 +551,22 @@ pub struct PrimLanes {
 
 impl PrimLanes {
     /// Stage `primitives` (a wide scene's leaf-ordered array) into padded
-    /// SoA lanes.
+    /// SoA lanes.  Every primitive must share one radius (each scene in
+    /// this crate is built from ε-spheres); the first one's is kept.
     pub fn from_primitives(primitives: &[Sphere]) -> Self {
         let n = primitives.len();
+        let radius = primitives.first().map_or(0.0, |p| p.radius);
+        debug_assert!(
+            primitives.iter().all(|p| p.radius == radius),
+            "a wide scene's primitives share one radius"
+        );
         let mut lanes = PrimLanes {
             x: Vec::with_capacity(n + LANE_PADDING),
             y: Vec::with_capacity(n + LANE_PADDING),
             z: Vec::with_capacity(n + LANE_PADDING),
             mult: Vec::with_capacity(n + LANE_PADDING),
+            ids: Vec::with_capacity(n + LANE_PADDING),
+            radius,
             uniform: true,
         };
         for p in primitives {
@@ -397,15 +574,22 @@ impl PrimLanes {
             lanes.y.push(p.center.y);
             lanes.z.push(p.center.z);
             lanes.mult.push(p.multiplicity);
+            lanes.ids.push(p.point_index);
             lanes.uniform &= p.multiplicity == 1;
         }
-        for _ in 0..LANE_PADDING {
-            lanes.x.push(f32::INFINITY);
-            lanes.y.push(f32::INFINITY);
-            lanes.z.push(f32::INFINITY);
-            lanes.mult.push(0);
-        }
+        lanes.pad();
         lanes
+    }
+
+    /// Append the `LANE_PADDING` sentinel slots.
+    fn pad(&mut self) {
+        for _ in 0..LANE_PADDING {
+            self.x.push(f32::INFINITY);
+            self.y.push(f32::INFINITY);
+            self.z.push(f32::INFINITY);
+            self.mult.push(0);
+            self.ids.push(u32::MAX);
+        }
     }
 
     /// Number of primitives staged (padding excluded).
@@ -416,6 +600,96 @@ impl PrimLanes {
     /// True when no primitives are staged.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Centre of primitive `i`.
+    #[inline]
+    pub(crate) fn center(&self, i: usize) -> Point3 {
+        Point3::new(self.x[i], self.y[i], self.z[i])
+    }
+
+    /// Point id (`Sphere::point_index`) of primitive `i`.
+    #[inline]
+    pub(crate) fn point_index(&self, i: usize) -> u32 {
+        self.ids[i]
+    }
+
+    /// Multiplicity of primitive `i`.
+    #[inline]
+    pub(crate) fn multiplicity(&self, i: usize) -> u32 {
+        self.mult[i]
+    }
+
+    /// The primitives `[first, first + count)` rebuilt as [`Sphere`]s, in
+    /// lane order.
+    #[inline]
+    pub fn spheres(&self, first: usize, count: usize) -> impl Iterator<Item = Sphere> + '_ {
+        let end = first + count;
+        let radius = self.radius;
+        self.x[first..end]
+            .iter()
+            .zip(&self.y[first..end])
+            .zip(&self.z[first..end])
+            .zip(&self.mult[first..end])
+            .zip(&self.ids[first..end])
+            .map(
+                move |((((&x, &y), &z), &multiplicity), &point_index)| Sphere {
+                    center: Point3::new(x, y, z),
+                    radius,
+                    point_index,
+                    multiplicity,
+                },
+            )
+    }
+
+    /// Union of the sphere bounds of `[first, first + count)` (empty for
+    /// an empty range).
+    pub(crate) fn bounds(&self, first: usize, count: usize) -> Aabb {
+        self.spheres(first, count)
+            .fold(Aabb::EMPTY, |acc, s| acc.union(&s.bounds()))
+    }
+
+    /// Keep the primitives whose id `keep` accepts, compacting every lane
+    /// stably.  Returns `kept_before`, where `kept_before[i]` is the number
+    /// of survivors among the first `i` old primitives (`len + 1` entries),
+    /// so an old range `[a, b)` maps to `[kept_before[a], kept_before[b])`.
+    fn retain(&mut self, keep: impl Fn(u32) -> bool) -> Vec<u32> {
+        let n = self.len();
+        let mut kept_before = Vec::with_capacity(n + 1);
+        let mut write = 0usize;
+        let mut uniform = true;
+        for read in 0..n {
+            kept_before.push(write as u32);
+            if keep(self.ids[read]) {
+                self.x[write] = self.x[read];
+                self.y[write] = self.y[read];
+                self.z[write] = self.z[read];
+                self.mult[write] = self.mult[read];
+                self.ids[write] = self.ids[read];
+                uniform &= self.mult[write] == 1;
+                write += 1;
+            }
+        }
+        kept_before.push(write as u32);
+        for lane in [&mut self.x, &mut self.y, &mut self.z] {
+            lane.truncate(write);
+        }
+        self.mult.truncate(write);
+        self.ids.truncate(write);
+        self.pad();
+        self.uniform = uniform;
+        kept_before
+    }
+
+    /// Write the new centre `moved(id)` of every primitive it names.
+    fn move_centers(&mut self, mut moved: impl FnMut(u32) -> Option<Point3>) {
+        for i in 0..self.len() {
+            if let Some(p) = moved(self.ids[i]) {
+                self.x[i] = p.x;
+                self.y[i] = p.y;
+                self.z[i] = p.z;
+            }
+        }
     }
 
     /// Multiplicity-weighted count of the candidates in
@@ -444,9 +718,10 @@ impl PrimLanes {
         }
     }
 
-    /// Device-memory footprint of the lanes in bytes.
+    /// Device-memory footprint of the lanes in bytes: five 4-byte lanes
+    /// per slot, padding included.
     pub fn device_bytes(&self) -> u64 {
-        (self.x.len() + self.y.len() + self.z.len() + self.mult.len()) as u64 * 4
+        (self.x.len() + self.y.len() + self.z.len() + self.mult.len() + self.ids.len()) as u64 * 4
     }
 }
 
@@ -670,14 +945,14 @@ impl std::error::Error for WideInvariantError {}
 ///    boxes for interior slots, the owned primitives' bounds for leaf slots.
 pub fn validate_wide(wide: &WideBvh) -> Result<(), WideInvariantError> {
     if wide.nodes.is_empty() {
-        if wide.primitives.is_empty() {
+        if wide.lanes.is_empty() {
             return Ok(());
         }
         return Err(WideInvariantError::EmptyTreeWithPrimitives);
     }
 
     let n_nodes = wide.nodes.len();
-    let n_prims = wide.primitives.len();
+    let n_prims = wide.lanes.len();
     let mut visited = vec![false; n_nodes];
     let mut prim_cover = vec![0usize; n_prims];
     let mut stack: Vec<u32> = vec![0];
@@ -729,7 +1004,7 @@ pub fn validate_wide(wide: &WideBvh) -> Result<(), WideInvariantError> {
                             count: prim_count,
                         });
                     }
-                    for (offset, prim) in wide.primitives[first..first + count].iter().enumerate() {
+                    for (offset, prim) in wide.lanes.spheres(first, count).enumerate() {
                         prim_cover[first + offset] += 1;
                         if !bounds.contains_aabb(&prim.bounds()) {
                             return Err(WideInvariantError::SlotBoundsTooSmall { node: idx, slot });
@@ -808,7 +1083,7 @@ mod tests {
             for workers in [1usize, 2, 3, 5, 8, 64] {
                 let par = WideBvh::from_binary_parallel(&bvh, workers, &telemetry);
                 assert_eq!(par.nodes, seq.nodes, "{:?} workers={workers}", b.kind());
-                assert_eq!(par.primitives, seq.primitives);
+                assert_eq!(par.lanes, seq.lanes);
                 assert_eq!(par.scene_bounds, seq.scene_bounds);
                 assert_eq!(
                     par.collapse_counters.build_node_ops,
@@ -958,7 +1233,7 @@ mod tests {
         let bad = WideBvh {
             nodes: vec![],
             scene_bounds: Aabb::EMPTY,
-            primitives: vec![Sphere::new(Point3::ORIGIN, 1.0, 0)],
+            lanes: PrimLanes::from_primitives(&[Sphere::new(Point3::ORIGIN, 1.0, 0)]),
             collapse_counters: WorkCounters::ZERO,
         };
         assert_eq!(
@@ -1030,14 +1305,16 @@ mod tests {
             .build(spheres_from_points(&pts, 0.5))
             .unwrap();
         let wide = WideBvh::from_binary(&bvh);
-        let lanes = PrimLanes::from_primitives(&wide.primitives);
-        assert_eq!(lanes.len(), wide.primitives.len());
+        let lanes = &wide.lanes;
+        assert_eq!(lanes.len(), bvh.primitives.len());
         assert!(!lanes.is_empty());
-        assert!(lanes.device_bytes() > 0);
+        // The lanes rebuild the source spheres exactly, in leaf order.
+        let rebuilt: Vec<Sphere> = lanes.spheres(0, lanes.len()).collect();
+        assert_eq!(rebuilt, bvh.primitives);
         // Whole-array count through the lanes equals the scalar sphere test.
         let q = pts[7];
         let eps_sq = 2.25f32;
-        let want: u64 = wide
+        let want: u64 = bvh
             .primitives
             .iter()
             .filter(|p| p.center.distance_squared(q) <= eps_sq)
@@ -1057,6 +1334,105 @@ mod tests {
         let empty = PrimLanes::from_primitives(&[]);
         assert!(empty.is_empty());
         assert_eq!(empty.len(), 0);
+    }
+
+    #[test]
+    fn device_bytes_are_nodes_plus_twenty_bytes_per_lane_slot() {
+        let pts = random_points(777, 9);
+        let bvh = LbvhBuilder::default()
+            .build(spheres_from_points(&pts, 0.7))
+            .unwrap();
+        let wide = WideBvh::from_binary(&bvh);
+        let slots = (pts.len() + LANE_PADDING) as u64;
+        assert_eq!(
+            wide.device_bytes(),
+            std::mem::size_of::<WideNode>() as u64 * wide.node_count() as u64 + 20 * slots
+        );
+    }
+
+    /// Sorted ids of the primitives within `eps` of `q`, through the
+    /// single-ray wide traversal.
+    fn wide_hits(wide: &WideBvh, q: Point3, eps: f32) -> Vec<u32> {
+        let mut hits = Vec::new();
+        let mut scratch = crate::traversal::TraversalScratch::default();
+        let mut c = WorkCounters::ZERO;
+        crate::traversal::traverse_wide(
+            wide,
+            &crate::geometry::Ray::epsilon_ray(q),
+            &mut scratch,
+            &mut c,
+            crate::traversal::NoSink,
+            |s, _| {
+                if s.center.distance_squared(q) <= eps * eps {
+                    hits.push(s.point_index);
+                }
+                crate::traversal::Traversal::Continue
+            },
+        );
+        hits.sort_unstable();
+        hits
+    }
+
+    #[test]
+    fn in_place_removal_and_motion_match_a_fresh_collapse() {
+        let eps = 1.5f32;
+        let mut pts = random_points(600, 41);
+        let bvh = LbvhBuilder::default()
+            .build(spheres_from_points(&pts, eps))
+            .unwrap();
+        let mut wide = WideBvh::from_binary(&bvh);
+        drop(bvh);
+        let mut alive = vec![true; pts.len()];
+        // Retire every point in one corner (whole subtrees go, so nodes are
+        // pruned) plus a scatter of others.
+        let retire = |i: u32, p: Point3| p.x < -200.0 || i % 7 == 3;
+        let snapshot = pts.clone();
+        let mut c = WorkCounters::ZERO;
+        let nodes_before = wide.node_count();
+        let stats = wide.remove_points(|id| retire(id, snapshot[id as usize]), &mut c);
+        for (i, p) in pts.iter().enumerate() {
+            alive[i] = !retire(i as u32, *p);
+        }
+        let live = alive.iter().filter(|a| **a).count();
+        assert_eq!(stats.prims_removed as usize, pts.len() - live);
+        assert_eq!(wide.primitive_count(), live);
+        assert!(
+            wide.node_count() < nodes_before,
+            "emptied subtrees are pruned"
+        );
+        assert_eq!(c.refits, 1);
+        assert_eq!(c.refit_node_ops, nodes_before as u64);
+        validate_wide(&wide).unwrap();
+        // Move a few survivors far and near.
+        let moved: Vec<(u32, Point3)> = (0..pts.len() as u32)
+            .filter(|&i| alive[i as usize] && i % 5 == 0)
+            .map(|i| (i, Point3::new(i as f32 * 0.01, -(i as f32) * 0.02, 0.1)))
+            .collect();
+        wide.update_centers(
+            |id| moved.iter().find(|&&(i, _)| i == id).map(|&(_, p)| p),
+            &mut c,
+        );
+        for &(i, p) in &moved {
+            pts[i as usize] = p;
+        }
+        validate_wide(&wide).unwrap();
+        assert_eq!(wide.device_bytes(), {
+            let slots = (live + LANE_PADDING) as u64;
+            std::mem::size_of::<WideNode>() as u64 * wide.node_count() as u64 + 20 * slots
+        });
+        for q in (0..pts.len()).step_by(11) {
+            let want: Vec<u32> = (0..pts.len())
+                .filter(|&j| alive[j] && pts[j].distance_squared(pts[q]) <= eps * eps)
+                .map(|j| j as u32)
+                .collect();
+            assert_eq!(wide_hits(&wide, pts[q], eps), want, "query {q}");
+        }
+        // Retiring the rest leaves an empty scene with no nodes.
+        wide.remove_points(|_| true, &mut c);
+        assert_eq!(wide.node_count(), 0);
+        assert_eq!(wide.primitive_count(), 0);
+        assert!(wide.scene_bounds.is_empty());
+        validate_wide(&wide).unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@ use super::{
 use crate::bvh::BuilderKind;
 use crate::bvh::{
     compact_coincident, refit, spheres_from_points, Bvh, BvhBuilder, LbvhBuilder,
-    MedianSplitBuilder, PrimLanes, SahBuilder, WideBvh,
+    MedianSplitBuilder, SahBuilder, WideBvh,
 };
 use crate::error::{Error, Result};
 use crate::fault::{CancelScope, FaultInjector, FaultSite};
@@ -21,8 +21,8 @@ use crate::telemetry::{
     NodeHeatmap, PhaseKind, Telemetry, DIST_COMPS_BUCKETS, LATENCY_US_BUCKETS, OCCUPANCY_BUCKETS,
 };
 use crate::traversal::{
-    traverse_batch_prims, traverse_batch_runs, traverse_wide, traverse_with_scratch_sink,
-    LeafVisit, NoSink, QueryOrder, ReorderScratch, ScratchPool, Traversal, TraversalScratch,
+    traverse_batch_runs, traverse_wide, traverse_with_scratch_sink, LeafVisit, NoSink, QueryOrder,
+    ReorderScratch, ScratchPool, Traversal, TraversalScratch,
 };
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -86,13 +86,13 @@ struct PacketScratch {
     counts: Vec<u64>,
 }
 
-/// State shared by the binary and wide backends: the built tree, the
-/// compaction mapping, and the accounting.
+/// State shared by the binary and wide backends: the compaction mapping
+/// and the accounting.  The scene itself lives in the backend — the binary
+/// oracle keeps its tree, the wide backend only its BVH4.
 #[derive(Debug)]
 struct BvhCore {
     n: usize,
     eps: f32,
-    bvh: Option<Bvh>,
     /// `representative_of[i]` is the primitive standing for point `i`
     /// (identity when compaction is off or merged nothing).
     representative_of: Vec<u32>,
@@ -111,7 +111,13 @@ struct BvhCore {
 }
 
 impl BvhCore {
-    fn build(config: &NeighborIndexBuilder, points: &[Point3], eps: f32) -> Result<Self> {
+    /// Compact (if configured) and build the binary tree; returns the
+    /// shared state and the tree (`None` for an empty input).
+    fn build(
+        config: &NeighborIndexBuilder,
+        points: &[Point3],
+        eps: f32,
+    ) -> Result<(Self, Option<Bvh>)> {
         let telemetry = Telemetry::new(config.telemetry);
         let mut build_span = telemetry.span(PhaseKind::LbvhBuild);
         let mut build_counters = WorkCounters::ZERO;
@@ -153,10 +159,9 @@ impl BvhCore {
         }
         build_span.add_counters(build_counters);
         drop(build_span);
-        Ok(BvhCore {
+        let core = BvhCore {
             n: points.len(),
             eps,
-            bvh,
             representative_of,
             compacting: config.compaction,
             geometry: config.geometry,
@@ -165,31 +170,30 @@ impl BvhCore {
             query_counters: Mutex::new(WorkCounters::ZERO),
             scratch: ScratchPool::new(),
             telemetry,
-        })
+        };
+        Ok((core, bvh))
     }
 
-    /// Wrap an already-built tree (a shard's BLAS): no compaction pass, no
-    /// builder dispatch — the sharded scene performed both globally.  The
-    /// `representative_of` table stays empty (identity fallback); the
-    /// spheres carry their global point indices, so queries report global
-    /// ids without translation.
+    /// The state around an already-built tree (a shard's BLAS): no
+    /// compaction pass, no builder dispatch — the sharded scene performed
+    /// both globally.  The `representative_of` table stays empty (identity
+    /// fallback); the spheres carry their global point indices, so queries
+    /// report global ids without translation.
     fn from_prebuilt(
         config: &NeighborIndexBuilder,
-        bvh: Bvh,
+        bvh: &Bvh,
         eps: f32,
         telemetry: Telemetry,
     ) -> Self {
-        let build_counters = bvh.build_counters;
         BvhCore {
             n: bvh.primitives.len(),
             eps,
-            bvh: Some(bvh),
             // analyze-allow: hot-path-alloc -- constructor: one empty vec per scene build, not per query
             representative_of: Vec::new(),
             compacting: false,
             geometry: config.geometry,
             min_parallel_launch: config.min_parallel_launch,
-            build_counters,
+            build_counters: bvh.build_counters,
             query_counters: Mutex::new(WorkCounters::ZERO),
             scratch: ScratchPool::new(),
             telemetry,
@@ -247,6 +251,7 @@ impl BvhCore {
     #[allow(clippy::too_many_arguments)]
     fn trace_binary(
         &self,
+        bvh: &Bvh,
         query: Point3,
         eps: f32,
         exclude: Option<u32>,
@@ -256,7 +261,6 @@ impl BvhCore {
         mut emit: impl FnMut(Neighbor, &mut WorkCounters) -> NeighborFlow,
     ) {
         debug_assert!(eps <= self.eps, "query radius exceeds the build radius");
-        let Some(bvh) = &self.bvh else { return };
         sat_bump(&mut counters.rays, 1);
         let ray = Ray::epsilon_ray(query);
         let eps_sq = eps * eps;
@@ -291,58 +295,31 @@ impl BvhCore {
         *self.query_counters.lock() += *local;
     }
 
-    fn remove_impl(&mut self, retired: &[u32]) -> Result<WorkCounters> {
-        // Refuse whenever compaction is configured (not merely when it
-        // merged something) so behaviour always matches the advertised
-        // `capabilities().refittable`.
+    /// Refuse refit maintenance whenever compaction is configured (not
+    /// merely when it merged something), so behaviour always matches the
+    /// advertised `capabilities().refittable`: merged primitives stand for
+    /// several input points.
+    fn check_refittable(&self, action: &str) -> Result<()> {
         if self.compacting {
-            return Err(crate::error::Error::InvalidConfig(
-                "cannot remove points from a compacting index: merged primitives \
+            return Err(Error::InvalidConfig(format!(
+                "cannot {action} a compacting index: merged primitives \
                  stand for several input points"
-                    .into(),
-            ));
+            )));
         }
-        let mut counters = WorkCounters::ZERO;
-        let mut span = self.telemetry.span(PhaseKind::Refit);
-        if let Some(bvh) = &mut self.bvh {
-            let dead: HashSet<u32> = retired.iter().copied().collect();
-            refit::remove_points(bvh, |idx| dead.contains(&idx), &mut counters);
-            self.n = self.n.saturating_sub(retired.len());
-            if bvh.primitives.is_empty() {
-                self.bvh = None;
-            }
-        }
-        span.add_counters(counters);
-        drop(span);
-        self.build_counters += counters;
-        Ok(counters)
+        Ok(())
     }
 
-    fn update_impl(&mut self, moved: &[(u32, Point3)]) -> Result<WorkCounters> {
-        if self.compacting {
-            return Err(crate::error::Error::InvalidConfig(
-                "cannot move points of a compacting index: merged primitives \
-                 stand for several input points"
-                    .into(),
-            ));
-        }
+    /// Run one in-place refit `pass` (handed the live point count and the
+    /// pass's counters) under a `refit` span, and charge its work to the
+    /// build counters.
+    fn refit(&mut self, pass: impl FnOnce(&mut usize, &mut WorkCounters)) -> WorkCounters {
         let mut counters = WorkCounters::ZERO;
         let mut span = self.telemetry.span(PhaseKind::Refit);
-        if let Some(bvh) = &mut self.bvh {
-            refit::update_spheres(
-                bvh,
-                |sphere| {
-                    if let Some(&(_, p)) = moved.iter().find(|&&(i, _)| i == sphere.point_index) {
-                        sphere.center = p;
-                    }
-                },
-                &mut counters,
-            );
-        }
+        pass(&mut self.n, &mut counters);
         span.add_counters(counters);
         drop(span);
         self.build_counters += counters;
-        Ok(counters)
+        counters
     }
 
     fn capabilities(&self, kind: IndexKind, batched: bool) -> IndexCapabilities {
@@ -361,10 +338,12 @@ impl BvhCore {
 // ---------------------------------------------------------------------------
 
 /// One-ray-at-a-time traversal of a binary BVH — the reference RT substrate
-/// and the oracle the batched engine is verified against.
+/// and the oracle the batched engine is verified against.  It keeps its
+/// binary tree (the only backend that does) and refits it in place.
 #[derive(Debug)]
 pub struct BinaryBvhIndex {
     core: BvhCore,
+    bvh: Option<Bvh>,
     /// Per-node visit profiler, only under
     /// [`crate::telemetry::TelemetryConfig::Profile`].
     heatmap: Option<NodeHeatmap>,
@@ -374,18 +353,25 @@ impl BinaryBvhIndex {
     /// Build from a [`NeighborIndexBuilder`] configuration (the builder's
     /// `kind` field is ignored — this constructor always builds binary).
     pub fn build(config: &NeighborIndexBuilder, points: &[Point3], eps: f32) -> Result<Self> {
-        let core = BvhCore::build(config, points, eps)?;
+        let (core, bvh) = BvhCore::build(config, points, eps)?;
         let heatmap = config
             .telemetry
             .heatmap_enabled()
-            .then(|| core.bvh.as_ref().map(NodeHeatmap::for_binary))
+            .then(|| bvh.as_ref().map(NodeHeatmap::for_binary))
             .flatten();
-        Ok(BinaryBvhIndex { core, heatmap })
+        Ok(BinaryBvhIndex { core, bvh, heatmap })
     }
 
     /// The underlying binary tree, if any points were indexed.
     pub fn bvh(&self) -> Option<&Bvh> {
-        self.core.bvh.as_ref()
+        self.bvh.as_ref()
+    }
+
+    /// Refits change the node array; a stale depth map would misreport.
+    fn refresh_heatmap(&mut self) {
+        if self.heatmap.is_some() {
+            self.heatmap = self.bvh.as_ref().map(NodeHeatmap::for_binary);
+        }
     }
 }
 
@@ -411,7 +397,7 @@ impl NeighborIndex for BinaryBvhIndex {
     }
 
     fn device_bytes(&self) -> u64 {
-        self.core.bvh.as_ref().map_or(0, Bvh::device_bytes)
+        self.bvh.as_ref().map_or(0, Bvh::device_bytes)
     }
 
     fn representative_of(&self, index: u32) -> u32 {
@@ -430,9 +416,11 @@ impl NeighborIndex for BinaryBvhIndex {
         counters: &mut WorkCounters,
         visit: &mut NeighborVisitor<'_>,
     ) {
+        let Some(bvh) = &self.bvh else { return };
         let mut local = WorkCounters::ZERO;
         let mut guard = self.core.scratch.acquire();
         self.core.trace_binary(
+            bvh,
             query,
             eps,
             exclude,
@@ -465,11 +453,15 @@ impl NeighborIndex for BinaryBvhIndex {
             queries.len() >= self.core.min_parallel_launch,
             |chunk| {
                 let mut local = WorkCounters::ZERO;
+                let Some(bvh) = &self.bvh else {
+                    return local;
+                };
                 let mut guard = self.core.scratch.acquire();
                 let lo = chunk * chunk_size;
                 let hi = ((chunk + 1) * chunk_size).min(queries.len());
                 for (ordinal, &query) in queries.iter().enumerate().take(hi).skip(lo) {
                     self.core.trace_binary(
+                        bvh,
                         query,
                         eps,
                         None,
@@ -520,7 +512,7 @@ impl NeighborIndex for BinaryBvhIndex {
             queries.len() >= self.core.min_parallel_launch,
             |chunk| {
                 let mut local = WorkCounters::ZERO;
-                let Some(bvh) = &self.core.bvh else {
+                let Some(bvh) = &self.bvh else {
                     return local;
                 };
                 let mut guard = self.core.scratch.acquire();
@@ -611,19 +603,37 @@ impl NeighborIndex for BinaryBvhIndex {
     }
 
     fn remove(&mut self, retired: &[u32]) -> Result<WorkCounters> {
-        let counters = self.core.remove_impl(retired)?;
-        // Refits change the node array; a stale depth map would misreport.
-        if self.heatmap.is_some() {
-            self.heatmap = self.core.bvh.as_ref().map(NodeHeatmap::for_binary);
-        }
+        self.core.check_refittable("remove points from")?;
+        let dead: HashSet<u32> = retired.iter().copied().collect();
+        let bvh = &mut self.bvh;
+        let counters = self.core.refit(|n, counters| {
+            let Some(tree) = bvh.as_mut() else { return };
+            refit::remove_points(tree, |idx| dead.contains(&idx), counters);
+            *n = n.saturating_sub(retired.len());
+            if tree.primitives.is_empty() {
+                *bvh = None;
+            }
+        });
+        self.refresh_heatmap();
         Ok(counters)
     }
 
     fn update(&mut self, moved: &[(u32, Point3)]) -> Result<WorkCounters> {
-        let counters = self.core.update_impl(moved)?;
-        if self.heatmap.is_some() {
-            self.heatmap = self.core.bvh.as_ref().map(NodeHeatmap::for_binary);
-        }
+        self.core.check_refittable("move points of")?;
+        let bvh = &mut self.bvh;
+        let counters = self.core.refit(|_, counters| {
+            let Some(tree) = bvh.as_mut() else { return };
+            refit::update_spheres(
+                tree,
+                |sphere| {
+                    if let Some(&(_, p)) = moved.iter().find(|&&(i, _)| i == sphere.point_index) {
+                        sphere.center = p;
+                    }
+                },
+                counters,
+            );
+        });
+        self.refresh_heatmap();
         Ok(counters)
     }
 }
@@ -636,6 +646,13 @@ impl NeighborIndex for BinaryBvhIndex {
 /// build time and queries launch in fixed-size ray packets, each wide node
 /// fetched once per packet (see [`crate::traversal::batch`]).
 ///
+/// One copy of the scene is resident: the BVH4 nodes and their SoA
+/// primitive lanes ([`WideBvh`]).  The binary tree is dropped right after
+/// the collapse, so [`NeighborIndex::device_bytes`] is the wide scene's
+/// alone.  [`NeighborIndex::remove`] and [`NeighborIndex::update`] (on a
+/// non-compacting index) refit the BVH4 in place
+/// ([`WideBvh::remove_points`], [`WideBvh::update_centers`]).
+///
 /// Two coherence knobs of the [`NeighborIndexBuilder`] shape the launches:
 /// [`QueryOrder::Morton`] sorts query origins along the Z-order curve
 /// before packets are cut (outputs restored to caller order
@@ -644,17 +661,12 @@ impl NeighborIndex for BinaryBvhIndex {
 #[derive(Debug)]
 pub struct WideBatchedIndex {
     core: BvhCore,
+    /// The scene: BVH4 nodes plus primitive lanes (`None` once empty).
     wide: Option<WideBvh>,
-    /// SoA primitive lanes for the SIMD leaf-run kernels.
-    lanes: Option<PrimLanes>,
     query_order: QueryOrder,
     /// SIMD level resolved once at build — never re-detected per launch.
     simd: SimdLevel,
     batch_size: usize,
-    /// Worker count resolved once from the builder's `build_parallelism`;
-    /// reused by refit-driven re-collapses so maintenance parallelises
-    /// exactly like the initial build.
-    build_workers: usize,
     /// Pooled buffers for Morton launch reordering.
     reorder: ScratchPool<ReorderScratch>,
     /// Per-node visit profiler, only under
@@ -674,7 +686,8 @@ impl WideBatchedIndex {
     pub fn build(config: &NeighborIndexBuilder, points: &[Point3], eps: f32) -> Result<Self> {
         let fault = FaultInjector::new(config.fault);
         crate::fail_point!(fault, FaultSite::HlbvhBuild);
-        let index = Self::from_core(config, BvhCore::build(config, points, eps)?, fault)?;
+        let (core, bvh) = BvhCore::build(config, points, eps)?;
+        let index = Self::from_core(config, core, bvh, fault)?;
         if let Some(limit) = config.memory_budget.limit() {
             let bytes = index.device_bytes();
             if bytes > limit {
@@ -690,35 +703,34 @@ impl WideBatchedIndex {
     /// Wrap an already-built binary tree (a shard's BLAS) into the wide
     /// batched engine, skipping the compaction/builder front end — the
     /// sharded scene ran those globally and enforces the memory budget
-    /// over the whole scene.  Spans open on the calling thread, so
-    /// per-shard parallel builds are visible in the trace through their
-    /// thread ids.
+    /// over the whole scene.  The tree is consumed: it is collapsed and
+    /// dropped before this returns, so a shard built in parallel never
+    /// keeps both trees.  Spans open on the calling thread, so per-shard
+    /// parallel builds are visible in the trace through their thread ids.
     pub(crate) fn from_prebuilt(
         config: &NeighborIndexBuilder,
         bvh: Bvh,
         eps: f32,
         telemetry: Telemetry,
     ) -> Result<Self> {
-        let core = BvhCore::from_prebuilt(config, bvh, eps, telemetry);
-        Self::from_core(config, core, FaultInjector::new(config.fault))
+        let core = BvhCore::from_prebuilt(config, &bvh, eps, telemetry);
+        Self::from_core(config, core, Some(bvh), FaultInjector::new(config.fault))
     }
 
-    /// The one constructor body: collapse the core's binary tree to BVH4
-    /// (charged as build work), stage the SoA primitive lanes and size the
-    /// optional heatmap.
+    /// The one constructor body: collapse the binary tree to BVH4 (charged
+    /// as build work), drop the tree — the wide scene's lanes are its only
+    /// copy of the primitives from here on — and size the optional heatmap.
     fn from_core(
         config: &NeighborIndexBuilder,
         mut core: BvhCore,
+        bvh: Option<Bvh>,
         fault: FaultInjector,
     ) -> Result<Self> {
-        let build_workers = config.build_parallelism.resolved();
         crate::fail_point!(fault, FaultSite::Bvh4Collapse);
         let wide = {
             let mut span = core.telemetry.span(PhaseKind::Bvh4Collapse);
-            let wide = core
-                .bvh
-                .as_ref()
-                .map(|b| WideBvh::from_binary_parallel(b, build_workers, &core.telemetry));
+            let workers = config.build_parallelism.resolved();
+            let wide = bvh.map(|b| WideBvh::from_binary_parallel(&b, workers, &core.telemetry));
             if let Some(w) = &wide {
                 // The collapse is device-build work, charged with the build.
                 core.build_counters += w.collapse_counters;
@@ -726,9 +738,6 @@ impl WideBatchedIndex {
             }
             wide
         };
-        let lanes = wide
-            .as_ref()
-            .map(|w| PrimLanes::from_primitives(&w.primitives));
         let heatmap = config
             .telemetry
             .heatmap_enabled()
@@ -737,11 +746,9 @@ impl WideBatchedIndex {
         Ok(WideBatchedIndex {
             core,
             wide,
-            lanes,
             query_order: config.query_order,
             simd: config.simd.resolve(),
             batch_size: config.batch_size.max(1),
-            build_workers,
             reorder: ScratchPool::new(),
             heatmap,
             fault,
@@ -767,33 +774,12 @@ impl WideBatchedIndex {
             .map_or(crate::geometry::Aabb::EMPTY, |w| w.scene_bounds)
     }
 
-    /// Re-collapse the wide scene after a refit changed the binary tree's
-    /// shape, then rebuild the traversal-time state that follows it (SoA
-    /// lanes, heatmap depth map).  Returns the collapse work, which is
-    /// also charged to the build counters.
-    fn recollapse(&mut self) -> WorkCounters {
-        let mut counters = WorkCounters::ZERO;
-        {
-            let mut span = self.core.telemetry.span(PhaseKind::Bvh4Collapse);
-            self.wide = self.core.bvh.as_ref().map(|b| {
-                WideBvh::from_binary_parallel(b, self.build_workers, &self.core.telemetry)
-            });
-            if let Some(w) = &self.wide {
-                counters += w.collapse_counters;
-                self.core.build_counters += w.collapse_counters;
-                span.add_counters(w.collapse_counters);
-            }
-        }
-        self.lanes = self
-            .wide
-            .as_ref()
-            .map(|w| PrimLanes::from_primitives(&w.primitives));
-        // Maintenance changed the node array; rebuild the visit profiler's
-        // node→depth map so recorded visits keep landing on real nodes.
+    /// Maintenance changed the node array; rebuild the visit profiler's
+    /// node→depth map so recorded visits keep landing on real nodes.
+    fn refresh_heatmap(&mut self) {
         if self.heatmap.is_some() {
             self.heatmap = self.wide.as_ref().map(NodeHeatmap::for_wide);
         }
-        counters
     }
 
     /// Check a reorder scratch out of the pool and Morton-sort the launch
@@ -853,8 +839,9 @@ impl WideBatchedIndex {
         let rays: &[Ray] = rays;
         let eps_sq = eps * eps;
         let geometry = self.core.geometry;
+        let lanes = &wide.lanes;
         with_sink!(self.heatmap.as_ref(), |vsink| {
-            traverse_batch_prims(
+            traverse_batch_runs(
                 wide,
                 rays,
                 trav,
@@ -862,20 +849,29 @@ impl WideBatchedIndex {
                 self.simd,
                 vsink,
                 cancel,
-                |q, sphere, counters| {
-                    charge_candidate(geometry, counters);
-                    if sphere.center.distance_squared(rays[q].origin) <= eps_sq {
-                        let n = Neighbor {
-                            index: sphere.point_index,
-                            multiplicity: sphere.multiplicity,
-                        };
-                        match sink(caller_ordinal(ids, start + q), n, counters) {
-                            NeighborFlow::Continue => Traversal::Continue,
-                            NeighborFlow::Stop => Traversal::Terminate,
+                |q, first, count, counters| {
+                    // The distance test reads the coordinate lanes only; a
+                    // hit then reads its id and multiplicity.
+                    let origin = rays[q].origin;
+                    for i in first..first + count {
+                        charge_candidate(geometry, counters);
+                        let k = i as usize;
+                        if lanes.center(k).distance_squared(origin) <= eps_sq {
+                            let n = Neighbor {
+                                index: lanes.point_index(k),
+                                multiplicity: lanes.multiplicity(k),
+                            };
+                            if sink(caller_ordinal(ids, start + q), n, counters)
+                                == NeighborFlow::Stop
+                            {
+                                return LeafVisit {
+                                    visited: i - first + 1,
+                                    terminate: true,
+                                };
+                            }
                         }
-                    } else {
-                        Traversal::Continue
                     }
+                    LeafVisit::all(count)
                 },
             );
         });
@@ -936,8 +932,7 @@ impl WideBatchedIndex {
             // count is Σ multiplicity − 1.  That makes the candidate loop
             // branch-free — exactly the shape the SIMD run kernel consumes
             // from the SoA lanes.
-            // analyze-allow: lib-unwrap -- lanes are built unconditionally with the scene in build()
-            let lanes = self.lanes.as_ref().expect("lanes exist with the scene");
+            let lanes = &wide.lanes;
             let simd = self.simd;
             with_sink!(self.heatmap.as_ref(), |vsink| {
                 traverse_batch_runs(wide, rays, trav, &mut counters, simd, vsink, cancel, {
@@ -1108,7 +1103,7 @@ fn traversal_count_launch(
     exclude_self: bool,
     early_exit: Option<u64>,
 ) {
-    let all_prims = &wide.primitives;
+    let lanes = &wide.lanes;
     with_sink!(heatmap, |vsink| {
         traverse_batch_runs(
             wide,
@@ -1118,21 +1113,21 @@ fn traversal_count_launch(
             simd,
             vsink,
             cancel,
-            |q, first, count, counters| {
-                let prims = &all_prims[first as usize..(first + count) as usize];
-                charge_candidates(geometry, prims.len() as u64, counters);
+            |q, first, run, counters| {
+                charge_candidates(geometry, run as u64, counters);
                 let query = rays[q].origin;
                 let rep = rep_of(q);
                 let count = &mut local[q];
                 let mut visited = 0u32;
-                for prim in prims {
+                for i in first as usize..(first + run) as usize {
                     visited += 1;
-                    if prim.center.distance_squared(query) <= eps_sq {
-                        let own_group = exclude_self && prim.point_index == rep;
+                    if lanes.center(i).distance_squared(query) <= eps_sq {
+                        let multiplicity = lanes.multiplicity(i);
+                        let own_group = exclude_self && lanes.point_index(i) == rep;
                         let add = if own_group {
-                            prim.multiplicity.saturating_sub(1) as u64
+                            multiplicity.saturating_sub(1) as u64
                         } else {
-                            prim.multiplicity as u64
+                            multiplicity as u64
                         };
                         if add > 0 {
                             *count += add;
@@ -1140,11 +1135,7 @@ fn traversal_count_launch(
                                 if *count >= min {
                                     // The rest of the run is never tested; give its
                                     // hoisted charge back.
-                                    uncharge_candidates(
-                                        geometry,
-                                        (prims.len() - visited as usize) as u64,
-                                        counters,
-                                    );
+                                    uncharge_candidates(geometry, (run - visited) as u64, counters);
                                     return LeafVisit {
                                         visited,
                                         terminate: true,
@@ -1154,7 +1145,7 @@ fn traversal_count_launch(
                         }
                     }
                 }
-                LeafVisit::all(prims)
+                LeafVisit::all(run)
             },
         )
     });
@@ -1182,9 +1173,7 @@ impl NeighborIndex for WideBatchedIndex {
     }
 
     fn device_bytes(&self) -> u64 {
-        self.core.bvh.as_ref().map_or(0, Bvh::device_bytes)
-            + self.wide.as_ref().map_or(0, WideBvh::device_bytes)
-            + self.lanes.as_ref().map_or(0, PrimLanes::device_bytes)
+        self.wide.as_ref().map_or(0, WideBvh::device_bytes)
     }
 
     fn representative_of(&self, index: u32) -> u32 {
@@ -1266,18 +1255,18 @@ impl NeighborIndex for WideBatchedIndex {
             scope.trip();
         }
         if scope.should_stop() {
-            return Err(Error::DeadlineExceeded {
-                // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
-                partial: Box::new(WorkCounters::ZERO),
-            });
+            return Err(super::deadline_exceeded(
+                self.core.telemetry_handle(),
+                WorkCounters::ZERO,
+            ));
         }
         let total =
             self.batch_neighbors_impl(queries, eps, sink, scope.is_active().then_some(scope));
         if scope.tripped() {
-            return Err(Error::DeadlineExceeded {
-                // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
-                partial: Box::new(total),
-            });
+            return Err(super::deadline_exceeded(
+                self.core.telemetry_handle(),
+                total,
+            ));
         }
         *counters += total;
         Ok(())
@@ -1312,10 +1301,10 @@ impl NeighborIndex for WideBatchedIndex {
             scope.trip();
         }
         if scope.should_stop() {
-            return Err(Error::DeadlineExceeded {
-                // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
-                partial: Box::new(WorkCounters::ZERO),
-            });
+            return Err(super::deadline_exceeded(
+                self.core.telemetry_handle(),
+                WorkCounters::ZERO,
+            ));
         }
         let total = self.batch_neighbor_counts_impl(
             queries,
@@ -1326,10 +1315,10 @@ impl NeighborIndex for WideBatchedIndex {
             scope.is_active().then_some(scope),
         );
         if scope.tripped() {
-            return Err(Error::DeadlineExceeded {
-                // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
-                partial: Box::new(total),
-            });
+            return Err(super::deadline_exceeded(
+                self.core.telemetry_handle(),
+                total,
+            ));
         }
         *counters += total;
         Ok(())
@@ -1368,7 +1357,7 @@ impl NeighborIndex for WideBatchedIndex {
                 let Some(wide) = &self.wide else {
                     return local;
                 };
-                let all_prims = &wide.primitives;
+                let lanes = &wide.lanes;
                 sat_bump(&mut local.rays, len as u64);
                 let mut guard = self.core.scratch.acquire();
                 let PacketScratch { rays, trav, .. } = &mut *guard;
@@ -1388,18 +1377,17 @@ impl NeighborIndex for WideBatchedIndex {
                         vsink,
                         None,
                         |q, first, count, c| {
-                            let prims = &all_prims[first as usize..(first + count) as usize];
-                            charge_candidates(geometry, prims.len() as u64, c);
+                            charge_candidates(geometry, count as u64, c);
                             let query = rays[q].origin;
-                            for prim in prims {
-                                if prim.center.distance_squared(query) <= eps_sq {
+                            for i in first as usize..(first + count) as usize {
+                                if lanes.center(i).distance_squared(query) <= eps_sq {
                                     pairs.push((
                                         caller_ordinal(perm, start + q) as u32,
-                                        prim.point_index,
+                                        lanes.point_index(i),
                                     ));
                                 }
                             }
-                            LeafVisit::all(prims)
+                            LeafVisit::all(count)
                         },
                     );
                 });
@@ -1425,18 +1413,40 @@ impl NeighborIndex for WideBatchedIndex {
     }
 
     fn remove(&mut self, retired: &[u32]) -> Result<WorkCounters> {
-        let counters = self.core.remove_impl(retired)?;
-        Ok(counters + self.recollapse())
+        self.core.check_refittable("remove points from")?;
+        let dead: HashSet<u32> = retired.iter().copied().collect();
+        let wide = &mut self.wide;
+        let counters = self.core.refit(|n, counters| {
+            let Some(scene) = wide.as_mut() else { return };
+            scene.remove_points(|id| dead.contains(&id), counters);
+            *n = n.saturating_sub(retired.len());
+            // An emptied scene holds no nodes: drop it, so an emptied
+            // shard is retired.
+            if scene.primitive_count() == 0 {
+                *wide = None;
+            }
+        });
+        self.refresh_heatmap();
+        Ok(counters)
     }
 
     fn update(&mut self, moved: &[(u32, Point3)]) -> Result<WorkCounters> {
-        let counters = self.core.update_impl(moved)?;
-        Ok(counters + self.recollapse())
+        self.core.check_refittable("move points of")?;
+        let wide = &mut self.wide;
+        let counters = self.core.refit(|_, counters| {
+            let Some(scene) = wide.as_mut() else { return };
+            scene.update_centers(
+                |id| moved.iter().find(|&&(i, _)| i == id).map(|&(_, p)| p),
+                counters,
+            );
+        });
+        self.refresh_heatmap();
+        Ok(counters)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::index::NeighborIndexBuilder;
 
@@ -1514,6 +1524,57 @@ mod tests {
         // Move point 1 next to point 0.
         index.update(&[(1, Point3::new(0.5, 0.0, 0.0))]).unwrap();
         assert_eq!(index.neighbors_of(pts[0], 1.0, Some(0), &mut c), vec![1]);
+    }
+
+    /// One resident copy of the scene: a wide index's bytes are its BVH4
+    /// nodes plus 20 B per primitive lane slot (padding included) — no
+    /// binary tree, no sphere array beside the lanes.
+    pub(crate) fn assert_one_resident_copy(index: &WideBatchedIndex) {
+        let wide = index.wide_scene().expect("a non-empty scene");
+        let slots = (wide.primitive_count() + crate::simd::LANE_PADDING) as u64;
+        assert_eq!(
+            index.device_bytes(),
+            std::mem::size_of::<crate::bvh::WideNode>() as u64 * wide.node_count() as u64
+                + 20 * slots
+        );
+    }
+
+    #[test]
+    fn wide_index_keeps_one_resident_copy() {
+        let pts = line(500, 0.3);
+        for compaction in [false, true] {
+            let config = NeighborIndexBuilder {
+                compaction,
+                ..NeighborIndexBuilder::new(IndexKind::WideBatched)
+            };
+            let mut index = WideBatchedIndex::build(&config, &pts, 0.5).unwrap();
+            assert_one_resident_copy(&index);
+            if !compaction {
+                // The in-place refit keeps it that way.
+                let retired: Vec<u32> = (0..100).collect();
+                index.remove(&retired).unwrap();
+                assert_eq!(index.wide_scene().unwrap().primitive_count(), 400);
+                assert_one_resident_copy(&index);
+            }
+        }
+    }
+
+    #[test]
+    fn wide_refit_charges_refit_work_and_empties_to_nothing() {
+        let pts = line(64, 1.0);
+        let config = NeighborIndexBuilder::new(IndexKind::WideBatched);
+        let mut index = WideBatchedIndex::build(&config, &pts, 1.5).unwrap();
+        let nodes = index.wide_scene().unwrap().node_count() as u64;
+        let work = index.remove(&[3, 4, 5]).unwrap();
+        assert_eq!(work.refits, 1);
+        assert_eq!(work.refit_node_ops, nodes);
+        let mut c = WorkCounters::ZERO;
+        assert_eq!(index.neighbors_of(pts[2], 1.5, Some(2), &mut c), vec![1]);
+        let rest: Vec<u32> = (0..64).filter(|i| !(3..6).contains(i)).collect();
+        index.remove(&rest).unwrap();
+        assert!(index.wide_scene().is_none());
+        assert!(index.is_empty());
+        assert_eq!(index.device_bytes(), 0);
     }
 
     #[test]

@@ -315,9 +315,7 @@ pub trait NeighborIndex: std::fmt::Debug + Send + Sync {
         scope: &CancelScope,
     ) -> Result<()> {
         if scope.should_stop() {
-            return Err(Error::DeadlineExceeded {
-                partial: Box::new(WorkCounters::ZERO),
-            });
+            return Err(deadline_exceeded(self.telemetry(), WorkCounters::ZERO));
         }
         // A trip during the uncancellable inner launch is only noticed on
         // the next call; the completed answer is correct, so return it.
@@ -342,9 +340,7 @@ pub trait NeighborIndex: std::fmt::Debug + Send + Sync {
         scope: &CancelScope,
     ) -> Result<()> {
         if scope.should_stop() {
-            return Err(Error::DeadlineExceeded {
-                partial: Box::new(WorkCounters::ZERO),
-            });
+            return Err(deadline_exceeded(self.telemetry(), WorkCounters::ZERO));
         }
         self.batch_neighbor_counts(queries, eps, exclude_self, early_exit, counters, counts);
         Ok(())
@@ -391,7 +387,16 @@ pub trait NeighborIndex: std::fmt::Debug + Send + Sync {
 
     /// Retire points from the index in place (streaming refit hook).
     /// Returns the maintenance work performed.  Backends that cannot refit
-    /// report [`Error::InvalidConfig`].
+    /// report [`Error::InvalidConfig`], and so does a compacting BVH index
+    /// (a merged primitive stands for several points).
+    ///
+    /// The binary oracle refits its binary tree.  The wide backends keep
+    /// no binary tree: they compact each BVH4 leaf's survivors in the
+    /// primitive lanes and refit the BVH4 in one reverse sweep
+    /// ([`crate::bvh::WideBvh::remove_points`]); a shard left empty drops
+    /// its BLAS.  Answers afterwards equal a fresh build's over the
+    /// survivors; traversal counters may differ, because the refitted tree
+    /// keeps its topology.
     fn remove(&mut self, retired: &[u32]) -> Result<WorkCounters> {
         let _ = retired;
         Err(Error::InvalidConfig(format!(
@@ -402,7 +407,10 @@ pub trait NeighborIndex: std::fmt::Debug + Send + Sync {
 
     /// Move points in place (streaming refit hook), rebounding the
     /// structure.  Backends that cannot refit report
-    /// [`Error::InvalidConfig`].
+    /// [`Error::InvalidConfig`], and so does a compacting BVH index.  The
+    /// wide backends write the new centres into the primitive lanes and
+    /// refit the BVH4 in place ([`crate::bvh::WideBvh::update_centers`]);
+    /// a moved point stays in its shard, whose box grows to follow it.
     fn update(&mut self, moved: &[(u32, Point3)]) -> Result<WorkCounters> {
         let _ = moved;
         Err(Error::InvalidConfig(format!(
@@ -779,6 +787,19 @@ impl NeighborIndexBuilder {
             IndexKind::UniformGrid => Box::new(UniformGridIndex::build(self, points, eps)?),
             IndexKind::BruteForce => Box::new(BruteForceIndex::build(self, points, eps)?),
         })
+    }
+}
+
+/// The [`Error::DeadlineExceeded`] a cancellable launch returns, carrying
+/// the counters of the work done before the trip, counted as one
+/// `deadline_trips` in the index's metrics registry when telemetry
+/// records.
+pub(crate) fn deadline_exceeded(telemetry: Option<&Telemetry>, partial: WorkCounters) -> Error {
+    if let Some(metrics) = telemetry.and_then(Telemetry::metrics) {
+        metrics.incr("deadline_trips", 1);
+    }
+    Error::DeadlineExceeded {
+        partial: Box::new(partial),
     }
 }
 

@@ -10,7 +10,10 @@
 //! descends the TLAS once with that box, and tests each ray only against
 //! the leaf boxes it reaches — under Morton order a packet mostly lies in
 //! one shard, so this costs about one descent per packet instead of one
-//! per ray, for the same `(shard, ray)` plan.
+//! per ray, for the same `(shard, ray)` plan.  A scattered packet (caller
+//! order) whose box reaches more than [`PACKET_PLAN_MAX_LEAVES`] answering
+//! leaves is planned by one descent per ray instead, which is cheaper than
+//! testing every ray against every reached leaf.
 //!
 //! # Equivalence to the flat path
 //!
@@ -55,10 +58,13 @@ use crate::traversal::{QueryOrder, ReorderScratch, ScratchPool};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One shard's slice of the Morton-sorted build inputs (primitives and
-/// codes), boxed in a consumable slot so the parallel build can move it
-/// out exactly once.
-type ShardSlice = Mutex<Option<(Vec<Sphere>, Vec<u32>)>>;
+/// The most answering TLAS leaves a packet's box may reach and still be
+/// planned by testing each ray against each reached leaf.  Beyond it the
+/// packet is planned by one TLAS descent per ray, whose cost does not grow
+/// with the leaves the packet box spans: each ray then pops about two nodes
+/// per level, about 12 below the root of a TLAS over 64 shards, against
+/// one test per reached leaf in the packet plan.
+const PACKET_PLAN_MAX_LEAVES: usize = 12;
 
 /// Why a shard's BLAS is quarantined (see [`ShardedIndex::quarantine_shard`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,34 +324,20 @@ impl ShardedIndex {
         // the trace through the span thread ids.
         let max_leaf = config.max_leaf_size;
         let builder_kind = config.bvh_builder;
-        // One consumable slot per shard: the shim's owned-`Vec` parallel
-        // iterator clones items out, so hand workers indices instead and
-        // move each slice out of its slot exactly once.
-        let slices: Vec<ShardSlice> = plan
-            .ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                Mutex::new(Some((
-                    // analyze-allow: hot-path-alloc -- build path: each shard copies its prim slice once at scene construction
-                    plan.sorted_prims[lo..hi].to_vec(),
-                    // analyze-allow: hot-path-alloc -- build path: each shard copies its code slice once at scene construction
-                    plan.sorted_codes[lo..hi].to_vec(),
-                )))
-            })
-            .collect();
+        let shard_count = plan.ranges.len();
         // The shards themselves run in parallel, so each nested build only
         // gets its share of the parallelism budget; with at least as many
         // shards as workers this degrades to sequential per-shard builds
         // (the pre-existing behaviour) instead of oversubscribing the pool.
         let mut config = *config;
-        config.build_parallelism = config.build_parallelism.for_nested(slices.len());
+        config.build_parallelism = config.build_parallelism.for_nested(shard_count);
         let nested = config.build_parallelism;
         // Recovery rebuilds reuse exactly the per-shard configuration.
         index.blas_config = config;
         // Decide poisoned shards *before* the parallel loop: the shared
         // injector's hit ordinals would otherwise depend on worker
         // interleaving, and fault schedules must be deterministic.
-        let poisoned: Vec<bool> = (0..slices.len())
+        let poisoned: Vec<bool> = (0..shard_count)
             .map(|_| index.fault.fire(FaultSite::ShardBlasPoison))
             .collect();
         // `None` = this shard's BLAS build was taken down by an injected
@@ -354,14 +346,20 @@ impl ShardedIndex {
         // still propagate.
         let built: Vec<Result<Option<WideBatchedIndex>>> = {
             use rayon::prelude::*;
-            (0..slices.len())
+            (0..shard_count)
                 .into_par_iter()
                 .map(|s| {
                     if poisoned[s] {
                         return Ok(None);
                     }
-                    // analyze-allow: lib-unwrap -- each parallel build slot is filled by plan and taken exactly once by its own task
-                    let (prims, codes) = slices[s].lock().take().expect("slot consumed once");
+                    // Each task copies its own slice of the plan, so only
+                    // the shards in flight hold a copy: the tree is built
+                    // over it, collapsed and dropped before the next one.
+                    let (lo, hi) = plan.ranges[s];
+                    // analyze-allow: hot-path-alloc -- build path: each shard copies its prim slice once at scene construction
+                    let prims = plan.sorted_prims[lo..hi].to_vec();
+                    // analyze-allow: hot-path-alloc -- build path: each shard copies its code slice once at scene construction
+                    let codes = plan.sorted_codes[lo..hi].to_vec();
                     let bvh = {
                         let mut span = telemetry.span(PhaseKind::LbvhBuild);
                         let bvh = match builder_kind {
@@ -411,6 +409,7 @@ impl ShardedIndex {
                     };
                     // analyze-allow: hot-path-alloc -- build path: a fault-degraded shard retains its prim slice for the exact fallback
                     let spheres = plan.sorted_prims[lo..hi].to_vec();
+                    index.count_event("shard_quarantines");
                     index
                         .shards
                         .push(ShardSlot::Degraded(DegradedShard::new(spheres, reason)));
@@ -513,6 +512,9 @@ impl ShardedIndex {
     }
 
     /// Infallible in-range quarantine (no-op unless the slot is live).
+    /// The fallback's spheres are rebuilt from the BLAS's lanes (centres,
+    /// multiplicities, point ids and the build radius ε) before the BLAS
+    /// is dropped.
     fn quarantine_slot(&mut self, idx: usize, reason: QuarantineReason) {
         let telemetry = self.telemetry.clone();
         let ShardSlot::Live(blas) = &self.shards[idx] else {
@@ -521,17 +523,27 @@ impl ShardedIndex {
         let mut span = telemetry.span(PhaseKind::Degrade);
         let slot = match blas.wide_scene() {
             Some(wide) => {
+                let lanes = &wide.lanes;
                 span.add_counters(WorkCounters {
-                    misc_ops: wide.primitives.len() as u64,
+                    misc_ops: lanes.len() as u64,
                     ..WorkCounters::ZERO
                 });
-                // analyze-allow: hot-path-alloc -- recovery path: quarantine retains the shard's primitives for the exact fallback
-                ShardSlot::Degraded(DegradedShard::new(wide.primitives.clone(), reason))
+                self.count_event("shard_quarantines");
+                let spheres = lanes.spheres(0, lanes.len()).collect();
+                ShardSlot::Degraded(DegradedShard::new(spheres, reason))
             }
             // Nothing indexed — the slot is simply retired.
             None => ShardSlot::Retired,
         };
         self.shards[idx] = slot;
+    }
+
+    /// Count one event in the metrics registry (a no-op unless telemetry
+    /// records).
+    fn count_event(&self, name: &'static str) {
+        if let Some(metrics) = self.telemetry.metrics() {
+            metrics.incr(name, 1);
+        }
     }
 
     /// Validate every live shard's wide scene and quarantine the ones whose
@@ -595,6 +607,7 @@ impl ShardedIndex {
                 Ok(blas) => {
                     self.build_counters += blas.build_counters();
                     self.shards[idx] = ShardSlot::Live(blas);
+                    self.count_event("shard_recoveries");
                     stats.rebuilt += 1;
                     restored = true;
                 }
@@ -603,6 +616,7 @@ impl ShardedIndex {
                         d.attempts += 1;
                         d.next_retry = epoch + policy.backoff_ticks(d.attempts);
                     }
+                    self.count_event("shard_recovery_failures");
                     stats.failed += 1;
                 }
             }
@@ -751,9 +765,11 @@ impl ShardedIndex {
     /// packet box reaches — the containment test a per-ray descent ends in
     /// (see [`Tlas::for_each_leaf_overlapping`]), so the plan is the same
     /// `(shard, position)` set.  Charges one `tlas_node_visits` per node
-    /// popped and per ray-vs-leaf test.  The plan lands in `pairs`, sorted
-    /// by shard (leaves come out in shard order), packet order within a
-    /// shard.
+    /// popped and per ray-vs-leaf test.  When the box reaches more than
+    /// [`PACKET_PLAN_MAX_LEAVES`] answering leaves, the descent stops there
+    /// and the packet is planned by one descent per ray instead (the same
+    /// pairs, each popped node charged as above).  The plan lands in
+    /// `pairs`, sorted by shard, packet order within a shard.
     #[allow(clippy::too_many_arguments)]
     fn plan_packet(
         tlas: &Tlas,
@@ -771,17 +787,50 @@ impl ShardedIndex {
         pairs.clear();
         let origins: &[Point3] = origins;
         let packet = Aabb::from_point_slice(origins);
-        tlas.for_each_leaf_overlapping(&packet, counters, |shard, leaf, counters| {
+        let mut leaves = [(0u32, Aabb::EMPTY); PACKET_PLAN_MAX_LEAVES];
+        let mut reached = 0usize;
+        let coherent = tlas.for_each_leaf_overlapping(&packet, counters, |shard, leaf| {
             if !shards[shard as usize].answers() {
-                return;
+                return true;
             }
-            for (pos, &origin) in origins.iter().enumerate() {
-                sat_bump(&mut counters.tlas_node_visits, 1);
-                if leaf.intersects_ray(&Ray::epsilon_ray(origin)) {
-                    pairs.push((shard, pos as u32));
+            if reached == PACKET_PLAN_MAX_LEAVES {
+                return false;
+            }
+            leaves[reached] = (shard, *leaf);
+            reached += 1;
+            true
+        });
+        if coherent {
+            // Leaves come out in shard order and rays in packet order, so
+            // the pairs are born sorted.
+            for &(shard, leaf) in &leaves[..reached] {
+                for (pos, &origin) in origins.iter().enumerate() {
+                    sat_bump(&mut counters.tlas_node_visits, 1);
+                    if leaf.intersects_ray(&Ray::epsilon_ray(origin)) {
+                        pairs.push((shard, pos as u32));
+                    }
                 }
             }
-        });
+        } else {
+            // The box descent tested the root against the packet's box; a
+            // root box that holds it holds every origin, so each ray's
+            // descent starts below the root.
+            let inside_root = tlas.scene_bounds().contains_aabb(&packet);
+            for (pos, &origin) in origins.iter().enumerate() {
+                let ray = Ray::epsilon_ray(origin);
+                let mut emit = |shard: u32| {
+                    if shards[shard as usize].answers() {
+                        pairs.push((shard, pos as u32));
+                    }
+                };
+                if inside_root {
+                    tlas.for_each_leaf_hit_below_root(&ray, counters, &mut emit);
+                } else {
+                    tlas.for_each_leaf_hit(&ray, counters, &mut emit);
+                }
+            }
+            pairs.sort_unstable();
+        }
         debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "plan is sorted");
     }
 
@@ -1279,17 +1328,14 @@ impl NeighborIndex for ShardedIndex {
             scope.trip();
         }
         if scope.should_stop() {
-            return Err(Error::DeadlineExceeded {
-                // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
-                partial: Box::new(WorkCounters::ZERO),
-            });
+            return Err(super::deadline_exceeded(
+                self.telemetry(),
+                WorkCounters::ZERO,
+            ));
         }
         let total = self.launch_sink(queries, eps, sink, scope.is_active().then_some(scope));
         if scope.tripped() {
-            return Err(Error::DeadlineExceeded {
-                // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
-                partial: Box::new(total),
-            });
+            return Err(super::deadline_exceeded(self.telemetry(), total));
         }
         *counters += total;
         Ok(())
@@ -1312,10 +1358,10 @@ impl NeighborIndex for ShardedIndex {
             scope.trip();
         }
         if scope.should_stop() {
-            return Err(Error::DeadlineExceeded {
-                // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
-                partial: Box::new(WorkCounters::ZERO),
-            });
+            return Err(super::deadline_exceeded(
+                self.telemetry(),
+                WorkCounters::ZERO,
+            ));
         }
         let total = self.launch_counts(
             queries,
@@ -1325,10 +1371,7 @@ impl NeighborIndex for ShardedIndex {
             scope.is_active().then_some(scope),
         );
         if scope.tripped() {
-            return Err(Error::DeadlineExceeded {
-                // analyze-allow: hot-path-alloc -- boxing the partial counters happens only on the cancelled error path, never in steady state
-                partial: Box::new(total),
-            });
+            return Err(super::deadline_exceeded(self.telemetry(), total));
         }
         *counters += total;
         Ok(())
@@ -1731,6 +1774,38 @@ mod tests {
         assert!(sharded.is_empty());
         assert_eq!(sharded.live_shard_count(), 0);
         check(&sharded, &vec![true; pts.len()]);
+    }
+
+    /// Every shard holds one resident copy of its scene (BVH4 nodes plus
+    /// 20 B per lane slot), and the scene's bytes are the shards' plus the
+    /// TLAS nodes; a degraded shard holds its spheres alone.
+    #[test]
+    fn every_shard_keeps_one_resident_copy() {
+        let pts = blob_points(600, 12);
+        let mut sharded = ShardedIndex::build(&sharded_config(48), &pts, 0.5).unwrap();
+        assert!(sharded.live_shard_count() > 4);
+        let tlas = (sharded.tlas.nodes.len() * std::mem::size_of::<crate::bvh::TlasNode>()) as u64;
+        let mut total = tlas;
+        for slot in &sharded.shards {
+            let blas = slot.live().expect("every shard builds live");
+            crate::index::bvh_backend::tests::assert_one_resident_copy(blas);
+            total += blas.device_bytes();
+        }
+        assert_eq!(sharded.device_bytes(), total);
+        let live0 = sharded.shards[0].live().unwrap().device_bytes();
+        let prims0 = sharded.shards[0]
+            .live()
+            .unwrap()
+            .wide_scene()
+            .unwrap()
+            .primitive_count();
+        sharded
+            .quarantine_shard(0, QuarantineReason::Evicted)
+            .unwrap();
+        assert_eq!(
+            sharded.device_bytes(),
+            total - live0 + (prims0 * std::mem::size_of::<Sphere>()) as u64
+        );
     }
 
     #[test]

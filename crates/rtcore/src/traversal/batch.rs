@@ -1,34 +1,35 @@
 //! Batched traversal over wide (BVH4) scenes.
 //!
-//! Three crate-internal engine cores run on top of [`WideBvh`], one per
+//! Two crate-internal engine cores run on top of [`WideBvh`], one per
 //! traversal shape:
 //!
 //! * `traverse_wide` — one ray, wide nodes: each visit tests the ray
 //!   against all four packed child boxes (one
 //!   [`WorkCounters::wide_node_visits`] instead of the several binary
 //!   `node_visits` the collapsed levels used to cost).
-//! * `traverse_batch_prims` — a *ray packet*: a slice of queries walks
+//! * `traverse_batch_runs` — a *ray packet*: a slice of queries walks
 //!   the tree together in wavefront order.  Each wide node the packet
 //!   reaches is fetched **once** and tested against every query still
 //!   interested in it, so the per-node charge is amortised across the
 //!   packet — the software analogue of the many-rays-in-flight scheduling
-//!   real RT cores perform.  Per-query hit callbacks and early termination
-//!   behave exactly as in the single-ray engine: a query that terminates
-//!   stops receiving callbacks while the rest of the packet continues.
-//! * `traverse_batch_runs` — the same packet engine handing each query's
-//!   whole run of candidate primitives per reached leaf slot to one
-//!   callback, the shape the SIMD leaf kernels consume.
+//!   real RT cores perform.  Each query's whole run of candidate
+//!   primitives per reached leaf slot goes to one callback, the shape the
+//!   SIMD leaf kernels consume; early termination retires that query only
+//!   while the rest of the packet continues.
 //!
-//! The packet cores take the hit-mask SIMD level, a node-visit sink for
+//! The packet core takes the hit-mask SIMD level, a node-visit sink for
 //! the heatmap profiler and an optional [`CancelScope`]; the public entry
 //! points — [`traverse_batch_with_scratch`] and [`collect_sphere_hits_csr`]
 //! — pin them to the detected level, no profiling and no deadline.
 //!
 //! Every engine reports the same hits as the binary
-//! [`crate::traversal::traverse`] over the source tree (the collapse shares
-//! the primitive array, so even hit grouping per leaf is identical); only
-//! the node-visit accounting differs.  The equivalence is property-tested
-//! here and again end-to-end in the workspace integration suite.
+//! [`crate::traversal::traverse`] over the source tree (the collapse stages
+//! the primitives into the scene's lanes in the same order, so even hit
+//! grouping per leaf is identical); only the node-visit accounting differs.
+//! Callbacks that take a [`Sphere`] receive one rebuilt by value from the
+//! lanes ([`crate::bvh::PrimLanes::spheres`]).  The equivalence is
+//! property-tested here and again end-to-end in the workspace integration
+//! suite.
 //!
 //! # The allocation-free steady state
 //!
@@ -177,12 +178,10 @@ where
                     first_prim,
                     prim_count,
                 } => {
-                    let first = first_prim as usize;
-                    let count = prim_count as usize;
-                    for prim in &wide.primitives[first..first + count] {
+                    for prim in wide.lanes.spheres(first_prim as usize, prim_count as usize) {
                         sat_bump(&mut counters.prim_tests, 1);
                         outcome.primitives_visited += 1;
-                        if on_primitive(prim, counters) == Traversal::Terminate {
+                        if on_primitive(&prim, counters) == Traversal::Terminate {
                             outcome.terminated_early = true;
                             break 'outer;
                         }
@@ -207,11 +206,11 @@ pub(crate) struct LeafVisit {
 }
 
 impl LeafVisit {
-    /// A handler outcome that processed every primitive of the run and
-    /// keeps the query alive.
-    pub fn all(prims: &[Sphere]) -> LeafVisit {
+    /// A handler outcome that processed all `count` primitives of the run
+    /// and keeps the query alive.
+    pub fn all(count: u32) -> LeafVisit {
         LeafVisit {
-            visited: prims.len() as u32,
+            visited: count,
             terminate: false,
         }
     }
@@ -238,12 +237,13 @@ pub fn traverse_batch_with_scratch<'s, F>(
     rays: &[Ray],
     scratch: &'s mut TraversalScratch,
     counters: &mut WorkCounters,
-    on_primitive: F,
+    mut on_primitive: F,
 ) -> &'s [TraversalOutcome]
 where
     F: FnMut(usize, &Sphere, &mut WorkCounters) -> Traversal,
 {
-    traverse_batch_prims(
+    let lanes = &wide.lanes;
+    traverse_batch_runs(
         wide,
         rays,
         scratch,
@@ -251,55 +251,16 @@ where
         detect_simd(),
         NoSink,
         None,
-        on_primitive,
-    )
-}
-
-/// The per-primitive packet core behind [`traverse_batch_with_scratch`],
-/// with the hit-mask SIMD `level` resolved once by the caller (see
-/// [`crate::simd::SimdPolicy::resolve`]), a node-visit sink for the heatmap
-/// profiler and an optional [`CancelScope`] (see [`traverse_batch_runs`]
-/// for the cancellation contract).  `NoSink` + `None` monomorphises back
-/// to the plain body.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn traverse_batch_prims<'s, S, F>(
-    wide: &WideBvh,
-    rays: &[Ray],
-    scratch: &'s mut TraversalScratch,
-    counters: &mut WorkCounters,
-    level: SimdLevel,
-    sink: S,
-    cancel: Option<&CancelScope>,
-    mut on_primitive: F,
-) -> &'s [TraversalOutcome]
-where
-    S: VisitSink,
-    F: FnMut(usize, &Sphere, &mut WorkCounters) -> Traversal,
-{
-    let prims = &wide.primitives;
-    traverse_batch_runs(
-        wide,
-        rays,
-        scratch,
-        counters,
-        level,
-        sink,
-        cancel,
         move |q, first, count, counters| {
-            let mut visited = 0u32;
-            for prim in &prims[first as usize..(first + count) as usize] {
-                visited += 1;
-                if on_primitive(q, prim, counters) == Traversal::Terminate {
+            for (prim, visited) in lanes.spheres(first as usize, count as usize).zip(1u32..) {
+                if on_primitive(q, &prim, counters) == Traversal::Terminate {
                     return LeafVisit {
                         visited,
                         terminate: true,
                     };
                 }
             }
-            LeafVisit {
-                visited,
-                terminate: false,
-            }
+            LeafVisit::all(count)
         },
     )
 }

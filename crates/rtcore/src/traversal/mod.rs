@@ -21,7 +21,7 @@ pub mod order;
 pub mod scratch;
 
 pub use batch::{collect_sphere_hits_csr, traverse_batch_with_scratch};
-pub(crate) use batch::{traverse_batch_prims, traverse_batch_runs, traverse_wide, LeafVisit};
+pub(crate) use batch::{traverse_batch_runs, traverse_wide, LeafVisit};
 pub use order::{QueryOrder, ReorderScratch};
 pub use scratch::{PoolGuard, ScratchPool, TraversalScratch};
 

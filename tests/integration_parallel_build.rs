@@ -68,7 +68,7 @@ fn assert_parallel_build_identical(points: &[Point3], eps: f32) {
         let wide_par = WideBvh::from_binary_parallel(&par, threads, &telemetry);
         validate_wide(&wide_par).unwrap();
         assert_eq!(wide_par.nodes, wide_seq.nodes, "threads={threads}: BVH4");
-        assert_eq!(wide_par.primitives, wide_seq.primitives);
+        assert_eq!(wide_par.lanes, wide_seq.lanes);
     }
 }
 

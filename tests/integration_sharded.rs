@@ -5,10 +5,12 @@
 //! `dist_comps` / `prim_tests` counters, because aligned Morton sharding
 //! reproduces the flat tree's leaf partition exactly.
 //!
-//! Also home of the refit/re-collapse invariant property: `bvh::refit`
-//! removals and updates followed by a BVH4 re-collapse must keep every
-//! [`validate_wide`] invariant, including emptied leaves and a fully
-//! evicted (Morton-range) shard.
+//! Also home of the refit invariant properties: `bvh::refit` removals and
+//! updates followed by a BVH4 re-collapse (the streaming clusterer's path)
+//! must keep every [`validate_wide`] invariant, including emptied leaves
+//! and a fully evicted (Morton-range) shard; and the wide indexes' own
+//! in-place BVH4 refit behind `remove` / `update` must answer exactly like
+//! a fresh build, batch after batch.
 
 use proptest::prelude::*;
 use rtcore::bvh::{
@@ -17,9 +19,12 @@ use rtcore::bvh::{
 };
 use rtcore::geometry::Point3;
 use rtcore::hardware::WorkCounters;
-use rtcore::index::{IndexKind, NeighborIndex, NeighborIndexBuilder, QueryOrder, ShardingConfig};
+use rtcore::index::{
+    IndexKind, NeighborIndex, NeighborIndexBuilder, QueryOrder, ShardingConfig, WideBatchedIndex,
+};
 use rtdbscan::metrics::same_clustering;
 use rtdbscan::{ClusterEngine, DbscanParams, RunResult};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Mixed workload: blobs laid out in a row (so clusters span the Morton
 /// shard cuts), plus far-away noise and exact duplicates.
@@ -78,6 +83,15 @@ fn sharded_index(points: &[Point3], eps: f32, shard: usize) -> Box<dyn NeighborI
     }
     .build(points, eps)
     .unwrap()
+}
+
+/// Per-query neighbour counts (self included, so arbitrary query points
+/// are fine).
+fn counts(index: &dyn NeighborIndex, queries: &[Point3], eps: f32) -> Vec<u64> {
+    let cells: Vec<AtomicU64> = (0..queries.len()).map(|_| AtomicU64::new(0)).collect();
+    let mut c = WorkCounters::ZERO;
+    index.batch_neighbor_counts(queries, eps, false, None, &mut c, &cells);
+    cells.iter().map(|a| a.load(Ordering::Relaxed)).collect()
 }
 
 /// Per-query sorted neighbour rows: CSR emission order may differ between
@@ -312,6 +326,103 @@ proptest! {
         );
         let wide = WideBvh::from_binary(&bvh);
         prop_assert!(validate_wide(&wide).is_ok(), "{:?}", validate_wide(&wide));
+    }
+
+    /// Property: non-compacting flat and sharded wide indexes take random
+    /// `remove` and `update` batches, refitting their BVH4 in place; after
+    /// each batch every query's neighbour set and count equal those of a
+    /// fresh build over the surviving, moved points, and every live wide
+    /// scene passes `validate_wide`.
+    #[test]
+    fn in_place_refit_answers_like_a_fresh_build(
+        n in 2usize..260,
+        shard in 16usize..90,
+        rounds in 1usize..6,
+        eps in 0.3f32..1.5,
+        seed in 0u64..1000,
+    ) {
+        let mut pts: Vec<Point3> = (0..n)
+            .map(|i| {
+                let a = (i as f32 + seed as f32) * 0.61;
+                Point3::new(a.cos() * (i % 17) as f32, a.sin() * (i % 13) as f32, (i % 3) as f32)
+            })
+            .collect();
+        let config = NeighborIndexBuilder {
+            bvh_builder: BuilderKind::Lbvh,
+            min_parallel_launch: 0,
+            batch_size: 32,
+            ..NeighborIndexBuilder::new(IndexKind::WideBatched)
+        };
+        let mut flat = WideBatchedIndex::build(&config, &pts, eps).unwrap();
+        let mut sharded = NeighborIndexBuilder {
+            sharding: Some(ShardingConfig::new(shard)),
+            ..config
+        }
+        .build(&pts, eps)
+        .unwrap();
+        let mut alive = vec![true; n];
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        for round in 0..rounds {
+            let salt = next(1 << 20) as u32;
+            if next(2) == 0 {
+                let retired: Vec<u32> = (0..n as u32)
+                    .filter(|&i| alive[i as usize] && (i ^ salt).is_multiple_of(3))
+                    .collect();
+                flat.remove(&retired).unwrap();
+                sharded.remove(&retired).unwrap();
+                for &i in &retired {
+                    alive[i as usize] = false;
+                }
+            } else {
+                let drift = (next(400) as f32 - 200.0) / 100.0;
+                let moved: Vec<(u32, Point3)> = (0..n as u32)
+                    .filter(|&i| alive[i as usize] && (i + salt).is_multiple_of(4))
+                    .map(|i| {
+                        let p = pts[i as usize];
+                        (i, Point3::new(p.x + drift, p.y - 0.5 * drift, p.z))
+                    })
+                    .collect();
+                flat.update(&moved).unwrap();
+                sharded.update(&moved).unwrap();
+                for &(i, p) in &moved {
+                    pts[i as usize] = p;
+                }
+            }
+            if let Some(wide) = flat.wide_scene() {
+                prop_assert!(validate_wide(wide).is_ok(), "{:?}", validate_wide(wide));
+            }
+            prop_assert!(sharded.as_sharded_mut().unwrap().verify_shards().is_empty());
+
+            // The fresh build indexes only the live points; its ids map
+            // back through `live`.
+            let live: Vec<u32> = (0..n as u32).filter(|&i| alive[i as usize]).collect();
+            let live_pts: Vec<Point3> = live.iter().map(|&i| pts[i as usize]).collect();
+            let fresh = NeighborIndexBuilder { ..config }.build(&live_pts, eps).unwrap();
+            let mut queries = pts.clone();
+            queries.push(Point3::new(100.0, -100.0, 0.0));
+            let (want_rows, _) = sorted_rows(fresh.as_ref(), &queries, eps);
+            let want_rows: Vec<Vec<u32>> = want_rows
+                .into_iter()
+                .map(|row| {
+                    let mut row: Vec<u32> = row.into_iter().map(|j| live[j as usize]).collect();
+                    row.sort_unstable();
+                    row
+                })
+                .collect();
+            let want_counts = counts(fresh.as_ref(), &queries, eps);
+            for (name, index) in [("flat", &flat as &dyn NeighborIndex), ("sharded", sharded.as_ref())] {
+                prop_assert_eq!(index.len(), live.len(), "{} round {}", name, round);
+                let (rows, _) = sorted_rows(index, &queries, eps);
+                prop_assert_eq!(&rows, &want_rows, "{} rows, round {}", name, round);
+                prop_assert_eq!(counts(index, &queries, eps), want_counts.clone(), "{} counts, round {}", name, round);
+            }
+        }
     }
 
     /// Property (satellite): evicting an entire shard from a two-level

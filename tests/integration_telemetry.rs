@@ -220,6 +220,71 @@ fn sharded_build_span_covers_compaction() {
     assert_eq!(in_spans, merges, "compaction ran outside the build spans");
 }
 
+/// Degradations, recoveries and deadline trips are counted in the metrics
+/// registry: quarantining a shard, recovering it and a pre-cancelled launch
+/// (sharded and flat) each tick their counter once under `Spans`.  Under
+/// `Off` the same operations behave the same and record nothing.
+#[test]
+fn degradations_recoveries_and_deadline_trips_are_counted() {
+    use rtcore::fault::{CancelScope, CancelToken, RetryPolicy};
+    use rtcore::index::QuarantineReason;
+
+    let eps = 0.9f32;
+    let points = workload(150, eps);
+    let token = CancelToken::new();
+    token.cancel();
+    let scope = CancelScope::with_token(&token);
+    for level in [TelemetryConfig::Spans, TelemetryConfig::Off] {
+        let builder = NeighborIndexBuilder {
+            telemetry: level,
+            ..NeighborIndexBuilder::new(IndexKind::WideBatched)
+        };
+        let mut sharded = NeighborIndexBuilder {
+            sharding: Some(ShardingConfig::new(64)),
+            ..builder
+        }
+        .build(&points, eps)
+        .unwrap();
+        let flat = builder.build(&points, eps).unwrap();
+        let scene = sharded.as_sharded_mut().unwrap();
+        scene
+            .quarantine_shard(0, QuarantineReason::ValidationFailed)
+            .unwrap();
+        assert_eq!(scene.recover(RetryPolicy::default()).rebuilt, 1);
+        let counts: Vec<AtomicU64> = (0..points.len()).map(|_| AtomicU64::new(0)).collect();
+        let mut counters = WorkCounters::ZERO;
+        for index in [&sharded, &flat] {
+            assert!(index
+                .batch_neighbor_counts_cancellable(
+                    &points,
+                    eps,
+                    true,
+                    None,
+                    &mut counters,
+                    &counts,
+                    &scope
+                )
+                .is_err());
+        }
+        assert_eq!(counters, WorkCounters::ZERO);
+        match level {
+            TelemetryConfig::Off => {
+                assert!(sharded.telemetry().is_none() && flat.telemetry().is_none());
+            }
+            _ => {
+                let metrics = sharded.telemetry().unwrap().metrics().unwrap();
+                assert_eq!(metrics.counter("shard_quarantines"), 1);
+                assert_eq!(metrics.counter("shard_recoveries"), 1);
+                assert_eq!(metrics.counter("shard_recovery_failures"), 0);
+                assert_eq!(metrics.counter("deadline_trips"), 1);
+                let flat_metrics = flat.telemetry().unwrap().metrics().unwrap();
+                assert_eq!(flat_metrics.counter("deadline_trips"), 1);
+                assert_eq!(flat_metrics.counter("shard_quarantines"), 0);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // JSON round-trips
 // ---------------------------------------------------------------------------
