@@ -2,7 +2,7 @@
 //! and fixed-radius query throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rtcore::bvh::{spheres_from_points, BvhBuilder, LbvhBuilder, MedianSplitBuilder, SahBuilder};
+use rtcore::bvh::{spheres_from_points, BvhBuilder, LbvhBuilder, SahBuilder};
 use rtcore::geometry::Ray;
 use rtcore::hardware::WorkCounters;
 use rtcore::traversal::collect_sphere_hits;
@@ -19,7 +19,6 @@ fn bench_builders(c: &mut Criterion) {
     let builders: Vec<(&str, Box<dyn BvhBuilder>)> = vec![
         ("lbvh", Box::new(LbvhBuilder::default())),
         ("binned_sah", Box::new(SahBuilder::default())),
-        ("median_split", Box::new(MedianSplitBuilder::default())),
     ];
     for (name, builder) in &builders {
         group.bench_with_input(BenchmarkId::from_parameter(name), name, |b, _| {

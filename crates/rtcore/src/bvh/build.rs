@@ -1,10 +1,9 @@
 //! BVH builders.
 
-use crate::bvh::{Bvh, BvhNode, NodeKind};
+use crate::bvh::compact::{compact_coincident, compact_sorted};
+use crate::bvh::{spheres_from_points, Bvh, BvhNode, NodeKind};
 use crate::error::{Error, Result};
-use crate::geometry::{
-    morton_encode_3d, radix_sort_by_code_parallel, Aabb, MortonCode, SendPtr, Sphere,
-};
+use crate::geometry::{fill_lane, morton_sort, radix_sort_ops, Aabb, Point3, Sphere};
 use crate::hardware::sat_bump;
 use crate::hardware::WorkCounters;
 use crate::telemetry::{PhaseKind, Telemetry};
@@ -17,8 +16,6 @@ pub enum BuilderKind {
     Lbvh,
     /// Binned Surface Area Heuristic build.
     BinnedSah,
-    /// Longest-axis median split.
-    MedianSplit,
 }
 
 impl std::fmt::Display for BuilderKind {
@@ -26,7 +23,6 @@ impl std::fmt::Display for BuilderKind {
         match self {
             BuilderKind::Lbvh => write!(f, "LBVH"),
             BuilderKind::BinnedSah => write!(f, "binned-SAH"),
-            BuilderKind::MedianSplit => write!(f, "median-split"),
         }
     }
 }
@@ -41,7 +37,7 @@ impl std::fmt::Display for BuilderKind {
 /// guarantees are unaffected unless a caller opts in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BuildParallelism {
-    /// Single-threaded build (the default; exact legacy code path).
+    /// Single-threaded build (the default).
     #[default]
     Sequential,
     /// One logical chunk per worker of the thread pool
@@ -94,17 +90,23 @@ pub(crate) fn validate_prims(prims: &[Sphere]) -> Result<()> {
     if prims.is_empty() {
         return Err(Error::EmptyScene);
     }
-    for (i, s) in prims.iter().enumerate() {
-        if !s.center.is_finite() {
+    validate_spheres(prims.iter().map(|s| (s.center, s.radius)))
+}
+
+/// The per-sphere checks of [`validate_prims`], in order, over `(centre,
+/// radius)` pairs.
+fn validate_spheres(spheres: impl Iterator<Item = (Point3, f32)>) -> Result<()> {
+    for (i, (center, radius)) in spheres.enumerate() {
+        if !center.is_finite() {
             return Err(Error::InvalidPrimitive {
                 index: i,
                 reason: "non-finite sphere centre".into(),
             });
         }
-        if !s.radius.is_finite() || s.radius < 0.0 {
+        if !radius.is_finite() || radius < 0.0 {
             return Err(Error::InvalidPrimitive {
                 index: i,
-                reason: format!("invalid radius {}", s.radius),
+                reason: format!("invalid radius {radius}"),
             });
         }
     }
@@ -125,8 +127,10 @@ fn centroid_bounds(prims: &[Sphere]) -> Aabb {
         .fold(Aabb::EMPTY, |acc, s| acc.grown_to_include(s.center))
 }
 
-/// Shared recursive emitter: given a primitive array that the builder is
-/// allowed to reorder, recursively partition `[start, end)` and append nodes.
+/// Top-down recursive emitter of the SAH build: given a primitive array
+/// that the builder is allowed to reorder, recursively partition
+/// `[start, end)` and append nodes, folding each node's bounds over its
+/// whole range.
 ///
 /// `split` decides where to partition a range; it returns `None` to force a
 /// leaf.  Returns the index of the node created for the range.
@@ -192,62 +196,6 @@ fn finish_build(
         primitives: prims,
         builder: kind,
         build_counters: counters,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Median split
-// ---------------------------------------------------------------------------
-
-/// Longest-axis median-split builder.
-///
-/// Simple and predictable; used as the reference in tests and as an ablation
-/// point in the benchmarks.
-#[derive(Debug, Clone, Copy)]
-pub struct MedianSplitBuilder {
-    /// Maximum number of primitives per leaf.
-    pub max_leaf_size: usize,
-}
-
-impl Default for MedianSplitBuilder {
-    fn default() -> Self {
-        MedianSplitBuilder { max_leaf_size: 4 }
-    }
-}
-
-impl BvhBuilder for MedianSplitBuilder {
-    fn build(&self, prims: Vec<Sphere>) -> Result<Bvh> {
-        validate_prims(&prims)?;
-        let max_leaf = self.max_leaf_size;
-        Ok(finish_build(
-            BuilderKind::MedianSplit,
-            prims,
-            max_leaf,
-            |prims, start, end, counters| {
-                let cb = centroid_bounds(&prims[start..end]);
-                let axis = cb.longest_axis();
-                let (ex, ey, ez) = cb.extent();
-                if ex <= 0.0 && ey <= 0.0 && ez <= 0.0 {
-                    // All centroids coincide; split the range in half anyway
-                    // so heavily duplicated data still yields a shallow tree.
-                    return Some((start + end) / 2);
-                }
-                let range = &mut prims[start..end];
-                sat_bump(&mut counters.build_sort_ops, range.len() as u64);
-                let mid = range.len() / 2;
-                range.select_nth_unstable_by(mid, |a, b| {
-                    a.center[axis]
-                        .partial_cmp(&b.center[axis])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                Some(start + mid)
-            },
-            WorkCounters::ZERO,
-        ))
-    }
-
-    fn kind(&self) -> BuilderKind {
-        BuilderKind::MedianSplit
     }
 }
 
@@ -399,8 +347,8 @@ pub struct LbvhBuilder {
     /// Maximum number of primitives per leaf.
     pub max_leaf_size: usize,
     /// Logical parallelism of the encode/sort/emit pipeline.  The output is
-    /// bit-identical for every setting; `Sequential` (the default) runs the
-    /// legacy single-threaded path.
+    /// bit-identical for every setting; `Sequential` (the default) runs it
+    /// on one thread.
     pub parallelism: BuildParallelism,
 }
 
@@ -441,114 +389,145 @@ impl LbvhBuilder {
     }
 }
 
-/// Shared Morton-order preparation for every LBVH-style consumer (the flat
-/// builder and the sharded TLAS planner): scene bounds over the centroids,
-/// per-primitive Morton encode, stable radix sort, and a fused gather that
-/// fills the sorted primitive and code lanes in one pass.
-///
-/// `workers` is the logical chunk count; `1` is the exact legacy sequential
-/// path.  For any `workers` value the output is bit-identical: the bounds
-/// reduction only reassociates `min`/`max` folds over the fixed index order
-/// (associative for the finite inputs `validate_prims` guarantees), the
-/// encode and gather write each lane index independently, and the parallel
-/// radix sort is stable with the same region order as the sequential one.
+/// Charge the Morton pass over `n` primitives sorted in `workers` logical
+/// chunks: one `misc_ops` per encode, the radix sort's scatters as
+/// `build_sort_ops` and, when the sort runs chunked, the merges of its four
+/// digit-major prefix sums (256 digits × chunks each) as
+/// `build_chunk_merges`.  A build charges the primitives its tree holds —
+/// the representatives, under compaction — whatever the pass sorted.
+pub(crate) fn charge_morton_pass(n: usize, workers: usize, counters: &mut WorkCounters) {
+    sat_bump(&mut counters.misc_ops, n as u64);
+    sat_bump(&mut counters.build_sort_ops, radix_sort_ops(n));
+    let chunks = workers.min(n);
+    if chunks > 1 {
+        sat_bump(&mut counters.build_chunk_merges, 4 * 256 * chunks as u64);
+    }
+}
+
+/// The Morton-ordered lanes an LBVH emit or a shard cut reads: the
+/// primitives `sphere(lane, perm[k])`, then the codes `keys[perm[k]]`
+/// written into `lane` — the sort's spent ping-pong lane, which `sphere`
+/// may still read — each gathered chunk-parallel over `workers`.
+fn gather_sorted(
+    perm: &[u32],
+    keys: &[u32],
+    workers: usize,
+    mut lane: Vec<u32>,
+    sphere: impl Fn(&[u32], usize) -> Sphere + Sync,
+) -> (Vec<Sphere>, Vec<u32>) {
+    let mut prims = Vec::new();
+    fill_lane(&mut prims, perm.len(), workers, |k| {
+        sphere(&lane, perm[k] as usize)
+    });
+    fill_lane(&mut lane, perm.len(), workers, |k| keys[perm[k] as usize]);
+    (prims, lane)
+}
+
+/// Morton order of primitives a caller already wrapped in spheres, for
+/// [`LbvhBuilder::build`] and [`crate::bvh::plan_shards`]: one
+/// [`morton_sort`] over the centroids, charged to `counters`, and the
+/// sorted primitive and code lanes.  The lanes are the same for every
+/// `workers` value.
 pub(crate) fn morton_order(
     prims: &[Sphere],
     workers: usize,
     counters: &mut WorkCounters,
 ) -> (Vec<Sphere>, Vec<u32>) {
-    let n = prims.len();
-    let workers = workers.min(n).max(1);
-    let chunk = n.div_ceil(workers.max(1)).max(1);
+    let (mut keys, mut perm, mut buf) = (Vec::new(), Vec::new(), Vec::new());
+    morton_sort(prims, |s| s.center, workers, &mut keys, &mut perm, &mut buf);
+    charge_morton_pass(prims.len(), workers, counters);
+    gather_sorted(&perm, &keys, workers, buf, |_, i| prims[i])
+}
 
-    // 1. Scene bounds via a chunked min/max reduction over the centroids.
-    let scene = if workers <= 1 {
-        prims
-            .iter()
-            .fold(Aabb::EMPTY, |acc, s| acc.grown_to_include(s.center))
-    } else {
-        let partials: Vec<Aabb> = (0..workers)
-            .into_par_iter()
-            .map(|t| {
-                let lo = (t * chunk).min(n);
-                let hi = ((t + 1) * chunk).min(n);
-                prims[lo..hi]
-                    .iter()
-                    .fold(Aabb::EMPTY, |acc, s| acc.grown_to_include(s.center))
-            })
-            .collect();
-        partials.iter().fold(Aabb::EMPTY, |acc, b| acc.union(b))
-    };
-    let extent = scene.extent();
+/// The primitives a BVH index builds over, from [`scene_from_points`].
+pub(crate) struct PointScene {
+    /// One ε-sphere per representative (per point without compaction).
+    pub(crate) prims: Vec<Sphere>,
+    /// The Morton code of each primitive when the scene is in Morton order;
+    /// `None` when it is in ascending point order.
+    pub(crate) codes: Option<Vec<u32>>,
+    /// `representative_of[i]` is the primitive standing for point `i`.
+    pub(crate) representative_of: Vec<u32>,
+    /// Compaction's charges, plus the Morton pass's for a sorted scene.
+    pub(crate) counters: WorkCounters,
+}
 
-    // 2. Chunk-parallel Morton encode into a preallocated lane.
-    let mut codes: Vec<MortonCode> = if workers <= 1 {
-        prims
-            .iter()
-            .enumerate()
-            .map(|(i, s)| MortonCode {
-                code: morton_encode_3d(s.center, scene.min, extent),
-                index: i as u32,
-            })
-            .collect()
-    } else {
-        let mut codes = vec![MortonCode { code: 0, index: 0 }; n];
-        let out = SendPtr::new(codes.as_mut_ptr());
-        (0..workers).into_par_iter().for_each(|t| {
-            let lo = (t * chunk).min(n);
-            let hi = ((t + 1) * chunk).min(n);
-            for (i, s) in prims[lo..hi].iter().enumerate() {
-                // SAFETY: chunks partition `[0, n)` into disjoint index
-                // ranges; worker `t` only writes lane slots `lo..hi`, and
-                // the lane is only read after the pool joins.
-                unsafe {
-                    *out.get().add(lo + i) = MortonCode {
-                        code: morton_encode_3d(s.center, scene.min, extent),
-                        index: (lo + i) as u32,
-                    };
-                }
-            }
+/// The build front end of the BVH indexes: wrap `points` in ε-spheres of
+/// `radius`, merging exactly coincident points when `compaction` is set,
+/// in Morton order when `sorted` is set (for the LBVH emit and the shard
+/// cut) and in ascending point order otherwise (for SAH).
+///
+/// Compaction and the Morton order come from one [`morton_sort`] over the
+/// points: compaction groups the runs of equal codes in it and keeps the
+/// representatives in `(code, index)` order.  That is the order a second
+/// sort of the compacted spheres would give: duplicates share coordinates,
+/// so the bounds over all points equal the bounds over the representatives
+/// (up to the sign of a zero, which never changes a code), and the
+/// representatives, emitted in ascending index order, keep their codes.  An
+/// unsorted compacting scene takes [`compact_coincident`]'s spheres — the
+/// same pass on one worker, in ascending point order — and an unsorted
+/// scene without compaction skips the pass.
+///
+/// Charges `compaction_merges` and one `build_prims` per merged point (the
+/// bounds program still runs once per input primitive before the device
+/// merges duplicates), and for a sorted scene the Morton pass over its
+/// primitives ([`charge_morton_pass`]).  Before the pass, rejects
+/// non-finite points and a bad radius as [`validate_prims`] would, naming
+/// the point; an empty input gives an empty scene.
+pub(crate) fn scene_from_points(
+    points: &[Point3],
+    radius: f32,
+    compaction: bool,
+    sorted: bool,
+    workers: usize,
+) -> Result<PointScene> {
+    let n = points.len();
+    let mut counters = WorkCounters::ZERO;
+    if !compaction && !sorted {
+        return Ok(PointScene {
+            prims: spheres_from_points(points, radius),
+            codes: None,
+            representative_of: (0..n as u32).collect(),
+            counters,
         });
-        codes
-    };
-    sat_bump(&mut counters.misc_ops, n as u64); // code computation
-
-    // 3. Radix sort by code (stable; bit-identical for any chunk count).
-    let sort_stats = radix_sort_by_code_parallel(&mut codes, workers);
-    sat_bump(&mut counters.build_sort_ops, sort_stats.scatter_ops);
-    sat_bump(&mut counters.build_chunk_merges, sort_stats.chunk_merges);
-
-    // 4. Fused gather: fill both the sorted primitive and the sorted code
-    // lane in one pass (the codes are needed again by `morton_split`).
-    if workers <= 1 {
-        let mut sorted_prims: Vec<Sphere> = Vec::with_capacity(n);
-        let mut sorted_codes: Vec<u32> = Vec::with_capacity(n);
-        for c in &codes {
-            sorted_prims.push(prims[c.index as usize]);
-            sorted_codes.push(c.code);
-        }
-        (sorted_prims, sorted_codes)
-    } else {
-        let mut sorted_prims: Vec<Sphere> = vec![prims[0]; n];
-        let mut sorted_codes: Vec<u32> = vec![0u32; n];
-        let prims_out = SendPtr::new(sorted_prims.as_mut_ptr());
-        let codes_out = SendPtr::new(sorted_codes.as_mut_ptr());
-        let codes_ref: &[MortonCode] = &codes;
-        (0..workers).into_par_iter().for_each(|t| {
-            let lo = (t * chunk).min(n);
-            let hi = ((t + 1) * chunk).min(n);
-            for (i, c) in codes_ref[lo..hi].iter().enumerate() {
-                // SAFETY: chunks partition `[0, n)`; worker `t` writes only
-                // slots `lo..hi` of both lanes, which are read again only
-                // after the pool joins.
-                unsafe {
-                    *prims_out.get().add(lo + i) = prims[c.index as usize];
-                    *codes_out.get().add(lo + i) = c.code;
-                }
-            }
-        });
-        (sorted_prims, sorted_codes)
     }
+    validate_spheres(points.iter().map(|&p| (p, radius)))?;
+    let mut charge_merges = |merged: u64| {
+        sat_bump(&mut counters.compaction_merges, merged);
+        sat_bump(&mut counters.build_prims, merged);
+    };
+    if !sorted {
+        let c = compact_coincident(points, radius);
+        charge_merges(c.merged);
+        return Ok(PointScene {
+            prims: c.spheres,
+            codes: None,
+            representative_of: c.representative_of,
+            counters,
+        });
+    }
+    let (mut keys, mut perm, mut buf) = (Vec::new(), Vec::new(), Vec::new());
+    morton_sort(points, |&p| p, workers, &mut keys, &mut perm, &mut buf);
+    let representative_of = if compaction {
+        // The sort's spent ping-pong lane holds the multiplicities until
+        // the gather turns it into the code lane.
+        let representative_of = compact_sorted(points, &keys, &mut perm, &mut buf);
+        charge_merges((n - perm.len()) as u64);
+        representative_of
+    } else {
+        (0..n as u32).collect()
+    };
+    charge_morton_pass(perm.len(), workers, &mut counters);
+    let (prims, codes) = gather_sorted(&perm, &keys, workers, buf, |multiplicity, i| Sphere {
+        multiplicity: if compaction { multiplicity[i] } else { 1 },
+        ..Sphere::new(points[i], radius, i as u32)
+    });
+    Ok(PointScene {
+        prims,
+        codes: Some(codes),
+        representative_of,
+        counters,
+    })
 }
 
 /// Minimum treelet size for the parallel emitter: below this the per-arena
@@ -600,13 +579,12 @@ fn plan_treelets(
 }
 
 /// Emit one treelet subtree in pre-order with *bottom-up* bounds: a leaf
-/// folds its primitive range exactly like the sequential emitter, and an
-/// internal node unions its children's bounds instead of re-folding its
-/// whole range.  The two are bit-identical because the fold is a min/max
-/// reduction over a fixed index order — reassociating it cannot change the
-/// result on the finite values `validate_prims` admits — and it turns the
-/// emitter's O(n·depth) bound refolds into O(n + nodes), which is where the
-/// parallel build's single-thread win comes from.
+/// folds its primitive range exactly like the top-down emitter SAH uses,
+/// and an internal node unions its children's bounds instead of re-folding
+/// its whole range.  The two are bit-identical because the fold is a
+/// min/max reduction over a fixed index order — reassociating it cannot
+/// change the result on the finite values `validate_prims` admits — and it
+/// turns the O(n·depth) bound refolds into O(n + nodes) work.
 fn emit_treelet_node(
     prims: &[Sphere],
     codes: &[u32],
@@ -746,10 +724,10 @@ fn emit_treelets_parallel(
     nodes
 }
 
-/// Build an LBVH over primitives that are *already* in Morton order — the
-/// single internal entry point every LBVH consumer funnels through
-/// ([`LbvhBuilder::build`] after its encode/sort, and the sharded backend
-/// for each BLAS slice).
+/// Build an LBVH over primitives that are *already* in Morton order,
+/// `codes[k]` being the code of `sorted_prims[k]` — the one LBVH emitter
+/// behind [`LbvhBuilder::build`], the flat index front end and every shard
+/// BLAS.
 ///
 /// Because `morton_split` depends only on the codes within a range (and
 /// splits identical-code runs at the range midpoint, which is invariant
@@ -757,44 +735,50 @@ fn emit_treelets_parallel(
 /// subtree of the flat LBVH over the same data — the property the sharded
 /// backend's counter-identity guarantees rest on.
 ///
-/// `counters` seeds the build counters (the caller charges the global encode
-/// and sort there); the emit adds `build_prims` and `build_node_ops` on top.
-/// `parallelism` selects between the sequential recursive emit and the
-/// treelet-parallel emit; both produce bit-identical nodes, primitive order
-/// and counters (the parallel path additionally charges the parallel-only
-/// `build_splice_ops`).
+/// `counters` seeds the build counters (a caller that sorted charges its
+/// Morton pass there); the emit adds `build_prims` and one `build_node_ops`
+/// per node.  With one logical worker the whole range is one treelet,
+/// emitted with bottom-up bounds.  With more, treelets are cut along the
+/// same splits, emitted in parallel (each under its own `lbvh_build` span)
+/// and spliced, which also charges the parallel-only `build_splice_ops`;
+/// the nodes, the primitive order and every other counter are the same.
 pub(crate) fn lbvh_from_sorted(
     sorted_prims: Vec<Sphere>,
-    sorted_codes: Vec<u32>,
+    codes: &[u32],
     max_leaf_size: usize,
     counters: WorkCounters,
     parallelism: BuildParallelism,
     telemetry: &Telemetry,
 ) -> Result<Bvh> {
     validate_prims(&sorted_prims)?;
-    debug_assert_eq!(sorted_prims.len(), sorted_codes.len());
+    debug_assert_eq!(sorted_prims.len(), codes.len());
+    let n = sorted_prims.len();
+    let max_leaf_size = max_leaf_size.max(1);
     let workers = parallelism.resolved();
-    if workers <= 1 {
-        return Ok(finish_build(
-            BuilderKind::Lbvh,
-            sorted_prims,
-            max_leaf_size,
-            move |_prims, start, end, _counters| {
-                Some(LbvhBuilder::morton_split(&sorted_codes, start, end))
-            },
-            counters,
-        ));
-    }
     let mut counters = counters;
-    sat_bump(&mut counters.build_prims, sorted_prims.len() as u64);
-    let nodes = emit_treelets_parallel(
-        &sorted_prims,
-        &sorted_codes,
-        max_leaf_size.max(1),
-        workers,
-        &mut counters,
-        telemetry,
-    );
+    sat_bump(&mut counters.build_prims, n as u64);
+    let nodes = if workers <= 1 {
+        let mut nodes = Vec::with_capacity(2 * n);
+        emit_treelet_node(
+            &sorted_prims,
+            codes,
+            0,
+            n,
+            max_leaf_size,
+            &mut nodes,
+            &mut counters,
+        );
+        nodes
+    } else {
+        emit_treelets_parallel(
+            &sorted_prims,
+            codes,
+            max_leaf_size,
+            workers,
+            &mut counters,
+            telemetry,
+        )
+    };
     Ok(Bvh {
         nodes,
         primitives: sorted_prims,
@@ -810,11 +794,12 @@ impl LbvhBuilder {
     pub fn build_with_telemetry(&self, prims: Vec<Sphere>, telemetry: &Telemetry) -> Result<Bvh> {
         validate_prims(&prims)?;
         let mut counters = WorkCounters::ZERO;
-        let workers = self.parallelism.resolved();
-        let (sorted_prims, sorted_codes) = morton_order(&prims, workers, &mut counters);
+        let (sorted_prims, codes) =
+            morton_order(&prims, self.parallelism.resolved(), &mut counters);
+        drop(prims);
         lbvh_from_sorted(
             sorted_prims,
-            sorted_codes,
+            &codes,
             self.max_leaf_size,
             counters,
             self.parallelism,
@@ -857,7 +842,6 @@ mod tests {
 
     fn builders() -> Vec<(&'static str, Box<dyn BvhBuilder>)> {
         vec![
-            ("median", Box::new(MedianSplitBuilder::default())),
             ("sah", Box::new(SahBuilder::default())),
             ("lbvh", Box::new(LbvhBuilder::default())),
         ]
@@ -987,6 +971,143 @@ mod tests {
         let codes = vec![0, 0, 0, 8, 8, 8];
         let split = LbvhBuilder::morton_split(&codes, 0, 6);
         assert_eq!(split, 3);
+    }
+
+    /// The LBVH emitter on one worker against an independent reference:
+    /// the SAH build's top-down emitter, which refolds every range's
+    /// bounds, splitting with `morton_split`.  Node for node, primitive
+    /// order and counters agree, and no splice is charged.
+    #[test]
+    fn single_treelet_emit_matches_the_refolding_emitter() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 40) % 64) as f32 * 0.25
+        };
+        // Duplicate piles, a partly flat z axis and coarse coordinates, so
+        // runs of identical codes are common.
+        let spheres: Vec<Sphere> = (0..3000)
+            .map(|i| {
+                let c = if i % 9 == 0 {
+                    Point3::new(3.0, 3.0, 0.0)
+                } else {
+                    let z = if i % 2 == 0 { 0.0 } else { next() };
+                    Point3::new(next(), next(), z)
+                };
+                Sphere::new(c, 0.3, i as u32)
+            })
+            .collect();
+        for max_leaf in [1usize, 2, 4, 7] {
+            let mut seed = WorkCounters::ZERO;
+            let (sorted, codes) = morton_order(&spheres, 1, &mut seed);
+            let reference = finish_build(
+                BuilderKind::Lbvh,
+                sorted.clone(),
+                max_leaf,
+                |_, start, end, _| Some(LbvhBuilder::morton_split(&codes, start, end)),
+                seed,
+            );
+            let emitted = lbvh_from_sorted(
+                sorted,
+                &codes,
+                max_leaf,
+                seed,
+                BuildParallelism::Sequential,
+                &Telemetry::disabled(),
+            )
+            .unwrap();
+            validate(&emitted).unwrap();
+            assert_eq!(emitted.nodes, reference.nodes, "max_leaf={max_leaf}");
+            assert_eq!(emitted.primitives, reference.primitives);
+            assert_eq!(emitted.build_counters, reference.build_counters);
+            assert_eq!(emitted.build_counters.build_splice_ops, 0);
+        }
+    }
+
+    /// The Morton pass charges a build `(build_sort_ops,
+    /// build_chunk_merges)`: four scatters per sorted primitive (none for
+    /// one) and, when the sort runs in `min(workers, n)` > 1 chunks, the
+    /// merges of its four digit-major prefix sums, 256 digits × chunks each.
+    fn morton_pass_charges(n: usize, workers: usize) -> (u64, u64) {
+        let chunks = workers.min(n) as u64;
+        let merges = if chunks > 1 { 4 * 256 * chunks } else { 0 };
+        (if n > 1 { 4 * n as u64 } else { 0 }, merges)
+    }
+
+    const PARALLELISMS: [BuildParallelism; 4] = [
+        BuildParallelism::Sequential,
+        BuildParallelism::Threads(2),
+        BuildParallelism::Threads(3),
+        BuildParallelism::Threads(8),
+    ];
+
+    #[test]
+    fn lbvh_and_shard_plan_charge_their_morton_pass() {
+        for n_side in [1usize, 2, 3, 20] {
+            let spheres = grid_spheres(n_side, 0.4);
+            let n = spheres.len();
+            for parallelism in PARALLELISMS {
+                let workers = parallelism.resolved();
+                let (sort_ops, merges) = morton_pass_charges(n, workers);
+                let bvh = LbvhBuilder {
+                    max_leaf_size: 4,
+                    parallelism,
+                }
+                .build(spheres.clone())
+                .unwrap();
+                let c = bvh.build_counters;
+                assert_eq!(c.build_sort_ops, sort_ops, "n={n} workers={workers}");
+                assert_eq!(c.build_chunk_merges, merges, "n={n} workers={workers}");
+                assert_eq!(c.misc_ops, n as u64, "n={n} workers={workers}");
+                let plan = crate::bvh::plan_shards_with(spheres.clone(), 16, parallelism).unwrap();
+                let c = plan.counters;
+                assert_eq!(c.build_sort_ops, sort_ops, "plan n={n} workers={workers}");
+                assert_eq!(c.build_chunk_merges, merges, "plan n={n} workers={workers}");
+                assert_eq!(c.misc_ops, n as u64, "plan n={n} workers={workers}");
+            }
+        }
+    }
+
+    /// The compacting front end sorts every input point but charges the
+    /// Morton pass over the representatives, as a sort of the compacted
+    /// spheres would be charged.
+    #[test]
+    fn compacting_front_end_charges_its_morton_pass_over_the_representatives() {
+        let pile = |i: usize| Point3::new((i % 3) as f32, 1.0, 0.0);
+        let mixed = |i: usize| {
+            if i.is_multiple_of(4) {
+                Point3::new(-0.0, 0.0, 0.0)
+            } else {
+                Point3::new((i % 50) as f32, (i % 7) as f32 * 0.5, 0.0)
+            }
+        };
+        for points in [
+            vec![Point3::new(0.5, 0.5, 0.5); 40],
+            (0..600).map(pile).collect(),
+            (0..600).map(mixed).collect(),
+        ] {
+            let n = points.len();
+            let reps = points
+                .iter()
+                .map(|p| p.bit_key())
+                .collect::<std::collections::HashSet<_>>()
+                .len();
+            for parallelism in PARALLELISMS {
+                let workers = parallelism.resolved();
+                let (sort_ops, merges) = morton_pass_charges(reps, workers);
+                let at = format!("reps={reps} workers={workers}");
+                let scene = scene_from_points(&points, 0.25, true, true, workers).unwrap();
+                assert_eq!(scene.prims.len(), reps);
+                let c = scene.counters;
+                assert_eq!(c.build_sort_ops, sort_ops, "{at}");
+                assert_eq!(c.build_chunk_merges, merges, "{at}");
+                assert_eq!(c.misc_ops, reps as u64, "{at}");
+                assert_eq!(c.compaction_merges, (n - reps) as u64);
+                assert_eq!(c.build_prims, (n - reps) as u64);
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,16 @@
 //! location instead of one per duplicate, while neighbour *counts* remain
 //! exact because the multiplicity is added back by the caller.
 //!
+//! Like the device builder, the pass does no sorting of its own: it reads
+//! the build's one Morton order of the input points ([`compact_sorted`]).
+//! Coincident points share a Morton code, so every group of them lies inside
+//! one run of equal codes, and the representatives keep the `(code, index)`
+//! order the LBVH emitter and the shard planner consume next.
+//!
 //! The pass is part of the RT path only; the FDBSCAN/ArborX-style baseline
 //! keeps one primitive per point, as the original library does.
 
-use crate::geometry::{morton_encode_3d, radix_sort_perm_by_key, Aabb, Point3, Sphere};
+use crate::geometry::{morton_sort, Point3, Sphere};
 use std::collections::HashMap;
 
 /// Result of compacting a point set into sphere primitives.
@@ -63,70 +69,76 @@ impl CompactionResult {
 /// Coincidence is judged on the bit pattern of the coordinates (with
 /// `-0.0 == 0.0`), so no tolerance parameter is involved and the pass cannot
 /// change clustering semantics: coincident points have identical
-/// ε-neighbourhoods by definition.
+/// ε-neighbourhoods by definition.  Each group's representative is its
+/// lowest index (the first-seen point of a scan in input order) and the
+/// spheres come out in ascending representative order.
 ///
-/// The pass sorts instead of hashing: coincident points share a Morton code,
-/// so a stable radix sort by code leaves every group inside one run of equal
-/// codes.  One pass over the runs then splits each run by exact
-/// [`Point3::bit_key`].  Each group's representative is its lowest index
-/// (the first-seen point of a scan in input order) and the spheres come out
-/// in ascending representative order.
+/// This is the pass a BVH index build runs inside its one Morton pass, run
+/// standalone: one sequential Morton encode-and-sort of the points, then
+/// the grouping of their runs of equal codes.
 pub fn compact_coincident(points: &[Point3], radius: f32) -> CompactionResult {
-    let n = points.len();
-    // Codes are computed from the canonical key coordinates, so points that
-    // share a key share a code whatever the sign of their zeros.
-    let canonical = |p: Point3| {
-        let (x, y, z) = p.bit_key();
-        Point3::new(f32::from_bits(x), f32::from_bits(y), f32::from_bits(z))
-    };
-    let bounds = Aabb::from_point_slice(points);
-    let extent = bounds.extent();
-    let mut codes: Vec<u32> = points
-        .iter()
-        .map(|&p| morton_encode_3d(canonical(p), bounds.min, extent))
+    let (mut keys, mut perm, mut multiplicity) = (Vec::new(), Vec::new(), Vec::new());
+    morton_sort(points, |&p| p, 1, &mut keys, &mut perm, &mut multiplicity);
+    let representative_of = compact_sorted(points, &keys, &mut perm, &mut multiplicity);
+    let spheres: Vec<Sphere> = (0..points.len())
+        .filter(|&i| representative_of[i] == i as u32)
+        .map(|i| Sphere {
+            multiplicity: multiplicity[i],
+            ..Sphere::new(points[i], radius, i as u32)
+        })
         .collect();
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut lane: Vec<u32> = Vec::with_capacity(n);
-    radix_sort_perm_by_key(&codes, &mut order, &mut lane);
-
-    let mut representative_of: Vec<u32> = (0..n as u32).collect();
-    let mut run_start = 0;
-    while run_start < n {
-        let code = codes[order[run_start] as usize];
-        let mut run_end = run_start + 1;
-        while run_end < n && codes[order[run_end] as usize] == code {
-            run_end += 1;
-        }
-        group_run(
-            points,
-            &mut order[run_start..run_end],
-            &mut representative_of,
-        );
-        run_start = run_end;
-    }
-    drop((order, lane));
-    // Tally multiplicities per representative in the code lane, which is
-    // free again.
-    let multiplicity = &mut codes;
-    multiplicity.fill(0);
-    for &rep in &representative_of {
-        multiplicity[rep as usize] += 1;
-    }
-    let mut spheres: Vec<Sphere> = Vec::with_capacity(n);
-    for (i, &p) in points.iter().enumerate() {
-        if representative_of[i] == i as u32 {
-            let mut sphere = Sphere::new(p, radius, i as u32);
-            sphere.multiplicity = multiplicity[i];
-            spheres.push(sphere);
-        }
-    }
-
-    let merged = (n - spheres.len()) as u64;
+    let merged = (points.len() - spheres.len()) as u64;
     CompactionResult {
         spheres,
         representative_of,
         merged,
     }
+}
+
+/// The compaction pass over a Morton order of `points`: `keys[i]` is the
+/// code of point `i` and `perm` lists the points in `(code, index)` order.
+///
+/// Every run of equal codes is split into groups of equal
+/// [`Point3::bit_key`], and every member is pointed at its group's lowest
+/// index.  Points with equal keys have equal codes — their coordinates
+/// differ at most in the sign of a zero, which quantises to the same cell —
+/// so no group straddles two runs.  On return `perm` keeps only the
+/// representatives, still in `(code, index)` order, and `multiplicity`
+/// holds the group size at each representative, 0 elsewhere; it is
+/// overwritten, so the sort's spent ping-pong lane can hold it.  Returns
+/// `representative_of`.
+pub(crate) fn compact_sorted(
+    points: &[Point3],
+    keys: &[u32],
+    perm: &mut Vec<u32>,
+    multiplicity: &mut Vec<u32>,
+) -> Vec<u32> {
+    let n = points.len();
+    let mut representative_of: Vec<u32> = (0..n as u32).collect();
+    let mut run: Vec<u32> = Vec::new();
+    let mut run_start = 0;
+    while run_start < n {
+        let code = keys[perm[run_start] as usize];
+        let mut run_end = run_start + 1;
+        while run_end < n && keys[perm[run_end] as usize] == code {
+            run_end += 1;
+        }
+        if run_end - run_start > 1 {
+            // `group_run` reorders the run it is given; `perm` keeps the
+            // order the tree is emitted from, so it works on a copy.
+            run.clear();
+            run.extend_from_slice(&perm[run_start..run_end]);
+            group_run(points, &mut run, &mut representative_of);
+        }
+        run_start = run_end;
+    }
+    multiplicity.clear();
+    multiplicity.resize(n, 0);
+    for &rep in &representative_of {
+        multiplicity[rep as usize] += 1;
+    }
+    perm.retain(|&i| representative_of[i as usize] == i);
+    representative_of
 }
 
 /// Split one run of equal Morton codes into groups of equal

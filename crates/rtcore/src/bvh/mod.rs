@@ -10,8 +10,6 @@
 //! * [`SahBuilder`] — a binned Surface Area Heuristic builder, the
 //!   "high-quality" builder used for the RT device path (OptiX builds its
 //!   acceleration structure with quality heuristics the user cannot see).
-//! * [`MedianSplitBuilder`] — simple longest-axis median split, kept as an
-//!   easy-to-reason-about reference for tests.
 //! * [`compact_coincident`] — the primitive-compaction pass the RT path applies before
 //!   building: exactly coincident sphere centres are merged into a single
 //!   primitive with a multiplicity count.
@@ -25,6 +23,12 @@
 //!
 //! All builders produce the same flat [`Bvh`] representation and report the
 //! work they performed through [`crate::hardware::WorkCounters`].
+//!
+//! A BVH index build encodes and radix-sorts its input points along the
+//! Morton curve once.  Compaction groups the runs of equal codes in that
+//! order, and the LBVH emitter and the shard planner take the sorted
+//! representatives and their codes from it without sorting again; SAH takes
+//! the representatives in ascending point order.
 
 pub(crate) mod build;
 mod compact;
@@ -34,9 +38,7 @@ pub mod tlas;
 mod validate;
 pub mod wide;
 
-pub use build::{
-    BuildParallelism, BuilderKind, BvhBuilder, LbvhBuilder, MedianSplitBuilder, SahBuilder,
-};
+pub use build::{BuildParallelism, BuilderKind, BvhBuilder, LbvhBuilder, SahBuilder};
 pub use compact::{compact_coincident, CompactionResult};
 pub use node::{Bvh, BvhNode, NodeKind};
 pub use refit::{remove_points, tree_health, update_spheres, RefitPolicy, RefitStats, TreeHealth};

@@ -110,14 +110,14 @@ impl Bvh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bvh::{BvhBuilder, MedianSplitBuilder};
+    use crate::bvh::{BvhBuilder, SahBuilder};
     use crate::geometry::Point3;
 
     fn small_bvh() -> Bvh {
         let spheres: Vec<Sphere> = (0..16)
             .map(|i| Sphere::new(Point3::new(i as f32, 0.0, 0.0), 0.4, i as u32))
             .collect();
-        MedianSplitBuilder::default().build(spheres).unwrap()
+        SahBuilder::default().build(spheres).unwrap()
     }
 
     #[test]
@@ -155,7 +155,7 @@ mod tests {
         let bvh = Bvh {
             nodes: vec![],
             primitives: vec![],
-            builder: BuilderKind::MedianSplit,
+            builder: BuilderKind::BinnedSah,
             build_counters: WorkCounters::ZERO,
         };
         assert_eq!(bvh.depth(), 0);

@@ -43,7 +43,8 @@ impl ShardingConfig {
 }
 
 /// The output of [`plan_shards`]: the scene's primitives in global Morton
-/// order plus the contiguous ranges that become shards.
+/// order plus the contiguous ranges that become shards.  A sharded index
+/// builds the same plan from its one Morton pass over the input points.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     /// Primitives sorted by Morton code over the *global* scene bounds.
@@ -79,38 +80,50 @@ pub fn plan_shards_with(
     parallelism: BuildParallelism,
 ) -> Result<ShardPlan> {
     validate_prims(&prims)?;
-    let max_shard = max_shard_size.max(1);
     let mut counters = WorkCounters::ZERO;
-
     // Encode over the global centroid bounds — the same frame the flat LBVH
     // uses, so the sort order (and therefore every downstream split) matches.
     let (sorted_prims, sorted_codes) = morton_order(&prims, parallelism.resolved(), &mut counters);
-
-    // Descend the flat tree's own split function until every range fits.
-    // Push right before left so the explicit stack pops ranges in ascending
-    // order.
-    let n = sorted_prims.len();
-    // analyze-allow: hot-path-alloc -- build path: the shard range list is allocated once per scene plan
-    let mut ranges = Vec::new();
-    // analyze-allow: hot-path-alloc -- build path: the cut-descent stack is allocated once per scene plan
-    let mut stack = vec![(0usize, n)];
-    while let Some((start, end)) = stack.pop() {
-        if end - start <= max_shard {
-            ranges.push((start, end));
-            continue;
-        }
-        sat_bump(&mut counters.build_node_ops, 1);
-        let mid = LbvhBuilder::morton_split(&sorted_codes, start, end);
-        stack.push((mid, end));
-        stack.push((start, mid));
-    }
-
+    let ranges = cut_shards(&sorted_codes, max_shard_size, &mut counters);
     Ok(ShardPlan {
         sorted_prims,
         sorted_codes,
         ranges,
         counters,
     })
+}
+
+/// The shard cut of a Morton-sorted code lane: descend the flat tree's own
+/// split function from the full range until every range holds at most
+/// `max_shard_size` codes, charging one `build_node_ops` per split.  The
+/// ranges come out ascending and partition `0..codes.len()` (none for an
+/// empty lane).
+pub(crate) fn cut_shards(
+    codes: &[u32],
+    max_shard_size: usize,
+    counters: &mut WorkCounters,
+) -> Vec<(usize, usize)> {
+    let max_shard = max_shard_size.max(1);
+    // analyze-allow: hot-path-alloc -- build path: the shard range list is allocated once per scene plan
+    let mut ranges = Vec::new();
+    // Push right before left so the explicit stack pops ranges in ascending
+    // order.
+    // analyze-allow: hot-path-alloc -- build path: the cut-descent stack is allocated once per scene plan
+    let mut stack = vec![(0usize, codes.len())];
+    while let Some((start, end)) = stack.pop() {
+        if end == start {
+            continue;
+        }
+        if end - start <= max_shard {
+            ranges.push((start, end));
+            continue;
+        }
+        sat_bump(&mut counters.build_node_ops, 1);
+        let mid = LbvhBuilder::morton_split(codes, start, end);
+        stack.push((mid, end));
+        stack.push((start, mid));
+    }
+    ranges
 }
 
 /// A node of the top-level BVH.  Leaves reference shard (BLAS) indices.
@@ -434,7 +447,7 @@ mod tests {
         for &(s, e) in &plan.ranges {
             let blas = lbvh_from_sorted(
                 plan.sorted_prims[s..e].to_vec(),
-                plan.sorted_codes[s..e].to_vec(),
+                &plan.sorted_codes[s..e],
                 max_leaf,
                 WorkCounters::ZERO,
                 BuildParallelism::Sequential,

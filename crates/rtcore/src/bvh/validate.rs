@@ -209,7 +209,7 @@ mod tests {
         let bvh = Bvh {
             nodes: vec![],
             primitives: vec![Sphere::new(Point3::ORIGIN, 1.0, 0)],
-            builder: BuilderKind::MedianSplit,
+            builder: BuilderKind::BinnedSah,
             build_counters: WorkCounters::ZERO,
         };
         assert_eq!(
@@ -260,7 +260,7 @@ mod tests {
                 },
             }],
             primitives: vec![Sphere::new(Point3::ORIGIN, 1.0, 0)],
-            builder: BuilderKind::MedianSplit,
+            builder: BuilderKind::BinnedSah,
             build_counters: WorkCounters::ZERO,
         };
         assert!(matches!(
@@ -283,7 +283,7 @@ mod tests {
                 Sphere::new(Point3::ORIGIN, 1.0, 0),
                 Sphere::new(Point3::new(1.0, 0.0, 0.0), 1.0, 1),
             ],
-            builder: BuilderKind::MedianSplit,
+            builder: BuilderKind::BinnedSah,
             build_counters: WorkCounters::ZERO,
         };
         assert!(matches!(

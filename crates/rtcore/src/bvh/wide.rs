@@ -1033,9 +1033,7 @@ pub fn validate_wide(wide: &WideBvh) -> Result<(), WideInvariantError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bvh::{
-        spheres_from_points, BvhBuilder, LbvhBuilder, MedianSplitBuilder, SahBuilder,
-    };
+    use crate::bvh::{spheres_from_points, BvhBuilder, LbvhBuilder, SahBuilder};
     use crate::geometry::Point3;
 
     fn grid(n_side: usize, spacing: f32) -> Vec<Point3> {
@@ -1054,7 +1052,6 @@ mod tests {
         let builders: Vec<Box<dyn BvhBuilder>> = vec![
             Box::new(LbvhBuilder::default()),
             Box::new(SahBuilder::default()),
-            Box::new(MedianSplitBuilder::default()),
         ];
         for b in builders {
             let bvh = b.build(spheres_from_points(&pts, 0.4)).unwrap();
@@ -1075,7 +1072,6 @@ mod tests {
         let builders: Vec<Box<dyn BvhBuilder>> = vec![
             Box::new(LbvhBuilder::default()),
             Box::new(SahBuilder::default()),
-            Box::new(MedianSplitBuilder::default()),
         ];
         for b in builders {
             let bvh = b.build(spheres_from_points(&pts, 0.4)).unwrap();

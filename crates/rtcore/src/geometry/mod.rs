@@ -12,11 +12,8 @@ mod sphere;
 mod vec3;
 
 pub use aabb::Aabb;
-pub use morton::{
-    morton_encode_3d, morton_encode_normalized, radix_sort_by_code, radix_sort_by_code_parallel,
-    MortonCode, RadixSortStats,
-};
-pub(crate) use morton::{radix_sort_perm_by_key, SendPtr};
+pub(crate) use morton::{fill_lane, morton_sort, radix_sort_ops};
+pub use morton::{morton_encode_3d, morton_encode_normalized};
 pub use point::Point3;
 pub use ray::{Ray, RayInterval};
 pub use sphere::Sphere;

@@ -1,35 +1,26 @@
-//! Morton (Z-order) codes and the radix sort used by the LBVH builder.
+//! Morton (Z-order) codes and the one radix sort every Morton consumer
+//! shares.
 //!
 //! GPU BVH builders (including the ones behind OptiX's fast build mode)
 //! linearise primitives along a space-filling curve and then emit the
 //! hierarchy from the sorted order.  This module provides the 30-bit 3-D
-//! Morton encoding (10 bits per axis) that the LBVH builder in
-//! [`crate::bvh::lbvh`] consumes, plus a stable LSD radix sort over the codes
-//! so the builder does not depend on the standard library sort (and so the
-//! cost model can account for the sort explicitly).
+//! Morton encoding (10 bits per axis) and [`morton_sort`]: encode a point
+//! set over its own bounds into a `u32` key lane, then sort a `u32`
+//! permutation by key, ties by index, with a stable LSD radix sort — so the
+//! builders do not depend on the standard library sort and the cost model
+//! can account for the sort explicitly.
 //!
-//! The sort comes in two flavours: the original sequential
-//! [`radix_sort_by_code`] and a chunk-parallel [`radix_sort_by_code_parallel`]
-//! (per-chunk histograms, an exclusive prefix-sum across chunks, and a stable
-//! parallel scatter into disjoint output regions).  Both produce bit-identical
-//! output and charge exactly the same number of scatter operations; the
-//! parallel variant additionally reports its cross-chunk histogram merges so
-//! the cost model can see where the bookkeeping differs.  A third,
-//! [`radix_sort_perm_by_key`], sorts a bare `u32` permutation by a key lane
-//! in the same order, for the Morton launch reorder and primitive
-//! compaction, which need no sorted copy of their inputs.
+//! A build runs this pass once over its input points; compaction, the LBVH
+//! emitter and the shard planner all read that one order (see
+//! [`crate::bvh`]).  A Morton-ordered launch
+//! ([`crate::traversal::ReorderScratch`]) runs it over its queries.  With
+//! more than one logical worker the sort is chunk-parallel (per-chunk
+//! histograms, a digit-major exclusive prefix sum across the chunks, and a
+//! stable parallel scatter into disjoint output regions); its output is the
+//! same permutation for every worker count.
 
+use crate::geometry::{Aabb, Point3};
 use rayon::prelude::*;
-
-/// A 30-bit 3-D Morton code paired with the index of the primitive it was
-/// computed from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MortonCode {
-    /// The interleaved code.
-    pub code: u32,
-    /// Index of the primitive this code belongs to.
-    pub index: u32,
-}
 
 /// Spread the lower 10 bits of `v` so that there are two zero bits between
 /// each original bit ("bit interleaving" helper).
@@ -83,201 +74,211 @@ pub fn morton_encode_3d(
     )
 }
 
-/// Stable least-significant-digit radix sort of Morton codes (8-bit digits,
-/// 4 passes).  Returns the number of scatter operations performed so the
-/// device cost model can charge for the sort.
-pub fn radix_sort_by_code(codes: &mut Vec<MortonCode>) -> u64 {
-    let n = codes.len();
-    if n <= 1 {
-        return 0;
+/// The Morton pass: encode `center(item)` of every item over the bounds of
+/// all of them into `keys` (input order), then sort `perm` into ascending
+/// `(code, index)` order with [`radix_sort_perm_by_key`].  `buf` is the
+/// sort's ping-pong lane.  All three lanes are grow-only, so a warm caller
+/// runs the pass without touching the allocator.
+///
+/// `workers` is a logical chunk count: above one, the bounds reduction, the
+/// encode and the sort run chunk-parallel.  The permutation is the same for
+/// every value — the bounds fold only reassociates `min`/`max`, which can
+/// at most flip the sign of a zero bound, and a zero's sign never changes a
+/// code.
+pub(crate) fn morton_sort<T: Sync>(
+    items: &[T],
+    center: impl Fn(&T) -> Point3 + Sync,
+    workers: usize,
+    keys: &mut Vec<u32>,
+    perm: &mut Vec<u32>,
+    buf: &mut Vec<u32>,
+) {
+    let n = items.len();
+    let workers = workers.clamp(1, n.max(1));
+    let grow = |acc: Aabb, item: &T| acc.grown_to_include(center(item));
+    let bounds = if workers == 1 {
+        items.iter().fold(Aabb::EMPTY, grow)
+    } else {
+        let chunk = n.div_ceil(workers);
+        let partials: Vec<Aabb> = (0..workers)
+            .into_par_iter()
+            .map(|t| {
+                let (lo, hi) = ((t * chunk).min(n), ((t + 1) * chunk).min(n));
+                items[lo..hi].iter().fold(Aabb::EMPTY, grow)
+            })
+            .collect();
+        partials.iter().fold(Aabb::EMPTY, |acc, b| acc.union(b))
+    };
+    let extent = bounds.extent();
+    fill_lane(keys, n, workers, |i| {
+        morton_encode_3d(center(&items[i]), bounds.min, extent)
+    });
+    radix_sort_perm_by_key(keys, perm, buf, workers);
+}
+
+/// Scatter operations the cost model charges for radix-sorting `n` keys:
+/// one per key in each of the four 8-bit passes, none for `n <= 1`.
+pub(crate) fn radix_sort_ops(n: usize) -> u64 {
+    if n > 1 {
+        4 * n as u64
+    } else {
+        0
     }
-    let mut scratch: Vec<MortonCode> = vec![MortonCode { code: 0, index: 0 }; n];
-    let mut ops: u64 = 0;
-    for pass in 0..4u32 {
-        let shift = pass * 8;
-        let mut counts = [0usize; 256];
-        for c in codes.iter() {
-            counts[((c.code >> shift) & 0xff) as usize] += 1;
-        }
-        let mut offsets = [0usize; 256];
-        let mut running = 0usize;
-        for (digit, count) in counts.iter().enumerate() {
-            offsets[digit] = running;
-            running += count;
-        }
-        for c in codes.iter() {
-            let digit = ((c.code >> shift) & 0xff) as usize;
-            scratch[offsets[digit]] = *c;
-            offsets[digit] += 1;
-            ops += 1;
-        }
-        std::mem::swap(codes, &mut scratch);
-    }
-    ops
 }
 
 /// Stable LSD radix sort of a permutation by per-element keys (8-bit
 /// digits, 4 passes): on return `perm` lists `0..keys.len()` ordered by
-/// `keys[i]`, ties by ascending `i` — exactly the order
-/// [`radix_sort_by_code`] gives `(code, index)` pairs built in index order.
+/// `keys[i]`, ties by ascending `i`.
 ///
 /// Only `u32` lanes move: `perm` and the caller-held ping-pong lane `buf`
-/// are grow-only, so a warm caller sorts without touching the allocator.
-/// The digit histograms do not depend on element order, so all four come
-/// from one sequential pass over `keys`, and a pass whose digit is the same
-/// for every key (a stable no-op) is skipped.  Returns the scatter
-/// operations charged, the same `4 × n` as [`radix_sort_by_code`].
-pub(crate) fn radix_sort_perm_by_key(keys: &[u32], perm: &mut Vec<u32>, buf: &mut Vec<u32>) -> u64 {
+/// are grow-only.  A pass whose digit is the same for every key is a stable
+/// no-op and is skipped.  With one worker the four digit histograms come
+/// from one sequential pass over `keys` (they do not depend on element
+/// order).  With `workers > 1` each pass cuts the current permutation into
+/// that many chunks, counts per chunk in parallel, runs a digit-major
+/// exclusive prefix sum across the chunks — region `(digit, chunk)` starts
+/// after every smaller digit and every earlier chunk of the same digit —
+/// and scatters every chunk in parallel into its own regions.  That region
+/// order is exactly the sequential stable order, so the permutation is the
+/// same for every worker count; `workers` is a logical chunk count, and the
+/// pool may run the chunks on fewer threads.
+fn radix_sort_perm_by_key(keys: &[u32], perm: &mut Vec<u32>, buf: &mut Vec<u32>, workers: usize) {
     let n = keys.len();
     perm.clear();
     perm.extend(0..n as u32);
     if n <= 1 {
-        return 0;
-    }
-    let mut counts = [[0usize; 256]; 4];
-    for &k in keys {
-        for (pass, histogram) in counts.iter_mut().enumerate() {
-            histogram[((k >> (pass * 8)) & 0xff) as usize] += 1;
-        }
+        return;
     }
     buf.clear();
     buf.resize(n, 0);
-    for (pass, histogram) in counts.iter().enumerate() {
-        if histogram.contains(&n) {
+    let workers = workers.clamp(1, n);
+    if workers == 1 {
+        let mut counts = [[0usize; 256]; 4];
+        for &k in keys {
+            for (pass, histogram) in counts.iter_mut().enumerate() {
+                histogram[((k >> (pass * 8)) & 0xff) as usize] += 1;
+            }
+        }
+        for (pass, histogram) in counts.iter().enumerate() {
+            if histogram.contains(&n) {
+                continue;
+            }
+            let shift = pass * 8;
+            let mut offsets = [0usize; 256];
+            let mut running = 0usize;
+            for (digit, &count) in histogram.iter().enumerate() {
+                offsets[digit] = running;
+                running += count;
+            }
+            for &i in perm.iter() {
+                let digit = ((keys[i as usize] >> shift) & 0xff) as usize;
+                buf[offsets[digit]] = i;
+                offsets[digit] += 1;
+            }
+            std::mem::swap(perm, buf);
+        }
+        return;
+    }
+    let chunk = n.div_ceil(workers);
+    for shift in [0u32, 8, 16, 24] {
+        let digit_of = |i: u32| ((keys[i as usize] >> shift) & 0xff) as usize;
+        let src: &[u32] = perm;
+        let histograms: Vec<[usize; 256]> = (0..workers)
+            .into_par_iter()
+            .map(|t| {
+                let mut counts = [0usize; 256];
+                for &i in &src[(t * chunk).min(n)..((t + 1) * chunk).min(n)] {
+                    counts[digit_of(i)] += 1;
+                }
+                counts
+            })
+            .collect();
+        let mut offsets = vec![[0usize; 256]; workers];
+        let mut running = 0usize;
+        let mut constant = false;
+        for digit in 0..256 {
+            let before = running;
+            for (t, histogram) in histograms.iter().enumerate() {
+                offsets[t][digit] = running;
+                running += histogram[digit];
+            }
+            constant |= running - before == n;
+        }
+        debug_assert_eq!(running, n);
+        if constant {
             continue;
         }
-        let shift = pass * 8;
-        let mut offsets = [0usize; 256];
-        let mut running = 0usize;
-        for (digit, &count) in histogram.iter().enumerate() {
-            offsets[digit] = running;
-            running += count;
-        }
-        for &i in perm.iter() {
-            let digit = ((keys[i as usize] >> shift) & 0xff) as usize;
-            buf[offsets[digit]] = i;
-            offsets[digit] += 1;
-        }
+        let out = SendPtr(buf.as_mut_ptr());
+        (0..workers).into_par_iter().for_each(|t| {
+            let mut offs = offsets[t];
+            // The prefix sum partitions `[0, n)` into disjoint (digit,
+            // chunk) regions sized by the per-chunk histograms; worker `t`
+            // writes only inside its own regions, one slot per element.
+            for &i in &src[(t * chunk).min(n)..((t + 1) * chunk).min(n)] {
+                let digit = digit_of(i);
+                // SAFETY: disjoint (digit, chunk) regions (see above) — no
+                // two workers touch the same slot, every slot is written
+                // exactly once, and `buf` is read only after the join.
+                unsafe { out.get().add(offs[digit]).write(i) };
+                offs[digit] += 1;
+            }
+        });
         std::mem::swap(perm, buf);
     }
-    4 * n as u64
+}
+
+/// Overwrite `lane` with `f(0), …, f(len - 1)`.  With `workers > 1` the
+/// index range is cut into that many chunks that fill disjoint slots in
+/// parallel; the lane is the same for every worker count.  Grow-only, so a
+/// warm lane fills without touching the allocator.
+pub(crate) fn fill_lane<T: Copy + Send>(
+    lane: &mut Vec<T>,
+    len: usize,
+    workers: usize,
+    f: impl Fn(usize) -> T + Sync,
+) {
+    lane.clear();
+    if workers <= 1 || len < 2 {
+        lane.extend((0..len).map(f));
+        return;
+    }
+    lane.reserve(len);
+    let chunk = len.div_ceil(workers.min(len));
+    let out = SendPtr(lane.as_mut_ptr());
+    (0..len.div_ceil(chunk)).into_par_iter().for_each(|t| {
+        for i in t * chunk..((t + 1) * chunk).min(len) {
+            // SAFETY: the chunks partition `[0, len)`, so every slot of the
+            // reserved capacity is written exactly once, by one worker, and
+            // the lane is read only after the join.
+            unsafe { out.get().add(i).write(f(i)) };
+        }
+    });
+    // SAFETY: the pool joined and every slot in `[0, len)` was initialised
+    // above (a panicking worker propagates before this line).
+    unsafe { lane.set_len(len) };
 }
 
 /// Raw-pointer wrapper that lets chunk workers write into *disjoint* regions
-/// of one shared output buffer.  Every use site must argue disjointness in a
+/// of one shared output buffer.  Every use site argues disjointness in a
 /// `SAFETY` comment; the wrapper itself only launders the pointer across the
 /// `Send`/`Sync` boundary of the scoped-thread pool.
-pub(crate) struct SendPtr<T>(*mut T);
+struct SendPtr<T>(*mut T);
 
 // SAFETY: `SendPtr` is a plain pointer with no aliasing guarantees of its
 // own; each use site partitions the pointee buffer into disjoint index
-// ranges per worker (asserted where the pointer is created), so concurrent
-// writes never overlap and the buffer is only read again after the pool
-// joins (the join is the happens-before edge).
+// ranges per worker, so concurrent writes never overlap and the buffer is
+// only read again after the pool joins (the join is the happens-before
+// edge).
 unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: see the `Send` justification above — the wrapper is shared across
 // workers by reference, and all access goes through disjoint regions.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
-    pub(crate) fn new(ptr: *mut T) -> Self {
-        SendPtr(ptr)
-    }
-
-    pub(crate) fn get(&self) -> *mut T {
+    /// The pointer.  A method rather than a field read, so closures capture
+    /// the whole (`Sync`) wrapper instead of the bare pointer field.
+    fn get(&self) -> *mut T {
         self.0
-    }
-}
-
-/// Work performed by [`radix_sort_by_code_parallel`], reported separately so
-/// the caller can charge `build_sort_ops` exactly like the sequential sort
-/// and account the parallel-only prefix-sum bookkeeping on its own counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RadixSortStats {
-    /// Stable scatter operations — identical to what the sequential sort
-    /// would have returned (4 passes × n elements).
-    pub scatter_ops: u64,
-    /// Cross-chunk merges performed by the exclusive prefix-sum over the
-    /// per-chunk digit histograms (zero when the sort ran sequentially).
-    pub chunk_merges: u64,
-}
-
-/// Chunk-parallel stable LSD radix sort: same four 8-bit passes as
-/// [`radix_sort_by_code`], but each pass computes per-chunk digit histograms
-/// in parallel, runs one sequential digit-major exclusive prefix-sum across
-/// the chunks, and then scatters every chunk in parallel into the disjoint
-/// output regions the prefix-sum assigned.
-///
-/// The output is **bit-identical** to the sequential sort for any `workers`
-/// value: region order is (digit ascending, chunk ascending) and every chunk
-/// scatters its elements in index order, which is exactly the sequential
-/// stable order.  `workers` is a *logical* chunk count — the thread pool may
-/// run chunks on fewer physical threads without affecting the result.
-pub fn radix_sort_by_code_parallel(codes: &mut Vec<MortonCode>, workers: usize) -> RadixSortStats {
-    let n = codes.len();
-    if workers <= 1 || n <= 1 {
-        return RadixSortStats {
-            scatter_ops: radix_sort_by_code(codes),
-            chunk_merges: 0,
-        };
-    }
-    let workers = workers.min(n);
-    let chunk = n.div_ceil(workers);
-    let mut scratch: Vec<MortonCode> = vec![MortonCode { code: 0, index: 0 }; n];
-    let mut chunk_merges = 0u64;
-    for pass in 0..4u32 {
-        let shift = pass * 8;
-        let src: &[MortonCode] = codes;
-        let histograms: Vec<[usize; 256]> = (0..workers)
-            .into_par_iter()
-            .map(|t| {
-                let lo = (t * chunk).min(n);
-                let hi = ((t + 1) * chunk).min(n);
-                let mut counts = [0usize; 256];
-                for c in &src[lo..hi] {
-                    counts[((c.code >> shift) & 0xff) as usize] += 1;
-                }
-                counts
-            })
-            .collect();
-        // Digit-major exclusive prefix-sum: region (digit, chunk) starts
-        // after every smaller digit and every earlier chunk of the same
-        // digit — the order that makes the parallel scatter stable.
-        let mut offsets: Vec<[usize; 256]> = vec![[0usize; 256]; workers];
-        let mut running = 0usize;
-        for digit in 0..256 {
-            for (t, histogram) in histograms.iter().enumerate() {
-                offsets[t][digit] = running;
-                running += histogram[digit];
-                chunk_merges += 1;
-            }
-        }
-        debug_assert_eq!(running, n);
-        let out = SendPtr::new(scratch.as_mut_ptr());
-        (0..workers).into_par_iter().for_each(|t| {
-            let lo = (t * chunk).min(n);
-            let hi = ((t + 1) * chunk).min(n);
-            let mut offs = offsets[t];
-            // The prefix-sum partitions `[0, n)` into disjoint (digit, chunk)
-            // regions sized by the per-chunk histograms; worker `t` only
-            // writes inside its own regions (starting at `offsets[t][digit]`,
-            // bumping by one per element, bounded by its histogram count).
-            for c in &src[lo..hi] {
-                let digit = ((c.code >> shift) & 0xff) as usize;
-                // SAFETY: disjoint (digit, chunk) regions (see above) — no
-                // two workers touch the same slot, every slot is written
-                // exactly once, and scratch is read only after the join.
-                unsafe {
-                    *out.get().add(offs[digit]) = *c;
-                }
-                offs[digit] += 1;
-            }
-        });
-        std::mem::swap(codes, &mut scratch);
-    }
-    RadixSortStats {
-        scatter_ops: 4 * n as u64,
-        chunk_merges,
     }
 }
 
@@ -285,6 +286,29 @@ pub fn radix_sort_by_code_parallel(codes: &mut Vec<MortonCode>, workers: usize) 
 mod tests {
     use super::*;
     use crate::geometry::Point3;
+
+    /// The reference order: `0..keys.len()` stably sorted by key.
+    fn std_order(keys: &[u32]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        order.sort_by_key(|&i| keys[i as usize]);
+        order
+    }
+
+    fn sort(keys: &[u32], workers: usize) -> Vec<u32> {
+        let (mut perm, mut buf) = (Vec::new(), Vec::new());
+        radix_sort_perm_by_key(keys, &mut perm, &mut buf, workers);
+        perm
+    }
+
+    fn lcg(seed: u64) -> impl FnMut() -> u32 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as u32) & 0x3fffffff
+        }
+    }
 
     #[test]
     fn expand_bits_spacing() {
@@ -328,111 +352,102 @@ mod tests {
 
     #[test]
     fn radix_sort_sorts_and_is_stable() {
-        let mut codes = vec![
-            MortonCode { code: 30, index: 0 },
-            MortonCode { code: 10, index: 1 },
-            MortonCode { code: 30, index: 2 },
-            MortonCode { code: 5, index: 3 },
-            MortonCode { code: 10, index: 4 },
-        ];
-        let ops = radix_sort_by_code(&mut codes);
-        assert!(ops > 0);
-        let sorted: Vec<u32> = codes.iter().map(|c| c.code).collect();
-        assert_eq!(sorted, vec![5, 10, 10, 30, 30]);
-        // Stability: equal codes keep their original relative order.
-        assert_eq!(codes[1].index, 1);
-        assert_eq!(codes[2].index, 4);
-        assert_eq!(codes[3].index, 0);
-        assert_eq!(codes[4].index, 2);
+        let keys = [30, 10, 30, 5, 10];
+        // Ascending keys; equal keys keep their input order.
+        assert_eq!(sort(&keys, 1), vec![3, 1, 4, 0, 2]);
+        assert_eq!(sort(&keys, 1), std_order(&keys));
     }
 
     #[test]
     fn radix_sort_handles_trivial_inputs() {
-        let mut empty: Vec<MortonCode> = vec![];
-        assert_eq!(radix_sort_by_code(&mut empty), 0);
-        let mut one = vec![MortonCode { code: 9, index: 0 }];
-        assert_eq!(radix_sort_by_code(&mut one), 0);
-        assert_eq!(one[0].code, 9);
+        assert!(sort(&[], 1).is_empty());
+        assert_eq!(sort(&[9], 1), vec![0]);
+        assert_eq!(radix_sort_ops(0), 0);
+        assert_eq!(radix_sort_ops(1), 0);
+        assert_eq!(radix_sort_ops(5), 20);
     }
 
     // The parallel sort deliberately uses no atomics: every pass hands work
     // between phases through the pool's fork/join edges (histograms are
-    // collected before the prefix-sum runs; the scatter only starts after the
-    // prefix-sum assigned disjoint regions), so there is no interleaving to
-    // model-check with loom.  Instead, the handoff is exercised as a
-    // deterministic schedule sweep: the result must be bit-identical to the
-    // sequential sort for *every* logical chunk count, including chunk counts
-    // far above the physical core count.
+    // collected before the prefix sum runs; the scatter only starts after
+    // the prefix sum assigned disjoint regions), so there is no interleaving
+    // to model-check with loom.  Instead, the handoff is exercised as a
+    // deterministic schedule sweep: the permutation must equal a std stable
+    // sort for *every* logical chunk count, including chunk counts far above
+    // the physical core count, through one warm pair of lanes.
     #[test]
     fn parallel_radix_sort_matches_sequential_for_all_worker_counts() {
-        let mut state = 0xdeadbeefu64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as u32) & 0x3fffffff
-        };
-        // Heavy duplication so stability is actually load-bearing.
-        let base: Vec<MortonCode> = (0..2000)
-            .map(|i| MortonCode {
-                code: next() % 97,
-                index: i,
-            })
-            .collect();
-        let mut expected = base.clone();
-        let seq_ops = radix_sort_by_code(&mut expected);
-        for workers in [1usize, 2, 3, 5, 8, 16, 64] {
-            let mut codes = base.clone();
-            let stats = radix_sort_by_code_parallel(&mut codes, workers);
-            assert_eq!(codes, expected, "workers={workers}");
-            assert_eq!(stats.scatter_ops, seq_ops, "workers={workers}");
-            if workers > 1 {
-                assert!(stats.chunk_merges > 0, "workers={workers}");
-            } else {
-                assert_eq!(stats.chunk_merges, 0);
+        let mut next = lcg(0xdeadbeef);
+        // Heavy duplication so stability is actually load-bearing, plus a
+        // full-width spread so every pass scatters.
+        let dup: Vec<u32> = (0..2000).map(|_| next() % 97).collect();
+        let wide: Vec<u32> = (0..3001).map(|_| next()).collect();
+        let (mut perm, mut buf) = (Vec::new(), Vec::new());
+        for keys in [&dup, &wide] {
+            let expected = std_order(keys);
+            for workers in 1..=64 {
+                radix_sort_perm_by_key(keys, &mut perm, &mut buf, workers);
+                assert_eq!(perm, expected, "workers={workers}");
             }
         }
     }
 
     #[test]
     fn parallel_radix_sort_handles_identical_codes_and_tiny_inputs() {
-        let identical: Vec<MortonCode> = (0..100)
-            .map(|i| MortonCode { code: 42, index: i })
-            .collect();
+        let identical = vec![42u32; 100];
         for workers in [2usize, 7, 200] {
-            let mut codes = identical.clone();
-            radix_sort_by_code_parallel(&mut codes, workers);
             // Stability: identical codes keep their original order.
-            assert!(codes.iter().enumerate().all(|(i, c)| c.index == i as u32));
+            assert_eq!(sort(&identical, workers), std_order(&identical));
+            assert!(sort(&[], workers).is_empty());
+            assert_eq!(sort(&[9], workers), vec![0]);
+            assert_eq!(sort(&[9, 3], workers), vec![1, 0]);
         }
-        let mut empty: Vec<MortonCode> = vec![];
-        assert_eq!(radix_sort_by_code_parallel(&mut empty, 8).scatter_ops, 0);
-        let mut one = vec![MortonCode { code: 9, index: 0 }];
-        let stats = radix_sort_by_code_parallel(&mut one, 8);
-        assert_eq!(stats.scatter_ops, 0);
-        assert_eq!(one[0].code, 9);
     }
 
     #[test]
     fn radix_sort_matches_std_sort_on_random_codes() {
-        // Simple LCG so the test does not need the rand crate here.
-        let mut state = 0x12345678u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as u32) & 0x3fffffff
-        };
-        let mut codes: Vec<MortonCode> = (0..1000)
-            .map(|i| MortonCode {
-                code: next(),
-                index: i,
+        let mut next = lcg(0x12345678);
+        let keys: Vec<u32> = (0..1000).map(|_| next()).collect();
+        let perm = sort(&keys, 1);
+        assert_eq!(perm, std_order(&keys));
+        let sorted: Vec<u32> = perm.iter().map(|&i| keys[i as usize]).collect();
+        let mut expected = keys.clone();
+        expected.sort_unstable();
+        assert_eq!(sorted, expected);
+    }
+
+    #[test]
+    fn fill_lane_is_the_same_for_every_worker_count() {
+        let mut lane = Vec::new();
+        for len in [0usize, 1, 2, 17, 1000] {
+            let expected: Vec<u64> = (0..len as u64).map(|i| i * i + 3).collect();
+            for workers in [1usize, 2, 3, 8, 64, 2000] {
+                fill_lane(&mut lane, len, workers, |i| (i * i + 3) as u64);
+                assert_eq!(lane, expected, "len={len} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn morton_sort_is_the_same_for_every_worker_count() {
+        let mut next = lcg(7);
+        // Signed zeros on the bounds, a flat z axis and exact duplicates.
+        let points: Vec<Point3> = (0..500)
+            .map(|i| match i % 5 {
+                0 => Point3::new(0.0, -0.0, 0.0),
+                1 => Point3::new(-0.0, 0.0, 0.0),
+                _ => Point3::new((next() % 64) as f32, (next() % 64) as f32 * 0.5, 0.0),
             })
             .collect();
-        let mut expected: Vec<u32> = codes.iter().map(|c| c.code).collect();
-        expected.sort_unstable();
-        radix_sort_by_code(&mut codes);
-        let got: Vec<u32> = codes.iter().map(|c| c.code).collect();
-        assert_eq!(got, expected);
+        let (mut keys, mut perm, mut buf) = (Vec::new(), Vec::new(), Vec::new());
+        morton_sort(&points, |&p| p, 1, &mut keys, &mut perm, &mut buf);
+        let (seq_keys, seq_perm) = (keys.clone(), perm.clone());
+        assert_eq!(seq_perm, std_order(&seq_keys));
+        assert_eq!(keys[0], keys[1], "signed zeros share a code");
+        for workers in [2usize, 3, 8, 64] {
+            morton_sort(&points, |&p| p, workers, &mut keys, &mut perm, &mut buf);
+            assert_eq!(keys, seq_keys, "workers={workers}");
+            assert_eq!(perm, seq_perm, "workers={workers}");
+        }
     }
 }

@@ -6,14 +6,11 @@ use super::{
     IndexKind, Neighbor, NeighborFlow, NeighborIndex, NeighborIndexBuilder, NeighborSink,
     NeighborVisitor,
 };
-use crate::bvh::BuilderKind;
-use crate::bvh::{
-    compact_coincident, refit, spheres_from_points, Bvh, BvhBuilder, LbvhBuilder,
-    MedianSplitBuilder, SahBuilder, WideBvh,
-};
+use crate::bvh::build::{lbvh_from_sorted, scene_from_points};
+use crate::bvh::{refit, BuilderKind, Bvh, BvhBuilder, LbvhBuilder, SahBuilder, WideBvh};
 use crate::error::{Error, Result};
 use crate::fault::{CancelScope, FaultInjector, FaultSite};
-use crate::geometry::{Point3, Ray};
+use crate::geometry::{Point3, Ray, Sphere};
 use crate::hardware::sat_bump;
 use crate::hardware::WorkCounters;
 use crate::simd::SimdLevel;
@@ -44,6 +41,43 @@ macro_rules! with_sink {
             }
         }
     };
+}
+
+/// The one builder dispatch of the BVH indexes: the flat build, every
+/// shard BLAS of a sharded build and a quarantined shard's rebuild all
+/// build their tree here, with the configured builder, leaf size and
+/// parallelism.  `codes` are the Morton codes of primitives the front end
+/// already sorted: the LBVH then emits from them without sorting again.
+/// Without them (a shard rebuild from its retained primitives) the LBVH
+/// sorts for itself; SAH never reads them.
+pub(crate) fn build_tree(
+    config: &NeighborIndexBuilder,
+    prims: Vec<Sphere>,
+    codes: Option<&[u32]>,
+    telemetry: &Telemetry,
+) -> Result<Bvh> {
+    let max_leaf_size = config.max_leaf_size;
+    let parallelism = config.build_parallelism;
+    match (config.bvh_builder, codes) {
+        (BuilderKind::Lbvh, Some(codes)) => lbvh_from_sorted(
+            prims,
+            codes,
+            max_leaf_size,
+            WorkCounters::ZERO,
+            parallelism,
+            telemetry,
+        ),
+        (BuilderKind::Lbvh, None) => LbvhBuilder {
+            max_leaf_size,
+            parallelism,
+        }
+        .build_with_telemetry(prims, telemetry),
+        (BuilderKind::BinnedSah, _) => SahBuilder {
+            max_leaf_size,
+            ..SahBuilder::default()
+        }
+        .build(prims),
+    }
 }
 
 /// Caller ordinal of packet position `pos` under an optional launch
@@ -120,39 +154,23 @@ impl BvhCore {
     ) -> Result<(Self, Option<Bvh>)> {
         let telemetry = Telemetry::new(config.telemetry);
         let mut build_span = telemetry.span(PhaseKind::LbvhBuild);
-        let mut build_counters = WorkCounters::ZERO;
-        let (spheres, representative_of) = if config.compaction {
-            let compaction = compact_coincident(points, eps);
-            sat_bump(&mut build_counters.compaction_merges, compaction.merged);
-            // The bounds program still runs once per *input* primitive
-            // before the device merges duplicates, so charge those too.
-            sat_bump(&mut build_counters.build_prims, compaction.merged);
-            (compaction.spheres, compaction.representative_of)
-        } else {
-            (
-                spheres_from_points(points, eps),
-                (0..points.len() as u32).collect(),
-            )
-        };
-        let bvh = if spheres.is_empty() {
+        let scene = scene_from_points(
+            points,
+            eps,
+            config.compaction,
+            config.bvh_builder == BuilderKind::Lbvh,
+            config.build_parallelism.resolved(),
+        )?;
+        let mut build_counters = scene.counters;
+        let bvh = if scene.prims.is_empty() {
             None
         } else {
-            Some(match config.bvh_builder {
-                BuilderKind::BinnedSah => SahBuilder {
-                    max_leaf_size: config.max_leaf_size,
-                    ..SahBuilder::default()
-                }
-                .build(spheres)?,
-                BuilderKind::Lbvh => LbvhBuilder {
-                    max_leaf_size: config.max_leaf_size,
-                    parallelism: config.build_parallelism,
-                }
-                .build_with_telemetry(spheres, &telemetry)?,
-                BuilderKind::MedianSplit => MedianSplitBuilder {
-                    max_leaf_size: config.max_leaf_size,
-                }
-                .build(spheres)?,
-            })
+            Some(build_tree(
+                config,
+                scene.prims,
+                scene.codes.as_deref(),
+                &telemetry,
+            )?)
         };
         if let Some(b) = &bvh {
             build_counters += b.build_counters;
@@ -162,7 +180,7 @@ impl BvhCore {
         let core = BvhCore {
             n: points.len(),
             eps,
-            representative_of,
+            representative_of: scene.representative_of,
             compacting: config.compaction,
             geometry: config.geometry,
             min_parallel_launch: config.min_parallel_launch,

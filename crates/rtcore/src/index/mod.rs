@@ -9,7 +9,7 @@
 //! layer:
 //!
 //! * [`BinaryBvhIndex`] — one-ray-at-a-time traversal of a binary BVH
-//!   (LBVH / binned-SAH / median split), the reference RT substrate.
+//!   (LBVH / binned SAH), the reference RT substrate.
 //! * [`WideBatchedIndex`] — the collapsed BVH4 scene walked by ray packets
 //!   (see [`crate::traversal::batch`]), the layout real RT cores traverse.
 //! * [`UniformGridIndex`] — a regular grid with cell side ε, the
@@ -610,9 +610,9 @@ pub struct NeighborIndexBuilder {
     /// Logical parallelism of acceleration-structure construction (the LBVH
     /// encode/sort/emit and the BVH4 collapse).  The built structure is
     /// bit-identical for every setting —
-    /// [`BuildParallelism::Sequential`] (the default) runs the legacy
-    /// single-threaded path, so all counter-identity guarantees hold
-    /// unchanged.  BVH kinds only; with sharding the budget is divided
+    /// [`BuildParallelism::Sequential`] (the default) runs it on one
+    /// thread; other settings charge the same counters apart from the
+    /// parallel-only `build_chunk_merges` and `build_splice_ops`.  BVH kinds only; with sharding the budget is divided
     /// across the already-parallel per-shard builds so the pool is never
     /// oversubscribed.
     pub build_parallelism: BuildParallelism,

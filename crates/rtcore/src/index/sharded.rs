@@ -35,17 +35,13 @@
 //! per-shard sub-lists and count cells live in pooled, grow-only scratch,
 //! so warm launches allocate nothing, as on the flat path.
 
-use super::bvh_backend::caller_ordinal;
+use super::bvh_backend::{build_tree, caller_ordinal};
 use super::{
     charge_candidate, GeometryKind, IndexCapabilities, IndexKind, Neighbor, NeighborFlow,
     NeighborIndex, NeighborIndexBuilder, NeighborSink, NeighborVisitor, WideBatchedIndex,
 };
-use crate::bvh::build::{lbvh_from_sorted, LbvhBuilder};
-use crate::bvh::tlas::{plan_shards_with, Tlas};
-use crate::bvh::{
-    compact_coincident, spheres_from_points, BuilderKind, BvhBuilder, MedianSplitBuilder,
-    SahBuilder,
-};
+use crate::bvh::build::scene_from_points;
+use crate::bvh::tlas::{cut_shards, Tlas};
 use crate::error::{Error, Result};
 use crate::fault::{CancelScope, FaultInjector, FaultPlan, FaultSite, MemoryBudget, RetryPolicy};
 use crate::geometry::{Aabb, Point3, Ray, Sphere};
@@ -255,32 +251,22 @@ impl ShardedIndex {
             Error::InvalidConfig("ShardedIndex::build requires the sharding knob".into())
         })?;
         let telemetry = Telemetry::new(config.telemetry);
-        // Compaction, the global Morton encode + sort and the shard-cut
-        // descent run under one build span — the flat backend compacts
-        // inside its build span too.  The planner may use the full
-        // parallelism budget: the per-shard builds have not started yet,
-        // so there is nothing to oversubscribe.
+        // The one Morton pass over the points (with compaction on its runs
+        // of equal codes) and the shard-cut descent run under one build
+        // span — the flat backend compacts inside its build span too.  The
+        // pass may use the full parallelism budget: the per-shard builds
+        // have not started yet, so there is nothing to oversubscribe.
         let mut build_span = telemetry.span(PhaseKind::LbvhBuild);
-        let mut build_counters = WorkCounters::ZERO;
-        let (spheres, representative_of) = if config.compaction {
-            let compaction = compact_coincident(points, eps);
-            sat_bump(&mut build_counters.compaction_merges, compaction.merged);
-            sat_bump(&mut build_counters.build_prims, compaction.merged);
-            (compaction.spheres, compaction.representative_of)
-        } else {
-            (
-                spheres_from_points(points, eps),
-                (0..points.len() as u32).collect(),
-            )
-        };
-        let plan = if spheres.is_empty() {
-            None
-        } else {
-            let plan =
-                plan_shards_with(spheres, sharding.max_shard_size, config.build_parallelism)?;
-            build_counters += plan.counters;
-            Some(plan)
-        };
+        let scene = scene_from_points(
+            points,
+            eps,
+            config.compaction,
+            true,
+            config.build_parallelism.resolved(),
+        )?;
+        let mut build_counters = scene.counters;
+        let (sorted_prims, sorted_codes) = (scene.prims, scene.codes.unwrap_or_default());
+        let ranges = cut_shards(&sorted_codes, sharding.max_shard_size, &mut build_counters);
         build_span.add_counters(build_counters);
         drop(build_span);
 
@@ -292,7 +278,7 @@ impl ShardedIndex {
             query_order: config.query_order,
             compacting: config.compaction,
             max_shard_size: sharding.max_shard_size,
-            representative_of,
+            representative_of: scene.representative_of,
             // analyze-allow: hot-path-alloc -- constructor: owner table allocated once per scene build
             owner_shard: vec![u32::MAX; points.len()],
             tlas: Tlas::default(),
@@ -310,11 +296,11 @@ impl ShardedIndex {
             scratch: ScratchPool::new(),
             telemetry: telemetry.clone(),
         };
-        let Some(plan) = plan else {
+        if ranges.is_empty() {
             return Ok(index);
-        };
-        for (s, &(lo, hi)) in plan.ranges.iter().enumerate() {
-            for p in &plan.sorted_prims[lo..hi] {
+        }
+        for (s, &(lo, hi)) in ranges.iter().enumerate() {
+            for p in &sorted_prims[lo..hi] {
                 index.owner_shard[p.point_index as usize] = s as u32;
             }
         }
@@ -322,16 +308,13 @@ impl ShardedIndex {
         // Per-shard parallel BLAS build on the rayon pool.  Each worker
         // opens its own build spans, so shard-build parallelism shows up in
         // the trace through the span thread ids.
-        let max_leaf = config.max_leaf_size;
-        let builder_kind = config.bvh_builder;
-        let shard_count = plan.ranges.len();
+        let shard_count = ranges.len();
         // The shards themselves run in parallel, so each nested build only
         // gets its share of the parallelism budget; with at least as many
         // shards as workers this degrades to sequential per-shard builds
         // (the pre-existing behaviour) instead of oversubscribing the pool.
         let mut config = *config;
         config.build_parallelism = config.build_parallelism.for_nested(shard_count);
-        let nested = config.build_parallelism;
         // Recovery rebuilds reuse exactly the per-shard configuration.
         index.blas_config = config;
         // Decide poisoned shards *before* the parallel loop: the shared
@@ -342,8 +325,8 @@ impl ShardedIndex {
             .collect();
         // `None` = this shard's BLAS build was taken down by an injected
         // fault; the scene degrades the slot instead of failing (the
-        // primitives are re-sliced from the plan below).  Real build errors
-        // still propagate.
+        // primitives are re-sliced from the sorted lane below).  Real build
+        // errors still propagate.
         let built: Vec<Result<Option<WideBatchedIndex>>> = {
             use rayon::prelude::*;
             (0..shard_count)
@@ -352,37 +335,18 @@ impl ShardedIndex {
                     if poisoned[s] {
                         return Ok(None);
                     }
-                    // Each task copies its own slice of the plan, so only
+                    // Each task copies its own slice of the scene, so only
                     // the shards in flight hold a copy: the tree is built
                     // over it, collapsed and dropped before the next one.
-                    let (lo, hi) = plan.ranges[s];
+                    let (lo, hi) = ranges[s];
                     // analyze-allow: hot-path-alloc -- build path: each shard copies its prim slice once at scene construction
-                    let prims = plan.sorted_prims[lo..hi].to_vec();
-                    // analyze-allow: hot-path-alloc -- build path: each shard copies its code slice once at scene construction
-                    let codes = plan.sorted_codes[lo..hi].to_vec();
+                    let prims = sorted_prims[lo..hi].to_vec();
                     let bvh = {
                         let mut span = telemetry.span(PhaseKind::LbvhBuild);
-                        let bvh = match builder_kind {
-                            // The aligned path: emit over the pre-sorted
-                            // slice, reproducing the flat subtree exactly.
-                            BuilderKind::Lbvh => lbvh_from_sorted(
-                                prims,
-                                codes,
-                                max_leaf,
-                                WorkCounters::ZERO,
-                                nested,
-                                &telemetry,
-                            )?,
-                            BuilderKind::BinnedSah => SahBuilder {
-                                max_leaf_size: max_leaf,
-                                ..SahBuilder::default()
-                            }
-                            .build(prims)?,
-                            BuilderKind::MedianSplit => MedianSplitBuilder {
-                                max_leaf_size: max_leaf,
-                            }
-                            .build(prims)?,
-                        };
+                        // The LBVH emits over the pre-sorted slice and its
+                        // codes, reproducing the flat subtree exactly.
+                        let codes = Some(&sorted_codes[lo..hi]);
+                        let bvh = build_tree(&config, prims, codes, &telemetry)?;
                         span.add_counters(bvh.build_counters);
                         bvh
                     };
@@ -401,14 +365,14 @@ impl ShardedIndex {
                     index.shards.push(ShardSlot::Live(blas));
                 }
                 None => {
-                    let (lo, hi) = plan.ranges[s];
+                    let (lo, hi) = ranges[s];
                     let reason = if poisoned[s] {
                         QuarantineReason::Poisoned
                     } else {
                         QuarantineReason::BuildFailed
                     };
                     // analyze-allow: hot-path-alloc -- build path: a fault-degraded shard retains its prim slice for the exact fallback
-                    let spheres = plan.sorted_prims[lo..hi].to_vec();
+                    let spheres = sorted_prims[lo..hi].to_vec();
                     index.count_event("shard_quarantines");
                     index
                         .shards
@@ -637,23 +601,7 @@ impl ShardedIndex {
         let mut config = self.blas_config;
         config.fault = FaultPlan::Off;
         let mut span = self.telemetry.span(PhaseKind::Degrade);
-        let max_leaf = config.max_leaf_size;
-        let bvh = match config.bvh_builder {
-            BuilderKind::Lbvh => LbvhBuilder {
-                max_leaf_size: max_leaf,
-                parallelism: config.build_parallelism,
-            }
-            .build(spheres)?,
-            BuilderKind::BinnedSah => SahBuilder {
-                max_leaf_size: max_leaf,
-                ..SahBuilder::default()
-            }
-            .build(spheres)?,
-            BuilderKind::MedianSplit => MedianSplitBuilder {
-                max_leaf_size: max_leaf,
-            }
-            .build(spheres)?,
-        };
+        let bvh = build_tree(&config, spheres, None, &Telemetry::disabled())?;
         span.add_counters(bvh.build_counters);
         drop(span);
         WideBatchedIndex::from_prebuilt(&config, bvh, self.eps, self.telemetry.clone())
@@ -1549,6 +1497,12 @@ impl NeighborIndex for ShardedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bvh::build::lbvh_from_sorted;
+    use crate::bvh::tlas::plan_shards_with;
+    use crate::bvh::{
+        compact_coincident, BuildParallelism, BuilderKind, BvhBuilder, CompactionResult,
+        LbvhBuilder, WideBvh,
+    };
     use crate::index::{Neighbor, NeighborIndexBuilder};
 
     fn blob_points(n: usize, seed: u64) -> Vec<Point3> {
@@ -1601,6 +1555,194 @@ mod tests {
             })
             .collect();
         (rows, c)
+    }
+
+    /// Points with the shapes the one-pass build must get right: piles of
+    /// exact duplicates, signed zeros (coincident under compaction),
+    /// distinct points far closer than one Morton cell (identical codes)
+    /// and, when `flat`, a constant z axis.
+    fn awkward_points(n: usize, seed: u64, flat: bool) -> Vec<Point3> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let z = |v: f32| if flat { 0.0 } else { v };
+        (0..n)
+            .map(|_| {
+                let r = next();
+                match r % 6 {
+                    0 => Point3::new(1.5, -2.0, z(0.5)),
+                    1 => Point3::new(-0.0, 0.0, z(-0.0)),
+                    2 => Point3::new(0.0, -0.0, z(0.0)),
+                    3 => Point3::new(4.0 + ((r >> 8) % 16) as f32 * 1e-5, 4.0, z(1.0)),
+                    _ => Point3::new(
+                        ((r >> 16) % 40) as f32 * 0.25 - 5.0,
+                        ((r >> 32) % 40) as f32 * 0.25 - 5.0,
+                        z(((r >> 48) % 8) as f32 * 0.5),
+                    ),
+                }
+            })
+            .collect()
+    }
+
+    fn parallelism(workers: usize) -> BuildParallelism {
+        if workers == 1 {
+            BuildParallelism::Sequential
+        } else {
+            BuildParallelism::Threads(workers)
+        }
+    }
+
+    /// The index-level charges of a standalone compaction pass.
+    fn compaction_charges(c: &CompactionResult) -> WorkCounters {
+        WorkCounters {
+            compaction_merges: c.merged,
+            build_prims: c.merged,
+            ..WorkCounters::ZERO
+        }
+    }
+
+    /// The compacting LBVH front end — one Morton pass feeding compaction
+    /// and the emit or the shard cut — against the two-step public path:
+    /// `compact_coincident`, then `LbvhBuilder::build` (flat) or
+    /// `plan_shards_with` and one emit per shard (sharded) on its spheres.
+    /// BVH4 nodes, lanes, representatives and build counters must agree.
+    fn assert_front_end_matches_two_step(points: &[Point3], eps: f32, workers: usize) {
+        let telemetry = Telemetry::disabled();
+        let par = parallelism(workers);
+        let c = compact_coincident(points, eps);
+        let flat_config = NeighborIndexBuilder {
+            compaction: true,
+            build_parallelism: par,
+            ..flat_config()
+        };
+
+        let flat = WideBatchedIndex::build(&flat_config, points, eps).unwrap();
+        let bvh = LbvhBuilder {
+            max_leaf_size: flat_config.max_leaf_size,
+            parallelism: par,
+        }
+        .build(c.spheres.clone())
+        .unwrap();
+        let wide = WideBvh::from_binary_parallel(&bvh, workers, &telemetry);
+        let scene = flat.wide_scene().unwrap();
+        assert_eq!(scene.nodes, wide.nodes, "flat nodes, workers={workers}");
+        assert_eq!(scene.lanes, wide.lanes, "flat lanes, workers={workers}");
+        let mut expected = compaction_charges(&c) + bvh.build_counters;
+        expected += wide.collapse_counters;
+        assert_eq!(flat.build_counters(), expected, "flat, workers={workers}");
+
+        let max_shard = 16;
+        let sharded = ShardedIndex::build(
+            &NeighborIndexBuilder {
+                sharding: Some(crate::bvh::ShardingConfig::new(max_shard)),
+                ..flat_config
+            },
+            points,
+            eps,
+        )
+        .unwrap();
+        let plan = plan_shards_with(c.spheres.clone(), max_shard, par).unwrap();
+        let nested = par.for_nested(plan.ranges.len());
+        let mut expected = compaction_charges(&c) + plan.counters;
+        let mut bounds = Vec::new();
+        assert_eq!(sharded.shards.len(), plan.ranges.len());
+        for (slot, &(lo, hi)) in sharded.shards.iter().zip(&plan.ranges) {
+            let bvh = lbvh_from_sorted(
+                plan.sorted_prims[lo..hi].to_vec(),
+                &plan.sorted_codes[lo..hi],
+                flat_config.max_leaf_size,
+                WorkCounters::ZERO,
+                nested,
+                &telemetry,
+            )
+            .unwrap();
+            let wide = WideBvh::from_binary_parallel(&bvh, nested.resolved(), &telemetry);
+            let blas = slot.live().unwrap().wide_scene().unwrap();
+            assert_eq!(blas.nodes, wide.nodes, "shard nodes, workers={workers}");
+            assert_eq!(blas.lanes, wide.lanes, "shard lanes, workers={workers}");
+            expected += bvh.build_counters + wide.collapse_counters;
+            bounds.push(wide.scene_bounds);
+        }
+        Tlas::build(&bounds, &mut expected);
+        assert_eq!(
+            sharded.build_counters(),
+            expected,
+            "sharded, workers={workers}"
+        );
+
+        for (i, &rep) in c.representative_of.iter().enumerate() {
+            assert_eq!(flat.representative_of(i as u32), rep);
+            assert_eq!(sharded.representative_of(i as u32), rep);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn one_pass_compacting_build_matches_the_two_step_path(
+            n in 1usize..600,
+            seed in 0u64..1_000_000,
+            flat in 0u8..2,
+            eps in 0.05f32..1.0,
+        ) {
+            let points = awkward_points(n, seed, flat == 1);
+            for workers in [1usize, 2, 3, 8] {
+                assert_front_end_matches_two_step(&points, eps, workers);
+            }
+        }
+    }
+
+    /// A compacting LBVH index, flat or sharded, sorts all its points once
+    /// and charges that pass over its representatives: four scatters each
+    /// and, for a chunked sort, 4 × 256 prefix-sum merges per chunk of
+    /// `min(workers, representatives)`.  The shard BLASes emit from the
+    /// sorted lane without charging a sort of their own.
+    #[test]
+    fn compacting_indexes_charge_one_morton_pass_over_the_representatives() {
+        let piles: Vec<Point3> = (0..600)
+            .map(|i| Point3::new((i % 3) as f32, 1.0, 0.0))
+            .collect();
+        let blobs: Vec<Point3> = blob_points(500, 9)
+            .into_iter()
+            .flat_map(|p| [p, p])
+            .collect();
+        for points in [piles, blobs] {
+            let reps = points
+                .iter()
+                .map(|p| p.bit_key())
+                .collect::<std::collections::HashSet<_>>()
+                .len() as u64;
+            for workers in [1usize, 2, 3, 8] {
+                let config = NeighborIndexBuilder {
+                    compaction: true,
+                    build_parallelism: parallelism(workers),
+                    ..flat_config()
+                };
+                let chunks = reps.min(workers as u64);
+                let merges = if chunks > 1 { 4 * 256 * chunks } else { 0 };
+                let flat = WideBatchedIndex::build(&config, &points, 0.25).unwrap();
+                let sharded = ShardedIndex::build(
+                    &NeighborIndexBuilder {
+                        sharding: Some(crate::bvh::ShardingConfig::new(64)),
+                        ..config
+                    },
+                    &points,
+                    0.25,
+                )
+                .unwrap();
+                let at = format!("reps={reps} workers={workers}");
+                for c in [flat.build_counters(), sharded.build_counters()] {
+                    assert_eq!(c.build_sort_ops, 4 * reps, "{at}");
+                    assert_eq!(c.build_chunk_merges, merges, "{at}");
+                    assert_eq!(c.compaction_merges, points.len() as u64 - reps);
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`geometry`] — 3-D vectors, points, axis-aligned bounding boxes, rays,
 //!   sphere primitives and Morton codes.
 //! * [`bvh`] — bounding-volume-hierarchy builders (LBVH via Morton codes,
-//!   binned SAH, median split) plus the primitive-compaction pass the RT
-//!   device path uses.
+//!   binned SAH) plus the primitive-compaction pass the RT device path
+//!   uses.
 //! * [`traversal`] — counted BVH traversal: the binary single-ray oracle
 //!   and the wide (BVH4) single-ray and ray-packet engines, with the
 //!   early-termination hook the OptiX pipeline exposes.

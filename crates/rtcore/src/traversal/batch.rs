@@ -546,9 +546,7 @@ pub fn collect_sphere_hits_csr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bvh::{
-        spheres_from_points, BvhBuilder, LbvhBuilder, MedianSplitBuilder, SahBuilder, WideBvh,
-    };
+    use crate::bvh::{spheres_from_points, BvhBuilder, LbvhBuilder, SahBuilder, WideBvh};
     use crate::geometry::Point3;
     use crate::traversal::collect_sphere_hits;
 
@@ -594,7 +592,6 @@ mod tests {
         let builders: Vec<Box<dyn BvhBuilder>> = vec![
             Box::new(LbvhBuilder::default()),
             Box::new(SahBuilder::default()),
-            Box::new(MedianSplitBuilder::default()),
         ];
         let mut scratch = TraversalScratch::default();
         for builder in builders {

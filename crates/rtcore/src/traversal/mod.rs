@@ -232,9 +232,7 @@ pub fn collect_sphere_hits(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bvh::{
-        spheres_from_points, BvhBuilder, LbvhBuilder, MedianSplitBuilder, SahBuilder,
-    };
+    use crate::bvh::{spheres_from_points, BvhBuilder, LbvhBuilder, SahBuilder};
     use crate::geometry::Point3;
 
     fn line_points(n: usize, spacing: f32) -> Vec<Point3> {
@@ -260,7 +258,6 @@ mod tests {
         let points = line_points(200, 0.35);
         let radius = 1.0;
         let builders: Vec<Box<dyn BvhBuilder>> = vec![
-            Box::new(MedianSplitBuilder::default()),
             Box::new(SahBuilder::default()),
             Box::new(LbvhBuilder::default()),
         ];

@@ -9,8 +9,8 @@
 //! property, and datasets rarely arrive in a spatially coherent order.
 //!
 //! [`QueryOrder::Morton`] sorts query origins along the Z-order curve
-//! (reusing the Morton machinery the LBVH builder linearises primitives
-//! with) before packets are cut, and carries the permutation so every
+//! (the same encode-and-sort pass a build runs over its points) before
+//! packets are cut, and carries the permutation so every
 //! output mode — sink callbacks, `batch_neighbor_counts`,
 //! `batch_neighbors_csr` — is restored to caller order bit-identically.
 //! Only the permutation is kept: each packet gathers its origins through
@@ -20,7 +20,7 @@
 //! `rays`, `dist_comps` and `prim_tests` are unchanged; only the shared
 //! `wide_node_visits` drop.
 
-use crate::geometry::{morton_encode_3d, radix_sort_perm_by_key, Aabb, Point3};
+use crate::geometry::{morton_sort, radix_sort_ops, Point3};
 
 /// In what order a batched launch feeds queries into packets.
 ///
@@ -120,16 +120,15 @@ impl ReorderScratch {
     /// encode (charged as `misc_ops` by the callers — reordering is real
     /// launch-setup work, but it is not a candidate test).
     pub fn order_morton(&mut self, queries: &[Point3]) -> u64 {
-        let bounds = Aabb::from_point_slice(queries);
-        let extent = bounds.extent();
-        self.keys.clear();
-        self.keys.extend(
-            queries
-                .iter()
-                .map(|&q| morton_encode_3d(q, bounds.min, extent)),
+        morton_sort(
+            queries,
+            |&q| q,
+            1,
+            &mut self.keys,
+            &mut self.perm,
+            &mut self.buf,
         );
-        let ops = radix_sort_perm_by_key(&self.keys, &mut self.perm, &mut self.buf);
-        ops + queries.len() as u64
+        radix_sort_ops(queries.len()) + queries.len() as u64
     }
 }
 
@@ -177,13 +176,13 @@ mod tests {
         assert_eq!(QueryOrder::AsGiven.name(), "as-given");
     }
 
-    /// The permutation is exactly the order the `(code, index)` pair sort
-    /// produced before the scratch went copy-free: ascending code, ties by
-    /// caller index — on inputs with many shared codes, through one warm
-    /// scratch whose buffers shrink and grow between launches.
+    /// The permutation is exactly the `(code, index)` order — ascending
+    /// code, ties by caller index, as a std stable sort of the caller
+    /// indices by code gives it — on inputs with many shared codes, through
+    /// one warm scratch whose buffers shrink and grow between launches.
     #[test]
     fn permutation_equals_the_code_index_pair_sort() {
-        use crate::geometry::{radix_sort_by_code, MortonCode};
+        use crate::geometry::{morton_encode_3d, Aabb};
         let mut state = 0x5eed_u64;
         let mut next = move || {
             state = state
@@ -209,21 +208,18 @@ mod tests {
                 })
                 .collect();
             let bounds = Aabb::from_point_slice(&queries);
-            let mut pairs: Vec<MortonCode> = queries
+            let codes: Vec<u32> = queries
                 .iter()
-                .enumerate()
-                .map(|(i, &q)| MortonCode {
-                    code: morton_encode_3d(q, bounds.min, bounds.extent()),
-                    index: i as u32,
-                })
+                .map(|&q| morton_encode_3d(q, bounds.min, bounds.extent()))
                 .collect();
-            let pair_ops = radix_sort_by_code(&mut pairs);
+            let mut expected: Vec<u32> = (0..n as u32).collect();
+            expected.sort_by_key(|&i| codes[i as usize]);
             let ops = scratch.order_morton(&queries);
-            let expected: Vec<u32> = pairs.iter().map(|c| c.index).collect();
             assert_eq!(scratch.perm, expected, "n={n}");
-            // The charged work is unchanged too: 4 scatter passes plus one
-            // encode per query.
-            assert_eq!(ops, pair_ops + n as u64, "n={n}");
+            // The charged work: 4 scatter passes (none for a single query)
+            // plus one encode per query.
+            let scatter = if n > 1 { 4 * n } else { 0 };
+            assert_eq!(ops, (scatter + n) as u64, "n={n}");
         }
     }
 }

@@ -4,8 +4,7 @@
 
 use proptest::prelude::*;
 use rtcore::bvh::{
-    build_over_points, compact_coincident, validate, BvhBuilder, LbvhBuilder, MedianSplitBuilder,
-    SahBuilder,
+    build_over_points, compact_coincident, validate, BvhBuilder, LbvhBuilder, SahBuilder,
 };
 use rtcore::geometry::{Point3, Ray};
 use rtcore::hardware::{DeviceModel, ExecutionPath, WorkCounters};
@@ -45,7 +44,6 @@ fn bvh_invariants_hold_on_every_dataset_and_builder() {
         let builders: Vec<Box<dyn BvhBuilder>> = vec![
             Box::new(LbvhBuilder::default()),
             Box::new(SahBuilder::default()),
-            Box::new(MedianSplitBuilder::default()),
         ];
         for builder in builders {
             let bvh = build_over_points(builder.as_ref(), &points, eps).unwrap();
