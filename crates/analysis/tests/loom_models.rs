@@ -91,8 +91,10 @@ fn concurrent_dsu_racing_same_pair_merges_once() {
 /// Three threads race overlapping unions, each charging its own tally, one
 /// of them redundant once the other two land: {0,1}, {1,2} and {0,2} over
 /// four elements.  In every schedule the tallied `union_ops` must sum to
-/// the elements minus the final sets (4 − 2), which is what makes stage
-/// 2's per-worker `union_ops` exact whatever the thread count.
+/// the elements minus the final sets (4 − 2), and the tallied `find_ops`
+/// to two per `union` call (6): a lost linking race re-resolves its roots
+/// uncharged.  That is what makes stage 2's per-worker `union_ops` and
+/// `find_ops` exact whatever the thread count.
 #[test]
 fn concurrent_dsu_per_worker_union_tallies_sum_exactly() {
     const N: usize = 4;
@@ -103,11 +105,14 @@ fn concurrent_dsu_per_worker_union_tallies_sum_exactly() {
             thread::spawn(move || {
                 let mut tally = WorkCounters::ZERO;
                 dsu.union(a, b, &mut tally);
-                tally.union_ops
+                (tally.union_ops, tally.find_ops)
             })
         };
         let workers = [spawn_union(0, 1), spawn_union(1, 2), spawn_union(0, 2)];
-        let merged: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        let (merged, finds) = workers
+            .into_iter()
+            .map(|w| w.join().unwrap())
+            .fold((0, 0), |(m, f), (wm, wf)| (m + wm, f + wf));
         let mut t = WorkCounters::ZERO;
         let sets = (0..N).filter(|&i| dsu.find(i, &mut t) == i).count();
         assert_eq!(sets, 2, "{{0, 1, 2}} and {{3}}");
@@ -115,6 +120,10 @@ fn concurrent_dsu_per_worker_union_tallies_sum_exactly() {
             merged,
             (N - sets) as u64,
             "per-worker union tallies must sum to elements minus final sets"
+        );
+        assert_eq!(
+            finds, 6,
+            "per-worker find tallies must be two per union call"
         );
     });
     assert!(schedules > 1, "scheduler explored only one interleaving");

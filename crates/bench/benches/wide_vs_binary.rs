@@ -15,17 +15,19 @@
 //! table.
 //!
 //! The façade guard then (1) asserts that running RT-DBSCAN *through*
-//! `ClusterEngine` reproduces the direct call's ray / dist-comp / prim-test
-//! counters bit-for-bit — the abstraction adds zero per-query work on the
-//! hot path — and (2) drives all four `NeighborIndex` backends through the
-//! engine and asserts they report identical per-point neighbour counts.
+//! `ClusterEngine` builds the paper index and reproduces the ray /
+//! dist-comp / prim-test counters of the direct two-stage driver with the
+//! engine's stage-1 early exit on that index bit-for-bit — the abstraction
+//! adds zero per-query work on the hot path — and (2) drives all four
+//! `NeighborIndex` backends through the engine and asserts they report
+//! identical per-point neighbour counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rtcore::bvh::BuilderKind;
 use rtcore::hardware::{CostProfile, WorkCounters};
 use rtcore::index::{IndexKind, QueryOrder};
 use rtdbscan::engine::{Algo, ClusterEngine};
-use rtdbscan::{DbscanAlgorithm, DbscanParams, RtDbscan};
+use rtdbscan::{DbscanAlgorithm, DbscanParams, Fdbscan, RtDbscan};
 use rtdbscan_datasets::{generate, PaperDataset};
 use std::hint::black_box;
 use std::time::Duration;
@@ -95,9 +97,11 @@ fn report_and_assert(n: usize, points: &[rtcore::geometry::Point3], params: Dbsc
 /// The redesign guard: the engine façade must cost nothing and every
 /// backend must answer every query identically.
 fn assert_facade_is_free(n: usize, points: &[rtcore::geometry::Point3], params: DbscanParams) {
-    // (1) Zero added hot-path work: direct call vs engine call pinned to
-    // the same (paper) configuration, counter identity on the quantities
-    // the RT device charges per query.
+    // (1) Zero added hot-path work: the engine pinned to the paper
+    // configuration builds the paper index, and its stages match the
+    // direct two-stage driver stopping stage 1 at minPts on the paper
+    // configuration's own index; counter identity on the quantities the
+    // RT device charges per query.
     let direct = RtDbscan::default().run(points, params).unwrap();
     let engine = ClusterEngine::builder()
         .algorithm(Algo::Rt)
@@ -108,7 +112,21 @@ fn assert_facade_is_free(n: usize, points: &[rtcore::geometry::Point3], params: 
         .build()
         .unwrap();
     let via_engine = engine.run(points).unwrap();
-    let d = direct.counters.core_identification + direct.counters.cluster_formation;
+    let early = Fdbscan {
+        early_exit: true,
+        ..Fdbscan::default()
+    }
+    .run_on(
+        RtDbscan::default()
+            .index_builder()
+            .build(points, params.eps)
+            .unwrap()
+            .as_ref(),
+        points,
+        params,
+    )
+    .unwrap();
+    let d = early.counters.core_identification + early.counters.cluster_formation;
     let e = via_engine.counters.core_identification + via_engine.counters.cluster_formation;
     assert_eq!(d.rays, e.rays, "n={n}: façade launched extra rays");
     assert_eq!(d.dist_comps, e.dist_comps, "n={n}: façade added dist comps");

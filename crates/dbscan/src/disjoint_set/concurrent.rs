@@ -51,13 +51,19 @@ impl ConcurrentDisjointSet {
 
     /// Find the representative of `x` with path halving, charging one
     /// `find_ops` to `tally`.
+    pub fn find(&self, x: usize, tally: &mut WorkCounters) -> usize {
+        sat_bump(&mut tally.find_ops, 1);
+        self.root(x)
+    }
+
+    /// The path-halving walk behind [`ConcurrentDisjointSet::find`],
+    /// uncharged.
     // ordering: Acquire on parent loads pairs with the AcqRel CAS in
     // `union`/the halving CAS, so a thread that observes a link also
     // observes everything published before it; the halving CAS itself is
     // AcqRel (Relaxed on failure — a lost race is retried, nothing is
     // published).
-    pub fn find(&self, mut x: usize, tally: &mut WorkCounters) -> usize {
-        sat_bump(&mut tally.find_ops, 1);
+    fn root(&self, mut x: usize) -> usize {
         loop {
             let p = self.parent[x].load(Ordering::Acquire);
             if p == x {
@@ -81,9 +87,12 @@ impl ConcurrentDisjointSet {
     /// Merge the sets containing `a` and `b`.  Returns `true` if this call
     /// performed the merge (false if they were already in the same set);
     /// a performed merge charges one `union_ops` to `tally`, so the tallies
-    /// of every caller sum to the elements minus the final sets.
+    /// of every caller sum to the elements minus the final sets.  A call
+    /// charges two `find_ops`, the finds the algorithm issues: re-resolving
+    /// the roots after a lost linking race is not charged, just as the
+    /// path-halving CAS is not, so the tallies never depend on scheduling.
     // ordering: the linking CAS is AcqRel — Release publishes the new edge
-    // to subsequent Acquire loads in `find`, Acquire orders this thread
+    // to subsequent Acquire loads in `root`, Acquire orders this thread
     // against the edge it replaces; failure uses Acquire because the
     // observed value feeds the retry's root resolution.
     pub fn union(&self, a: usize, b: usize, tally: &mut WorkCounters) -> bool {
@@ -104,8 +113,8 @@ impl ConcurrentDisjointSet {
                 }
                 Err(_) => {
                     // Someone moved `hi` first; re-resolve the roots and retry.
-                    ra = self.find(ra, tally);
-                    rb = self.find(rb, tally);
+                    ra = self.root(ra);
+                    rb = self.root(rb);
                 }
             }
         }

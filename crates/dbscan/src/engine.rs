@@ -80,6 +80,10 @@ pub enum Algo {
     /// RT-DBSCAN (the paper's algorithm): two batched stages over the RT
     /// substrate.  Native backend: [`IndexKind::WideBatched`] with
     /// compaction, the LBVH builder and [`QueryOrder::Morton`] launches.
+    /// Stage 1 stops each query once its count reaches `minPts` (an
+    /// any-hit program that terminates the ray), flat and sharded: the
+    /// labels and core flags are those of exact counting, which
+    /// `RtDbscan::default()` and [`ClusterSession`] keep.
     Rt,
     /// FDBSCAN / ArborX baseline: the same two stages on the shader cores.
     /// Native backend: [`IndexKind::BinaryBvh`] with an LBVH builder.
@@ -834,19 +838,14 @@ impl ClusterEngine {
         params: DbscanParams,
     ) -> Result<RunResult> {
         match self.algo {
-            Algo::Rt => RtDbscan {
-                compaction: self.index.compaction,
-                builder: self.index.bvh_builder,
-                geometry: self.index.geometry,
-                min_parallel_launch: self.index.min_parallel_launch,
-                ..RtDbscan::default()
-            }
-            .run_on(index, points, params),
-            Algo::Fdbscan | Algo::FdbscanEarlyExit => Fdbscan {
-                early_exit: self.algo == Algo::FdbscanEarlyExit,
-                max_leaf_size: self.index.max_leaf_size,
-            }
-            .run_on(index, points, params),
+            Algo::Rt | Algo::Fdbscan | Algo::FdbscanEarlyExit => stages::run_two_stage(
+                index,
+                points,
+                params,
+                self.early_exit(),
+                self.path_on(index),
+                &CancelScope::none(),
+            ),
             Algo::GDbscan => GDbscan {
                 device_memory_bytes: self.device.memory_bytes,
             }
@@ -872,8 +871,9 @@ impl ClusterEngine {
     ///
     /// Like [`ClusterEngine::session`], this always runs the two-stage
     /// formulation over the engine's backend, whatever [`Algo`] was
-    /// configured (stage boundaries are where cancellation composes);
-    /// [`Algo::FdbscanEarlyExit`]'s stage-1 early exit is honoured, and the
+    /// configured (stage boundaries are where cancellation composes).
+    /// Stage 1 stops each query at `minPts` for [`Algo::Rt`] and
+    /// [`Algo::FdbscanEarlyExit`] and counts exactly otherwise, and the
     /// work is charged to the configured algorithm's execution path, as
     /// [`ClusterEngine::run`] charges it.
     pub fn run_cancellable(&self, points: &[Point3], scope: &CancelScope) -> Result<RunResult> {
@@ -881,12 +881,23 @@ impl ClusterEngine {
         self.check_launch(points.len())?;
         let (index, build_time) = timed(|| self.index.build(points, self.params.eps));
         let index = index?;
-        let early_exit = self.algo == Algo::FdbscanEarlyExit;
         let path = self.path_on(index.as_ref());
-        let mut result =
-            stages::run_two_stage(index.as_ref(), points, self.params, early_exit, path, scope)?;
+        let mut result = stages::run_two_stage(
+            index.as_ref(),
+            points,
+            self.params,
+            self.early_exit(),
+            path,
+            scope,
+        )?;
         result.timings.build += build_time;
         Ok(result)
+    }
+
+    /// True when stage 1 stops each query once its count reaches `minPts`:
+    /// clustering needs only `count >= minPts` and `count > 0`.
+    fn early_exit(&self) -> bool {
+        matches!(self.algo, Algo::Rt | Algo::FdbscanEarlyExit)
     }
 
     /// Build the index and record every point's ε-neighbour count once,
@@ -1142,7 +1153,9 @@ mod tests {
         assert_eq!(direct.clustering.labels, default_engine.clustering.labels);
         assert_eq!(direct.clustering.core, default_engine.clustering.core);
         // Pinned to the paper configuration, the façade adds zero cost:
-        // bit-identical counters.
+        // the paper index's build counters, and bit-identical stage
+        // counters to the direct two-stage driver running the engine's
+        // stage-1 early exit on the paper configuration's own index.
         let engine = ClusterEngine::builder()
             .params(params)
             .bvh_builder(BuilderKind::BinnedSah)
@@ -1151,17 +1164,27 @@ mod tests {
             .unwrap()
             .run(&pts)
             .unwrap();
+        let paper_index = RtDbscan::default()
+            .index_builder()
+            .build(&pts, params.eps)
+            .unwrap();
+        let early = Fdbscan {
+            early_exit: true,
+            ..Fdbscan::default()
+        }
+        .run_on(paper_index.as_ref(), &pts, params)
+        .unwrap();
         assert_eq!(direct.counters.build, engine.counters.build);
         assert_eq!(
-            direct.counters.core_identification,
+            early.counters.core_identification,
             engine.counters.core_identification
         );
         assert_eq!(
-            direct.counters.cluster_formation.rays,
+            early.counters.cluster_formation.rays,
             engine.counters.cluster_formation.rays
         );
         assert_eq!(
-            direct.counters.cluster_formation.dist_comps,
+            early.counters.cluster_formation.dist_comps,
             engine.counters.cluster_formation.dist_comps
         );
         assert_eq!(direct.clustering.core, engine.clustering.core);
@@ -1434,8 +1457,13 @@ mod tests {
         assert_eq!(f.clustering.core, s.clustering.core);
         assert_eq!(f.clustering.labels, s.clustering.labels);
         assert!(same_clustering(&f.clustering, &s.clustering, &pts, params));
+        // A run's stage 1 stops each query at minPts, and a query split
+        // across shards stops at a different candidate; exact counting
+        // (the session's stage 1) charges the same candidates.
+        let (f1, _) = flat.session(&pts).unwrap().setup_cost();
+        let (s1, _) = sharded.session(&pts).unwrap().setup_cost();
         assert_eq!(
-            f.counters.core_identification.dist_comps, s.counters.core_identification.dist_comps,
+            f1.core_identification.dist_comps, s1.core_identification.dist_comps,
             "aligned shards must charge the flat path's candidate work"
         );
         assert_eq!(f.counters.total().tlas_node_visits, 0);

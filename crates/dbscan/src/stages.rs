@@ -2,14 +2,14 @@
 //! over any [`NeighborIndex`] backend.
 //!
 //! Stage 1 ([`count_all_neighbors`]) counts every point's ε-neighbours in
-//! one batched launch; stage 2 ([`form_clusters`]) merges core neighbours
-//! through a parallel union-find and claims every border point for its
-//! lowest-index core neighbour.  One function ([`run_two_stage`]) runs both
-//! and assembles the [`RunResult`]: RT-DBSCAN, the FDBSCAN baseline and the
-//! engine's cancellable run are thin configurations of it, and
-//! `ClusterSession` calls the two stages directly.  The substrate (binary
-//! BVH, BVH4 packets, a two-level sharded scene, a grid or brute force) is
-//! whatever backend the caller hands in.
+//! one batched launch, exactly or stopping each point at minPts; stage 2
+//! ([`form_clusters`]) merges core neighbours through a parallel union-find
+//! and claims every border point for its lowest-index core neighbour.  One
+//! function ([`run_two_stage`]) runs both and assembles the [`RunResult`]:
+//! RT-DBSCAN, the FDBSCAN baseline and the engine's runs are thin
+//! configurations of it, and `ClusterSession` calls the two stages
+//! directly.  The substrate (binary BVH, BVH4 packets, a two-level sharded
+//! scene, a grid or brute force) is whatever backend the caller hands in.
 //!
 //! Stage 2 skips the queries the union-find already proves redundant.  This
 //! is Afforest's subgraph sampling (Sutton, Ben-Nun & Barak, "Optimizing
@@ -54,17 +54,20 @@ const UNCLAIMED: u32 = u32::MAX;
 /// neighbour-sampling round, which links each vertex to its first two).
 const SAMPLE_LINKS: u8 = 2;
 
-/// Stage 1: every point's exact ε-neighbour count (self excluded), answered
-/// by one batched launch over the backend's **count output mode**, under a
+/// Stage 1: every point's ε-neighbour count (self excluded), answered by
+/// one batched launch over the backend's **count output mode**, under a
 /// `stage1_launch` telemetry span.
 ///
-/// Compacting backends report representatives with multiplicities; the
-/// query point's own group contributes `multiplicity - 1` (the point itself
-/// does not count), which is exactly the Intersection-program logic of the
-/// original RT path.  With `early_exit_min_pts` set, a query stops as soon
-/// as its count reaches the threshold (the FDBSCAN-EarlyExit optimisation).
-/// A scope trip surfaces as [`rtcore::Error::DeadlineExceeded`], and the
-/// partially filled count cells are dropped with this frame.
+/// Compacting backends report representatives with multiplicities; every
+/// hit adds its multiplicity and a count starts at −1, because the query's
+/// own point always hits (the point itself does not count).  Without
+/// `early_exit_min_pts` the counts are exact.  With it, a query stops at
+/// the hit that brings its count to the threshold (FDBSCAN's early exit):
+/// counts below it stay exact and a stopped count is at least it, so
+/// stage 2, which reads only `count >= minPts` and `count > 0`, labels
+/// exactly as under exact counting.  A scope trip surfaces as
+/// [`rtcore::Error::DeadlineExceeded`], and the partially filled count
+/// cells are dropped with this frame.
 pub(crate) fn count_all_neighbors(
     index: &dyn NeighborIndex,
     points: &[Point3],
@@ -335,8 +338,9 @@ pub(crate) fn device_bytes(index: &dyn NeighborIndex, n: usize) -> u64 {
 
 /// Both stages over an already-built index, assembled into a [`RunResult`].
 ///
-/// `early_exit` stops each stage-1 query once it has seen `minPts`
-/// neighbours (FDBSCAN-EarlyExit).  The build phase of the result carries
+/// `early_exit` stops each stage-1 query once its count reaches `minPts`
+/// (see [`count_all_neighbors`]); labels and core flags do not change.
+/// The build phase of the result carries
 /// the index's build counters and zero wall-clock time (the caller built
 /// the index and owns its timing).  `path` is the execution path the
 /// calling algorithm charges its work to; the algorithm, not the backend,

@@ -520,6 +520,7 @@ impl NeighborIndex for BinaryBvhIndex {
         let geometry = self.core.geometry;
         let eps_sq = eps * eps;
         let heatmap = self.heatmap.as_ref();
+        let cap = super::count_cap(exclude_self, early_exit);
         let start_ns = self.core.telemetry.now_ns();
         // One pooled scratch checkout per chunk of queries (see
         // `batch_neighbors` for the chunking contract).
@@ -538,64 +539,26 @@ impl NeighborIndex for BinaryBvhIndex {
                     sat_bump(&mut local.rays, 1);
                     let query = queries[ordinal];
                     let ray = Ray::epsilon_ray(query);
+                    // The raw hit sum, own point included (see `count_cap`).
                     let mut count = 0u64;
-                    if let Some(min) = early_exit {
-                        // Early exit needs the running adjusted count, so
-                        // the self-exclusion check stays in the loop —
-                        // exactly the sink-mode logic, monomorphised.
-                        let rep = if exclude_self {
-                            self.representative_of(ordinal as u32)
-                        } else {
-                            u32::MAX
-                        };
-                        with_sink!(heatmap, |vsink| traverse_with_scratch_sink(
-                            bvh,
-                            &ray,
-                            &mut guard.trav,
-                            &mut local,
-                            vsink,
-                            |sphere, c| {
-                                charge_candidate(geometry, c);
-                                if sphere.center.distance_squared(query) <= eps_sq {
-                                    let own = exclude_self && sphere.point_index == rep;
-                                    let add = if own {
-                                        sphere.multiplicity.saturating_sub(1) as u64
-                                    } else {
-                                        sphere.multiplicity as u64
-                                    };
-                                    if add > 0 {
-                                        count += add;
-                                        if count >= min {
-                                            return Traversal::Terminate;
-                                        }
-                                    }
-                                }
+                    with_sink!(heatmap, |vsink| traverse_with_scratch_sink(
+                        bvh,
+                        &ray,
+                        &mut guard.trav,
+                        &mut local,
+                        vsink,
+                        |sphere, c| {
+                            charge_candidate(geometry, c);
+                            let hit = sphere.center.distance_squared(query) <= eps_sq;
+                            count += hit as u64 * sphere.multiplicity as u64;
+                            if count >= cap {
+                                Traversal::Terminate
+                            } else {
                                 Traversal::Continue
-                            },
-                        ));
-                    } else {
-                        // No early exit: branch-free accumulation; the
-                        // query's own group always hits at distance zero
-                        // and counts one unit less than its multiplicity,
-                        // so self-exclusion is a single subtraction at the
-                        // end.
-                        with_sink!(heatmap, |vsink| traverse_with_scratch_sink(
-                            bvh,
-                            &ray,
-                            &mut guard.trav,
-                            &mut local,
-                            vsink,
-                            |sphere, c| {
-                                charge_candidate(geometry, c);
-                                let hit = sphere.center.distance_squared(query) <= eps_sq;
-                                count += hit as u64 * sphere.multiplicity as u64;
-                                Traversal::Continue
-                            },
-                        ));
-                        if exclude_self {
-                            count = count.saturating_sub(1);
-                        }
-                    }
+                            }
+                        },
+                    ));
+                    let count = count.saturating_sub(exclude_self as u64);
                     if count > 0 {
                         // ordering: Relaxed — each worker adds to distinct
                         // ordinals' cells within one launch; the caller reads
@@ -896,15 +859,17 @@ impl WideBatchedIndex {
         counters
     }
 
-    /// The count-mode packet tracer: candidate runs are processed by one
-    /// monomorphic loop with hoisted candidate charging, counts accumulate
-    /// in a packet-local buffer, and each query flushes to its shared cell
-    /// once at packet end.  Traversal order, early-exit points and every
-    /// aggregate counter are identical to driving the count sink through
-    /// [`WideBatchedIndex::trace_packet`] — only the per-neighbour dynamic
-    /// dispatch is gone.  The no-early-exit path runs the SIMD leaf-run
-    /// kernel over the SoA primitive lanes (bit-identical to the scalar
-    /// sphere test; see [`crate::simd`]).  Positions map to queries and
+    /// The count-mode packet tracer: counts accumulate in a packet-local
+    /// buffer and each query flushes to its shared cell once at packet end,
+    /// under the stop rule of [`NeighborIndex::batch_neighbor_counts`].
+    /// One leaf-run handler serves exact and early-exit launches: the SIMD
+    /// kernel counts the whole run over the SoA primitive lanes
+    /// (bit-identical to the scalar sphere test; see [`crate::simd`]), and
+    /// only the run that reaches the cap is rescanned candidate by
+    /// candidate to find the stopping hit, so at most one run per query is
+    /// read twice.  Traversal order, stop points and every aggregate
+    /// counter equal driving the same rule through a count sink over
+    /// [`WideBatchedIndex::trace_packet`].  Positions map to queries and
     /// count cells through `ids` exactly as in
     /// [`WideBatchedIndex::trace_packet`].
     #[allow(clippy::too_many_arguments)]
@@ -942,64 +907,43 @@ impl WideBatchedIndex {
         local.resize(len, 0);
         let eps_sq = eps * eps;
         let geometry = self.core.geometry;
-        if early_exit.is_none() {
-            // No early exit ⇒ every hit is accumulated, so self-exclusion
-            // reduces to algebra: the query's own primitive (or group)
-            // always hits at distance zero and contributes exactly one
-            // countable unit less than its multiplicity, hence the adjusted
-            // count is Σ multiplicity − 1.  That makes the candidate loop
-            // branch-free — exactly the shape the SIMD run kernel consumes
-            // from the SoA lanes.
-            let lanes = &wide.lanes;
-            let simd = self.simd;
-            with_sink!(self.heatmap.as_ref(), |vsink| {
-                traverse_batch_runs(wide, rays, trav, &mut counters, simd, vsink, cancel, {
-                    let local = &mut *local;
-                    move |q, first, count, counters| {
-                        charge_candidates(geometry, count as u64, counters);
-                        local[q] += lanes.count_in_ball(
-                            simd,
-                            first as usize,
-                            count as usize,
-                            rays[q].origin,
-                            eps_sq,
-                        );
-                        LeafVisit {
-                            visited: count,
-                            terminate: false,
+        // `local` holds raw hit sums, own point included (see `count_cap`).
+        let cap = super::count_cap(exclude_self, early_exit);
+        let lanes = &wide.lanes;
+        let simd = self.simd;
+        with_sink!(self.heatmap.as_ref(), |vsink| {
+            traverse_batch_runs(wide, rays, trav, &mut counters, simd, vsink, cancel, {
+                let local = &mut *local;
+                move |q, first, run, counters| {
+                    charge_candidates(geometry, run as u64, counters);
+                    let origin = rays[q].origin;
+                    let hits =
+                        lanes.count_in_ball(simd, first as usize, run as usize, origin, eps_sq);
+                    if local[q] + hits < cap {
+                        local[q] += hits;
+                        return LeafVisit::all(run);
+                    }
+                    // This run reaches the cap: stop at the hit that does,
+                    // and give the untested tail's charge back.
+                    for (i, visited) in (first as usize..(first + run) as usize).zip(1u32..) {
+                        if lanes.center(i).distance_squared(origin) <= eps_sq {
+                            local[q] += lanes.multiplicity(i) as u64;
+                            if local[q] >= cap {
+                                uncharge_candidates(geometry, (run - visited) as u64, counters);
+                                return LeafVisit {
+                                    visited,
+                                    terminate: true,
+                                };
+                            }
                         }
                     }
-                });
-            });
-            if exclude_self {
-                for c in local.iter_mut() {
-                    *c = c.saturating_sub(1);
+                    debug_assert!(false, "the rescan finds every hit the run kernel counted");
+                    LeafVisit::all(run)
                 }
-            }
-        } else {
-            traversal_count_launch(
-                wide,
-                rays,
-                trav,
-                &mut counters,
-                self.simd,
-                self.heatmap.as_ref(),
-                cancel,
-                |q| {
-                    if exclude_self {
-                        self.representative_of(caller_ordinal(ids, start + q) as u32)
-                    } else {
-                        u32::MAX
-                    }
-                },
-                local,
-                eps_sq,
-                geometry,
-                exclude_self,
-                early_exit,
-            );
-        }
+            });
+        });
         for (i, &c) in local.iter().enumerate() {
+            let c = c.saturating_sub(exclude_self as u64);
             if c > 0 {
                 // ordering: Relaxed — one flush per sub-range per launch,
                 // distinct caller ordinals per worker; the dispatching
@@ -1099,74 +1043,6 @@ impl WideBatchedIndex {
         self.core.record(&total);
         total
     }
-}
-
-/// The hoisted-candidate count launch shared by [`WideBatchedIndex`]'s
-/// count mode: one [`crate::traversal::LeafVisit`] handler that charges a
-/// whole candidate run at once and un-charges the abandoned tail on early
-/// exit, keeping totals bit-identical to the per-candidate sink path.
-#[allow(clippy::too_many_arguments)]
-fn traversal_count_launch(
-    wide: &WideBvh,
-    rays: &[Ray],
-    trav: &mut TraversalScratch,
-    counters: &mut WorkCounters,
-    simd: SimdLevel,
-    heatmap: Option<&NodeHeatmap>,
-    cancel: Option<&CancelScope>,
-    rep_of: impl Fn(usize) -> u32,
-    local: &mut [u64],
-    eps_sq: f32,
-    geometry: GeometryKind,
-    exclude_self: bool,
-    early_exit: Option<u64>,
-) {
-    let lanes = &wide.lanes;
-    with_sink!(heatmap, |vsink| {
-        traverse_batch_runs(
-            wide,
-            rays,
-            trav,
-            counters,
-            simd,
-            vsink,
-            cancel,
-            |q, first, run, counters| {
-                charge_candidates(geometry, run as u64, counters);
-                let query = rays[q].origin;
-                let rep = rep_of(q);
-                let count = &mut local[q];
-                let mut visited = 0u32;
-                for i in first as usize..(first + run) as usize {
-                    visited += 1;
-                    if lanes.center(i).distance_squared(query) <= eps_sq {
-                        let multiplicity = lanes.multiplicity(i);
-                        let own_group = exclude_self && lanes.point_index(i) == rep;
-                        let add = if own_group {
-                            multiplicity.saturating_sub(1) as u64
-                        } else {
-                            multiplicity as u64
-                        };
-                        if add > 0 {
-                            *count += add;
-                            if let Some(min) = early_exit {
-                                if *count >= min {
-                                    // The rest of the run is never tested; give its
-                                    // hoisted charge back.
-                                    uncharge_candidates(geometry, (run - visited) as u64, counters);
-                                    return LeafVisit {
-                                        visited,
-                                        terminate: true,
-                                    };
-                                }
-                            }
-                        }
-                    }
-                }
-                LeafVisit::all(run)
-            },
-        )
-    });
 }
 
 impl NeighborIndex for WideBatchedIndex {

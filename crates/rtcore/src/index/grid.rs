@@ -196,10 +196,9 @@ impl NeighborIndex for UniformGridIndex {
         // local count per query and flushes it to the shared cell once —
         // no dyn-sink call and no atomic add per neighbour like the
         // default implementation pays.  Candidate charging (self candidate
-        // included), the self-join exclusion (`candidate == ordinal`
-        // contributes nothing) and the early-exit stop point replicate the
-        // sink logic exactly, so counted work and final counts are
-        // bit-identical to the default path.
+        // included) and the stop rule (the raw hit sum reaching
+        // `count_cap`, one less under self-exclusion) are the default
+        // path's, so counted work and final counts are bit-identical.
         assert_eq!(
             queries.len(),
             counts.len(),
@@ -207,6 +206,7 @@ impl NeighborIndex for UniformGridIndex {
         );
         debug_assert!(eps <= self.eps, "query radius exceeds the grid cell side");
         let eps_sq = eps * eps;
+        let cap = super::count_cap(exclude_self, early_exit);
         let total = super::dispatch_batch(
             queries.len(),
             queries.len() >= self.min_parallel_launch,
@@ -224,22 +224,19 @@ impl NeighborIndex for UniformGridIndex {
                             };
                             for &q in cell_points {
                                 sat_bump(&mut local.dist_comps, 1);
-                                let own = exclude_self && q as usize == ordinal;
-                                if !own
-                                    && self.alive[q as usize]
+                                if self.alive[q as usize]
                                     && self.points[q as usize].distance_squared(query) <= eps_sq
                                 {
                                     count += 1;
-                                    if let Some(min) = early_exit {
-                                        if count >= min {
-                                            break 'scan;
-                                        }
+                                    if count >= cap {
+                                        break 'scan;
                                     }
                                 }
                             }
                         }
                     }
                 }
+                let count = count.saturating_sub(exclude_self as u64);
                 if count > 0 {
                     // ordering: Relaxed — per-ordinal tally cell written
                     // inside the launch, read by the caller only after the
@@ -365,26 +362,31 @@ mod tests {
         .unwrap();
         for exclude_self in [false, true] {
             for early_exit in [None, Some(1u64), Some(3), Some(1000)] {
-                // Reference: the pre-override sink logic over
-                // batch_neighbors.
+                // Reference: the count stop rule driven through
+                // batch_neighbors — the raw hit sum, own point included,
+                // stops at the hit reaching the cap (one more than the
+                // threshold under self-exclusion) and drops the own point.
+                let cap = early_exit.map_or(u64::MAX, |m| (m + exclude_self as u64).max(1));
                 let want: Vec<AtomicU64> = (0..pts.len()).map(|_| AtomicU64::new(0)).collect();
                 let mut want_c = WorkCounters::ZERO;
                 index.batch_neighbors(&pts, eps, &mut want_c, &|q, n, _| {
-                    let own = exclude_self && n.index == q as u32;
-                    let add = if own { 0 } else { n.multiplicity as u64 };
-                    if add == 0 {
-                        return NeighborFlow::Continue;
-                    }
-                    let total = want[q].fetch_add(add, Ordering::Relaxed) + add;
-                    match early_exit {
-                        Some(min) if total >= min => NeighborFlow::Stop,
-                        _ => NeighborFlow::Continue,
+                    let add = n.multiplicity as u64;
+                    if want[q].fetch_add(add, Ordering::Relaxed) + add >= cap {
+                        NeighborFlow::Stop
+                    } else {
+                        NeighborFlow::Continue
                     }
                 });
                 let got: Vec<AtomicU64> = (0..pts.len()).map(|_| AtomicU64::new(0)).collect();
                 let mut got_c = WorkCounters::ZERO;
                 index.batch_neighbor_counts(&pts, eps, exclude_self, early_exit, &mut got_c, &got);
-                let want: Vec<u64> = want.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+                let want: Vec<u64> = want
+                    .iter()
+                    .map(|c| {
+                        c.load(Ordering::Relaxed)
+                            .saturating_sub(exclude_self as u64)
+                    })
+                    .collect();
                 let got: Vec<u64> = got.iter().map(|c| c.load(Ordering::Relaxed)).collect();
                 assert_eq!(want, got, "exclude_self={exclude_self} exit={early_exit:?}");
                 assert_eq!(

@@ -212,8 +212,8 @@ pub trait NeighborIndex: std::fmt::Debug + Send + Sync {
     /// The representative of a point under compaction (identity for
     /// non-compacting backends).  Neighbour callbacks only ever see
     /// representatives; a query point's own group is reported with the full
-    /// group multiplicity, so self-exclusion must compare against
-    /// `representative_of(query)` and subtract one.
+    /// group multiplicity, which is why a self-join count starts at −1
+    /// (see [`NeighborIndex::batch_neighbor_counts`]).
     fn representative_of(&self, index: u32) -> u32 {
         index
     }
@@ -249,15 +249,23 @@ pub trait NeighborIndex: std::fmt::Debug + Send + Sync {
     /// way (backends may flush one count per query per packet instead of
     /// paying a dynamic sink call for every reported neighbour).
     ///
-    /// `counts` entries for the launched queries must start at zero.  With
-    /// `exclude_self`, the launch uses the self-join convention of DBSCAN
-    /// stage 1 — `queries` are the indexed points in index order, and the
-    /// query's own group contributes `multiplicity - 1` (the point itself
-    /// does not count).  With `early_exit` (the FDBSCAN-EarlyExit
-    /// optimisation), a query stops as soon as its count reaches the
-    /// threshold; counted work and final counts are identical to driving
-    /// the same logic through [`NeighborIndex::batch_neighbors`], which is
-    /// exactly what this default implementation does.
+    /// `counts` entries for the launched queries must start at zero.  Every
+    /// hit adds its multiplicity.  With `exclude_self`, the launch uses the
+    /// self-join convention of DBSCAN stage 1: `queries` are the indexed
+    /// points in index order, so each query's own point hits at distance
+    /// zero, and its count starts at −1 (the point itself does not count).
+    /// No backend needs [`NeighborIndex::representative_of`] for this.
+    ///
+    /// Without `early_exit` every count is exact: the sum of the hit
+    /// multiplicities, minus one under `exclude_self`.  With
+    /// `early_exit = Some(m)` (FDBSCAN's early exit; on RT hardware an
+    /// any-hit program that terminates the ray), a query stops at the first
+    /// candidate whose hit brings its count to `m`, and later candidates
+    /// are neither tested nor charged.  Counts below `m` are then exact and
+    /// a stopped count is at least `m`, so `count >= m` and `count > 0`
+    /// read the same as under exact counting.  This default drives the rule
+    /// through [`NeighborIndex::batch_neighbors`]; the overrides charge the
+    /// same work without a per-neighbour callback.
     fn batch_neighbor_counts(
         &self,
         queries: &[Point3],
@@ -273,25 +281,28 @@ pub trait NeighborIndex: std::fmt::Debug + Send + Sync {
             counts.len(),
             "one count cell per launched query"
         );
+        let cap = count_cap(exclude_self, early_exit);
         self.batch_neighbors(queries, eps, counters, &|q, neighbor, _| {
-            let own_group = exclude_self && neighbor.index == self.representative_of(q as u32);
-            let add = if own_group {
-                neighbor.multiplicity.saturating_sub(1) as u64
-            } else {
-                neighbor.multiplicity as u64
-            };
-            if add == 0 {
-                return NeighborFlow::Continue;
-            }
+            let add = neighbor.multiplicity as u64;
             // ordering: Relaxed — the cell is a pure tally; the returned
             // running total only steers this worker's own early exit, and
             // the final values are read after the launch joins.
-            let total = counts[q].fetch_add(add, Ordering::Relaxed) + add;
-            match early_exit {
-                Some(min) if total >= min => NeighborFlow::Stop,
-                _ => NeighborFlow::Continue,
+            if counts[q].fetch_add(add, Ordering::Relaxed) + add >= cap {
+                NeighborFlow::Stop
+            } else {
+                NeighborFlow::Continue
             }
         });
+        if exclude_self {
+            // ordering: Relaxed — the launch has joined; this thread alone
+            // touches the cells until the caller reads them.
+            for cell in counts {
+                cell.store(
+                    cell.load(Ordering::Relaxed).saturating_sub(1),
+                    Ordering::Relaxed,
+                );
+            }
+        }
     }
 
     /// [`NeighborIndex::batch_neighbors`] under a [`CancelScope`]: the
@@ -518,6 +529,16 @@ pub(crate) fn dispatch_batch(
         }
     }
     total
+}
+
+/// The stop threshold of a count launch on the raw hit sum, which includes
+/// the query's own point (see [`NeighborIndex::batch_neighbor_counts`]):
+/// a count of `m` under `exclude_self` is a raw sum of `m + 1`.  At least
+/// 1, so a query only ever stops on a hit; `u64::MAX` when the launch
+/// counts exactly.
+#[inline]
+pub(crate) fn count_cap(exclude_self: bool, early_exit: Option<u64>) -> u64 {
+    early_exit.map_or(u64::MAX, |m| m.saturating_add(exclude_self as u64).max(1))
 }
 
 /// Shared candidate accounting: every candidate a backend's exact filter

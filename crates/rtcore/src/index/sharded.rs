@@ -30,10 +30,15 @@
 //! backend additionally charges `tlas_node_visits` and one `blas_launches`
 //! per (packet, overlapping shard) engine dispatch.
 //!
-//! `early_exit` hints are honoured as *exact* counting (the hint is a lower
-//! bound, so `count >= min` core decisions are unchanged).  Packet plans,
-//! per-shard sub-lists and count cells live in pooled, grow-only scratch,
-//! so warm launches allocate nothing, as on the flat path.
+//! Count launches honour `early_exit` per packet: each shard sub-launch
+//! stops a query once that shard's hits reach the cap, and a query whose
+//! packet cell has reached it sits out the packet's later sub-launches.  A
+//! query whose hits are split across shards may never stop; its count is
+//! then exact, so `count >= min` core decisions are the flat path's.
+//! Sub-launches run in shard order on the packet's worker, so where a
+//! query stops depends only on the input.  Packet plans, per-shard
+//! sub-lists and count cells live in pooled, grow-only scratch, so warm
+//! launches allocate nothing, as on the flat path.
 
 use super::bvh_backend::{build_tree, caller_ordinal};
 use super::{
@@ -818,16 +823,19 @@ impl ShardedIndex {
         }
     }
 
-    /// Count-mode twin of [`ShardedIndex::degraded_trace_sink`]: exact
-    /// multiplicity-weighted counts flushed once per query into the
-    /// packet-local cells, exactly like a live sub-launch flushes.  Query
-    /// `queries[id]` flushes into `cells[id]` for every `id` in `ids`.
+    /// Count-mode twin of [`ShardedIndex::degraded_trace_sink`]:
+    /// multiplicity-weighted counts, each stopping at the hit that reaches
+    /// `cap` as a live sub-launch does, flushed once per query into the
+    /// packet-local cells.  Query `queries[id]` flushes into `cells[id]`
+    /// for every `id` in `ids`.
+    #[allow(clippy::too_many_arguments)]
     fn degraded_trace_counts(
         &self,
         deg: &DegradedShard,
         queries: &[Point3],
         ids: &[u32],
         eps: f32,
+        cap: u64,
         cells: &[AtomicU64],
         local: &mut WorkCounters,
     ) {
@@ -840,6 +848,9 @@ impl ShardedIndex {
                 charge_candidate(self.geometry, local);
                 if s.center.distance_squared(q) <= eps_sq {
                     count += s.multiplicity as u64;
+                    if count >= cap {
+                        break;
+                    }
                 }
             }
             if count > 0 {
@@ -932,9 +943,12 @@ impl ShardedIndex {
     /// Count-mode sharded packet: per-shard counts accumulate in
     /// packet-local cells (each sub-launch flushes once per query, exactly
     /// like the flat packet tracer), and the packet flushes the
-    /// `saturating_sub(1)` self-exclusion algebra to the shared cells once
-    /// per query — bit-identical to the flat count path's adjustment.
-    /// Sub-launches read the packet's gathered origins by packet position.
+    /// self-exclusion (one less per query) to the shared cells once per
+    /// query.  Sub-launches read the packet's gathered origins by packet
+    /// position.  Under `early_exit` each sub-launch gets the cap on the
+    /// raw cell (the flush's self-exclusion added back), and a query whose
+    /// cell has reached it is left out of the later sub-launches; a shard
+    /// none of whose queries is left runs no sub-launch.
     #[allow(clippy::too_many_arguments)]
     fn trace_count_packet_sharded(
         &self,
@@ -944,6 +958,7 @@ impl ShardedIndex {
         len: usize,
         eps: f32,
         exclude_self: bool,
+        early_exit: Option<u64>,
         counts: &[AtomicU64],
         cancel: Option<&CancelScope>,
     ) -> WorkCounters {
@@ -972,6 +987,10 @@ impl ShardedIndex {
         );
         cells.clear();
         cells.resize_with(len, AtomicU64::default);
+        // The sub-launches count without self-exclusion; the flush below
+        // applies it, so their cap is the raw one.
+        let cap = super::count_cap(exclude_self, early_exit);
+        let sub_exit = early_exit.map(|_| cap);
         let mut i = 0;
         while i < pairs.len() {
             if cancel.is_some_and(CancelScope::tripped) {
@@ -984,8 +1003,17 @@ impl ShardedIndex {
             sub_ids.clear();
             let mut j = i;
             while j < pairs.len() && pairs[j].0 == shard {
-                sub_ids.push(pairs[j].1);
+                let pos = pairs[j].1;
+                // ordering: Relaxed — see the flush below: the cells are
+                // this packet's and written only on this thread.
+                if cells[pos as usize].load(Ordering::Relaxed) < cap {
+                    sub_ids.push(pos);
+                }
                 j += 1;
+            }
+            i = j;
+            if sub_ids.is_empty() {
+                continue;
             }
             // ordering: Relaxed — monotonic popularity tick; nothing is
             // synchronised through it, readers want an approximate total.
@@ -1000,18 +1028,17 @@ impl ShardedIndex {
                         sub_ids.len(),
                         eps,
                         false,
-                        None,
+                        sub_exit,
                         cells,
                         cancel,
                     );
                 }
                 ShardSlot::Degraded(deg) => {
-                    self.degraded_trace_counts(deg, origins, sub_ids, eps, cells, &mut local);
+                    self.degraded_trace_counts(deg, origins, sub_ids, eps, cap, cells, &mut local);
                 }
                 // plan_packet only emits pairs for answering slots.
                 ShardSlot::Retired => {}
             }
-            i = j;
         }
         // ordering: Relaxed is sound on both sides of this flush.  The
         // packet-local `cells` come from pooled ShardScratch owned by this
@@ -1023,16 +1050,16 @@ impl ShardedIndex {
         // disjoint across packets — so the fetch_add never races another
         // increment to the same cell, and the dispatch join in the launch
         // driver provides the happens-before edge that publishes the totals
-        // to the post-join reader.  The `saturating_sub(1)` self-exclusion
-        // is exact, not defensive: each cell starts at 0 and receives
-        // exactly one flush per query (each query is routed to each
-        // overlapping shard at most once by `plan_packet`), so the query's
-        // own hit is counted exactly once before subtraction.
+        // to the post-join reader.  The self-exclusion is exact for a query
+        // that never stops: each cell starts at 0 and each query is routed
+        // to each overlapping shard at most once by `plan_packet`, so its
+        // own hit is counted exactly once before subtraction.  A stopped
+        // query's cell holds at least the raw cap, so its count is at least
+        // `early_exit` whether or not its own hit was reached.
         for (pos, cell) in cells.iter().enumerate() {
-            let mut count = cell.load(Ordering::Relaxed);
-            if exclude_self {
-                count = count.saturating_sub(1);
-            }
+            let count = cell
+                .load(Ordering::Relaxed)
+                .saturating_sub(exclude_self as u64);
             if count > 0 {
                 counts[caller_ordinal(perm, start + pos)].fetch_add(count, Ordering::Relaxed);
             }
@@ -1083,6 +1110,7 @@ impl ShardedIndex {
         queries: &[Point3],
         eps: f32,
         exclude_self: bool,
+        early_exit: Option<u64>,
         counts: &[AtomicU64],
         cancel: Option<&CancelScope>,
     ) -> WorkCounters {
@@ -1111,6 +1139,7 @@ impl ShardedIndex {
                     len,
                     eps,
                     exclude_self,
+                    early_exit,
                     counts,
                     cancel,
                 )
@@ -1254,11 +1283,7 @@ impl NeighborIndex for ShardedIndex {
         counters: &mut WorkCounters,
         counts: &[AtomicU64],
     ) {
-        // `early_exit` is a hint; the sharded path counts exactly (exact
-        // counts are >= the capped ones, so `count >= min_pts` core
-        // decisions are identical).
-        let _ = early_exit;
-        *counters += self.launch_counts(queries, eps, exclude_self, counts, None);
+        *counters += self.launch_counts(queries, eps, exclude_self, early_exit, counts, None);
     }
 
     fn batch_neighbors_cancellable(
@@ -1300,7 +1325,6 @@ impl NeighborIndex for ShardedIndex {
         counts: &[AtomicU64],
         scope: &CancelScope,
     ) -> Result<()> {
-        let _ = early_exit;
         crate::fail_point!(self.fault, FaultSite::ScratchGrow);
         if self.fault.fire(FaultSite::LaunchDelay) {
             scope.trip();
@@ -1315,6 +1339,7 @@ impl NeighborIndex for ShardedIndex {
             queries,
             eps,
             exclude_self,
+            early_exit,
             counts,
             scope.is_active().then_some(scope),
         );
@@ -1784,6 +1809,54 @@ mod tests {
             }
             assert_eq!(c1.dist_comps, c2.dist_comps);
         }
+    }
+
+    /// Early exit on a two-shard line whose every query overlaps both
+    /// shards, in one packet.  At `min_pts = 1` each query reaches the cap
+    /// in the first shard's sub-launch, so the second shard's sub-launch
+    /// runs for no query: half the rays, one BLAS launch instead of two,
+    /// and the second shard is never heated.  At `min_pts = 40` no shard
+    /// holds enough hits to stop a query, so every count and counter is
+    /// the exact launch's.
+    #[test]
+    fn queries_that_reach_the_cap_skip_later_shard_sub_launches() {
+        let pts: Vec<Point3> = (0..64)
+            .map(|i| Point3::new(i as f32 * 0.1, 0.0, 0.0))
+            .collect();
+        let eps = 10.0f32;
+        let config = NeighborIndexBuilder {
+            batch_size: 64,
+            ..sharded_config(32)
+        };
+        let sharded = ShardedIndex::build(&config, &pts, eps).unwrap();
+        assert_eq!(sharded.shard_count(), 2);
+        let launch = |early_exit: Option<u64>| {
+            let cells: Vec<AtomicU64> = (0..pts.len()).map(|_| AtomicU64::new(0)).collect();
+            let mut c = WorkCounters::ZERO;
+            sharded.batch_neighbor_counts(&pts, eps, true, early_exit, &mut c, &cells);
+            let counts: Vec<u64> = cells.into_iter().map(AtomicU64::into_inner).collect();
+            (counts, c)
+        };
+        let (exact, exact_c) = launch(None);
+        assert!(exact.iter().all(|&c| c == 63));
+        assert_eq!(exact_c.blas_launches, 2);
+        assert_eq!(exact_c.rays, 128);
+
+        let heat_before = sharded.shard_heat(1);
+        let (early, early_c) = launch(Some(1));
+        assert!(early.iter().all(|&c| c >= 1), "{early:?}");
+        assert_eq!(early_c.blas_launches, 1);
+        assert_eq!(early_c.rays, 64);
+        assert!(early_c.dist_comps < exact_c.dist_comps);
+        assert_eq!(
+            sharded.shard_heat(1),
+            heat_before,
+            "the later shard runs no sub-launch"
+        );
+
+        let (split, split_c) = launch(Some(40));
+        assert_eq!(split, exact, "queries split across shards count exactly");
+        assert_eq!(split_c, exact_c);
     }
 
     /// Per-packet routing plans exactly the `(shard, position)` pairs a

@@ -7,7 +7,7 @@
 //!
 //! Builds the same workload twice — once on the flat wide-batched backend,
 //! once with `shard_size` set so the scene splits into a top-level BVH over
-//! Morton-range shards — and shows that labels and stage-1 candidate
+//! Morton-range shards — and shows that labels and exact stage-1 candidate
 //! counters are identical while the sharded run routes through the TLAS
 //! and builds its shards in parallel.  Then demonstrates the streaming
 //! payoff: evicting a whole region of space drops its bottom-level BVH
@@ -37,45 +37,49 @@ fn main() {
     // --- 2. Flat vs sharded: one knob, identical answers. ------------------
     // Both engines pin the LBVH builder: aligned Morton sharding then
     // reproduces the flat tree's leaf partition, so even the candidate
-    // counters match bit for bit.
-    let flat = ClusterEngine::builder()
+    // counters of an exact stage 1 (a session's) match bit for bit.  A
+    // run's stage 1 stops each query at minPts, and a query split across
+    // shards stops at a different candidate than on the flat tree.
+    let flat_engine = ClusterEngine::builder()
         .params(params)
         .bvh_builder(rtcore::bvh::BuilderKind::Lbvh)
         .build()
-        .unwrap()
-        .run(&points)
         .unwrap();
-    let sharded = ClusterEngine::builder()
+    let sharded_engine = ClusterEngine::builder()
         .params(params)
         .bvh_builder(rtcore::bvh::BuilderKind::Lbvh)
         .shard_size(1024)
         .build()
-        .unwrap()
-        .run(&points)
         .unwrap();
+    let flat = flat_engine.run(&points).unwrap();
+    let sharded = sharded_engine.run(&points).unwrap();
+    let exact_stage1 = |engine: &ClusterEngine| {
+        let (setup, _) = engine.session(&points).unwrap().setup_cost();
+        setup.core_identification
+    };
+    let (flat_exact, sharded_exact) = (exact_stage1(&flat_engine), exact_stage1(&sharded_engine));
 
     println!(
-        "flat:    {} clusters, {} noise, stage-1 dist_comps {}",
+        "flat:    {} clusters, {} noise, stage-1 dist_comps {} (exact {})",
         flat.clustering.num_clusters(),
         flat.clustering.noise_count(),
         flat.counters.core_identification.dist_comps,
+        flat_exact.dist_comps,
     );
     println!(
-        "sharded: {} clusters, {} noise, stage-1 dist_comps {} \
+        "sharded: {} clusters, {} noise, stage-1 dist_comps {} (exact {}) \
          (tlas_node_visits {}, blas_launches {})",
         sharded.clustering.num_clusters(),
         sharded.clustering.noise_count(),
         sharded.counters.core_identification.dist_comps,
+        sharded_exact.dist_comps,
         sharded.counters.core_identification.tlas_node_visits,
         sharded.counters.core_identification.blas_launches,
     );
     assert_eq!(flat.clustering.core, sharded.clustering.core);
     assert_eq!(flat.clustering.labels, sharded.clustering.labels);
-    assert_eq!(
-        flat.counters.core_identification.dist_comps,
-        sharded.counters.core_identification.dist_comps
-    );
-    println!("=> identical labels and identical candidate work\n");
+    assert_eq!(flat_exact.dist_comps, sharded_exact.dist_comps);
+    println!("=> identical labels and identical exact candidate work\n");
 
     // --- 3. Streaming eviction: aging out a region drops its BLAS. ---------
     // Removal refits the scene in place, which needs one primitive per

@@ -490,24 +490,24 @@ proptest! {
         for kind in IndexKind::ALL {
             let index = NeighborIndexBuilder::new(kind).build(&points, eps).unwrap();
 
-            // Reference: the count sink driven through callback mode (the
-            // pre-redesign stage-1 formulation).
+            // Reference: the count stop rule driven through callback mode.
+            // The raw hit sum includes the query's own point, so the count
+            // (one less) reaches min_pts at a raw sum of min_pts + 1.
             let ref_counts: Vec<AtomicU64> =
                 (0..points.len()).map(|_| AtomicU64::new(0)).collect();
             let mut ref_counters = WorkCounters::ZERO;
             index.batch_neighbors(&points, eps, &mut ref_counters, &|q, nb, _| {
-                let own = nb.index == index.representative_of(q as u32);
-                let add = if own { nb.multiplicity.saturating_sub(1) as u64 } else { nb.multiplicity as u64 };
-                if add == 0 {
-                    return NeighborFlow::Continue;
-                }
+                let add = nb.multiplicity as u64;
                 let total = ref_counts[q].fetch_add(add, Ordering::Relaxed) + add;
-                if early_exit && total >= min_pts {
+                if early_exit && total > min_pts {
                     NeighborFlow::Stop
                 } else {
                     NeighborFlow::Continue
                 }
             });
+            for cell in &ref_counts {
+                cell.store(cell.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
+            }
 
             let counts: Vec<AtomicU64> = (0..points.len()).map(|_| AtomicU64::new(0)).collect();
             let mut counters = WorkCounters::ZERO;

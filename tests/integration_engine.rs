@@ -9,7 +9,8 @@
 //!    clusters identically.
 //! 2. **Façade neutrality** — running through `ClusterEngine` adds zero
 //!    ray / distance-computation / primitive-test cost over the direct
-//!    entry points.
+//!    two-stage driver with the same stage-1 early exit, and labels like
+//!    the direct entry points.
 //! 3. **Eager validation** — the builder rejects contradictory
 //!    configurations with `ConfigError`s naming the offending field.
 //! 4. **Object safety** — `Box<dyn NeighborIndex>` flows through the
@@ -89,18 +90,26 @@ fn trait_objects_flow_through_the_engine_and_direct_drivers() {
             .unwrap();
         let via_engine = engine.run(&pts).unwrap();
         assert_eq!(reference.core, via_engine.clustering.core, "{kind:?}");
-        // … and as a boxed trait object driven by hand.
+        // … and as a boxed trait object driven by hand: the paper
+        // configuration's exact stage 1 labels alike, and the two-stage
+        // driver with the engine's stage-1 early exit does the same work.
         let index: Box<dyn NeighborIndex> = engine.build_index(&pts).unwrap();
         let direct = RtDbscan::default()
             .run_on(index.as_ref(), &pts, params)
             .unwrap();
+        let early = Fdbscan {
+            early_exit: true,
+            ..Fdbscan::default()
+        }
+        .run_on(index.as_ref(), &pts, params)
+        .unwrap();
         assert_eq!(
             via_engine.clustering.core, direct.clustering.core,
             "{kind:?}"
         );
         assert_eq!(
             via_engine.counters.core_identification.dist_comps,
-            direct.counters.core_identification.dist_comps,
+            early.counters.core_identification.dist_comps,
             "{kind:?}: the façade must add no per-query work"
         );
     }
@@ -122,7 +131,10 @@ fn engine_facade_adds_zero_counter_cost_over_direct_calls() {
         .unwrap();
     assert_eq!(direct.clustering.labels, default_run.clustering.labels);
     assert_eq!(direct.clustering.core, default_run.clustering.core);
-    // ...and pinned to that configuration the façade adds zero cost.
+    // ...and pinned to that configuration the façade adds zero cost: it
+    // builds the paper index, and its stages do the work of the direct
+    // two-stage driver running the engine's stage-1 early exit on the
+    // paper configuration's own index.
     let engine_run = ClusterEngine::builder()
         .params(params)
         .bvh_builder(BuilderKind::BinnedSah)
@@ -131,25 +143,35 @@ fn engine_facade_adds_zero_counter_cost_over_direct_calls() {
         .unwrap()
         .run(&pts)
         .unwrap();
+    let paper_index = RtDbscan::default()
+        .index_builder()
+        .build(&pts, params.eps)
+        .unwrap();
+    let early = Fdbscan {
+        early_exit: true,
+        ..Fdbscan::default()
+    }
+    .run_on(paper_index.as_ref(), &pts, params)
+    .unwrap();
     for (d, e) in [
         (&direct.counters.build, &engine_run.counters.build),
         (
-            &direct.counters.core_identification,
+            &early.counters.core_identification,
             &engine_run.counters.core_identification,
         ),
     ] {
         assert_eq!(d, e);
     }
     assert_eq!(
-        direct.counters.cluster_formation.rays,
+        early.counters.cluster_formation.rays,
         engine_run.counters.cluster_formation.rays
     );
     assert_eq!(
-        direct.counters.cluster_formation.dist_comps,
+        early.counters.cluster_formation.dist_comps,
         engine_run.counters.cluster_formation.dist_comps
     );
     assert_eq!(
-        direct.counters.cluster_formation.prim_tests,
+        early.counters.cluster_formation.prim_tests,
         engine_run.counters.cluster_formation.prim_tests
     );
 

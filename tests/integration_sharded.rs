@@ -1,7 +1,7 @@
 //! Two-level scene equivalence suite: a TLAS over sharded bottom-level
 //! scenes must be *indistinguishable* from the flat wide-batched backend —
 //! same labels, same neighbour sets, same CSR rows, and (with the builder
-//! pinned to LBVH, full-precision lanes and no early exit) the same
+//! pinned to LBVH, full-precision lanes and exact counting) the same
 //! `dist_comps` / `prim_tests` counters, because aligned Morton sharding
 //! reproduces the flat tree's leaf partition exactly.
 //!
@@ -23,7 +23,7 @@ use rtcore::index::{
     IndexKind, NeighborIndex, NeighborIndexBuilder, QueryOrder, ShardingConfig, WideBatchedIndex,
 };
 use rtdbscan::metrics::same_clustering;
-use rtdbscan::{ClusterEngine, DbscanParams, RunResult};
+use rtdbscan::{ClassicDbscan, ClusterEngine, DbscanAlgorithm, DbscanParams, RtDbscan, RunResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Mixed workload: blobs laid out in a row (so clusters span the Morton
@@ -122,23 +122,21 @@ fn boundary_spanning_cluster_stitches_into_one_label() {
         .map(|i| Point3::new_2d(i as f32 * 0.4, 0.0))
         .collect();
     let params = DbscanParams::new(0.5, 2).unwrap();
-    let flat = ClusterEngine::builder()
+    let flat_engine = ClusterEngine::builder()
         .eps(params.eps)
         .min_pts(params.min_pts)
         .bvh_builder(BuilderKind::Lbvh)
         .build()
-        .unwrap()
-        .run(&pts)
         .unwrap();
-    let sharded = ClusterEngine::builder()
+    let sharded_engine = ClusterEngine::builder()
         .eps(params.eps)
         .min_pts(params.min_pts)
         .bvh_builder(BuilderKind::Lbvh)
         .shard_size(64)
         .build()
-        .unwrap()
-        .run(&pts)
         .unwrap();
+    let flat = flat_engine.run(&pts).unwrap();
+    let sharded = sharded_engine.run(&pts).unwrap();
     assert_eq!(sharded.clustering.num_clusters(), 1);
     assert_eq!(flat.clustering.core, sharded.clustering.core);
     assert!(same_clustering(
@@ -147,15 +145,24 @@ fn boundary_spanning_cluster_stitches_into_one_label() {
         &pts,
         params
     ));
-    // Stage-1 candidate work is bit-identical under aligned LBVH sharding.
-    assert_eq!(
-        flat.counters.core_identification.dist_comps,
-        sharded.counters.core_identification.dist_comps
-    );
-    assert_eq!(
-        flat.counters.core_identification.prim_tests,
-        sharded.counters.core_identification.prim_tests
-    );
+    // Exact stage-1 candidate work is bit-identical under aligned LBVH
+    // sharding (a run's early exit stops a query split across shards at a
+    // different candidate, so the sessions' exact stage 1 is compared).
+    let flat = exact_stage1(&flat_engine, &pts);
+    let sharded = exact_stage1(&sharded_engine, &pts);
+    assert_eq!(flat.dist_comps, sharded.dist_comps);
+    assert_eq!(flat.prim_tests, sharded.prim_tests);
+}
+
+/// The work of an engine's exact stage 1: the stage-1 launch a session
+/// records, which counts every neighbour.
+fn exact_stage1(engine: &ClusterEngine, points: &[Point3]) -> WorkCounters {
+    engine
+        .session(points)
+        .unwrap()
+        .setup_cost()
+        .0
+        .core_identification
 }
 
 #[test]
@@ -181,8 +188,9 @@ proptest! {
 
     /// Property: on arbitrary blob + noise + duplicate workloads, the
     /// sharded engine produces identical core flags and bit-identical
-    /// labels to the flat engine, with identical stage-1 candidate
-    /// counters.  A dense, mostly-core single blob engages stage 2's
+    /// labels to the flat engine, with identical exact stage-1 candidate
+    /// counters; both stop stage 1 at minPts and still label like the
+    /// exact-counting `RtDbscan::default()` and the sequential reference.  A dense, mostly-core single blob engages stage 2's
     /// sampled skip (its stage-2 candidate work falls below stage 1's),
     /// and its labels stay bit-identical between flat and sharded scenes
     /// and between Morton and as-given query order.
@@ -199,37 +207,38 @@ proptest! {
     ) {
         let pts = workload(blobs, per_blob, noise, duplicates, seed);
         let params = DbscanParams::new(eps, min_pts).unwrap();
-        let flat = ClusterEngine::builder()
+        let flat_engine = ClusterEngine::builder()
             .eps(eps)
             .min_pts(min_pts)
             .bvh_builder(BuilderKind::Lbvh)
             .build()
-            .unwrap()
-            .run(&pts)
             .unwrap();
-        let sharded = ClusterEngine::builder()
+        let sharded_engine = ClusterEngine::builder()
             .eps(eps)
             .min_pts(min_pts)
             .bvh_builder(BuilderKind::Lbvh)
             .shard_size(shard)
             .build()
-            .unwrap()
-            .run(&pts)
             .unwrap();
+        let flat = flat_engine.run(&pts).unwrap();
+        let sharded = sharded_engine.run(&pts).unwrap();
         prop_assert_eq!(&flat.clustering.core, &sharded.clustering.core);
         prop_assert_eq!(&flat.clustering.labels, &sharded.clustering.labels);
         prop_assert!(same_clustering(&flat.clustering, &sharded.clustering, &pts, params));
-        prop_assert_eq!(
-            flat.counters.core_identification.dist_comps,
-            sharded.counters.core_identification.dist_comps
+        let exact = RtDbscan::default().run(&pts, params).unwrap().clustering;
+        prop_assert_eq!(&flat.clustering.core, &exact.core);
+        prop_assert_eq!(&flat.clustering.labels, &exact.labels);
+        let reference = ClassicDbscan::cluster(&pts, params).unwrap();
+        prop_assert!(same_clustering(&reference, &flat.clustering, &pts, params));
+        let (flat1, sharded1) = (
+            exact_stage1(&flat_engine, &pts),
+            exact_stage1(&sharded_engine, &pts),
         );
-        prop_assert_eq!(
-            flat.counters.core_identification.prim_tests,
-            sharded.counters.core_identification.prim_tests
-        );
+        prop_assert_eq!(flat1.dist_comps, sharded1.dist_comps);
+        prop_assert_eq!(flat1.prim_tests, sharded1.prim_tests);
 
         let dense = workload(1, 200, noise, duplicates, seed);
-        let run = |shard: Option<usize>, order: QueryOrder| -> RunResult {
+        let engine = |shard: Option<usize>, order: QueryOrder| -> ClusterEngine {
             let mut b = ClusterEngine::builder()
                 .eps(eps)
                 .min_pts(min_pts)
@@ -238,13 +247,16 @@ proptest! {
             if let Some(s) = shard {
                 b = b.shard_size(s);
             }
-            b.build().unwrap().run(&dense).unwrap()
+            b.build().unwrap()
+        };
+        let run = |shard: Option<usize>, order: QueryOrder| -> RunResult {
+            engine(shard, order).run(&dense).unwrap()
         };
         let flat = run(None, QueryOrder::Morton);
-        let (stage1, stage2) = (
-            &flat.counters.core_identification,
-            &flat.counters.cluster_formation,
-        );
+        // The skip saves full queries, so stage 2 is held against the
+        // exact stage 1, whose queries are all full.
+        let stage1 = exact_stage1(&engine(None, QueryOrder::Morton), &dense);
+        let (stage1, stage2) = (&stage1, &flat.counters.cluster_formation);
         prop_assert!(
             stage2.dist_comps < stage1.dist_comps,
             "the sampled skip did not engage: stage 2 {} vs stage 1 {} dist_comps",
