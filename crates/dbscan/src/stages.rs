@@ -25,6 +25,13 @@
 //! monotone minimum whichever side lowers it.  Otherwise stage 2 is the
 //! paper's single launch of one query per core.
 //!
+//! A large core set first runs the full queries of a fixed prefix of its
+//! cores (the first 1,024 in index order, at most one core in 32), which
+//! every outcome needs.  The sampling round runs only when the prefix's
+//! largest component, scaled to all cores, could exceed the possible
+//! borders; an input of many small clusters (NGSIM) then pays one query
+//! per core instead of two.
+//!
 //! Every launch runs under a [`CancelScope`].  Entry points without a
 //! deadline pass [`CancelScope::none`], under which the scoped launches run
 //! exactly the plain launch code.  Labels are a pure function of the input:
@@ -53,6 +60,25 @@ const UNCLAIMED: u32 = u32::MAX;
 /// Core neighbours each core links to in the sampling launch (Afforest's
 /// neighbour-sampling round, which links each vertex to its first two).
 const SAMPLE_LINKS: u8 = 2;
+
+/// Before the sampling round, stage 2 runs the full queries of this many
+/// cores, the first in index order (see [`form_clusters`]).
+const SAMPLE_PREFIX: usize = 1024;
+
+/// Core sets under this many prefixes' worth of cores go straight to the
+/// sampling round: the prefix is at most one core in 32.
+const SAMPLE_PREFIX_MIN_RATIO: usize = 32;
+
+/// The number of cores whose full queries run before the sampling round:
+/// [`SAMPLE_PREFIX`], or none for a core set under
+/// [`SAMPLE_PREFIX_MIN_RATIO`] prefixes.
+fn sample_prefix(cores: usize) -> usize {
+    if cores >= SAMPLE_PREFIX * SAMPLE_PREFIX_MIN_RATIO {
+        SAMPLE_PREFIX
+    } else {
+        0
+    }
+}
 
 /// Stage 1: every point's ε-neighbour count (self excluded), answered by
 /// one batched launch over the backend's **count output mode**, under a
@@ -135,19 +161,30 @@ pub(crate) fn form_clusters(
     let possible_borders = (0..n).filter(|&i| may_border(i)).count();
     let mut counters = WorkCounters::ZERO;
 
-    let outside = if cores.len() > possible_borders {
-        stage.sample(&cores, possible_borders, &mut counters)?
+    // Afforest can pay only when cores outnumber the possible borders.  A
+    // large core set first runs the full queries of a prefix, which every
+    // outcome needs: they decide whether the sampling round can find a
+    // giant at all.
+    let sampling = cores.len() > possible_borders;
+    let prefix = if sampling {
+        sample_prefix(cores.len())
+    } else {
+        0
+    };
+    if prefix > 0 {
+        stage.query_cores(&cores[..prefix], &mut counters)?;
+    }
+    let outside = if sampling
+        && (prefix == 0 || stage.giant_may_exceed(&cores, prefix, possible_borders, &mut counters))
+    {
+        stage.sample(&cores, prefix, possible_borders, &mut counters)?
     } else {
         None
     };
     match outside {
-        None => stage.launch(&cores, &mut counters, &|o, neighbor, tally| {
-            stage.visit_core(cores[o], neighbor, tally)
-        })?,
+        None => stage.query_cores(&cores[prefix..], &mut counters)?,
         Some(outside) => {
-            stage.launch(&outside, &mut counters, &|o, neighbor, tally| {
-                stage.visit_core(outside[o], neighbor, tally)
-            })?;
+            stage.query_cores(&outside, &mut counters)?;
             // Coincident duplicates share their representative's claim (the
             // fix-up pass below), so only representatives query.
             let borders: Vec<u32> = (0..n as u32)
@@ -262,14 +299,25 @@ impl Stage2<'_> {
         }
     }
 
-    /// Afforest's sampling round: one query per core, unioning the core
-    /// with its first [`SAMPLE_LINKS`] core neighbours in the backend's
-    /// emission order (fixed per query, so the sampled forest is
-    /// deterministic).  The giant is the sampled component holding the most
-    /// cores, the smallest root on a tie.  Returns the cores outside the
-    /// giant when it holds more cores than there are possible `borders`,
+    /// The full queries of `cores`.
+    fn query_cores(&self, cores: &[u32], counters: &mut WorkCounters) -> Result<()> {
+        self.launch(cores, counters, &|o, neighbor, tally| {
+            self.visit_core(cores[o], neighbor, tally)
+        })
+    }
+
+    /// Afforest's sampling round over `cores[prefix..]`, whose first
+    /// `prefix` cores already ran their full queries: one query per core,
+    /// unioning the core with its first [`SAMPLE_LINKS`] core neighbours in
+    /// the backend's emission order (fixed per query, so the sampled forest
+    /// is deterministic).  The giant is the component holding the most
+    /// cores, the smallest root on a tie.  Returns the sampled cores outside
+    /// the giant when it holds more cores than there are possible `borders`,
     /// which is when skipping its cores' full queries pays for the borders'
-    /// own queries; `None` when every core must run its full query.
+    /// own queries; `None` when every core must run its full query.  The
+    /// skip stays exact with a prefix: a prefix core has seen all of its
+    /// edges, and every other edge that leaves the giant is seen from its
+    /// outer end.
     // ordering: Relaxed on the per-query link tally: it counts one query's
     // links, and a query's emissions all come from the worker tracing its
     // packet.  Were two writers ever to race, one more sampled edge could
@@ -278,12 +326,14 @@ impl Stage2<'_> {
     fn sample(
         &self,
         cores: &[u32],
+        prefix: usize,
         borders: usize,
         counters: &mut WorkCounters,
     ) -> Result<Option<Vec<u32>>> {
-        let linked: Vec<AtomicU8> = cores.iter().map(|_| AtomicU8::new(0)).collect();
-        self.launch(cores, counters, &|o, neighbor, tally| {
-            let (p, q) = (cores[o] as usize, neighbor.index as usize);
+        let sampled = &cores[prefix..];
+        let linked: Vec<AtomicU8> = sampled.iter().map(|_| AtomicU8::new(0)).collect();
+        self.launch(sampled, counters, &|o, neighbor, tally| {
+            let (p, q) = (sampled[o] as usize, neighbor.index as usize);
             if q == p || !self.core[q] {
                 return NeighborFlow::Continue;
             }
@@ -301,6 +351,39 @@ impl Stage2<'_> {
                 NeighborFlow::Stop
             }
         })?;
+        let (roots, giant, giant_size) = self.components(cores, counters);
+        Ok((giant_size > borders).then(|| {
+            sampled
+                .iter()
+                .zip(&roots[prefix..])
+                .filter(|&(_, &r)| r != giant)
+                .map(|(&c, _)| c)
+                .collect()
+        }))
+    }
+
+    /// Whether the sampling round could find a giant of more than
+    /// `borders` cores, judged after the full queries of `cores[..prefix]`:
+    /// the largest component so far, scaled by `cores.len() / prefix`.
+    /// The test errs towards sampling.  A component the prefix's full
+    /// queries build is a subset of the round's giant candidate (unions only
+    /// merge), and scaling it up lets a prefix that saw only part of a
+    /// giant still call for the round; a prefix whose largest component
+    /// stays small even scaled (many small clusters) skips it.
+    fn giant_may_exceed(
+        &self,
+        cores: &[u32],
+        prefix: usize,
+        borders: usize,
+        counters: &mut WorkCounters,
+    ) -> bool {
+        let (_, _, largest) = self.components(cores, counters);
+        largest as u64 * cores.len() as u64 > borders as u64 * prefix as u64
+    }
+
+    /// The union-find root of each of `cores`, and the root most of them
+    /// share with how many share it (the smallest root on a tie).
+    fn components(&self, cores: &[u32], counters: &mut WorkCounters) -> (Vec<u32>, u32, usize) {
         let roots: Vec<u32> = cores
             .iter()
             .map(|&c| self.dsu.find(c as usize, counters) as u32)
@@ -312,17 +395,10 @@ impl Stage2<'_> {
         let (mut giant, mut giant_size) = (0, 0);
         for (r, &s) in size.iter().enumerate() {
             if s > giant_size {
-                (giant, giant_size) = (r, s);
+                (giant, giant_size) = (r as u32, s);
             }
         }
-        Ok((giant_size as usize > borders).then(|| {
-            cores
-                .iter()
-                .zip(&roots)
-                .filter(|&(_, &r)| r as usize != giant)
-                .map(|(&c, _)| c)
-                .collect()
-        }))
+        (roots, giant, giant_size as usize)
     }
 }
 

@@ -448,6 +448,11 @@ pub(crate) struct PointScene {
     pub(crate) codes: Option<Vec<u32>>,
     /// `representative_of[i]` is the primitive standing for point `i`.
     pub(crate) representative_of: Vec<u32>,
+    /// For a sorted scene, the Morton pass's permutation of **all** input
+    /// points in `(code, index)` order, duplicates included: the order a
+    /// Morton launch of the points themselves would sort them into.
+    /// `None` when the scene skipped the pass or took it unsorted.
+    pub(crate) order: Option<Vec<u32>>,
     /// Compaction's charges, plus the Morton pass's for a sorted scene.
     pub(crate) counters: WorkCounters,
 }
@@ -467,6 +472,9 @@ pub(crate) struct PointScene {
 /// unsorted compacting scene takes [`compact_coincident`]'s spheres — the
 /// same pass on one worker, in ascending point order — and an unsorted
 /// scene without compaction skips the pass.
+///
+/// A sorted scene also returns the pass's full permutation, taken before
+/// compaction drops the duplicates from it.
 ///
 /// Charges `compaction_merges` and one `build_prims` per merged point (the
 /// bounds program still runs once per input primitive before the device
@@ -488,6 +496,7 @@ pub(crate) fn scene_from_points(
             prims: spheres_from_points(points, radius),
             codes: None,
             representative_of: (0..n as u32).collect(),
+            order: None,
             counters,
         });
     }
@@ -503,11 +512,15 @@ pub(crate) fn scene_from_points(
             prims: c.spheres,
             codes: None,
             representative_of: c.representative_of,
+            order: None,
             counters,
         });
     }
     let (mut keys, mut perm, mut buf) = (Vec::new(), Vec::new(), Vec::new());
     morton_sort(points, |&p| p, workers, &mut keys, &mut perm, &mut buf);
+    // Compaction keeps only the representatives in `perm`; the full order
+    // is kept for the launches first.
+    let full_order = compaction.then(|| perm.clone());
     let representative_of = if compaction {
         // The sort's spent ping-pong lane holds the multiplicities until
         // the gather turns it into the code lane.
@@ -526,6 +539,7 @@ pub(crate) fn scene_from_points(
         prims,
         codes: Some(codes),
         representative_of,
+        order: Some(full_order.unwrap_or(perm)),
         counters,
     })
 }

@@ -18,8 +18,8 @@ use crate::telemetry::{
     NodeHeatmap, PhaseKind, Telemetry, DIST_COMPS_BUCKETS, LATENCY_US_BUCKETS, OCCUPANCY_BUCKETS,
 };
 use crate::traversal::{
-    traverse_batch_runs, traverse_wide, traverse_with_scratch_sink, LeafVisit, NoSink, QueryOrder,
-    ReorderScratch, ScratchPool, Traversal, TraversalScratch,
+    launch_order, traverse_batch_runs, traverse_wide, traverse_with_scratch_sink, LaunchOrder,
+    LeafVisit, NoSink, QueryOrder, ReorderScratch, ScratchPool, Traversal, TraversalScratch,
 };
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -130,6 +130,11 @@ struct BvhCore {
     /// `representative_of[i]` is the primitive standing for point `i`
     /// (identity when compaction is off or merged nothing).
     representative_of: Vec<u32>,
+    /// The build's Morton permutation of all `n` points, kept for
+    /// [`QueryOrder::Morton`] self-join launches; `None` for SAH builds,
+    /// `AsGiven` indexes, shard BLASes and after maintenance moved or
+    /// removed points.  Host-side launch state, outside `device_bytes()`.
+    build_order: Option<Vec<u32>>,
     compacting: bool,
     geometry: GeometryKind,
     min_parallel_launch: usize,
@@ -181,6 +186,9 @@ impl BvhCore {
             n: points.len(),
             eps,
             representative_of: scene.representative_of,
+            build_order: scene
+                .order
+                .filter(|_| config.query_order == QueryOrder::Morton),
             compacting: config.compaction,
             geometry: config.geometry,
             min_parallel_launch: config.min_parallel_launch,
@@ -208,6 +216,7 @@ impl BvhCore {
             eps,
             // analyze-allow: hot-path-alloc -- constructor: one empty vec per scene build, not per query
             representative_of: Vec::new(),
+            build_order: None,
             compacting: false,
             geometry: config.geometry,
             min_parallel_launch: config.min_parallel_launch,
@@ -331,6 +340,8 @@ impl BvhCore {
     /// pass's counters) under a `refit` span, and charge its work to the
     /// build counters.
     fn refit(&mut self, pass: impl FnOnce(&mut usize, &mut WorkCounters)) -> WorkCounters {
+        // The points no longer match the build's Morton pass.
+        self.build_order = None;
         let mut counters = WorkCounters::ZERO;
         let mut span = self.telemetry.span(PhaseKind::Refit);
         pass(&mut self.n, &mut counters);
@@ -746,6 +757,22 @@ impl WideBatchedIndex {
         self.simd
     }
 
+    /// The build's Morton permutation of the indexed points that
+    /// self-join count launches walk (entry `i` is the index of the `i`-th
+    /// point in `(code, index)` order), kept only by LBVH builds under
+    /// [`QueryOrder::Morton`] until maintenance moves or removes points.
+    pub fn build_order(&self) -> Option<&[u32]> {
+        self.core.build_order.as_deref()
+    }
+
+    /// Drop the kept build order, so that self-join launches sort as every
+    /// other Morton launch does (the reference the kept order is tested
+    /// against).
+    #[cfg(test)]
+    pub(crate) fn forget_build_order(&mut self) {
+        self.core.build_order = None;
+    }
+
     /// Sphere-inflated bounds of everything this index holds (empty when no
     /// primitives remain).  The sharded scene's TLAS leaves carry exactly
     /// these boxes.
@@ -763,28 +790,24 @@ impl WideBatchedIndex {
         }
     }
 
-    /// Check a reorder scratch out of the pool and Morton-sort the launch
-    /// into it (no-op returning `None` under [`QueryOrder::AsGiven`] or
-    /// for trivial launches).  Callers keep the guard alive for the launch
-    /// and reborrow the `perm` slice out of it; the sort scatter work lands
-    /// in `setup.misc_ops`.
-    fn morton_guard(
+    /// The launch order of a batched launch over `queries`: the kept build
+    /// order for a self-join count launch (`exclude_self` set), otherwise a
+    /// Morton sort when configured (see [`launch_order`]).
+    fn launch_order(
         &self,
         queries: &[Point3],
+        exclude_self: bool,
         setup: &mut WorkCounters,
-    ) -> Option<crate::traversal::PoolGuard<'_, ReorderScratch>> {
-        if self.query_order != QueryOrder::Morton || queries.len() < 2 {
-            return None;
-        }
-        let mut span = self.core.telemetry.span(PhaseKind::MortonReorder);
-        let mut guard = self.reorder.acquire();
-        let sort_ops = guard.order_morton(queries);
-        sat_bump(&mut setup.misc_ops, sort_ops);
-        span.add_counters(WorkCounters {
-            misc_ops: sort_ops,
-            ..WorkCounters::ZERO
-        });
-        Some(guard)
+    ) -> LaunchOrder<'_> {
+        launch_order(
+            self.query_order,
+            self.core.build_order.as_deref(),
+            exclude_self,
+            queries,
+            &self.reorder,
+            &self.core.telemetry,
+            setup,
+        )
     }
 
     /// Trace one packet of queries through the wide scene.  The ray staging
@@ -969,12 +992,11 @@ impl WideBatchedIndex {
         cancel: Option<&CancelScope>,
     ) -> WorkCounters {
         debug_assert!(eps <= self.core.eps, "query radius exceeds build radius");
-        // Morton launch order (if configured): the guard keeps the
-        // permutation alive across the parallel dispatch; sinks still see
-        // caller ordinals.
+        // Morton launch order (if configured): the order outlives the
+        // parallel dispatch; sinks still see caller ordinals.
         let mut setup = WorkCounters::ZERO;
-        let reorder = self.morton_guard(queries, &mut setup);
-        let perm = reorder.as_deref().map(|g| g.perm.as_slice());
+        let order = self.launch_order(queries, false, &mut setup);
+        let perm = order.perm();
         // Fixed packet boundaries, derived arithmetically — no materialised
         // range list on the launch path.
         let start_ns = self.core.telemetry.now_ns();
@@ -1013,9 +1035,10 @@ impl WideBatchedIndex {
             counts.len(),
             "one count cell per launched query"
         );
+        // A self-join walks the build's order instead of sorting.
         let mut setup = WorkCounters::ZERO;
-        let reorder = self.morton_guard(queries, &mut setup);
-        let perm = reorder.as_deref().map(|g| g.perm.as_slice());
+        let order = self.launch_order(queries, exclude_self, &mut setup);
+        let perm = order.perm();
         let start_ns = self.core.telemetry.now_ns();
         let packets = queries.len().div_ceil(self.batch_size);
         let mut total = super::dispatch_batch(
@@ -1235,8 +1258,8 @@ impl NeighborIndex for WideBatchedIndex {
         // row order, so output and counters are identical to the
         // callback-mode launch whatever the query order.
         let mut setup = WorkCounters::ZERO;
-        let reorder = self.morton_guard(queries, &mut setup);
-        let perm = reorder.as_deref().map(|g| g.perm.as_slice());
+        let order = self.launch_order(queries, false, &mut setup);
+        let perm = order.perm();
         // analyze-allow: hot-path-alloc -- one shared pair-sink allocation per launch, amortised over every packet
         let pairs_shared: Mutex<Vec<(u32, u32)>> = Mutex::new(Vec::new());
         let start_ns = self.core.telemetry.now_ns();

@@ -255,6 +255,11 @@ pub trait NeighborIndex: std::fmt::Debug + Send + Sync {
     /// points in index order, so each query's own point hits at distance
     /// zero, and its count starts at −1 (the point itself does not count).
     /// No backend needs [`NeighborIndex::representative_of`] for this.
+    /// The same convention fixes the launch order: a wide BVH index whose
+    /// LBVH build kept its Morton permutation launches an `exclude_self`
+    /// count over all of its points under [`QueryOrder::Morton`] in that
+    /// order, the order a sort of those queries would give, without
+    /// sorting them.
     ///
     /// Without `early_exit` every count is exact: the sum of the hit
     /// multiplicities, minus one under `exclude_self`.  With

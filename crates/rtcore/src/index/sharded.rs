@@ -55,7 +55,7 @@ use crate::hardware::WorkCounters;
 use crate::telemetry::{
     NodeHeatmap, PhaseKind, Telemetry, DIST_COMPS_BUCKETS, LATENCY_US_BUCKETS, OCCUPANCY_BUCKETS,
 };
-use crate::traversal::{QueryOrder, ReorderScratch, ScratchPool};
+use crate::traversal::{launch_order, LaunchOrder, QueryOrder, ReorderScratch, ScratchPool};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -218,6 +218,11 @@ pub struct ShardedIndex {
     compacting: bool,
     max_shard_size: usize,
     representative_of: Vec<u32>,
+    /// The build's Morton permutation of all `n` points, kept under
+    /// [`QueryOrder::Morton`] for self-join count launches (as the flat
+    /// backend's); `None` once maintenance moved or removed points.
+    /// Host-side launch state, outside `device_bytes()`.
+    build_order: Option<Vec<u32>>,
     /// Representative point id → owning shard (`u32::MAX` once retired).
     owner_shard: Vec<u32>,
     tlas: Tlas,
@@ -284,6 +289,9 @@ impl ShardedIndex {
             compacting: config.compaction,
             max_shard_size: sharding.max_shard_size,
             representative_of: scene.representative_of,
+            build_order: scene
+                .order
+                .filter(|_| config.query_order == QueryOrder::Morton),
             // analyze-allow: hot-path-alloc -- constructor: owner table allocated once per scene build
             owner_shard: vec![u32::MAX; points.len()],
             tlas: Tlas::default(),
@@ -661,6 +669,21 @@ impl ShardedIndex {
         self.max_shard_size
     }
 
+    /// The build's Morton permutation of the indexed points that
+    /// self-join count launches walk, as
+    /// [`WideBatchedIndex::build_order`]: kept under [`QueryOrder::Morton`]
+    /// until maintenance moves or removes points.
+    pub fn build_order(&self) -> Option<&[u32]> {
+        self.build_order.as_deref()
+    }
+
+    /// Drop the kept build order (see
+    /// [`WideBatchedIndex::forget_build_order`]).
+    #[cfg(test)]
+    pub(crate) fn forget_build_order(&mut self) {
+        self.build_order = None;
+    }
+
     fn record(&self, local: &WorkCounters) {
         *self.query_counters.lock() += *local;
     }
@@ -690,26 +713,26 @@ impl ShardedIndex {
         }
     }
 
-    /// Morton-reorder the launch when configured (see the flat backend's
-    /// `morton_guard`); outputs are restored to caller ordinals through the
+    /// The launch order of a batched launch over `queries` (see the flat
+    /// backend's): the kept build order for a self-join count launch
+    /// (`exclude_self` over all `n` points), otherwise a Morton sort when
+    /// configured.  Outputs are restored to caller ordinals through the
     /// permutation either way.
-    fn morton_guard(
+    fn launch_order(
         &self,
         queries: &[Point3],
+        exclude_self: bool,
         setup: &mut WorkCounters,
-    ) -> Option<crate::traversal::PoolGuard<'_, ReorderScratch>> {
-        if self.query_order != QueryOrder::Morton || queries.len() < 2 {
-            return None;
-        }
-        let mut span = self.telemetry.span(PhaseKind::MortonReorder);
-        let mut guard = self.reorder.acquire();
-        let sort_ops = guard.order_morton(queries);
-        sat_bump(&mut setup.misc_ops, sort_ops);
-        span.add_counters(WorkCounters {
-            misc_ops: sort_ops,
-            ..WorkCounters::ZERO
-        });
-        Some(guard)
+    ) -> LaunchOrder<'_> {
+        launch_order(
+            self.query_order,
+            self.build_order.as_deref(),
+            exclude_self,
+            queries,
+            &self.reorder,
+            &self.telemetry,
+            setup,
+        )
     }
 
     /// Route one packet: gather its origins through the launch permutation
@@ -1081,8 +1104,8 @@ impl ShardedIndex {
     ) -> WorkCounters {
         debug_assert!(eps <= self.eps, "query radius exceeds the build radius");
         let mut setup = WorkCounters::ZERO;
-        let reorder = self.morton_guard(queries, &mut setup);
-        let perm = reorder.as_deref().map(|g| g.perm.as_slice());
+        let order = self.launch_order(queries, false, &mut setup);
+        let perm = order.perm();
         let start_ns = self.telemetry.now_ns();
         let mut span = self.telemetry.span(PhaseKind::TlasVisit);
         let packets = queries.len().div_ceil(self.batch_size);
@@ -1120,9 +1143,10 @@ impl ShardedIndex {
             counts.len(),
             "one count cell per launched query"
         );
+        // A self-join walks the build's order instead of sorting.
         let mut setup = WorkCounters::ZERO;
-        let reorder = self.morton_guard(queries, &mut setup);
-        let perm = reorder.as_deref().map(|g| g.perm.as_slice());
+        let order = self.launch_order(queries, exclude_self, &mut setup);
+        let perm = order.perm();
         let start_ns = self.telemetry.now_ns();
         let mut span = self.telemetry.span(PhaseKind::TlasVisit);
         let packets = queries.len().div_ceil(self.batch_size);
@@ -1432,6 +1456,8 @@ impl NeighborIndex for ShardedIndex {
             self.shards.push(slot);
         }
         self.n = self.n.saturating_sub(retired.len());
+        // The points no longer match the build's Morton pass.
+        self.build_order = None;
         self.build_counters += total;
         self.rebuild_tlas();
         Ok(total)
@@ -1505,6 +1531,7 @@ impl NeighborIndex for ShardedIndex {
             total += counters;
             self.shards.push(slot);
         }
+        self.build_order = None;
         self.build_counters += total;
         self.rebuild_tlas();
         Ok(total)
@@ -1528,7 +1555,7 @@ mod tests {
         compact_coincident, BuildParallelism, BuilderKind, BvhBuilder, CompactionResult,
         LbvhBuilder, WideBvh,
     };
-    use crate::index::{Neighbor, NeighborIndexBuilder};
+    use crate::index::{Neighbor, NeighborIndexBuilder, ShardingConfig};
 
     fn blob_points(n: usize, seed: u64) -> Vec<Point3> {
         let mut state = seed;
@@ -1809,6 +1836,97 @@ mod tests {
             }
             assert_eq!(c1.dist_comps, c2.dist_comps);
         }
+    }
+
+    /// A Morton self-join count launch walks the build's kept order
+    /// instead of sorting: flat and sharded, exact and early exit, its
+    /// counts and counters equal the launch that sorts its queries (the
+    /// same index with the order dropped), except `misc_ops`, which loses
+    /// the sort's 5n.  Launches that are not self-joins still sort.
+    #[test]
+    fn self_join_launches_walk_the_kept_build_order() {
+        let n = 600;
+        let eps = 0.7f32;
+        for flat in [false, true] {
+            let pts = awkward_points(n, 11, flat);
+            for compaction in [false, true] {
+                let flat_config = NeighborIndexBuilder {
+                    compaction,
+                    bvh_builder: BuilderKind::Lbvh,
+                    query_order: QueryOrder::Morton,
+                    batch_size: 32,
+                    min_parallel_launch: 0,
+                    ..NeighborIndexBuilder::new(IndexKind::WideBatched)
+                };
+                let sharded_config = NeighborIndexBuilder {
+                    sharding: Some(ShardingConfig::new(96)),
+                    ..flat_config
+                };
+                let mut flat_index = WideBatchedIndex::build(&flat_config, &pts, eps).unwrap();
+                let mut sharded = ShardedIndex::build(&sharded_config, &pts, eps).unwrap();
+                assert!(flat_index.build_order().is_some() && sharded.build_order().is_some());
+                let kept = |index: &dyn NeighborIndex| {
+                    [None, Some(3)].map(|early| count_launch(index, &pts, eps, true, early))
+                };
+                let walked = (kept(&flat_index), kept(&sharded));
+                // A launch that is no self-join sorts even with the order
+                // kept.
+                let sort = 5 * n as u64;
+                for index in [&flat_index as &dyn NeighborIndex, &sharded] {
+                    let (_, c) = count_launch(index, &pts, eps, false, None);
+                    assert_eq!(c.misc_ops, sort, "flat={flat} compaction={compaction}");
+                }
+                flat_index.forget_build_order();
+                sharded.forget_build_order();
+                let sorted = (kept(&flat_index), kept(&sharded));
+                for (walked, sorted) in [(walked.0, sorted.0), (walked.1, sorted.1)] {
+                    for ((counts, c), (sorted_counts, sorted_c)) in walked.into_iter().zip(sorted) {
+                        assert_eq!(counts, sorted_counts, "flat={flat} compaction={compaction}");
+                        assert_eq!(c.misc_ops, 0);
+                        assert_eq!(
+                            WorkCounters {
+                                misc_ops: sort,
+                                ..c
+                            },
+                            sorted_c,
+                            "flat={flat} compaction={compaction}"
+                        );
+                    }
+                }
+            }
+            // Moving or removing points leaves the kept order stale: the
+            // maintenance hooks drop it, and self-joins sort again.
+            let config = NeighborIndexBuilder {
+                bvh_builder: BuilderKind::Lbvh,
+                query_order: QueryOrder::Morton,
+                ..NeighborIndexBuilder::new(IndexKind::WideBatched)
+            };
+            let sharded_config = NeighborIndexBuilder {
+                sharding: Some(ShardingConfig::new(96)),
+                ..config
+            };
+            let mut flat_index = WideBatchedIndex::build(&config, &pts, eps).unwrap();
+            flat_index
+                .update(&[(3, Point3::new(0.25, 0.25, 0.0))])
+                .unwrap();
+            let mut sharded = ShardedIndex::build(&sharded_config, &pts, eps).unwrap();
+            sharded.remove(&[5]).unwrap();
+            assert!(flat_index.build_order().is_none() && sharded.build_order().is_none());
+        }
+    }
+
+    /// One count launch over `pts`.
+    fn count_launch(
+        index: &dyn NeighborIndex,
+        pts: &[Point3],
+        eps: f32,
+        exclude_self: bool,
+        early_exit: Option<u64>,
+    ) -> (Vec<u64>, WorkCounters) {
+        let cells: Vec<AtomicU64> = (0..pts.len()).map(|_| AtomicU64::new(0)).collect();
+        let mut c = WorkCounters::ZERO;
+        index.batch_neighbor_counts(pts, eps, exclude_self, early_exit, &mut c, &cells);
+        (cells.into_iter().map(AtomicU64::into_inner).collect(), c)
     }
 
     /// Early exit on a two-shard line whose every query overlaps both

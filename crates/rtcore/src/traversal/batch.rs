@@ -22,6 +22,14 @@
 //! points — [`traverse_batch_with_scratch`] and [`collect_sphere_hits_csr`]
 //! — pin them to the detected level, no profiling and no deadline.
 //!
+//! Each node visit reads the live queries once: the pass that computes a
+//! query's 4-bit child mask also appends it to the bucket of every slot
+//! the mask sets, so an interior child's segment is one slice copy and a
+//! leaf slot runs its bucket in place.  The AVX2 level runs the whole
+//! engine body compiled for AVX2 (the body is inlined into a
+//! `target_feature` function), so its hit-mask kernel inlines into the
+//! per-(node, query) loop.
+//!
 //! Every engine reports the same hits as the binary
 //! [`crate::traversal::traverse`] over the source tree (the collapse stages
 //! the primitives into the scene's lanes in the same order, so even hit
@@ -116,8 +124,9 @@ impl MaskKernel for KernelSse2 {
 impl MaskKernel for KernelAvx2 {
     #[inline]
     fn mask(node: &WideNode, x: f32, y: f32, z: f32) -> u8 {
-        // SAFETY: `KernelAvx2` is only selected after runtime detection
-        // (see `traverse_batch_runs`).
+        // SAFETY: `KernelAvx2` is only instantiated inside
+        // `wavefront_avx2`, which runs only after runtime detection (see
+        // `traverse_batch_runs`).
         unsafe { node.point_hit_mask_xyz_avx2(x, y, z) }
     }
 }
@@ -316,7 +325,10 @@ where
         }
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
-            wavefront_core::<KernelAvx2, S, F>(wide, rays, scratch, counters, sink, cancel, on_run)
+            // SAFETY: the level comes from runtime detection (`detect_simd`,
+            // or `SimdPolicy::resolve`, never above it), which yields `Avx2`
+            // only on a CPU that supports AVX2.
+            unsafe { wavefront_avx2::<S, F>(wide, rays, scratch, counters, sink, cancel, on_run) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         _ => wavefront_core::<KernelScalar, S, F>(
@@ -325,12 +337,39 @@ where
     }
 }
 
+/// The AVX2 instantiation of the wavefront engine, compiled for AVX2: the
+/// engine body is inlined here, so the AVX2 hit-mask kernel inlines into
+/// the per-(node, query) loop instead of being called through a
+/// `target_feature` boundary.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn wavefront_avx2<'s, S, F>(
+    wide: &WideBvh,
+    rays: &[Ray],
+    scratch: &'s mut TraversalScratch,
+    counters: &mut WorkCounters,
+    sink: S,
+    cancel: Option<&CancelScope>,
+    on_run: F,
+) -> &'s [TraversalOutcome]
+where
+    S: VisitSink,
+    F: FnMut(usize, u32, u32, &mut WorkCounters) -> LeafVisit,
+{
+    wavefront_core::<KernelAvx2, S, F>(wide, rays, scratch, counters, sink, cancel, on_run)
+}
+
 /// Frontier pops between wall-clock deadline reads: fine polls (one flag
 /// load) happen every pop, the coarse poll (clock read) only this often.
 const CANCEL_POLL_INTERVAL: u32 = 64;
 
 /// The monomorphic wavefront engine body: one instantiation per
-/// (mask kernel × visit sink) pair.
+/// (mask kernel × visit sink) pair, always inlined into its caller so the
+/// AVX2 instantiation is compiled inside [`wavefront_avx2`].
+#[inline(always)]
 fn wavefront_core<'s, K, S, F>(
     wide: &WideBvh,
     rays: &[Ray],
@@ -378,8 +417,7 @@ where
         frames,
         alive,
         outcomes,
-        live,
-        masks,
+        buckets,
         qx,
         qy,
         qz,
@@ -401,6 +439,11 @@ where
 
     alive.clear();
     alive.resize(n, true);
+    // One packet-length lane per child slot; every entry is written before
+    // it is read, so a grown lane needs no clearing.
+    if buckets.len() < WIDE_BRANCHING * n {
+        buckets.resize(WIDE_BRANCHING * n, 0);
+    }
     frames.push(SegFrame {
         node: 0,
         seg_start: 0,
@@ -435,9 +478,12 @@ where
         // Lockstep lane compare of every live query against all four child
         // boxes at once; queries that terminated while this frame sat on
         // the stack drop out here.  The mask is computed exactly once per
-        // (node, query), through the kernel `K` selected for the launch.
-        live.clear();
-        masks.clear();
+        // (node, query), through the kernel `K` selected for the launch,
+        // and the same pass partitions the query into the bucket of every
+        // slot it hits: each bucket takes an unconditional write at its
+        // fill mark, and the mark advances by the slot's mask bit.
+        let mut filled = [0usize; WIDE_BRANCHING];
+        let mut live = 0u64;
         for &q in &arena[seg_start..] {
             let qi = q as usize;
             if alive[qi] {
@@ -446,32 +492,26 @@ where
                 } else {
                     ray_mask(node, &rays[qi])
                 };
-                live.push(q);
-                masks.push(mask);
+                live += 1;
+                for (slot, fill) in filled.iter_mut().enumerate() {
+                    buckets[slot * n + *fill] = q;
+                    *fill += usize::from((mask >> slot) & 1);
+                }
             }
         }
         // The frame's segment is consumed; reclaim its arena space before
         // publishing child segments.
         arena.truncate(seg_start);
-        if live.is_empty() {
+        if live == 0 {
             continue;
         }
         sat_bump(&mut counters.wide_node_visits, 1);
         sink.visit(frame.node);
-        sat_bump(
-            &mut counters.aabb_tests,
-            occupied_slots(node) * live.len() as u64,
-        );
+        sat_bump(&mut counters.aabb_tests, occupied_slots(node) * live);
 
-        for slot in 0..WIDE_BRANCHING {
-            let bit = 1u8 << slot;
-            let child_start = arena.len();
-            for (k, &q) in live.iter().enumerate() {
-                if masks[k] & bit != 0 && alive[q as usize] {
-                    arena.push(q);
-                }
-            }
-            if arena.len() == child_start {
+        for (slot, &fill) in filled.iter().enumerate() {
+            let bucket = &buckets[slot * n..slot * n + fill];
+            if bucket.is_empty() {
                 continue;
             }
             match node.children[slot] {
@@ -479,20 +519,28 @@ where
                     unreachable!("empty slots can never match the hit mask")
                 }
                 WideChild::Node(child) => {
-                    // The surviving queries stay parked in the arena; the
-                    // frame records where.
+                    // The queries stay parked in the arena; the frame
+                    // records where.  One retired at an earlier leaf slot
+                    // of this node drops out at the child's mask pass, as
+                    // one retired while the frame waits on the stack does.
                     frames.push(SegFrame {
                         node: child,
-                        seg_start: child_start as u32,
-                        seg_len: (arena.len() - child_start) as u32,
+                        seg_start: arena.len() as u32,
+                        seg_len: bucket.len() as u32,
                     });
+                    arena.extend_from_slice(bucket);
                 }
                 WideChild::Leaf {
                     first_prim,
                     prim_count,
                 } => {
-                    for &q in &arena[child_start..] {
+                    // Leaf buckets are consumed in place, skipping queries
+                    // an earlier leaf slot of this node retired.
+                    for &q in bucket {
                         let qi = q as usize;
+                        if !alive[qi] {
+                            continue;
+                        }
                         let visit = on_run(qi, first_prim, prim_count, counters);
                         sat_bump(&mut counters.prim_tests, visit.visited as u64);
                         let outcome = &mut outcomes[qi];
@@ -502,8 +550,6 @@ where
                             alive[qi] = false;
                         }
                     }
-                    // Leaf segments are consumed immediately.
-                    arena.truncate(child_start);
                 }
             }
         }
@@ -881,6 +927,126 @@ mod tests {
         });
         assert_eq!(a, b);
         assert_eq!(c_a, c_b);
+    }
+
+    /// Put `bounds` and `child` into slot `slot` of `node`.
+    fn set_slot(node: &mut WideNode, slot: usize, bounds: crate::geometry::Aabb, child: WideChild) {
+        let (lo, hi) = (bounds.min, bounds.max);
+        for (axis, (l, h)) in [(lo.x, hi.x), (lo.y, hi.y), (lo.z, hi.z)]
+            .into_iter()
+            .enumerate()
+        {
+            node.min_lanes[axis][slot] = l;
+            node.max_lanes[axis][slot] = h;
+        }
+        node.children[slot] = child;
+    }
+
+    /// A hand-built BVH4 whose root holds a leaf in slot 0, an interior
+    /// child in slot 1 and another leaf in slot 2, with two queries inside
+    /// every box.  Query 0 retires at its first candidate in slot 0's
+    /// leaf, so it must never reach a candidate, a box test or a node visit
+    /// in slot 1's subtree or slot 2's leaf, while query 1 visits
+    /// everything.  At every SIMD level the packet's
+    /// per-query candidate runs and outcomes equal the per-ray engine's,
+    /// its `aabb_tests` are the per-ray sum, and its `wide_node_visits`
+    /// count the two nodes the queries reach between them.
+    #[test]
+    fn a_query_retired_at_a_leaf_slot_never_enters_later_slots() {
+        use crate::bvh::PrimLanes;
+        use crate::geometry::Aabb;
+        let prims: Vec<Sphere> = (0..6)
+            .map(|i| Sphere::new(Point3::new(i as f32 * 0.2, 0.0, 0.0), 0.5, i))
+            .collect();
+        let range_box = |lo: usize, hi: usize| {
+            prims[lo..hi]
+                .iter()
+                .fold(Aabb::EMPTY, |acc, p| acc.union(&p.bounds()))
+        };
+        let mut root = WideNode::EMPTY;
+        let leaf = |first_prim, prim_count| WideChild::Leaf {
+            first_prim,
+            prim_count,
+        };
+        set_slot(&mut root, 0, range_box(0, 2), leaf(0, 2));
+        set_slot(&mut root, 1, range_box(2, 4), WideChild::Node(1));
+        set_slot(&mut root, 2, range_box(4, 6), leaf(4, 2));
+        let mut inner = WideNode::EMPTY;
+        set_slot(&mut inner, 0, range_box(2, 4), leaf(2, 2));
+        let wide = WideBvh {
+            nodes: vec![root, inner],
+            scene_bounds: range_box(0, 6),
+            lanes: PrimLanes::from_primitives(&prims),
+            collapse_counters: WorkCounters::ZERO,
+        };
+        let rays = [
+            Ray::epsilon_ray(Point3::new(0.5, 0.0, 0.0)),
+            Ray::epsilon_ray(Point3::new(0.6, 0.0, 0.0)),
+        ];
+
+        // Per-ray reference: query 0 stops at its first candidate.
+        let mut reference = vec![Vec::new(); rays.len()];
+        let mut ref_outcomes = Vec::new();
+        let mut ref_counters = WorkCounters::ZERO;
+        let mut ref_visits = Vec::new();
+        let mut scratch = TraversalScratch::default();
+        for (q, ray) in rays.iter().enumerate() {
+            let mut c = WorkCounters::ZERO;
+            ref_outcomes.push(traverse_wide(
+                &wide,
+                ray,
+                &mut scratch,
+                &mut c,
+                NoSink,
+                |sphere, _| {
+                    reference[q].push(sphere.point_index);
+                    if q == 0 {
+                        Traversal::Terminate
+                    } else {
+                        Traversal::Continue
+                    }
+                },
+            ));
+            ref_visits.push(c.wide_node_visits);
+            ref_counters += c;
+        }
+        assert_eq!(reference[0], vec![0]);
+        assert_eq!(reference[1], vec![0, 1, 4, 5, 2, 3]);
+        assert_eq!(ref_visits, vec![1, 2]);
+
+        for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+            if level > detect_simd() {
+                continue;
+            }
+            let mut seen = vec![Vec::new(); rays.len()];
+            let mut c = WorkCounters::ZERO;
+            let outcomes = traverse_batch_runs(
+                &wide,
+                &rays,
+                &mut scratch,
+                &mut c,
+                level,
+                NoSink,
+                None,
+                |q, first, count, _| {
+                    if q == 0 {
+                        seen[q].push(first);
+                        return LeafVisit {
+                            visited: 1,
+                            terminate: true,
+                        };
+                    }
+                    seen[q].extend(first..first + count);
+                    LeafVisit::all(count)
+                },
+            )
+            .to_vec();
+            assert_eq!(seen, reference, "{level:?}");
+            assert_eq!(outcomes, ref_outcomes, "{level:?}");
+            assert_eq!(c.aabb_tests, ref_counters.aabb_tests, "{level:?}");
+            assert_eq!(c.prim_tests, ref_counters.prim_tests, "{level:?}");
+            assert_eq!(c.wide_node_visits, 2, "{level:?}");
+        }
     }
 
     #[test]

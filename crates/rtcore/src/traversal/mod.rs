@@ -22,6 +22,7 @@ pub mod scratch;
 
 pub use batch::{collect_sphere_hits_csr, traverse_batch_with_scratch};
 pub(crate) use batch::{traverse_batch_runs, traverse_wide, LeafVisit};
+pub(crate) use order::{launch_order, LaunchOrder};
 pub use order::{QueryOrder, ReorderScratch};
 pub use scratch::{PoolGuard, ScratchPool, TraversalScratch};
 

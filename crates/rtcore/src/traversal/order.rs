@@ -19,8 +19,19 @@
 //! the same nodes and candidates whichever packet it rides in), so
 //! `rays`, `dist_comps` and `prim_tests` are unchanged; only the shared
 //! `wide_node_visits` drop.
+//!
+//! A self-join count launch — `exclude_self` over all of an LBVH-built
+//! index's points, DBSCAN's stage 1 — sorts nothing: its queries are the
+//! indexed points in index order, and the index build already ran the same
+//! encode-and-sort pass over them, so the launch walks the permutation the
+//! build kept (see [`crate::index::WideBatchedIndex::build_order`]).
+//! Subset launches (stage 2's cores and borders) and external query sets
+//! sort their own queries.
 
 use crate::geometry::{morton_sort, radix_sort_ops, Point3};
+use crate::hardware::{sat_bump, WorkCounters};
+use crate::telemetry::{PhaseKind, Telemetry};
+use crate::traversal::{PoolGuard, ScratchPool};
 
 /// In what order a batched launch feeds queries into packets.
 ///
@@ -130,6 +141,69 @@ impl ReorderScratch {
         );
         radix_sort_ops(queries.len()) + queries.len() as u64
     }
+
+    /// The launch permutation of the last [`ReorderScratch::order_morton`]:
+    /// entry `i` is the caller index of the `i`-th query in sorted order.
+    pub fn order(&self) -> &[u32] {
+        &self.perm
+    }
+}
+
+/// The permutation one batched launch cuts its packets from: launch
+/// position `i` is caller query `perm[i]`.
+pub(crate) enum LaunchOrder<'a> {
+    /// Caller order (no permutation).
+    AsGiven,
+    /// The index build's Morton permutation of its own points, walked by a
+    /// self-join launch instead of sorting again.
+    Build(&'a [u32]),
+    /// A Morton sort of this launch's queries, held in a pooled scratch
+    /// for the duration of the launch.
+    Sorted(PoolGuard<'a, ReorderScratch>),
+}
+
+impl LaunchOrder<'_> {
+    /// The launch permutation (`None` = caller order).
+    pub(crate) fn perm(&self) -> Option<&[u32]> {
+        match self {
+            LaunchOrder::AsGiven => None,
+            LaunchOrder::Build(order) => Some(order),
+            LaunchOrder::Sorted(guard) => Some(&guard.perm),
+        }
+    }
+}
+
+/// Choose a batched launch's order under `query_order`.  A self-join
+/// count launch — `exclude_self` over as many queries as the index's kept
+/// Morton permutation `build_order` covers, which the count contract makes
+/// the indexed points in index order — walks that permutation.  Otherwise
+/// a Morton launch of two or more queries checks a scratch out of `pool`
+/// and sorts into it under a `morton_reorder` span, charging the sort to
+/// `setup.misc_ops`.  `AsGiven` and trivial launches run in caller order.
+pub(crate) fn launch_order<'a>(
+    query_order: QueryOrder,
+    build_order: Option<&'a [u32]>,
+    exclude_self: bool,
+    queries: &[Point3],
+    pool: &'a ScratchPool<ReorderScratch>,
+    telemetry: &Telemetry,
+    setup: &mut WorkCounters,
+) -> LaunchOrder<'a> {
+    if query_order != QueryOrder::Morton || queries.len() < 2 {
+        return LaunchOrder::AsGiven;
+    }
+    if let Some(order) = build_order.filter(|o| exclude_self && o.len() == queries.len()) {
+        return LaunchOrder::Build(order);
+    }
+    let mut span = telemetry.span(PhaseKind::MortonReorder);
+    let mut guard = pool.acquire();
+    let sort_ops = guard.order_morton(queries);
+    sat_bump(&mut setup.misc_ops, sort_ops);
+    span.add_counters(WorkCounters {
+        misc_ops: sort_ops,
+        ..WorkCounters::ZERO
+    });
+    LaunchOrder::Sorted(guard)
 }
 
 #[cfg(test)]

@@ -25,7 +25,9 @@
 //! the arena suffix — consuming a frame is a `truncate`, publishing a
 //! child segment is a bump append, and the arena's high-water mark is
 //! bounded by (tree depth × packet size) instead of the total number of
-//! node visits.
+//! node visits.  A child's segment is copied whole from the per-slot
+//! bucket the node's mask pass filled (four packet-length lanes), so the
+//! live queries are read once per node, not once per child slot.
 //!
 //! # Examples
 //!
@@ -89,10 +91,10 @@ pub struct TraversalScratch {
     pub(crate) alive: Vec<bool>,
     /// Per-query outcomes for the current launch.
     pub(crate) outcomes: Vec<TraversalOutcome>,
-    /// Query ids alive at the node currently being visited.
-    pub(crate) live: Vec<u32>,
-    /// Child-slot hit mask per entry of `live`.
-    pub(crate) masks: Vec<u8>,
+    /// Per-slot buckets of the node being visited: four lanes of one
+    /// packet length each, lane `s` holding the live queries whose hit mask
+    /// sets slot `s`, filled in the one pass that computes the masks.
+    pub(crate) buckets: Vec<u32>,
     /// SoA-staged query origins (x lane), one entry per packet ray.
     pub(crate) qx: Vec<f32>,
     /// SoA-staged query origins (y lane).
@@ -117,8 +119,7 @@ impl TraversalScratch {
             + self.node_stack.capacity() * std::mem::size_of::<u32>()
             + self.alive.capacity()
             + self.outcomes.capacity() * std::mem::size_of::<TraversalOutcome>()
-            + self.live.capacity() * std::mem::size_of::<u32>()
-            + self.masks.capacity()
+            + self.buckets.capacity() * std::mem::size_of::<u32>()
             + (self.qx.capacity() + self.qy.capacity() + self.qz.capacity())
                 * std::mem::size_of::<f32>()
             + self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()

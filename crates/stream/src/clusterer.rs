@@ -102,7 +102,9 @@ pub struct StreamingStats {
     pub clean_snapshots: u64,
     /// Snapshots that had to re-form the partition (stage-2 pass).
     pub dirty_snapshots: u64,
-    /// Failed main-scene build attempts that were retried in-call.
+    /// Failed main-scene build attempts that were retried in-call.  Like
+    /// the two degradations below, also counted under its own name in the
+    /// telemetry metrics registry when telemetry records.
     pub rebuild_retries: u64,
     /// Rebuilds that exhausted every in-call attempt and degraded (the old
     /// scene, overlays and tail kept answering; a backoff defers the next
@@ -678,7 +680,11 @@ impl StreamingClusterer {
         let delta = match self.try_build_delta(spheres) {
             Ok(delta) => delta,
             Err(_) => {
-                sat_bump(&mut self.stats.compaction_deferrals, 1);
+                count_degradation(
+                    &mut self.stats.compaction_deferrals,
+                    &self.telemetry,
+                    "compaction_deferrals",
+                );
                 return;
             }
         };
@@ -748,10 +754,18 @@ impl StreamingClusterer {
                     Err(_) => {
                         attempt += 1;
                         if !policy.allows_attempt(attempt) {
-                            sat_bump(&mut self.stats.rebuild_failures, 1);
+                            count_degradation(
+                                &mut self.stats.rebuild_failures,
+                                &telemetry,
+                                "rebuild_failures",
+                            );
                             return false;
                         }
-                        sat_bump(&mut self.stats.rebuild_retries, 1);
+                        count_degradation(
+                            &mut self.stats.rebuild_retries,
+                            &telemetry,
+                            "rebuild_retries",
+                        );
                     }
                 }
             }
@@ -1135,6 +1149,16 @@ impl StreamingClusterer {
         }
         self.stage2_counters += counters;
         self.repair_csr.rebuild_from_pairs(chunk.len(), pairs);
+    }
+}
+
+/// Count one degradation: its [`StreamingStats`] field, and the metrics
+/// counter of the same name when telemetry records (nothing under
+/// [`rtcore::telemetry::TelemetryConfig::Off`]).
+fn count_degradation(stat: &mut u64, telemetry: &Telemetry, name: &'static str) {
+    sat_bump(stat, 1);
+    if let Some(metrics) = telemetry.metrics() {
+        metrics.incr(name, 1);
     }
 }
 
@@ -1580,59 +1604,103 @@ mod tests {
         assert_matches_classic(&mut c);
     }
 
+    /// The degradation counters of the metrics registry: `None` when
+    /// telemetry records nothing, else the three counts in
+    /// [`StreamingStats`] order.
+    #[cfg(feature = "fault-inject")]
+    fn degradation_metrics(c: &StreamingClusterer) -> Option<[u64; 3]> {
+        let metrics = c.telemetry()?.metrics()?;
+        Some(
+            [
+                "rebuild_retries",
+                "rebuild_failures",
+                "compaction_deferrals",
+            ]
+            .map(|name| metrics.counter(name)),
+        )
+    }
+
+    /// `StreamingStats`' degradation counts, in registry order.
+    #[cfg(feature = "fault-inject")]
+    fn degradation_stats(stats: &StreamingStats) -> [u64; 3] {
+        [
+            stats.rebuild_retries,
+            stats.rebuild_failures,
+            stats.compaction_deferrals,
+        ]
+    }
+
     #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_build_failures_degrade_gracefully_and_recover() {
         use rtcore::fault::FaultPlan;
+        use rtcore::telemetry::TelemetryConfig;
         // Roughly one in three builds fails; the clusterer must stay exact
         // throughout (old scene + overlays + tail keep answering) and the
-        // retry/backoff machinery must eventually rebuild.
-        let mut c = StreamingClusterer::new(StreamingConfig {
-            fault: FaultPlan::Seeded {
-                seed: 42,
-                one_in: 3,
-            },
-            max_pending_fraction: 0.05,
-            ..config(1.0, 2, WindowPolicy::Count(60))
-        })
-        .unwrap();
-        for wave in 0..12 {
-            let pts: Vec<Point3> = (0..15)
-                .map(|i| Point3::new_2d(wave as f32 * 1.5 + (i % 5) as f32 * 0.4, 0.0))
-                .collect();
-            c.ingest(&timestamped(&pts, wave as f64 * 100.0)).unwrap();
-            assert_matches_classic(&mut c);
+        // retry/backoff machinery must eventually rebuild.  Under `Spans`
+        // every degradation is also counted in the metrics registry; `Off`
+        // records nothing and degrades identically.
+        let mut runs = Vec::new();
+        for telemetry in [TelemetryConfig::Off, TelemetryConfig::Spans] {
+            let mut c = StreamingClusterer::new(StreamingConfig {
+                fault: FaultPlan::Seeded {
+                    seed: 42,
+                    one_in: 3,
+                },
+                max_pending_fraction: 0.05,
+                telemetry,
+                ..config(1.0, 2, WindowPolicy::Count(60))
+            })
+            .unwrap();
+            for wave in 0..12 {
+                let pts: Vec<Point3> = (0..15)
+                    .map(|i| Point3::new_2d(wave as f32 * 1.5 + (i % 5) as f32 * 0.4, 0.0))
+                    .collect();
+                c.ingest(&timestamped(&pts, wave as f64 * 100.0)).unwrap();
+                assert_matches_classic(&mut c);
+            }
+            let stats = c.stats();
+            assert!(
+                stats.rebuild_retries + stats.rebuild_failures + stats.compaction_deferrals > 0,
+                "the seeded plan must have fired at least once: {stats:?}"
+            );
+            assert!(stats.rebuilds > 0, "some rebuilds must still succeed");
+            let expected = (telemetry == TelemetryConfig::Spans).then(|| degradation_stats(&stats));
+            assert_eq!(degradation_metrics(&c), expected, "{telemetry:?}");
+            runs.push(degradation_stats(&stats));
         }
-        let stats = c.stats();
-        assert!(
-            stats.rebuild_retries + stats.rebuild_failures + stats.compaction_deferrals > 0,
-            "the seeded plan must have fired at least once: {stats:?}"
-        );
-        assert!(stats.rebuilds > 0, "some rebuilds must still succeed");
+        assert_eq!(runs[0], runs[1], "telemetry must not change what degrades");
     }
 
     #[cfg(feature = "fault-inject")]
     #[test]
     fn permanent_build_failure_stays_exact_forever() {
         use rtcore::fault::FaultPlan;
+        use rtcore::telemetry::TelemetryConfig;
         // Every build fails: the scene is never (re)built, every query runs
         // over the exact tail scan — slow, but never wrong and never a
-        // panic.
-        let mut c = StreamingClusterer::new(StreamingConfig {
-            fault: FaultPlan::Seeded { seed: 7, one_in: 1 },
-            ..config(1.0, 2, WindowPolicy::Count(40))
-        })
-        .unwrap();
-        for wave in 0..6 {
-            let pts: Vec<Point3> = (0..12)
-                .map(|i| Point3::new_2d(wave as f32 * 2.0 + (i % 4) as f32 * 0.4, 0.0))
-                .collect();
-            c.ingest(&timestamped(&pts, wave as f64 * 100.0)).unwrap();
-            assert_matches_classic(&mut c);
+        // panic.  The registry counts the same degradations as the stats
+        // under `Spans` and nothing under `Off`.
+        for telemetry in [TelemetryConfig::Off, TelemetryConfig::Spans] {
+            let mut c = StreamingClusterer::new(StreamingConfig {
+                fault: FaultPlan::Seeded { seed: 7, one_in: 1 },
+                telemetry,
+                ..config(1.0, 2, WindowPolicy::Count(40))
+            })
+            .unwrap();
+            for wave in 0..6 {
+                let pts: Vec<Point3> = (0..12)
+                    .map(|i| Point3::new_2d(wave as f32 * 2.0 + (i % 4) as f32 * 0.4, 0.0))
+                    .collect();
+                c.ingest(&timestamped(&pts, wave as f64 * 100.0)).unwrap();
+                assert_matches_classic(&mut c);
+            }
+            let stats = c.stats();
+            assert_eq!(stats.rebuilds, 0, "no build can succeed under one_in=1");
+            assert!(stats.rebuild_failures > 0);
+            assert!(stats.compaction_deferrals > 0);
+            let expected = (telemetry == TelemetryConfig::Spans).then(|| degradation_stats(&stats));
+            assert_eq!(degradation_metrics(&c), expected, "{telemetry:?}");
         }
-        let stats = c.stats();
-        assert_eq!(stats.rebuilds, 0, "no build can succeed under one_in=1");
-        assert!(stats.rebuild_failures > 0);
-        assert!(stats.compaction_deferrals > 0);
     }
 }

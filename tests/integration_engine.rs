@@ -15,6 +15,9 @@
 //!    configurations with `ConfigError`s naming the offending field.
 //! 4. **Object safety** — `Box<dyn NeighborIndex>` flows through the
 //!    engine, the session and manual drivers.
+//! 5. **Stage 2's prefix** — on NGSIM's many small clusters stage 2 runs
+//!    one query per core, the prefix's included, and labels as before; on
+//!    porto's giant it still skips the giant's full queries.
 
 use proptest::prelude::*;
 use rtcore::bvh::BuilderKind;
@@ -395,4 +398,64 @@ proptest! {
             );
         }
     }
+}
+
+/// FNV-1a over the little-endian bytes of `labels`: a hash that does not
+/// depend on the standard library's hasher.
+fn fnv1a(labels: &[i64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in labels.iter().flat_map(|l| l.to_le_bytes()) {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// NGSIM 50k at ε 0.1, minPts 20: 35,634 cores in 877 clusters, more cores
+/// than possible borders but no giant component.  Stage 2 runs the full
+/// queries of its 1,024-core prefix, finds no component that could grow
+/// past the possible borders, and runs the other cores' full queries
+/// without a sampling round: one query per core, as many rays as cores
+/// (the sampling round used to double them to 71,268).  The labels are
+/// pinned to the ones stage 2 gave before the prefix.
+#[test]
+fn ngsim_stage2_runs_one_query_per_core_without_a_giant() {
+    let points = rtdbscan_datasets::generate(rtdbscan_datasets::PaperDataset::Ngsim, 50_000, 1);
+    let engine = ClusterEngine::builder()
+        .eps(0.1)
+        .min_pts(20)
+        .build()
+        .unwrap();
+    let run = engine.run(&points).unwrap();
+    let cores = run.clustering.core.iter().filter(|&&c| c).count();
+    assert_eq!(cores, 35_634);
+    assert_eq!(run.clustering.num_clusters(), 877);
+    assert_eq!(run.counters.cluster_formation.rays, 35_634);
+    assert_eq!(fnv1a(&run.clustering.labels), 0x1861_647f_23f2_f05c);
+}
+
+/// Porto 100k at ε 0.1, minPts 20 forms a giant (about 88k cores, almost
+/// all in one component), and its index order is random within the
+/// hotspots.  The prefix's full queries must still see a component that
+/// could beat the possible borders, so stage 2 samples the rest and skips
+/// the giant's full queries: its candidate tests stay a small fraction of
+/// the exact stage 1's (a full launch of every core would cost about as
+/// much as stage 1).
+#[test]
+fn porto_stage2_still_skips_the_giant_after_the_prefix() {
+    let points =
+        rtdbscan_datasets::generate(rtdbscan_datasets::PaperDataset::PortoTaxi, 100_000, 1);
+    let engine = ClusterEngine::builder()
+        .eps(0.1)
+        .min_pts(20)
+        .build()
+        .unwrap();
+    let run = engine.run(&points).unwrap();
+    let (setup, _) = engine.session(&points).unwrap().setup_cost();
+    let stage1 = setup.core_identification.dist_comps;
+    let stage2 = run.counters.cluster_formation.dist_comps;
+    assert!(
+        stage2 * 10 < stage1,
+        "stage 2 ran {stage2} candidate tests against the exact stage 1's {stage1}"
+    );
 }
