@@ -1080,7 +1080,11 @@ impl ClusterSession {
                 &CancelScope::none(),
             )
         });
-        let (labels, stage2_counters) = stage2?;
+        let stages::FormedClusters {
+            labels,
+            counters: stage2_counters,
+            ..
+        } = stage2?;
 
         Ok(RunResult {
             clustering: Clustering::new(labels, core),

@@ -63,7 +63,7 @@ pub mod metrics;
 pub mod params;
 pub mod rt_dbscan;
 pub mod runner;
-pub(crate) mod stages;
+pub mod stages;
 
 pub use classic::ClassicDbscan;
 pub use dclust::CudaDclustPlus;

@@ -1,15 +1,17 @@
 //! The two-stage DBSCAN formulation (Algorithm 3 of the paper) expressed
 //! over any [`NeighborIndex`] backend.
 //!
-//! Stage 1 ([`count_all_neighbors`]) counts every point's ε-neighbours in
+//! Stage 1 (`count_all_neighbors`) counts every point's ε-neighbours in
 //! one batched launch, exactly or stopping each point at minPts; stage 2
 //! ([`form_clusters`]) merges core neighbours through a parallel union-find
 //! and claims every border point for its lowest-index core neighbour.  One
-//! function ([`run_two_stage`]) runs both and assembles the [`RunResult`]:
+//! function (`run_two_stage`) runs both and assembles the [`RunResult`]:
 //! RT-DBSCAN, the FDBSCAN baseline and the engine's runs are thin
-//! configurations of it, and `ClusterSession` calls the two stages
-//! directly.  The substrate (binary BVH, BVH4 packets, a two-level sharded
-//! scene, a grid or brute force) is whatever backend the caller hands in.
+//! configurations of it, `ClusterSession` calls the two stages directly,
+//! and the streaming clusterer re-forms a dirty window by calling stage 2
+//! alone with the neighbour counts its ingests maintain.  The substrate
+//! (binary BVH, BVH4 packets, a two-level sharded scene, a grid or brute
+//! force) is whatever backend the caller hands in.
 //!
 //! Stage 2 skips the queries the union-find already proves redundant.  This
 //! is Afforest's subgraph sampling (Sutton, Ben-Nun & Barak, "Optimizing
@@ -54,8 +56,9 @@ use rtcore::Result;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
 
-/// Border-claim slot value of a point no core has claimed.
-const UNCLAIMED: u32 = u32::MAX;
+/// The claim of a point no core has claimed: a core, a noise point, or a
+/// border whose claim is still open during the launches.
+pub const UNCLAIMED: u32 = u32::MAX;
 
 /// Core neighbours each core links to in the sampling launch (Afforest's
 /// neighbour-sampling round, which links each vertex to its first two).
@@ -120,28 +123,48 @@ pub(crate) fn count_all_neighbors(
     Ok((counts, counters))
 }
 
-/// Stage 2, under one `stage2_union_find` telemetry span.  Core neighbours
-/// merge through the concurrent union-find.  A border point joins the
-/// cluster of the lowest-index core within ε of it (the paper's critical
-/// section, Algorithm 3 line 14): during the launches its claim slot is
-/// lowered to that core's index, and after they join each claimed border
-/// is unioned with its claim.  `counts` are stage 1's neighbour counts;
-/// they tell which points can be borders, and so whether the sampled skip
+/// What stage 2 ([`form_clusters`]) decides for each point.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FormedClusters {
+    /// Each point's cluster label, [`NOISE`] for noise.  A cluster's label
+    /// is the smallest point index in its union-find component, which can
+    /// be a border's.
+    pub labels: Vec<i64>,
+    /// Each point's claim: for a border, the index of its lowest-index core
+    /// neighbour, whose cluster it joins; for a duplicate a compacting
+    /// backend merged away, its representative's claim; [`UNCLAIMED`] for
+    /// cores and noise.
+    pub claims: Vec<u32>,
+    /// The stage's counted work: every launch, the union-find traffic and
+    /// the duplicate fix-up pass for compacting backends.
+    pub counters: WorkCounters,
+}
+
+/// Stage 2 of Algorithm 3, under one `stage2_union_find` telemetry span
+/// when the index records.  Core neighbours merge through the concurrent
+/// union-find.  A border point joins the cluster of the lowest-index core
+/// within ε of it (the paper's critical section, Algorithm 3 line 14):
+/// during the launches its claim slot is lowered to that core's index, and
+/// after they join each claimed border is unioned with its claim.
+///
+/// `index` must hold exactly `points` (built at radius `eps`), and
+/// `counts` and `core` are index-aligned with them: the points'
+/// ε-neighbour counts (self excluded), exact or stopped at minPts, and
+/// their core flags.  Stage 2 reads only whether a count is positive,
+/// which tells which points can be borders and so whether the sampled skip
 /// (see the [module documentation](self)) can pay.
 ///
-/// Returns the final labels (noise = [`NOISE`]) and the stage's counted
-/// work: every launch, the union-find traffic and the duplicate fix-up
-/// pass for compacting backends.  A scope trip surfaces as
-/// [`rtcore::Error::DeadlineExceeded`]; the union-find and claim state
-/// live in this frame, so a cancelled stage discards every partial merge.
-pub(crate) fn form_clusters(
+/// A scope trip surfaces as [`rtcore::Error::DeadlineExceeded`]; the
+/// union-find and claim state live in this frame, so a cancelled stage
+/// discards every partial merge.
+pub fn form_clusters(
     index: &dyn NeighborIndex,
     points: &[Point3],
     counts: &[u64],
     core: &[bool],
     eps: f32,
     scope: &CancelScope,
-) -> Result<(Vec<i64>, WorkCounters)> {
+) -> Result<FormedClusters> {
     let span = index
         .telemetry()
         .map(|t| t.span(PhaseKind::Stage2UnionFind));
@@ -199,20 +222,20 @@ pub(crate) fn form_clusters(
     // Every launch has joined: each border joins exactly one cluster, that
     // of its lowest-index core neighbour.
     let Stage2 { dsu, claim, .. } = stage;
-    let claim: Vec<u32> = claim.into_iter().map(AtomicU32::into_inner).collect();
-    for (q, &c) in claim.iter().enumerate() {
+    let mut claims: Vec<u32> = claim.into_iter().map(AtomicU32::into_inner).collect();
+    for (q, &c) in claims.iter().enumerate() {
         if c != UNCLAIMED {
             dsu.union(c as usize, q, &mut counters);
         }
     }
 
     // Materialise labels.  Coincident duplicates merged away by a
-    // compacting backend inherit their representative's assignment (they
-    // have identical neighbourhoods, so this is always a valid DBSCAN
-    // assignment).
+    // compacting backend inherit their representative's assignment and
+    // claim (they have identical neighbourhoods, so this is always a valid
+    // DBSCAN assignment).
     let mut labels: Vec<i64> = (0..n)
         .map(|i| {
-            if core[i] || claim[i] != UNCLAIMED {
+            if core[i] || claims[i] != UNCLAIMED {
                 dsu.find(i, &mut counters) as i64
             } else {
                 NOISE
@@ -224,6 +247,7 @@ pub(crate) fn form_clusters(
         let rep = index.representative_of(i as u32) as usize;
         if rep != i && labels[i] == NOISE && labels[rep] >= 0 {
             labels[i] = labels[rep];
+            claims[i] = claims[rep];
             dup_fixups += 1;
         }
     }
@@ -231,7 +255,11 @@ pub(crate) fn form_clusters(
     if let Some(mut s) = span {
         s.add_counters(counters);
     }
-    Ok((labels, counters))
+    Ok(FormedClusters {
+        labels,
+        claims,
+        counters,
+    })
 }
 
 /// Stage 2's launch context and the state its launches share: the
@@ -452,7 +480,11 @@ pub(crate) fn run_two_stage(
 
     let (stage2, stage2_time) =
         timed(|| form_clusters(index, points, &counts, &core, params.eps, scope));
-    let (labels, stage2_counters) = stage2?;
+    let FormedClusters {
+        labels,
+        counters: stage2_counters,
+        ..
+    } = stage2?;
 
     Ok(RunResult {
         clustering: Clustering::new(labels, core),

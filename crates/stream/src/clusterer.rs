@@ -9,8 +9,10 @@
 //!
 //! 1. **Neighbour counts / core flags** — maintained *exactly*: inserting a
 //!    point queries its ε-neighbourhood once and bumps both sides' counts;
-//!    evicting a point queries once more and decrements the survivors.
-//!    Stage 1 of the batch pipeline never needs to re-run.
+//!    evicting a point queries once more and decrements the survivors
+//!    (the incremental counts of Ester et al., "Incremental Clustering for
+//!    Mining in a Data Warehousing Environment", VLDB 1998).  Stage 1 of
+//!    the batch pipeline never needs to re-run.
 //! 2. **The core partition** (clusters = connected components of core
 //!    points under ε-adjacency) — monotone under insertion: a point can
 //!    only *become* core, and a new core point merges components, which a
@@ -21,28 +23,36 @@
 //!    live core ε-neighbour.  Hints stay valid until the hinted core
 //!    retires or flips, which only happens on the dirty path.
 //!
-//! A dirty partition is repaired lazily by the next [`snapshot`]: the
-//! epoch disjoint-set resets in O(1) and a stage-2-only pass (one
-//! neighbourhood traversal per live core point) re-forms components and
-//! hints.  The expensive per-snapshot work of the batch pipeline — scene
-//! build and stage-1 counting over *all* points — is never repeated; the
-//! acceleration structure itself is maintained by refit with an
-//! LBVH-rebuild fallback under the configured [`RefitPolicy`].
+//! A dirty partition is re-formed lazily by the next [`snapshot`] with the
+//! batch pipeline's own stage 2 ([`rtdbscan::stages::form_clusters`]): a
+//! transient index over the window in the engine's `Algo::Rt`
+//! configuration (LBVH, Morton-ordered launches, compaction), dropped when
+//! the call returns, and the parallel union-find launches fed the
+//! maintained counts and core flags.  Stage 1 never runs.  The result
+//! re-seeds the incremental state — each core joins its cluster's first
+//! core, each border's hint becomes its lowest-index core neighbour — so
+//! insert-only slides extend the partition in place again.  While the
+//! partition is dirty, ingest skips the flip-up queries the re-formation
+//! would re-derive.  The maintained scene serves ingest's neighbour queries
+//! and is kept by refit with an LBVH-rebuild fallback under the configured
+//! [`RefitPolicy`](rtcore::bvh::RefitPolicy).
 //!
 //! [`snapshot`]: StreamingClusterer::snapshot
 
 use crate::window::{StreamingConfig, WindowPolicy};
-use rtcore::bvh::{refit, Bvh, BvhBuilder, LbvhBuilder, TreeHealth, WideBvh};
-use rtcore::fault::{CancelScope, FaultInjector, FaultSite};
+use rtcore::bvh::{refit, Bvh, BvhBuilder, LbvhBuilder, TreeHealth};
+use rtcore::fault::{CancelScope, FaultInjector, FaultPlan, FaultSite, MemoryBudget};
 use rtcore::geometry::{Point3, Ray, Sphere};
 use rtcore::hardware::sat_bump;
 use rtcore::hardware::WorkCounters;
-use rtcore::index::{CsrNeighbors, IndexKind};
-use rtcore::telemetry::{PhaseKind, Telemetry};
-use rtcore::traversal::{traverse, traverse_batch_with_scratch, Traversal, TraversalScratch};
+use rtcore::index::NeighborIndexBuilder;
+use rtcore::telemetry::{PhaseKind, Telemetry, TelemetryConfig};
+use rtcore::traversal::{traverse, Traversal};
 use rtcore::Result;
 use rtdbscan::disjoint_set::EpochDisjointSet;
+use rtdbscan::engine::{Algo, ClusterEngine};
 use rtdbscan::labels::{Clustering, NOISE};
+use rtdbscan::stages::{form_clusters, FormedClusters, UNCLAIMED};
 use std::collections::VecDeque;
 
 /// Which spatial structure currently holds a slot's sphere.
@@ -100,7 +110,8 @@ pub struct StreamingStats {
     pub rebuilds: u64,
     /// Snapshots that could reuse the clean incremental partition.
     pub clean_snapshots: u64,
-    /// Snapshots that had to re-form the partition (stage-2 pass).
+    /// Snapshots that had to re-form the partition: the batch stage 2
+    /// over a transient index of the window, from the maintained counts.
     pub dirty_snapshots: u64,
     /// Failed main-scene build attempts that were retried in-call.  Like
     /// the two degradations below, also counted under its own name in the
@@ -173,10 +184,6 @@ pub struct StreamingClusterer {
     /// (re)build or when the window empties.
     scene: Option<Bvh>,
     health_at_build: Option<TreeHealth>,
-    /// Lazily collapsed wide (BVH4) form of `scene`, used by the batched
-    /// snapshot repair pass; invalidated whenever `scene` changes shape
-    /// (refit or rebuild).
-    wide_scene: Option<WideBvh>,
     /// Retired primitives still physically inside `scene` (hit lists filter
     /// them; a refit flushes them).
     dead_in_scene: usize,
@@ -190,8 +197,10 @@ pub struct StreamingClusterer {
 
     dsu: EpochDisjointSet,
     /// Set when the incremental partition may be invalid (a core point
-    /// retired or flipped down); cleared by the stage-2 pass in `snapshot`.
+    /// retired or flipped down); cleared by the re-formation in `snapshot`.
     dirty: bool,
+    /// How a dirty snapshot builds its transient index over the window.
+    snapshot_index: NeighborIndexBuilder,
     /// The last materialised clustering, valid while the window is
     /// unchanged: clean repeat snapshots return it without recomputing (or
     /// recounting) anything.  Any successful ingest that inserts or evicts
@@ -220,21 +229,27 @@ pub struct StreamingClusterer {
     /// Scratch buffers reused across calls.
     hits_scratch: Vec<u32>,
     flips_scratch: Vec<u32>,
-    /// Reusable state of the batched snapshot-repair pass: staged rays,
-    /// `(query, hit)` pairs, the wavefront traversal scratch, and the CSR
-    /// neighbourhoods of the current packet.  All grow-only, so the
-    /// per-packet repair loop allocates nothing once warm (the pass itself
-    /// still materialises its core-point list once per repair).
-    repair_rays: Vec<Ray>,
-    repair_pairs: Vec<(u32, u32)>,
-    repair_trav: TraversalScratch,
-    repair_csr: CsrNeighbors,
 }
 
 impl StreamingClusterer {
     /// Create an empty clusterer; fails on invalid configuration.
     pub fn new(config: StreamingConfig) -> Result<Self> {
         config.validate()?;
+        // The engine's `Algo::Rt` index over the configured BVH kind.  Its
+        // spans go to this clusterer's recorder; fault injection and the
+        // memory budget act on the maintained scene, so the transient
+        // index arms neither (see `reform_partition`).
+        let snapshot_index = NeighborIndexBuilder {
+            telemetry: TelemetryConfig::Off,
+            fault: FaultPlan::Off,
+            memory_budget: MemoryBudget::Unlimited,
+            ..ClusterEngine::builder()
+                .algorithm(Algo::Rt)
+                .index(config.snapshot_traversal)
+                .params(config.params)
+                .build()?
+                .index_config()
+        };
         Ok(StreamingClusterer {
             config,
             eps_sq: config.params.eps_sq(),
@@ -246,12 +261,12 @@ impl StreamingClusterer {
             now: f64::NEG_INFINITY,
             scene: None,
             health_at_build: None,
-            wide_scene: None,
             dead_in_scene: 0,
             deltas: Vec::new(),
             pending: Vec::new(),
             dsu: EpochDisjointSet::new(0),
             dirty: false,
+            snapshot_index,
             snapshot_cache: None,
             build_counters: WorkCounters::ZERO,
             stage1_counters: WorkCounters::ZERO,
@@ -263,10 +278,6 @@ impl StreamingClusterer {
             rebuild_fail_streak: 0,
             hits_scratch: Vec::new(),
             flips_scratch: Vec::new(),
-            repair_rays: Vec::new(),
-            repair_pairs: Vec::new(),
-            repair_trav: TraversalScratch::default(),
-            repair_csr: CsrNeighbors::new(),
         })
     }
 
@@ -302,7 +313,9 @@ impl StreamingClusterer {
     /// The telemetry recorder, when the configuration enables one (`None`
     /// under the default `TelemetryConfig::Off`).  Every ingest records a
     /// `streaming_slide` span, with nested `refit` / `rebuild` spans when
-    /// scene maintenance ran.
+    /// scene maintenance ran; every dirty snapshot records an `lbvh_build`
+    /// span for its transient index and a `stage2_union_find` span for the
+    /// re-formation, each with its counted work.
     pub fn telemetry(&self) -> Option<&Telemetry> {
         self.telemetry.is_enabled().then_some(&self.telemetry)
     }
@@ -322,13 +335,12 @@ impl StreamingClusterer {
         )
     }
 
-    /// Estimated device-memory footprint of the streaming state in bytes.
+    /// Estimated resident device-memory footprint of the streaming state
+    /// in bytes (a dirty snapshot's transient index is not resident).
     pub fn device_bytes(&self) -> u64 {
         let scene = self.scene.as_ref().map_or(0, Bvh::device_bytes);
-        let wide = self.wide_scene.as_ref().map_or(0, WideBvh::device_bytes);
         let deltas: u64 = self.deltas.iter().map(Bvh::device_bytes).sum();
         scene
-            + wide
             + deltas
             + (self.slots.len() * std::mem::size_of::<Slot>()) as u64
             + (self.pending.len() * std::mem::size_of::<u32>()) as u64
@@ -356,16 +368,10 @@ impl StreamingClusterer {
             }
         }
         if !self.config.memory_budget.allows(self.device_bytes()) {
-            // Degrade before refusing: shed the cached wide collapse of the
-            // main scene (snapshot repair recollapses it lazily when next
-            // needed — correctness is unaffected, only repair speed).
-            self.wide_scene = None;
-            if !self.config.memory_budget.allows(self.device_bytes()) {
-                return Err(rtcore::Error::OverBudget {
-                    requested: self.device_bytes(),
-                    budget: self.config.memory_budget.limit().unwrap_or(0),
-                });
-            }
+            return Err(rtcore::Error::OverBudget {
+                requested: self.device_bytes(),
+                budget: self.config.memory_budget.limit().unwrap_or(0),
+            });
         }
         // The span borrows a clone of the handle (they share one recorder)
         // so the body below can keep taking `&mut self`.
@@ -540,10 +546,10 @@ impl StreamingClusterer {
 
     /// Every point that became core this batch merges with its core
     /// neighbours and hands hints to its non-core neighbours.  On the dirty
-    /// path the unions are skipped — the next snapshot re-forms the
-    /// partition from scratch anyway.
+    /// path the whole pass, queries included, is skipped: the next snapshot
+    /// re-derives every union and every hint.
     fn process_flip_ups(&mut self) {
-        if self.flips_scratch.is_empty() {
+        if self.dirty || self.flips_scratch.is_empty() {
             return;
         }
         let flips = std::mem::take(&mut self.flips_scratch);
@@ -560,9 +566,7 @@ impl StreamingClusterer {
             );
             for &q in &hits {
                 if self.slots[q as usize].core {
-                    if !self.dirty {
-                        self.dsu.union(slot as usize, q as usize);
-                    }
+                    self.dsu.union(slot as usize, q as usize);
                 } else {
                     let (qp, qh) = {
                         let sq = &self.slots[q as usize];
@@ -643,7 +647,6 @@ impl StreamingClusterer {
                 span.add_counters(refit_counters);
                 drop(span);
                 self.build_counters += refit_counters;
-                self.wide_scene = None; // scene changed shape
                 self.dead_in_scene = 0;
                 self.free.append(&mut self.retiring_scene);
                 sat_bump(&mut self.stats.refits, 1);
@@ -778,7 +781,6 @@ impl StreamingClusterer {
         }
         self.pending.clear();
         self.deltas.clear();
-        self.wide_scene = None; // collapsed form follows the scene
         self.dead_in_scene = 0;
         self.free.append(&mut self.retiring_scene);
         self.free.append(&mut self.retiring_delta);
@@ -886,38 +888,29 @@ impl StreamingClusterer {
     /// `i` corresponds to `window_points()[i]`).
     ///
     /// On the clean path this only materialises labels from the maintained
-    /// state.  On the dirty path it first re-forms the core partition with
-    /// a stage-2-only pass: O(1) epoch reset of the disjoint set, then one
-    /// neighbourhood traversal per live core point — never a scene rebuild
-    /// or a stage-1 recount.  A repeat snapshot of an *unchanged* window
-    /// performs no counted work at all: the previous result is cached and
-    /// returned directly (the dirty-window flag doubles as the cache
-    /// invalidation).
+    /// state.  On the dirty path it first re-forms the partition: the batch
+    /// stage 2 over a transient index of the window, fed the maintained
+    /// neighbour counts and core flags — never a stage-1 recount — whose
+    /// result re-seeds the incremental state.  A border joins the cluster
+    /// of its lowest-index core neighbour, so a dirty snapshot partitions
+    /// the window exactly as `ClusterEngine::run` over
+    /// [`StreamingClusterer::window_points`] does.  A repeat snapshot of an
+    /// *unchanged* window performs no counted work at all: the previous
+    /// result is cached and returned directly.
     pub fn snapshot(&mut self) -> Clustering {
-        if let Some(cached) = &self.snapshot_cache {
-            self.stats.clean_snapshots += 1;
-            return cached.clone();
-        }
-        if self.dirty {
-            // Infallible without a cancel scope: the only early exit of the
-            // repair is the per-packet cancel poll.
-            let _ = self.reform_partition(None);
-            self.stats.dirty_snapshots += 1;
-        } else {
-            self.stats.clean_snapshots += 1;
-        }
-        self.materialise_snapshot()
+        self.snapshot_cancellable(&CancelScope::none())
+            // analyze-allow: lib-unwrap -- the inert scope never trips, and the transient build over ingest-validated points arms no fault plan or budget, so nothing can fail
+            .expect("an unscoped snapshot cannot fail")
     }
 
     /// [`StreamingClusterer::snapshot`] under a deadline/cancellation
-    /// scope.  The dirty-path repair polls `scope` once per
-    /// `SNAPSHOT_PACKET`-ray packet; a trip surfaces as
-    /// [`rtcore::Error::DeadlineExceeded`] carrying the repair work done so
-    /// far, and the window stays **dirty**: nothing half-formed is ever
-    /// served (the epoch disjoint-set resets in O(1) on the next repair,
-    /// and border hints are validated on use, so a retried snapshot starts
-    /// clean).  Clean and cached snapshots perform no counted work and
-    /// cannot trip.
+    /// scope.  The dirty-path re-formation polls `scope` at packet
+    /// granularity; a trip surfaces as [`rtcore::Error::DeadlineExceeded`]
+    /// carrying the work its launch counted before the trip, and the
+    /// window stays **dirty** with its disjoint set and hints untouched:
+    /// nothing half-formed is ever served, and a retried snapshot starts
+    /// over.  Clean and cached snapshots perform no launches and cannot
+    /// trip.
     pub fn snapshot_cancellable(&mut self, scope: &CancelScope) -> Result<Clustering> {
         if let Some(cached) = &self.snapshot_cache {
             self.stats.clean_snapshots += 1;
@@ -929,7 +922,7 @@ impl StreamingClusterer {
                     partial: Box::new(WorkCounters::ZERO),
                 });
             }
-            self.reform_partition(Some(scope))?;
+            self.reform_partition(scope)?;
             self.stats.dirty_snapshots += 1;
         } else {
             self.stats.clean_snapshots += 1;
@@ -963,192 +956,68 @@ impl StreamingClusterer {
         clustering
     }
 
-    /// Rays per packet for the batched snapshot repair (bounds the size of
-    /// the per-packet query lists the wavefront traversal keeps live).
-    const SNAPSHOT_PACKET: usize = 512;
-
-    /// The dirty-path repair: stage 2 re-run over the maintained core
-    /// flags.
-    ///
-    /// The main indexed scene is walked by *all* core-point queries at once
-    /// through the wide batched engine (collapsing it lazily, once per
-    /// scene shape); the small delta BVHs and the pending tail are handled
-    /// per query, exactly as the incremental path does.
-    fn reform_partition(&mut self, cancel: Option<&CancelScope>) -> Result<()> {
-        let counters_before = self.stage2_counters;
-        self.dsu.reset();
-        let cores: Vec<u32> = self
+    /// The dirty-path re-formation: build a transient index over the
+    /// window, run the batch stage 2 over it with the maintained counts and
+    /// core flags, and re-seed the incremental state from the result.  The
+    /// build is charged to the build counters under an `lbvh_build` span,
+    /// the stage to stage 2 under a `stage2_union_find` span.  Nothing is
+    /// touched until stage 2 returns, so a trip leaves the partition dirty.
+    fn reform_partition(&mut self, scope: &CancelScope) -> Result<()> {
+        let eps = self.config.params.eps;
+        let points = self.window_points();
+        let (counts, core): (Vec<u64>, Vec<bool>) = self
             .live
             .iter()
-            .copied()
-            .filter(|&slot| self.slots[slot as usize].core)
-            .collect();
-        self.ensure_wide_scene();
-        // One packet at a time: the CSR neighbourhoods of at most
-        // `SNAPSHOT_PACKET` core points are materialised at once (two flat
-        // arrays, rebuilt in place each packet), then consumed, keeping
-        // the repair's memory bounded regardless of window size.
-        for start in (0..cores.len()).step_by(Self::SNAPSHOT_PACKET) {
-            if cancel.is_some_and(|scope| scope.tripped()) {
-                // The partition stays dirty; every union and hint applied so
-                // far is harmless (the epoch DSU resets on the next repair,
-                // hints are validated on use), so nothing wrong can be
-                // served later.
-                return Err(rtcore::Error::DeadlineExceeded {
-                    partial: Box::new(self.stage2_counters - counters_before),
-                });
-            }
-            let chunk = &cores[start..(start + Self::SNAPSHOT_PACKET).min(cores.len())];
-            self.chunk_neighborhoods(chunk);
-            let csr = std::mem::take(&mut self.repair_csr);
-            for (k, &slot) in chunk.iter().enumerate() {
-                for &q in csr.neighbors(k) {
-                    if self.slots[q as usize].core {
-                        self.dsu.union(slot as usize, q as usize);
-                    } else {
-                        let (qp, qh) = {
-                            let sq = &self.slots[q as usize];
-                            (sq.point, sq.hint)
-                        };
-                        if !self.hint_valid(qp, qh) {
-                            self.slots[q as usize].hint = Some(slot);
-                        }
-                    }
-                }
-            }
-            self.repair_csr = csr;
-        }
-        self.drain_dsu_ops();
-        self.dirty = false;
+            .map(|&slot| {
+                let s = &self.slots[slot as usize];
+                (u64::from(s.neighbor_count), s.core)
+            })
+            .unzip();
+        let telemetry = self.telemetry.clone();
+        let mut span = telemetry.span(PhaseKind::LbvhBuild);
+        // Cannot fail in `snapshot`: ingest rejected every non-finite
+        // point, and the index arms no fault plan and no memory budget.
+        let index = self.snapshot_index.build(&points, eps)?;
+        let build = index.build_counters();
+        span.add_counters(build);
+        drop(span);
+        let mut span = telemetry.span(PhaseKind::Stage2UnionFind);
+        let formed = form_clusters(index.as_ref(), &points, &counts, &core, eps, scope)?;
+        span.add_counters(formed.counters);
+        drop(span);
+        self.build_counters += build;
+        self.stage2_counters += formed.counters;
+        self.reseed(&formed);
         Ok(())
     }
 
-    /// Collapse the main scene into the wide format if the batched snapshot
-    /// engine is configured and no valid collapse is cached.  The collapse
-    /// is device-build work.
-    fn ensure_wide_scene(&mut self) {
-        if self.config.snapshot_traversal == IndexKind::WideBatched && self.wide_scene.is_none() {
-            if self.fault.fire(FaultSite::Bvh4Collapse) {
-                // Degrade: this repair walks the binary scene per query —
-                // identical answers, no wide collapse resident.
-                return;
-            }
-            if let Some(scene) = &self.scene {
-                let wide = WideBvh::from_binary_parallel(
-                    scene,
-                    self.config.build_parallelism.resolved(),
-                    &self.telemetry,
-                );
-                self.build_counters += wide.collapse_counters;
-                self.wide_scene = Some(wide);
-            }
-        }
-    }
-
-    /// Exact live ε-neighbourhoods of one packet of slots (self excluded),
-    /// rebuilt into the reusable CSR scratch (`repair_csr`, rows
-    /// index-aligned with `chunk`): the main scene answers the whole packet
-    /// in one batched wide launch when so configured, deltas and the
-    /// pending tail are scanned per query.  Hits collect as flat
-    /// `(query, slot)` pairs and one counting-sort pass turns them into the
-    /// packet's CSR rows — no per-query list ever exists, and every buffer
-    /// (rays, pairs, traversal scratch, CSR) is grow-only across packets.
-    /// Work is charged to stage 2.
-    fn chunk_neighborhoods(&mut self, chunk: &[u32]) {
-        let rays = &mut self.repair_rays;
-        let pairs = &mut self.repair_pairs;
-        rays.clear();
-        pairs.clear();
-        if chunk.is_empty() {
-            self.repair_csr.clear();
-            return;
-        }
-
-        let mut counters = WorkCounters::ZERO;
-        sat_bump(&mut counters.rays, chunk.len() as u64);
-        let eps_sq = self.eps_sq;
-        let slots = &self.slots;
-        rays.extend(
-            chunk
-                .iter()
-                .map(|&slot| Ray::epsilon_ray(slots[slot as usize].point)),
-        );
-
-        // Main indexed scene.
-        match (&self.wide_scene, &self.scene) {
-            (Some(wide), _) if self.config.snapshot_traversal == IndexKind::WideBatched => {
-                traverse_batch_with_scratch(
-                    wide,
-                    rays,
-                    &mut self.repair_trav,
-                    &mut counters,
-                    |q, sphere, counters| {
-                        sat_bump(&mut counters.dist_comps, 1);
-                        if Self::is_live_neighbor(
-                            slots,
-                            chunk[q],
-                            eps_sq,
-                            sphere.point_index,
-                            sphere.center,
-                            rays[q].origin,
-                        ) {
-                            pairs.push((q as u32, sphere.point_index));
-                        }
-                        Traversal::Continue
-                    },
-                );
-            }
-            (_, Some(scene)) => {
-                for (k, ray) in rays.iter().enumerate() {
-                    traverse(scene, ray, &mut counters, |sphere, counters| {
-                        sat_bump(&mut counters.dist_comps, 1);
-                        if Self::is_live_neighbor(
-                            slots,
-                            chunk[k],
-                            eps_sq,
-                            sphere.point_index,
-                            sphere.center,
-                            ray.origin,
-                        ) {
-                            pairs.push((k as u32, sphere.point_index));
-                        }
-                        Traversal::Continue
-                    });
+    /// Re-seed the incremental state from a stage-2 result over the window
+    /// (index-aligned with `live`): each core joins the first core, in
+    /// window order, that carries its label, and each non-core point's hint
+    /// becomes the slot of its claim.  Only cores enter the disjoint set.
+    /// The batch label is the smallest index in a component, which can be a
+    /// border's; a border slot left in a set would keep that membership
+    /// after an eviction that does not dirty the window, and the slot's
+    /// next occupant would merge the wrong clusters on becoming core.
+    fn reseed(&mut self, formed: &FormedClusters) {
+        self.dsu.reset();
+        let mut first_core = vec![u32::MAX; self.live.len()];
+        for (i, &slot) in self.live.iter().enumerate() {
+            let s = &mut self.slots[slot as usize];
+            if s.core {
+                let first = &mut first_core[formed.labels[i] as usize];
+                if *first == u32::MAX {
+                    *first = slot;
+                } else {
+                    self.dsu.union(slot as usize, *first as usize);
                 }
-            }
-            _ => {}
-        }
-
-        // Delta overlays and the unindexed tail, per query.
-        for tree in &self.deltas {
-            for (k, ray) in rays.iter().enumerate() {
-                traverse(tree, ray, &mut counters, |sphere, counters| {
-                    sat_bump(&mut counters.dist_comps, 1);
-                    if Self::is_live_neighbor(
-                        slots,
-                        chunk[k],
-                        eps_sq,
-                        sphere.point_index,
-                        sphere.center,
-                        ray.origin,
-                    ) {
-                        pairs.push((k as u32, sphere.point_index));
-                    }
-                    Traversal::Continue
-                });
+            } else {
+                let claim = formed.claims[i];
+                s.hint = (claim != UNCLAIMED).then(|| self.live[claim as usize]);
             }
         }
-        for &p in &self.pending {
-            for (k, ray) in rays.iter().enumerate() {
-                sat_bump(&mut counters.dist_comps, 1);
-                let center = slots[p as usize].point;
-                if Self::is_live_neighbor(slots, chunk[k], eps_sq, p, center, ray.origin) {
-                    pairs.push((k as u32, p));
-                }
-            }
-        }
-        self.stage2_counters += counters;
-        self.repair_csr.rebuild_from_pairs(chunk.len(), pairs);
+        self.drain_dsu_ops();
+        self.dirty = false;
     }
 }
 
@@ -1172,6 +1041,7 @@ enum Phase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtcore::index::IndexKind;
     use rtdbscan::metrics::same_clustering;
     use rtdbscan::{ClassicDbscan, DbscanParams};
 
@@ -1334,10 +1204,10 @@ mod tests {
             assert_eq!(a.canonicalize(), b.canonicalize(), "wave {wave}");
             assert_matches_classic(&mut wide);
         }
-        // Slides retired core points, so the wide repair path really ran …
+        // Slides retired core points, so the wide stage-2 launches really ran …
         assert!(wide.stats().dirty_snapshots > 0);
         let (_, _, stage2) = wide.phase_counters();
-        assert!(stage2.wide_node_visits > 0, "batched repair engaged");
+        assert!(stage2.wide_node_visits > 0, "batched stage 2 engaged");
         assert!(stage2.batched_launches > 0);
         // … and the binary oracle never touched wide nodes.
         let (_, _, stage2_bin) = binary.phase_counters();
@@ -1476,7 +1346,7 @@ mod tests {
 
     #[test]
     fn clean_repeat_snapshots_are_cached_and_cost_nothing() {
-        // Slide the window so the first snapshot takes the dirty repair
+        // Slide the window so the first snapshot takes the dirty
         // path, then snapshot repeatedly without ingesting.
         let mut c = StreamingClusterer::new(config(1.0, 2, WindowPolicy::Count(20))).unwrap();
         for wave in 0..4 {
@@ -1576,7 +1446,7 @@ mod tests {
     #[test]
     fn snapshot_cancellable_matches_snapshot_and_trips_cleanly() {
         use rtcore::fault::{CancelScope, CancelToken};
-        // Slide the window so snapshots take the dirty repair path.
+        // Slide the window so snapshots take the dirty path.
         let mut c = StreamingClusterer::new(config(1.0, 2, WindowPolicy::Count(20))).unwrap();
         for wave in 0..4 {
             let pts: Vec<Point3> = (0..10)
@@ -1585,7 +1455,7 @@ mod tests {
             c.ingest(&timestamped(&pts, wave as f64 * 100.0)).unwrap();
         }
 
-        // A pre-cancelled scope refuses before repairing; the window stays
+        // A pre-cancelled scope refuses before re-forming; the window stays
         // dirty and nothing half-formed leaks.
         let token = CancelToken::new();
         token.cancel();
@@ -1594,14 +1464,146 @@ mod tests {
             Err(rtcore::Error::DeadlineExceeded { .. }) => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
+        assert!(c.dirty, "a trip leaves the window dirty");
 
         // An unconstrained scope completes and matches the plain snapshot
-        // bit for bit (same repair, same labels).
+        // bit for bit (same re-formation, same labels).
         let relaxed = c.snapshot_cancellable(&CancelScope::none()).unwrap();
         let plain = c.snapshot();
         assert_eq!(relaxed.labels, plain.labels);
         assert_eq!(relaxed.core, plain.core);
         assert_matches_classic(&mut c);
+    }
+
+    #[test]
+    fn dirty_ingest_skips_flip_up_queries() {
+        // A line of cores fills the window; a far point evicts one of them
+        // and dirties the partition.
+        let mut c = StreamingClusterer::new(config(1.0, 2, WindowPolicy::Count(10))).unwrap();
+        let line: Vec<Point3> = (0..10)
+            .map(|i| Point3::new_2d(i as f32 * 0.4, 0.0))
+            .collect();
+        c.ingest(&timestamped(&line, 0.0)).unwrap();
+        c.ingest(&[(Point3::new_2d(100.0, 0.0), 10.0)]).unwrap();
+        assert!(c.dirty);
+
+        // Two neighbours arrive: the far point flips to core and both
+        // newcomers become core, but no flip-up query runs.
+        let rays = c.phase_counters().2.rays;
+        c.ingest(&[
+            (Point3::new_2d(100.5, 0.0), 11.0),
+            (Point3::new_2d(101.0, 0.0), 12.0),
+        ])
+        .unwrap();
+        let far_cores = c
+            .live
+            .iter()
+            .map(|&slot| c.slots[slot as usize])
+            .filter(|s| s.core && s.point.x >= 100.0)
+            .count();
+        assert_eq!(far_cores, 3);
+        assert_eq!(c.phase_counters().2.rays, rays, "stage-2 rays while dirty");
+        assert_matches_classic(&mut c);
+        assert_eq!(c.stats().dirty_snapshots, 1);
+    }
+
+    #[test]
+    fn reseeding_keeps_border_slots_out_of_the_disjoint_set() {
+        // ε = 1, minPts = 2, a 10 s horizon, and a refit policy that never
+        // asks for a rebuild, so that a refit flushes evicted slots.
+        let mut cfg = config(1.0, 2, WindowPolicy::Time(10.0));
+        cfg.max_pending_fraction = 1.0;
+        cfg.refit_policy = rtcore::bvh::RefitPolicy {
+            max_node_inflation: f32::INFINITY,
+            max_leaf_sa_inflation: f32::INFINITY,
+            min_prims_for_refit: 0,
+        };
+        let mut c = StreamingClusterer::new(cfg).unwrap();
+        let at = |x: f32, t: f64| (Point3::new_2d(x, 0.0), t);
+        // Three cores far away, then a cluster led by a border: B (x = 0)
+        // is in range of C1 only, and C1 keeps minPts without it.
+        c.ingest(&[at(100.0, 0.0), at(100.5, 0.0), at(101.0, 0.0)])
+            .unwrap();
+        c.ingest(&[at(0.0, 1.0), at(0.9, 5.0), at(1.5, 5.0), at(1.6, 5.0)])
+            .unwrap();
+        let border = c.live[3];
+        // t = 10 evicts the far cores: the window is dirty and B leads it.
+        c.ingest(&[at(200.0, 10.0)]).unwrap();
+        assert!(c.dirty);
+        assert_eq!(c.live.front(), Some(&border));
+        let s = c.snapshot();
+        assert!(!s.core[0] && s.labels[0] != NOISE, "B is a border");
+        assert_matches_classic(&mut c);
+
+        // t = 11 evicts B alone without dirtying the window, and a refit
+        // makes its slot reusable.
+        let refits = c.stats().refits;
+        c.ingest(&[at(300.0, 11.0)]).unwrap();
+        assert!(!c.dirty);
+        assert!(c.stats().refits > refits);
+        assert!(c.free.contains(&border));
+
+        // t = 12: three points far from the cluster take the free slots, B's
+        // first, and all become core through a clean flip-up.
+        c.ingest(&[at(500.0, 12.0), at(500.5, 12.0), at(501.0, 12.0)])
+            .unwrap();
+        let reused = c.slots[border as usize];
+        assert!(reused.alive && reused.core && reused.point.x == 500.0);
+        let dirty = c.stats().dirty_snapshots;
+        assert_matches_classic(&mut c);
+        assert_eq!(
+            c.stats().dirty_snapshots,
+            dirty,
+            "the last snapshot is clean"
+        );
+    }
+
+    #[test]
+    fn dirty_snapshots_record_one_build_and_one_stage2_span() {
+        use rtcore::telemetry::TelemetryConfig;
+        let mut work = Vec::new();
+        for telemetry in [TelemetryConfig::Off, TelemetryConfig::Spans] {
+            let mut c = StreamingClusterer::new(StreamingConfig {
+                telemetry,
+                ..config(1.0, 2, WindowPolicy::Count(20))
+            })
+            .unwrap();
+            assert_eq!(c.telemetry().is_some(), telemetry == TelemetryConfig::Spans);
+            let spans = |c: &StreamingClusterer| c.telemetry().map_or(vec![], Telemetry::spans);
+            for wave in 0..4 {
+                let pts: Vec<Point3> = (0..10)
+                    .map(|i| Point3::new_2d(wave as f32 * 2.0 + (i % 5) as f32 * 0.4, 0.0))
+                    .collect();
+                c.ingest(&timestamped(&pts, wave as f64 * 100.0)).unwrap();
+                let (before, dirty, phases) = (
+                    spans(&c).len(),
+                    c.stats().dirty_snapshots,
+                    c.phase_counters(),
+                );
+                let _ = c.snapshot();
+                let recorded = spans(&c);
+                let _ = c.snapshot();
+                assert_eq!(
+                    spans(&c).len(),
+                    recorded.len(),
+                    "a cached repeat records nothing"
+                );
+                let new = &recorded[before..];
+                if telemetry == TelemetryConfig::Off || c.stats().dirty_snapshots == dirty {
+                    assert!(new.is_empty(), "wave {wave}: {new:?}");
+                    continue;
+                }
+                let (build, _, stage2) = c.phase_counters();
+                let kinds: Vec<PhaseKind> = new.iter().map(|s| s.phase).collect();
+                assert_eq!(kinds, [PhaseKind::LbvhBuild, PhaseKind::Stage2UnionFind]);
+                assert_eq!(new[0].counters, build - phases.0, "the build span's work");
+                assert!(new[1].counters.rays > 0);
+                assert_eq!(new[1].counters.rays, stage2.rays - phases.2.rays);
+            }
+            assert!(c.stats().dirty_snapshots > 0);
+            work.push(c.counters());
+        }
+        assert_eq!(work[0], work[1], "telemetry must not change the work");
     }
 
     /// The degradation counters of the metrics registry: `None` when

@@ -10,10 +10,10 @@ use rtdbscan::engine::{ClusterEngine, IndexKind};
 /// — it is part of the workspace prelude).
 ///
 /// The engine's ε / `minPts` parameters carry over unchanged; its backend
-/// choice selects the snapshot-repair traversal substrate: the wide batched
-/// backend keeps [`IndexKind::WideBatched`], every other backend maps to
-/// the [`IndexKind::BinaryBvh`] oracle (the streaming scene is maintained
-/// by refit and rebuild, which are BVH operations).
+/// choice selects the kind of a dirty snapshot's transient index
+/// ([`StreamingConfig::snapshot_traversal`]): the wide batched backend
+/// keeps [`IndexKind::WideBatched`], every other backend maps to the
+/// [`IndexKind::BinaryBvh`] oracle (the streaming path is built on BVHs).
 ///
 /// ```
 /// use rtcore::geometry::Point3;

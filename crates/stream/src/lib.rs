@@ -22,8 +22,11 @@
 //!   [`rtdbscan::disjoint_set::EpochDisjointSet`]; insert-only slides
 //!   extend the partition in place, and slides that retire core points mark
 //!   the partition dirty, to be re-formed lazily by the next
-//!   [`StreamingClusterer::snapshot`] with a stage-2-only pass (the O(1)
-//!   epoch reset makes that re-formation allocation-free).
+//!   [`StreamingClusterer::snapshot`] with the batch pipeline's own stage 2
+//!   ([`rtdbscan::stages::form_clusters`]) over a transient index of the
+//!   window, fed the maintained counts.  A dirty snapshot therefore labels
+//!   the window exactly as `ClusterEngine::run` over it would, and its
+//!   result re-seeds the incremental state.
 //! * [`StreamingSnapshotAlgorithm`] — a [`rtdbscan::DbscanAlgorithm`]
 //!   adapter that replays a batch input through the streaming path, so the
 //!   oracle and metrics machinery (`same_clustering`, ARI/NMI, the bench
@@ -35,7 +38,8 @@
 //! BVH that eviction empties (see `examples/sharded_scene.rs`).
 //!
 //! Every piece of work — traversals, pending scans, refits, rebuilds,
-//! union/find traffic — is recorded in `rtcore::hardware::WorkCounters`,
+//! transient snapshot builds, union/find traffic — is recorded in
+//! `rtcore::hardware::WorkCounters`,
 //! with refit and rebuild decisions visible as `refits` / `rebuilds`, so
 //! the simulated-device cost model prices streaming updates the same way
 //! it prices the batch pipeline.

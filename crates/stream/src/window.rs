@@ -52,29 +52,34 @@ pub struct StreamingConfig {
     /// once the dead fraction of the indexed primitives exceeds this;
     /// below it, retired primitives are only filtered out of hit lists.
     pub refit_dead_fraction: f32,
-    /// BVH kind the snapshot repair pass traverses over the main indexed
-    /// scene.  [`IndexKind::WideBatched`] (the default) collapses the main
-    /// BVH into the wide format once per (re)build and walks all core-point
-    /// queries through it as ray packets; [`IndexKind::BinaryBvh`] remains
-    /// selectable as the oracle.  BVH kinds only.  Delta BVHs are small and
-    /// short-lived and always traverse binary.
+    /// BVH kind of the transient index a dirty snapshot builds over the
+    /// window to re-form the partition with the batch stage 2.
+    /// [`IndexKind::WideBatched`] (the default) walks the stage's queries
+    /// through a BVH4 as ray packets; [`IndexKind::BinaryBvh`] remains
+    /// selectable as the oracle.  Either way the index takes the engine's
+    /// `Algo::Rt` configuration (LBVH, Morton-ordered launches,
+    /// compaction) and is dropped when the snapshot returns.  BVH kinds
+    /// only.  Ingest's own neighbour queries walk the maintained binary
+    /// scene and its delta BVHs whatever this is.
     pub snapshot_traversal: IndexKind,
     /// Telemetry recording level.  Off (the default) allocates no recorder
     /// and leaves the ingest/snapshot paths bit-identical to a
     /// telemetry-free build; any enabled level records phase spans for
-    /// window slides, refits and rebuilds, retrievable through
+    /// window slides, refits, rebuilds and dirty snapshots' transient
+    /// builds and stage-2 passes, retrievable through
     /// [`crate::StreamingClusterer::telemetry`].
     pub telemetry: TelemetryConfig,
     /// Worker budget for the [`RefitPolicy`]-triggered main-scene rebuilds
-    /// (Morton sort, hierarchy emit, BVH4 collapse).  Output is
-    /// bit-identical for every setting; delta BVHs are small, short-lived,
-    /// and always build sequentially.
+    /// (Morton sort, hierarchy emit).  Output is bit-identical for every
+    /// setting; delta BVHs are small, short-lived, and always build
+    /// sequentially, and a dirty snapshot's transient index builds as the
+    /// engine's does.
     pub build_parallelism: BuildParallelism,
     /// Hard ceiling on the clusterer's resident device bytes (default
     /// [`MemoryBudget::Unlimited`]).  An ingest that would start over
-    /// budget first sheds the cached wide collapse of the main scene and
-    /// only then refuses — without touching window state — with
-    /// [`rtcore::Error::OverBudget`].
+    /// budget refuses — without touching window state — with
+    /// [`rtcore::Error::OverBudget`].  A dirty snapshot's transient index
+    /// is not resident and is not charged: it lives only for the call.
     pub memory_budget: MemoryBudget,
     /// Bounded retry-with-backoff for main-scene rebuilds and tail
     /// compactions that fail (today only via fault injection; real builds
@@ -82,9 +87,10 @@ pub struct StreamingConfig {
     /// failing the clusterer degrades gracefully: the old scene, delta
     /// overlays and exact tail scan keep answering correctly, just slower.
     pub rebuild_retry: RetryPolicy,
-    /// Deterministic fault-injection schedule (default [`FaultPlan::Off`]).
-    /// Only a build compiled with the `fault-inject` feature ever arms a
-    /// plan; without the feature every plan behaves as `Off` at zero cost.
+    /// Deterministic fault-injection schedule (default [`FaultPlan::Off`])
+    /// for the maintained scene's builds.  Only a build compiled with the
+    /// `fault-inject` feature ever arms a plan; without the feature every
+    /// plan behaves as `Off` at zero cost.
     pub fault: FaultPlan,
 }
 

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use rtcore::geometry::Point3;
 use rtdbscan::metrics::same_clustering;
-use rtdbscan::{ClassicDbscan, DbscanAlgorithm, DbscanParams, RtDbscan};
+use rtdbscan::{ClassicDbscan, ClusterEngine, DbscanAlgorithm, DbscanParams, RtDbscan};
 use rtdbscan_datasets::{generate, PaperDataset, PointStream, StreamConfig};
 use rtdbscan_stream::{
     StreamingClusterer, StreamingConfig, StreamingSnapshotAlgorithm, WindowPolicy,
@@ -71,6 +71,67 @@ fn synthetic_stream_matches_batch_across_slides_and_rebuilds() {
     assert!(counters.refit_node_ops > 0);
 }
 
+/// A dirty snapshot re-forms the window with the batch stage 2, so its
+/// labels (up to renaming) and core flags equal the default engine's run
+/// over the same points: both claim each border for its lowest-index core
+/// neighbour.  Piles and pairs of coincident points make compaction merge
+/// points, borders among them, whose claims follow their representative's.
+#[test]
+fn dirty_snapshots_equal_the_engine_run_exactly() {
+    let params = DbscanParams::new(0.6, 4).unwrap();
+    let engine = ClusterEngine::builder().params(params).build().unwrap();
+    let mut config = StreamingConfig::new(params, WindowPolicy::Count(300));
+    config.refit_dead_fraction = 0.01;
+    let mut clusterer = StreamingClusterer::new(config).unwrap();
+
+    let stream = PointStream::replay(
+        PaperDataset::PortoTaxi,
+        StreamConfig {
+            total_points: 1_500,
+            batch_size: 50,
+            points_per_second: 50.0,
+            seed: 5,
+        },
+    );
+    let (mut dirty, mut merged, mut twin_borders) = (0, 0, 0);
+    for (i, batch) in stream.enumerate() {
+        let mut timed: Vec<(Point3, f64)> = batch.iter().map(|t| (t.point, t.time)).collect();
+        let (first, last) = (timed[0], timed[timed.len() - 1]);
+        if i % 4 == 0 {
+            timed.extend([first; 6]);
+        }
+        timed.push(last);
+        clusterer.ingest(&timed).unwrap();
+
+        let (dirty_before, merges_before) = (
+            clusterer.stats().dirty_snapshots,
+            clusterer.phase_counters().0.compaction_merges,
+        );
+        let window = clusterer.window_points();
+        let snapshot = clusterer.snapshot();
+        if clusterer.stats().dirty_snapshots == dirty_before {
+            assert_snapshot_matches_batch(&mut clusterer, &format!("clean batch {i}"));
+            continue;
+        }
+        dirty += 1;
+        merged += clusterer.phase_counters().0.compaction_merges - merges_before;
+        twin_borders += (0..window.len())
+            .filter(|&j| !snapshot.core[j] && snapshot.labels[j] >= 0)
+            .filter(|&j| window[..j].contains(&window[j]))
+            .count();
+        let run = engine.run(&window).unwrap().clustering;
+        assert_eq!(snapshot.core, run.core, "batch {i}: core flags");
+        assert_eq!(
+            snapshot.canonicalize(),
+            run.canonicalize(),
+            "batch {i}: dirty snapshot differs from the engine run"
+        );
+    }
+    assert!(dirty > 0, "the window never went dirty");
+    assert!(merged > 0, "compaction never merged a point");
+    assert!(twin_borders > 0, "no duplicate border was ever claimed");
+}
+
 #[test]
 fn trajectory_stream_with_time_window_matches_batch() {
     let params = DbscanParams::new(0.002, 6).unwrap();
@@ -133,7 +194,8 @@ proptest! {
     /// Property: for arbitrary blob/noise/duplicate workloads, window
     /// sizes, batch sizes and parameters, every snapshot taken while the
     /// window slides is permutation-equivalent to a batch ClassicDbscan run
-    /// on the live window contents.
+    /// on the live window contents, and every dirty one equals the default
+    /// engine's run up to renaming.
     #[test]
     fn streaming_window_always_matches_batch(
         blob_count in 1usize..4,
@@ -173,6 +235,7 @@ proptest! {
         let shuffled: Vec<Point3> = (0..n).map(|i| pts[(i * 17 + 5) % n]).collect();
 
         let params = DbscanParams::new(eps, min_pts).unwrap();
+        let engine = ClusterEngine::builder().params(params).build().unwrap();
         let mut config = StreamingConfig::new(params, WindowPolicy::Count(window));
         config.refit_dead_fraction = 0.02;
         let mut clusterer = StreamingClusterer::new(config).unwrap();
@@ -183,7 +246,12 @@ proptest! {
             clusterer.ingest(&timed).unwrap();
 
             let window_points = clusterer.window_points();
+            let dirty = clusterer.stats().dirty_snapshots;
             let snapshot = clusterer.snapshot();
+            if clusterer.stats().dirty_snapshots > dirty {
+                let run = engine.run(&window_points).unwrap().clustering;
+                prop_assert_eq!(snapshot.canonicalize(), run.canonicalize());
+            }
             let reference = ClassicDbscan::cluster(&window_points, params).unwrap();
             prop_assert_eq!(&reference.core, &snapshot.core);
             prop_assert!(
