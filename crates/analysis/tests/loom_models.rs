@@ -17,10 +17,10 @@
 #![cfg(feature = "loom-models")]
 
 use loom::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use loom::sync::{Arc, Mutex};
+use loom::sync::Arc;
 use loom::thread;
 use rtcore::hardware::{SharedCounters, WorkCounters};
-use rtdbscan::disjoint_set::{ConcurrentDisjointSet, EpochDisjointSet};
+use rtdbscan::disjoint_set::ConcurrentDisjointSet;
 
 /// Two threads union disjoint pairs that share an element; every schedule
 /// must converge to one set {0,1,2} whose representative is the smallest
@@ -220,42 +220,6 @@ fn border_claim_settles_on_the_lowest_core_in_every_schedule() {
         );
     });
     assert!(schedules > 1, "scheduler explored only one interleaving");
-}
-
-/// The epoch union-find is `&mut`-only, so concurrent callers share it
-/// behind a mutex; the model proves lock-protected unions from two threads plus an
-/// O(1) epoch reset behave like their serial counterparts in every
-/// schedule.
-#[test]
-fn epoch_dsu_under_mutex_with_reset() {
-    loom::model(|| {
-        let dsu = Arc::new(Mutex::new(EpochDisjointSet::new(4)));
-        let a = {
-            let dsu = Arc::clone(&dsu);
-            thread::spawn(move || {
-                dsu.lock().union(0, 1);
-            })
-        };
-        let b = {
-            let dsu = Arc::clone(&dsu);
-            thread::spawn(move || {
-                dsu.lock().union(2, 3);
-            })
-        };
-        a.join().unwrap();
-        b.join().unwrap();
-        let mut d = dsu.lock();
-        assert!(d.same_set(0, 1));
-        assert!(d.same_set(2, 3));
-        assert!(!d.same_set(1, 2), "independent unions must stay disjoint");
-        let epoch_before = d.epoch();
-        d.reset();
-        assert_eq!(d.epoch(), epoch_before + 1, "reset must bump the epoch");
-        assert!(
-            !d.same_set(0, 1),
-            "the O(1) epoch reset must forget every union"
-        );
-    });
 }
 
 /// Two threads folding tallies into one `SharedCounters`: the saturating

@@ -10,7 +10,8 @@
 //! * `stream_ingest` — end-to-end sliding-window ingest throughput of
 //!   `StreamingClusterer` under (a) the default refit-first update policy
 //!   and (b) a policy pinned to rebuild on every batch.
-//! * `snapshot_latency` — clean-path vs dirty-path snapshot cost.
+//! * `snapshot_latency` — a cached repeat snapshot against one that forms
+//!   a slid window with stage 2.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rtcore::bvh::{refit, spheres_from_points, BvhBuilder, LbvhBuilder};
@@ -148,11 +149,11 @@ fn bench_snapshot_latency(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
     group.throughput(Throughput::Elements(8_000));
 
-    // Clean path: insert-only history, partition maintained incrementally.
+    // Clean path: a repeat snapshot of an unchanged window (the cache).
     let mut clean = drive_stream(config, &points[..8_000], 500);
     group.bench_function("clean_path", |b| b.iter(|| black_box(clean.snapshot())));
 
-    // Dirty path: window slid (core points retired), stage-2 re-forms.
+    // Dirty path: a slid window, formed by stage 2.
     group.bench_function("dirty_path", |b| {
         b.iter(|| {
             // Re-dirty by sliding one batch further each iteration pattern;

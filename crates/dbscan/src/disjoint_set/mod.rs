@@ -11,26 +11,20 @@
 //!   rayon workers can update concurrently, standing in for the GPU-side
 //!   parallel Union-Find of FDBSCAN/RT-DBSCAN (including the "critical
 //!   section" union of Algorithm 3, line 14, which stage 2 expresses as an
-//!   atomic lowest-index border claim unioned after the launch);
-//! * [`EpochDisjointSet`] — union-by-rank with O(1) whole-structure reset
-//!   via epoch stamping, used by the streaming clusterer to re-form
-//!   clusters across sliding-window snapshots without reallocating.
+//!   atomic lowest-index border claim unioned after the launch).
 //!
 //! Every structure counts the union/find work it performs so the device
-//! cost model can charge it.  The sequential and epoch structures are
-//! `&mut`-only and keep their own tallies; the concurrent forest keeps none
-//! and charges each `find`/`union` to a [`WorkCounters`] tally the caller
-//! passes in (one per worker), so its statistics never become a shared
-//! cache line.
+//! cost model can charge it.  The sequential structure is `&mut`-only and
+//! keeps its own tallies; the concurrent forest keeps none and charges each
+//! `find`/`union` to a [`WorkCounters`] tally the caller passes in (one per
+//! worker), so its statistics never become a shared cache line.
 //!
 //! [`WorkCounters`]: rtcore::hardware::WorkCounters
 
 mod concurrent;
-mod epoch;
 mod sequential;
 
 pub use concurrent::ConcurrentDisjointSet;
-pub use epoch::EpochDisjointSet;
 pub use sequential::SequentialDisjointSet;
 
 #[cfg(test)]

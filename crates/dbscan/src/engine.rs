@@ -1083,7 +1083,6 @@ impl ClusterSession {
         let stages::FormedClusters {
             labels,
             counters: stage2_counters,
-            ..
         } = stage2?;
 
         Ok(RunResult {

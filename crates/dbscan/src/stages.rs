@@ -8,8 +8,8 @@
 //! function (`run_two_stage`) runs both and assembles the [`RunResult`]:
 //! RT-DBSCAN, the FDBSCAN baseline and the engine's runs are thin
 //! configurations of it, `ClusterSession` calls the two stages directly,
-//! and the streaming clusterer re-forms a dirty window by calling stage 2
-//! alone with the neighbour counts its ingests maintain.  The substrate
+//! and every streaming snapshot of a changed window calls stage 2 alone
+//! with the neighbour counts its ingests maintain.  The substrate
 //! (binary BVH, BVH4 packets, a two-level sharded scene, a grid or brute
 //! force) is whatever backend the caller hands in.
 //!
@@ -58,7 +58,7 @@ use std::time::Duration;
 
 /// The claim of a point no core has claimed: a core, a noise point, or a
 /// border whose claim is still open during the launches.
-pub const UNCLAIMED: u32 = u32::MAX;
+const NO_CLAIM: u32 = u32::MAX;
 
 /// Core neighbours each core links to in the sampling launch (Afforest's
 /// neighbour-sampling round, which links each vertex to its first two).
@@ -130,11 +130,6 @@ pub struct FormedClusters {
     /// is the smallest point index in its union-find component, which can
     /// be a border's.
     pub labels: Vec<i64>,
-    /// Each point's claim: for a border, the index of its lowest-index core
-    /// neighbour, whose cluster it joins; for a duplicate a compacting
-    /// backend merged away, its representative's claim; [`UNCLAIMED`] for
-    /// cores and noise.
-    pub claims: Vec<u32>,
     /// The stage's counted work: every launch, the union-find traffic and
     /// the duplicate fix-up pass for compacting backends.
     pub counters: WorkCounters,
@@ -176,7 +171,7 @@ pub fn form_clusters(
         eps,
         scope,
         dsu: ConcurrentDisjointSet::new(n),
-        claim: (0..n).map(|_| AtomicU32::new(UNCLAIMED)).collect(),
+        claim: (0..n).map(|_| AtomicU32::new(NO_CLAIM)).collect(),
     };
     let cores: Vec<u32> = (0..n as u32).filter(|&i| core[i as usize]).collect();
     // Only a non-core point with a neighbour can be a border.
@@ -222,20 +217,20 @@ pub fn form_clusters(
     // Every launch has joined: each border joins exactly one cluster, that
     // of its lowest-index core neighbour.
     let Stage2 { dsu, claim, .. } = stage;
-    let mut claims: Vec<u32> = claim.into_iter().map(AtomicU32::into_inner).collect();
+    let claims: Vec<u32> = claim.into_iter().map(AtomicU32::into_inner).collect();
     for (q, &c) in claims.iter().enumerate() {
-        if c != UNCLAIMED {
+        if c != NO_CLAIM {
             dsu.union(c as usize, q, &mut counters);
         }
     }
 
     // Materialise labels.  Coincident duplicates merged away by a
-    // compacting backend inherit their representative's assignment and
-    // claim (they have identical neighbourhoods, so this is always a valid
-    // DBSCAN assignment).
+    // compacting backend inherit their representative's assignment (they
+    // have identical neighbourhoods, so this is always a valid DBSCAN
+    // assignment).
     let mut labels: Vec<i64> = (0..n)
         .map(|i| {
-            if core[i] || claims[i] != UNCLAIMED {
+            if core[i] || claims[i] != NO_CLAIM {
                 dsu.find(i, &mut counters) as i64
             } else {
                 NOISE
@@ -247,7 +242,6 @@ pub fn form_clusters(
         let rep = index.representative_of(i as u32) as usize;
         if rep != i && labels[i] == NOISE && labels[rep] >= 0 {
             labels[i] = labels[rep];
-            claims[i] = claims[rep];
             dup_fixups += 1;
         }
     }
@@ -255,11 +249,7 @@ pub fn form_clusters(
     if let Some(mut s) = span {
         s.add_counters(counters);
     }
-    Ok(FormedClusters {
-        labels,
-        claims,
-        counters,
-    })
+    Ok(FormedClusters { labels, counters })
 }
 
 /// Stage 2's launch context and the state its launches share: the
@@ -483,7 +473,6 @@ pub(crate) fn run_two_stage(
     let FormedClusters {
         labels,
         counters: stage2_counters,
-        ..
     } = stage2?;
 
     Ok(RunResult {

@@ -34,17 +34,11 @@ use rtdbscan::DbscanParams;
 pub struct StreamingSnapshotAlgorithm {
     /// Points per ingestion batch during the replay.
     pub batch_size: usize,
-    /// Snapshot after every batch (exercises incremental maintenance the
-    /// way a live deployment would) instead of only at the end.
-    pub snapshot_every_batch: bool,
 }
 
 impl Default for StreamingSnapshotAlgorithm {
     fn default() -> Self {
-        StreamingSnapshotAlgorithm {
-            batch_size: 512,
-            snapshot_every_batch: false,
-        }
+        StreamingSnapshotAlgorithm { batch_size: 512 }
     }
 }
 
@@ -70,9 +64,6 @@ impl DbscanAlgorithm for StreamingSnapshotAlgorithm {
                 })
                 .collect();
             clusterer.ingest(&timed)?;
-            if self.snapshot_every_batch {
-                let _ = clusterer.snapshot();
-            }
         }
         let clustering = clusterer.snapshot();
         let elapsed = start.elapsed();
@@ -145,14 +136,24 @@ mod tests {
     fn small_batches_with_per_batch_snapshots_agree_too() {
         let pts = blobs();
         let params = DbscanParams::new(0.8, 5).unwrap();
-        let algo = StreamingSnapshotAlgorithm {
-            batch_size: 17,
-            snapshot_every_batch: true,
-        };
         let reference = ClassicDbscan::cluster(&pts, params).unwrap();
-        let streamed = algo.run(&pts, params).unwrap().clustering;
+        let streamed = StreamingSnapshotAlgorithm { batch_size: 17 }
+            .run(&pts, params)
+            .unwrap()
+            .clustering;
         assert_eq!(reference.core, streamed.core);
         assert!(same_clustering(&reference, &streamed, &pts, params));
+
+        // The same replay with a snapshot after every batch ends on the
+        // same clustering: an intermediate snapshot changes no later one.
+        let window = WindowPolicy::Count(pts.len());
+        let mut c = StreamingClusterer::new(StreamingConfig::new(params, window)).unwrap();
+        for (i, chunk) in pts.chunks(17).enumerate() {
+            let timed: Vec<(Point3, f64)> = chunk.iter().map(|&p| (p, i as f64)).collect();
+            c.ingest(&timed).unwrap();
+            let _ = c.snapshot();
+        }
+        assert_eq!(c.snapshot(), streamed);
     }
 
     #[test]

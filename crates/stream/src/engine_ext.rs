@@ -4,16 +4,15 @@
 //! streaming shapes alike.
 
 use crate::{StreamingClusterer, StreamingConfig, WindowPolicy};
-use rtdbscan::engine::{ClusterEngine, IndexKind};
+use rtdbscan::engine::ClusterEngine;
 
 /// Streaming entry points on [`ClusterEngine`] (bring this trait into scope
 /// — it is part of the workspace prelude).
 ///
-/// The engine's ε / `minPts` parameters carry over unchanged; its backend
-/// choice selects the kind of a dirty snapshot's transient index
-/// ([`StreamingConfig::snapshot_traversal`]): the wide batched backend
-/// keeps [`IndexKind::WideBatched`], every other backend maps to the
-/// [`IndexKind::BinaryBvh`] oracle (the streaming path is built on BVHs).
+/// The engine's ε / `minPts` parameters carry over unchanged.  A snapshot's
+/// transient index always takes the `Algo::Rt` engine's default
+/// configuration: labels are identical across backends, so only the work
+/// counters could differ.
 ///
 /// ```
 /// use rtcore::geometry::Point3;
@@ -46,12 +45,7 @@ pub trait EngineStreamExt {
 
 impl EngineStreamExt for ClusterEngine {
     fn streaming_config(&self, window: WindowPolicy) -> StreamingConfig {
-        let mut config = StreamingConfig::new(self.params(), window);
-        config.snapshot_traversal = match self.index_kind() {
-            IndexKind::WideBatched => IndexKind::WideBatched,
-            _ => IndexKind::BinaryBvh,
-        };
-        config
+        StreamingConfig::new(self.params(), window)
     }
 
     fn stream(&self, window: WindowPolicy) -> rtcore::Result<StreamingClusterer> {
@@ -63,7 +57,7 @@ impl EngineStreamExt for ClusterEngine {
 mod tests {
     use super::*;
     use rtcore::geometry::Point3;
-    use rtdbscan::engine::Algo;
+    use rtdbscan::engine::{Algo, IndexKind};
     use rtdbscan::metrics::same_clustering;
     use rtdbscan::{ClassicDbscan, DbscanParams};
 
@@ -90,31 +84,6 @@ mod tests {
         let reference = ClassicDbscan::cluster(&pts, params).unwrap();
         assert_eq!(reference.core, snapshot.core);
         assert!(same_clustering(&reference, &snapshot, &pts, params));
-    }
-
-    #[test]
-    fn backend_choice_selects_the_snapshot_traversal() {
-        let base = ClusterEngine::builder().eps(0.5).min_pts(2);
-        let wide = base
-            .clone()
-            .index(IndexKind::WideBatched)
-            .build()
-            .unwrap()
-            .streaming_config(WindowPolicy::Count(10));
-        assert_eq!(wide.snapshot_traversal, IndexKind::WideBatched);
-        for kind in [
-            IndexKind::BinaryBvh,
-            IndexKind::UniformGrid,
-            IndexKind::BruteForce,
-        ] {
-            let cfg = base
-                .clone()
-                .index(kind)
-                .build()
-                .unwrap()
-                .streaming_config(WindowPolicy::Count(10));
-            assert_eq!(cfg.snapshot_traversal, IndexKind::BinaryBvh, "{kind:?}");
-        }
     }
 
     #[test]

@@ -16,17 +16,14 @@
 //!   overlay that queries scan exactly, and a quality heuristic
 //!   ([`rtcore::bvh::RefitPolicy`] plus a pending-fraction bound) decides
 //!   when the degraded tree is worth a full LBVH rebuild.
-//! * Incremental cluster maintenance — per-point ε-neighbour counts are
+//! * Two layers of cluster maintenance.  Per-point ε-neighbour counts are
 //!   maintained exactly under insertion and deletion, so core flags never
-//!   need a stage-1 re-run.  Core merges go into an
-//!   [`rtdbscan::disjoint_set::EpochDisjointSet`]; insert-only slides
-//!   extend the partition in place, and slides that retire core points mark
-//!   the partition dirty, to be re-formed lazily by the next
-//!   [`StreamingClusterer::snapshot`] with the batch pipeline's own stage 2
+//!   need a stage-1 re-run.  Each [`StreamingClusterer::snapshot`] of a
+//!   changed window then runs the batch pipeline's own stage 2
 //!   ([`rtdbscan::stages::form_clusters`]) over a transient index of the
-//!   window, fed the maintained counts.  A dirty snapshot therefore labels
-//!   the window exactly as `ClusterEngine::run` over it would, and its
-//!   result re-seeds the incremental state.
+//!   window, fed the maintained counts, so it labels the window exactly as
+//!   `ClusterEngine::run` over it would; a repeat snapshot of an unchanged
+//!   window returns the cached result.
 //! * [`StreamingSnapshotAlgorithm`] — a [`rtdbscan::DbscanAlgorithm`]
 //!   adapter that replays a batch input through the streaming path, so the
 //!   oracle and metrics machinery (`same_clustering`, ARI/NMI, the bench
@@ -38,11 +35,11 @@
 //! BVH that eviction empties (see `examples/sharded_scene.rs`).
 //!
 //! Every piece of work — traversals, pending scans, refits, rebuilds,
-//! transient snapshot builds, union/find traffic — is recorded in
-//! `rtcore::hardware::WorkCounters`,
-//! with refit and rebuild decisions visible as `refits` / `rebuilds`, so
-//! the simulated-device cost model prices streaming updates the same way
-//! it prices the batch pipeline.
+//! transient snapshot builds, stage-2 launches and union/find traffic — is
+//! recorded in `rtcore::hardware::WorkCounters`, with refit and rebuild
+//! decisions visible as `refits` / `rebuilds`, so the simulated-device cost
+//! model prices streaming updates the same way it prices the batch
+//! pipeline.
 
 #![warn(missing_docs)]
 

@@ -1,8 +1,7 @@
 //! Window and update-policy configuration for the streaming clusterer.
 
-use rtcore::bvh::{BuildParallelism, RefitPolicy};
+use rtcore::bvh::RefitPolicy;
 use rtcore::fault::{FaultPlan, MemoryBudget, RetryPolicy};
-use rtcore::index::IndexKind;
 use rtcore::telemetry::TelemetryConfig;
 use rtdbscan::DbscanParams;
 
@@ -52,34 +51,18 @@ pub struct StreamingConfig {
     /// once the dead fraction of the indexed primitives exceeds this;
     /// below it, retired primitives are only filtered out of hit lists.
     pub refit_dead_fraction: f32,
-    /// BVH kind of the transient index a dirty snapshot builds over the
-    /// window to re-form the partition with the batch stage 2.
-    /// [`IndexKind::WideBatched`] (the default) walks the stage's queries
-    /// through a BVH4 as ray packets; [`IndexKind::BinaryBvh`] remains
-    /// selectable as the oracle.  Either way the index takes the engine's
-    /// `Algo::Rt` configuration (LBVH, Morton-ordered launches,
-    /// compaction) and is dropped when the snapshot returns.  BVH kinds
-    /// only.  Ingest's own neighbour queries walk the maintained binary
-    /// scene and its delta BVHs whatever this is.
-    pub snapshot_traversal: IndexKind,
     /// Telemetry recording level.  Off (the default) allocates no recorder
     /// and leaves the ingest/snapshot paths bit-identical to a
     /// telemetry-free build; any enabled level records phase spans for
-    /// window slides, refits, rebuilds and dirty snapshots' transient
-    /// builds and stage-2 passes, retrievable through
+    /// window slides, refits, rebuilds and snapshots' transient builds and
+    /// stage-2 passes, retrievable through
     /// [`crate::StreamingClusterer::telemetry`].
     pub telemetry: TelemetryConfig,
-    /// Worker budget for the [`RefitPolicy`]-triggered main-scene rebuilds
-    /// (Morton sort, hierarchy emit).  Output is bit-identical for every
-    /// setting; delta BVHs are small, short-lived, and always build
-    /// sequentially, and a dirty snapshot's transient index builds as the
-    /// engine's does.
-    pub build_parallelism: BuildParallelism,
     /// Hard ceiling on the clusterer's resident device bytes (default
     /// [`MemoryBudget::Unlimited`]).  An ingest that would start over
     /// budget refuses — without touching window state — with
-    /// [`rtcore::Error::OverBudget`].  A dirty snapshot's transient index
-    /// is not resident and is not charged: it lives only for the call.
+    /// [`rtcore::Error::OverBudget`].  A snapshot's transient index is not
+    /// resident and is not charged: it lives only for the call.
     pub memory_budget: MemoryBudget,
     /// Bounded retry-with-backoff for main-scene rebuilds and tail
     /// compactions that fail (today only via fault injection; real builds
@@ -104,9 +87,7 @@ impl StreamingConfig {
             refit_policy: RefitPolicy::default(),
             max_pending_fraction: 0.25,
             refit_dead_fraction: 0.03125,
-            snapshot_traversal: IndexKind::WideBatched,
             telemetry: TelemetryConfig::Off,
-            build_parallelism: BuildParallelism::Sequential,
             memory_budget: MemoryBudget::Unlimited,
             rebuild_retry: RetryPolicy::default(),
             fault: FaultPlan::Off,
@@ -130,17 +111,6 @@ impl StreamingConfig {
                 "refit_dead_fraction must be in [0, 1], got {}",
                 self.refit_dead_fraction
             )));
-        }
-        if !self.snapshot_traversal.is_bvh() {
-            return Err(rtcore::Error::InvalidConfig(format!(
-                "snapshot_traversal walks the streaming BVH; the {} index has none",
-                self.snapshot_traversal.name()
-            )));
-        }
-        if self.build_parallelism == BuildParallelism::Threads(0) {
-            return Err(rtcore::Error::InvalidConfig(
-                "build_parallelism thread count must be at least 1".into(),
-            ));
         }
         if self.memory_budget == MemoryBudget::Bytes(0) {
             return Err(rtcore::Error::InvalidConfig(
@@ -193,22 +163,5 @@ mod tests {
             ..good
         };
         assert!(bad_dead.validate().is_err());
-
-        let bad_traversal = StreamingConfig {
-            snapshot_traversal: IndexKind::UniformGrid,
-            ..good
-        };
-        assert!(bad_traversal.validate().is_err());
-
-        let bad_threads = StreamingConfig {
-            build_parallelism: BuildParallelism::Threads(0),
-            ..good
-        };
-        assert!(bad_threads.validate().is_err());
-        let parallel = StreamingConfig {
-            build_parallelism: BuildParallelism::Threads(4),
-            ..good
-        };
-        assert!(parallel.validate().is_ok());
     }
 }

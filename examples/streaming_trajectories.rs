@@ -73,7 +73,7 @@ fn main() {
         stats.refits, stats.rebuilds, 20
     );
     println!(
-        "snapshots: {} reused the incremental partition, {} re-formed it",
+        "snapshots: {} served from the cache, {} formed by stage 2",
         stats.clean_snapshots, stats.dirty_snapshots
     );
     println!(

@@ -298,7 +298,7 @@ fn session_and_stream_modes_share_the_engine_configuration() {
     }
 
     // Streaming mode: the same engine configuration drives a windowed
-    // clusterer whose full-window snapshot matches the batch result.
+    // clusterer whose full-window snapshot equals the batch result.
     let mut stream = engine.stream(WindowPolicy::Count(pts.len())).unwrap();
     let timed: Vec<(Point3, f64)> = pts
         .iter()
@@ -309,6 +309,7 @@ fn session_and_stream_modes_share_the_engine_configuration() {
     let snapshot = stream.snapshot();
     let batch = engine.run(&pts).unwrap().clustering;
     assert_eq!(batch.core, snapshot.core);
+    assert_eq!(batch.labels, snapshot.labels);
 }
 
 proptest! {
