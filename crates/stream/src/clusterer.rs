@@ -6,15 +6,18 @@
 //! DBSCAN's output rests on two layers (points never move once ingested,
 //! so ε-adjacency between two live points is immutable):
 //!
-//! 1. **Neighbour counts / core flags** — maintained *exactly* by ingest:
-//!    inserting a point queries its ε-neighbourhood once and bumps both
-//!    sides' counts; evicting a point queries once more and decrements the
-//!    survivors (the incremental counts of Ester et al., "Incremental
-//!    Clustering for Mining in a Data Warehousing Environment", VLDB 1998).
-//!    A point is core while its count reaches `minPts`, so stage 1 of the
-//!    batch pipeline never re-runs.  The maintained scene serves these
-//!    queries and is kept by refit with an LBVH-rebuild fallback under the
-//!    configured [`RefitPolicy`](rtcore::bvh::RefitPolicy).
+//! 1. **Neighbour counts / core flags** — maintained *exactly* by ingest
+//!    (the incremental counts of Ester et al., "Incremental Clustering for
+//!    Mining in a Data Warehousing Environment", VLDB 1998).  An ingest
+//!    first slides the window over the whole batch; each evicted window
+//!    point then queries its ε-neighbourhood once and decrements the
+//!    survivors; and once scene maintenance has indexed the admitted
+//!    points, each of them queries once, sets its own count and bumps its
+//!    older neighbours.  Counts therefore depend only on the window an
+//!    ingest leaves.  A point is core while its count reaches `minPts`, so
+//!    stage 1 of the batch pipeline never re-runs.  The maintained scene
+//!    serves these queries and is kept by refit with an LBVH-rebuild
+//!    fallback under the configured [`RefitPolicy`](rtcore::bvh::RefitPolicy).
 //! 2. **The partition** — formed by each [`snapshot`] with the batch
 //!    pipeline's own stage 2 ([`rtdbscan::stages::form_clusters`]): a
 //!    transient index over the window in the engine's `Algo::Rt`
@@ -24,6 +27,19 @@
 //!    window exactly as `ClusterEngine::run` over
 //!    [`window_points`](StreamingClusterer::window_points) does.  A repeat
 //!    snapshot of an unchanged window returns the cached result.
+//!
+//! # Arrival numbers
+//!
+//! Eviction is first in, first out, so a point is named by its arrival
+//! number (how many points were admitted before it) and no name is ever
+//! reused.  Every structure then holds a contiguous run of arrivals: the
+//! window deque's entry `k` is arrival `head + k`; the scene and each
+//! delta BVH hold the arrivals from their `first` on (primitive `i` is
+//! arrival `first + i`); and the arrivals from `indexed` on are in no BVH
+//! yet, so queries scan them exactly (only a failed build leaves any live
+//! one there once an ingest returns).  A hit is live iff its arrival is at
+//! least `head`: an evicted point's sphere stays in its BVH, filtered by
+//! that one comparison, until a refit or rebuild drops it.
 //!
 //! [`snapshot`]: StreamingClusterer::snapshot
 
@@ -35,39 +51,29 @@ use rtcore::hardware::sat_bump;
 use rtcore::hardware::WorkCounters;
 use rtcore::index::NeighborIndexBuilder;
 use rtcore::telemetry::{PhaseKind, Telemetry, TelemetryConfig};
-use rtcore::traversal::{traverse, Traversal};
+use rtcore::traversal::{traverse_with_scratch, Traversal, TraversalScratch};
 use rtcore::Result;
 use rtdbscan::engine::{Algo, ClusterEngine};
 use rtdbscan::labels::Clustering;
 use rtdbscan::stages::form_clusters;
 use std::collections::VecDeque;
 
-/// Which spatial structure currently holds a slot's sphere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    /// In the unindexed tail of the current batch (scanned exactly).
-    Tail,
-    /// In one of the small immutable delta BVHs.
-    Delta,
-    /// In the main indexed scene.
-    Scene,
-}
-
-/// Per-point state in the slot arena.  Slots are reused after eviction so
-/// long-running streams do not grow without bound.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
+/// One live point of the window.
+#[derive(Debug)]
+struct Entry {
     point: Point3,
     /// Arrival timestamp (seconds); drives time-window eviction.
     time: f64,
-    alive: bool,
     /// Exact number of live ε-neighbours (self excluded).
     neighbor_count: u32,
-    /// `neighbor_count >= minPts`, refreshed after every bump.
-    core: bool,
-    /// Which structure holds this slot's sphere (valid while alive, and
-    /// governs when an evicted slot's id may be reused).
-    loc: Loc,
+}
+
+/// An LBVH over a contiguous run of arrivals: primitive `i` (its sphere's
+/// `point_index`) is arrival `first + i`.
+#[derive(Debug)]
+struct Level {
+    bvh: Bvh,
+    first: u64,
 }
 
 /// What one [`StreamingClusterer::ingest`] call did.
@@ -104,11 +110,11 @@ pub struct StreamingStats {
     /// telemetry metrics registry when telemetry records.
     pub rebuild_retries: u64,
     /// Rebuilds that exhausted every in-call attempt and degraded (the old
-    /// scene, overlays and tail kept answering; a backoff defers the next
-    /// attempt).
+    /// scene, deltas and exact scan kept answering; a backoff defers the
+    /// next attempt).
     pub rebuild_failures: u64,
-    /// Tail compactions deferred by a failed delta build (the tail stays
-    /// pending and is scanned exactly until a later pass succeeds).
+    /// Delta builds deferred by a failure (the arrivals stay unindexed and
+    /// are scanned exactly until a later pass succeeds).
     pub compaction_deferrals: u64,
 }
 
@@ -151,35 +157,25 @@ pub struct StreamingClusterer {
     config: StreamingConfig,
     eps_sq: f32,
 
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    /// Evicted slots whose spheres are still physically in the main scene;
-    /// reusable once a refit or rebuild has flushed those spheres
-    /// (otherwise a reused id would make the stale sphere masquerade as
-    /// the new occupant).
-    retiring_scene: Vec<u32>,
-    /// Evicted slots whose spheres sit in a delta BVH; reusable after the
-    /// full rebuild that absorbs the deltas.
-    retiring_delta: Vec<u32>,
-    /// Live slots in arrival order (front = oldest).
-    live: VecDeque<u32>,
+    /// The live window in arrival order: entry `k` is arrival `head + k`.
+    window: VecDeque<Entry>,
+    /// Arrival number of the oldest live point; every lower one is evicted.
+    head: u64,
     /// Newest timestamp seen (time windows are measured against it).
     now: f64,
 
-    /// Indexed scene over a prefix of the live set, `None` until first
-    /// (re)build or when the window empties.
-    scene: Option<Bvh>,
+    /// Indexed scene over a run of arrivals, `None` until first (re)build
+    /// or when the window empties.  Its evicted arrivals stay in it
+    /// (filtered from hits) until a refit flushes them.
+    scene: Option<Level>,
     health_at_build: Option<TreeHealth>,
-    /// Retired primitives still physically inside `scene` (hit lists filter
-    /// them; a refit flushes them).
-    dead_in_scene: usize,
-    /// Small immutable LBVHs over recently arrived batches — the overlay
+    /// Small immutable LBVHs over the runs admitted since — the overlay
     /// levels of the scene, in the LSM-tree sense.  Queries traverse the
     /// main scene plus every delta; a full rebuild absorbs them.
-    deltas: Vec<Bvh>,
-    /// Live slots not yet in any BVH (the current batch); queries scan
-    /// these exactly.
-    pending: Vec<u32>,
+    deltas: Vec<Level>,
+    /// The first arrival no BVH holds; queries scan the live arrivals from
+    /// here on exactly.
+    indexed: u64,
 
     /// How a snapshot builds its transient index over the window.
     snapshot_index: NeighborIndexBuilder,
@@ -187,8 +183,8 @@ pub struct StreamingClusterer {
     /// snapshot returns it without recomputing anything.  Any successful
     /// ingest that inserts or evicts invalidates it.  It starts as the
     /// empty clustering, because the window is empty only before the first
-    /// ingest (every ingested point is inserted after the evictions it
-    /// causes), so an empty window never builds an index.
+    /// ingest (a non-empty ingest admits at least its last point), so an
+    /// empty window never builds an index.
     snapshot_cache: Option<Clustering>,
 
     /// Work by phase, mirroring the batch pipeline's breakdown: scene
@@ -211,8 +207,10 @@ pub struct StreamingClusterer {
     /// by the first successful rebuild.
     rebuild_fail_streak: u32,
 
-    /// Neighbour-query scratch reused across calls.
-    hits_scratch: Vec<u32>,
+    /// Neighbour-query scratch reused across calls: the hits' window
+    /// positions and the traversal's node stack.
+    hits: Vec<usize>,
+    scratch: TraversalScratch,
 }
 
 impl StreamingClusterer {
@@ -236,17 +234,13 @@ impl StreamingClusterer {
         Ok(StreamingClusterer {
             config,
             eps_sq: config.params.eps_sq(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            retiring_scene: Vec::new(),
-            retiring_delta: Vec::new(),
-            live: VecDeque::new(),
+            window: VecDeque::new(),
+            head: 0,
             now: f64::NEG_INFINITY,
             scene: None,
             health_at_build: None,
-            dead_in_scene: 0,
             deltas: Vec::new(),
-            pending: Vec::new(),
+            indexed: 0,
             snapshot_index,
             snapshot_cache: Some(Clustering::new(Vec::new(), Vec::new())),
             build_counters: WorkCounters::ZERO,
@@ -257,7 +251,8 @@ impl StreamingClusterer {
             fault: FaultInjector::new(config.fault),
             rebuild_backoff: 0,
             rebuild_fail_streak: 0,
-            hits_scratch: Vec::new(),
+            hits: Vec::new(),
+            scratch: TraversalScratch::new(),
         })
     }
 
@@ -268,21 +263,18 @@ impl StreamingClusterer {
 
     /// Number of live points in the window.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.window.len()
     }
 
     /// True if the window holds no points.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.window.is_empty()
     }
 
     /// The live window contents in arrival order — index `i` here labels
     /// position `i` of [`StreamingClusterer::snapshot`]'s output.
     pub fn window_points(&self) -> Vec<Point3> {
-        self.live
-            .iter()
-            .map(|&slot| self.slots[slot as usize].point)
-            .collect()
+        self.window.iter().map(|entry| entry.point).collect()
     }
 
     /// Aggregate observability counters.
@@ -320,12 +312,14 @@ impl StreamingClusterer {
     /// Estimated resident device-memory footprint of the streaming state
     /// in bytes (a snapshot's transient index is not resident).
     pub fn device_bytes(&self) -> u64 {
-        let scene = self.scene.as_ref().map_or(0, Bvh::device_bytes);
-        let deltas: u64 = self.deltas.iter().map(Bvh::device_bytes).sum();
-        scene
-            + deltas
-            + (self.slots.len() * std::mem::size_of::<Slot>()) as u64
-            + (self.pending.len() * std::mem::size_of::<u32>()) as u64
+        let scene = self.scene.as_ref().map_or(0, |s| s.bvh.device_bytes());
+        let deltas: u64 = self.deltas.iter().map(|d| d.bvh.device_bytes()).sum();
+        scene + deltas + (self.window.len() * std::mem::size_of::<Entry>()) as u64
+    }
+
+    /// One past the newest arrival.
+    fn tail(&self) -> u64 {
+        self.head + self.window.len() as u64
     }
 
     // ------------------------------------------------------------------
@@ -359,134 +353,106 @@ impl StreamingClusterer {
         let telemetry = self.telemetry.clone();
         let mut slide_span = telemetry.span(PhaseKind::StreamingSlide);
         let counters_before = self.counters();
-        let mut report = IngestReport::default();
         if !batch.is_empty() {
             // The window contents are about to change; the cached snapshot
             // no longer describes them.
             self.snapshot_cache = None;
         }
 
-        for &(point, time) in batch {
-            self.now = if self.now.is_finite() {
-                self.now.max(time)
-            } else {
-                time
-            };
-            report.evicted += self.evict_due(self.now);
-            self.insert_point(point, time);
-            report.inserted += 1;
-        }
+        // Slide over the whole batch; the evicted window points decrement
+        // their survivors; then the rest of the batch enters, is indexed,
+        // and counts its neighbourhoods.
+        let evicted = self.slide(batch);
+        let from_window = evicted.min(self.window.len());
+        self.evict_front(from_window);
+        let admitted_at = self.window.len();
+        let admitted = batch[evicted - from_window..].iter();
+        self.window.extend(admitted.map(|&(point, time)| Entry {
+            point,
+            time,
+            neighbor_count: 0,
+        }));
         let (refitted, rebuilt) = self.maintain_scene();
-        report.refitted = refitted;
-        report.rebuilt = rebuilt;
+        self.count_admitted(admitted_at);
 
-        self.stats.ingested += report.inserted as u64;
-        self.stats.evicted += report.evicted as u64;
+        self.stats.ingested += batch.len() as u64;
+        self.stats.evicted += evicted as u64;
         slide_span.add_counters(self.counters() - counters_before);
-        Ok(report)
+        Ok(IngestReport {
+            inserted: batch.len(),
+            evicted,
+            refitted,
+            rebuilt,
+        })
     }
 
-    /// Evict every point the window policy no longer retains given the
-    /// current clock, returning how many were evicted.
-    fn evict_due(&mut self, now: f64) -> usize {
-        let mut evicted = 0usize;
-        while let Some(&oldest) = self.live.front() {
-            let must_evict = match self.config.window {
-                // `>=` : eviction runs pre-insert, so reaching the budget
-                // means the insert about to happen would exceed it.
-                WindowPolicy::Count(max) => self.live.len() >= max,
-                // `>=` : a point whose age equals the horizon exactly is
-                // already out of the window (see `WindowPolicy::Time`).
-                WindowPolicy::Time(horizon) => now - self.slots[oldest as usize].time >= horizon,
-            };
-            if !must_evict {
-                break;
+    /// Advance the clock over `batch` and return how many points of the
+    /// window followed by the batch the policy evicts.  Each batch point
+    /// evicts before it enters, so a batch point that a later one evicts
+    /// never enters at all.
+    fn slide(&mut self, batch: &[(Point3, f64)]) -> usize {
+        let held = self.window.len();
+        let policy = self.config.window;
+        let time_of = |i: usize| match self.window.get(i) {
+            Some(entry) => entry.time,
+            None => batch[i - held].1,
+        };
+        let must_evict = |oldest: usize, entered: usize, now: f64| match policy {
+            // `>=` : eviction runs pre-insert, so reaching the budget
+            // means the insert about to happen would exceed it.
+            WindowPolicy::Count(max) => entered - oldest >= max,
+            // `>=` : a point whose age equals the horizon exactly is
+            // already out of the window (see `WindowPolicy::Time`).
+            WindowPolicy::Time(horizon) => now - time_of(oldest) >= horizon,
+        };
+        let (mut now, mut evicted) = (self.now, 0);
+        for (entered, &(_, time)) in (held..).zip(batch) {
+            now = now.max(time);
+            while evicted < entered && must_evict(evicted, entered, now) {
+                evicted += 1;
             }
-            self.evict_slot(oldest);
-            evicted += 1;
         }
+        self.now = now;
         evicted
     }
 
-    fn evict_slot(&mut self, slot: u32) {
-        debug_assert_eq!(self.live.front(), Some(&slot));
-        self.live.pop_front();
-
-        // Decrement the survivors' neighbour counts.
-        let point = self.slots[slot as usize].point;
-        let mut hits = std::mem::take(&mut self.hits_scratch);
-        self.neighbors_of(point, slot, &mut hits);
-        let min_pts = self.config.params.min_pts;
-        for &q in &hits {
-            let s = &mut self.slots[q as usize];
-            s.neighbor_count -= 1;
-            s.core = s.neighbor_count as usize >= min_pts;
-            sat_bump(&mut self.stage1_counters.misc_ops, 1);
-        }
-        self.hits_scratch = hits;
-
-        self.slots[slot as usize].alive = false;
-        // Physically drop from whichever structure holds the point.  A
-        // tail slot disappears immediately and can be reused; a slot whose
-        // sphere is still in a BVH must wait for the refit/rebuild that
-        // removes the sphere (queries filter it by the alive flag until
-        // then).
-        match self.slots[slot as usize].loc {
-            Loc::Tail => {
-                let pos = self
-                    .pending
-                    .iter()
-                    .position(|&p| p == slot)
-                    // analyze-allow: lib-unwrap -- the tail slot was pushed to pending when it entered the delta region
-                    .expect("tail slot must be in pending");
-                self.pending.swap_remove(pos);
-                self.free.push(slot);
+    /// Evict the window's `count` oldest points: each queries its
+    /// ε-neighbourhood once and decrements its surviving neighbours.
+    fn evict_front(&mut self, count: usize) {
+        let survivors = self.head + count as u64;
+        let mut hits = std::mem::take(&mut self.hits);
+        for k in 0..count {
+            self.neighbors_of(self.window[k].point, survivors, &mut hits);
+            for &q in &hits {
+                self.window[q].neighbor_count -= 1;
             }
-            Loc::Delta => self.retiring_delta.push(slot),
-            Loc::Scene => {
-                self.dead_in_scene += 1;
-                self.retiring_scene.push(slot);
-            }
+            sat_bump(&mut self.stage1_counters.misc_ops, hits.len() as u64);
         }
+        self.hits = hits;
+        self.window.drain(..count);
+        self.head = survivors;
     }
 
-    fn insert_point(&mut self, point: Point3, time: f64) {
-        let fresh = Slot {
-            point,
-            time,
-            alive: true,
-            neighbor_count: 0,
-            core: false,
-            loc: Loc::Tail,
-        };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = fresh;
-                s
+    /// Count the neighbourhoods of the window points from position `from`
+    /// on, this call's admissions, which scene maintenance has indexed by
+    /// now: each query sets its own point's count and bumps its neighbours
+    /// older than `from` (an admitted neighbour counts the pair in its own
+    /// query).
+    fn count_admitted(&mut self, from: usize) {
+        let mut hits = std::mem::take(&mut self.hits);
+        for k in from..self.window.len() {
+            self.neighbors_of(self.window[k].point, self.head, &mut hits);
+            let mut count = 0;
+            for &q in &hits {
+                if q < from {
+                    self.window[q].neighbor_count += 1;
+                    sat_bump(&mut self.stage1_counters.misc_ops, 1);
+                }
+                count += u32::from(q != k);
             }
-            None => {
-                self.slots.push(fresh);
-                self.slots.len() as u32 - 1
-            }
-        };
-
-        // One neighbourhood query maintains both sides' counts exactly.
-        let mut hits = std::mem::take(&mut self.hits_scratch);
-        self.neighbors_of(point, slot, &mut hits);
-        let min_pts = self.config.params.min_pts;
-        for &q in &hits {
-            let other = &mut self.slots[q as usize];
-            other.neighbor_count += 1;
-            other.core = other.neighbor_count as usize >= min_pts;
-            sat_bump(&mut self.stage1_counters.misc_ops, 1);
+            self.window[k].neighbor_count = count;
         }
-        let me = &mut self.slots[slot as usize];
-        me.neighbor_count = hits.len() as u32;
-        me.core = hits.len() >= min_pts;
-        self.hits_scratch = hits;
-
-        self.live.push_back(slot);
-        self.pending.push(slot);
+        self.hits = hits;
     }
 
     // ------------------------------------------------------------------
@@ -500,7 +466,7 @@ impl StreamingClusterer {
     fn maintain_scene(&mut self) -> (bool, bool) {
         if self.rebuild_backoff > 0 {
             // A recent rebuild exhausted its attempts; wait out the backoff
-            // before trying again.  Refit and tail compaction below still
+            // before trying again.  Refit and the delta build below still
             // maintain what they can.
             self.rebuild_backoff -= 1;
         } else if self.needs_rebuild() {
@@ -508,9 +474,9 @@ impl StreamingClusterer {
                 self.rebuild_fail_streak = 0;
                 return (false, true);
             }
-            // Degrade: the old scene, delta overlays and exact tail scan
-            // keep answering correctly (just slower); retry later with
-            // exponential backoff.
+            // Degrade: the old scene, deltas and exact scan keep answering
+            // correctly (just slower); retry later with exponential
+            // backoff.
             self.rebuild_fail_streak = self.rebuild_fail_streak.saturating_add(1);
             self.rebuild_backoff = self
                 .config
@@ -518,57 +484,55 @@ impl StreamingClusterer {
                 .backoff_ticks(self.rebuild_fail_streak);
         }
         let mut refitted = false;
+        let dead = self.dead_in_scene();
         if let Some(scene) = self.scene.as_mut() {
-            let prims = scene.primitives.len().max(1);
-            if self.dead_in_scene > 0
-                && self.dead_in_scene as f32 >= self.config.refit_dead_fraction * prims as f32
-            {
+            let prims = scene.bvh.primitives.len().max(1);
+            if dead > 0 && dead as f32 >= self.config.refit_dead_fraction * prims as f32 {
                 let telemetry = self.telemetry.clone();
                 let mut span = telemetry.span(PhaseKind::Refit);
                 let mut refit_counters = WorkCounters::ZERO;
-                let slots = &self.slots;
+                let (first, head) = (scene.first, self.head);
                 refit::remove_points(
-                    scene,
-                    |slot| !slots[slot as usize].alive,
+                    &mut scene.bvh,
+                    |i| first + u64::from(i) < head,
                     &mut refit_counters,
                 );
                 span.add_counters(refit_counters);
                 drop(span);
                 self.build_counters += refit_counters;
-                self.dead_in_scene = 0;
-                self.free.append(&mut self.retiring_scene);
                 sat_bump(&mut self.stats.refits, 1);
                 refitted = true;
             }
         }
-        self.compact_tail_into_delta();
+        self.build_delta();
         (refitted, false)
     }
 
-    /// Index the batch tail as a small immutable LBVH so later queries stop
-    /// paying a linear scan for it.  These delta builds are the cheap,
-    /// incremental part of the update policy: a few hundred primitives
-    /// each, absorbed wholesale by the next full rebuild.
-    fn compact_tail_into_delta(&mut self) {
-        if self.pending.is_empty() {
+    /// Evicted arrivals still physically in the scene: its primitives less
+    /// the live arrivals of its run, which ends where the first delta's (or
+    /// else the unindexed arrivals') begins.
+    fn dead_in_scene(&self) -> usize {
+        self.scene.as_ref().map_or(0, |scene| {
+            let end = self.deltas.first().map_or(self.indexed, |d| d.first);
+            let live = end.saturating_sub(scene.first.max(self.head));
+            scene.bvh.primitives.len() - live as usize
+        })
+    }
+
+    /// Index the live arrivals no BVH holds as a small immutable LBVH so
+    /// their later queries stop paying a linear scan.  These delta builds
+    /// are the cheap, incremental part of the update policy: a few hundred
+    /// primitives each, absorbed wholesale by the next full rebuild.
+    fn build_delta(&mut self) {
+        let first = self.indexed.max(self.head);
+        if first == self.tail() {
             return;
         }
-        let spheres: Vec<Sphere> = self
-            .pending
-            .iter()
-            .map(|&slot| {
-                Sphere::new(
-                    self.slots[slot as usize].point,
-                    self.config.params.eps,
-                    slot,
-                )
-            })
-            .collect();
         // Build before mutating any state: a failed delta build (only
         // possible via fault injection — the inputs were validated finite
-        // on insert) defers compaction, leaving the tail pending and
+        // on ingest) defers compaction, leaving the arrivals unindexed and
         // exactly scanned until a later pass succeeds.
-        let delta = match self.try_build_delta(spheres) {
+        let delta = match self.try_build_delta(self.spheres_from(first)) {
             Ok(delta) => delta,
             Err(_) => {
                 count_degradation(
@@ -580,24 +544,19 @@ impl StreamingClusterer {
             }
         };
         self.build_counters += delta.build_counters;
-        for &slot in &self.pending {
-            self.slots[slot as usize].loc = Loc::Delta;
-        }
-        self.pending.clear();
-        self.deltas.push(delta);
+        self.deltas.push(Level { bvh: delta, first });
+        self.indexed = self.tail();
     }
 
     fn needs_rebuild(&self) -> bool {
-        let indexed_live = self
-            .scene
-            .as_ref()
-            .map_or(0, |s| s.primitives.len() - self.dead_in_scene);
+        let indexed_live =
+            self.scene.as_ref().map_or(0, |s| s.bvh.primitives.len()) - self.dead_in_scene();
         let overlay: usize = self
             .deltas
             .iter()
-            .map(|d| d.primitives.len())
+            .map(|d| d.bvh.primitives.len())
             .sum::<usize>()
-            + self.pending.len();
+            + (self.tail() - self.indexed.max(self.head)) as usize;
         if overlay as f32 > self.config.max_pending_fraction * indexed_live.max(1) as f32 {
             return true;
         }
@@ -608,7 +567,7 @@ impl StreamingClusterer {
             (Some(scene), Some(at_build)) => self
                 .config
                 .refit_policy
-                .should_rebuild(at_build, &refit::tree_health(scene)),
+                .should_rebuild(at_build, &refit::tree_health(&scene.bvh)),
             _ => overlay > 0,
         }
     }
@@ -617,23 +576,13 @@ impl StreamingClusterer {
     /// retry under the configured [`rtcore::fault::RetryPolicy`].  The new
     /// BVH is built *first* and the streaming state committed only on
     /// success: a failed build (only possible via fault injection — the
-    /// inputs were validated finite on insert) leaves the old scene,
-    /// overlays and tail untouched and returns `false`.
+    /// inputs were validated finite on ingest) leaves the old scene and
+    /// deltas untouched and returns `false`.
     fn rebuild_scene(&mut self) -> bool {
         let telemetry = self.telemetry.clone();
         let mut span = telemetry.span(PhaseKind::Rebuild);
         let counters_before = self.build_counters;
-        let spheres: Vec<Sphere> = self
-            .live
-            .iter()
-            .map(|&slot| {
-                Sphere::new(
-                    self.slots[slot as usize].point,
-                    self.config.params.eps,
-                    slot,
-                )
-            })
-            .collect();
+        let spheres = self.spheres_from(self.head);
         let built = if spheres.is_empty() {
             None
         } else {
@@ -662,23 +611,20 @@ impl StreamingClusterer {
             }
         };
 
-        // Commit: every live sphere now lives in the (possibly empty) new
-        // scene; overlays, the tail and retired ids are absorbed.
-        for &slot in &self.live {
-            self.slots[slot as usize].loc = Loc::Scene;
-        }
-        self.pending.clear();
+        // Commit: every live arrival now lives in the (possibly empty) new
+        // scene, which replaces the deltas and drops every evicted sphere.
         self.deltas.clear();
-        self.dead_in_scene = 0;
-        self.free.append(&mut self.retiring_scene);
-        self.free.append(&mut self.retiring_delta);
+        self.indexed = self.tail();
         match built {
             Some(bvh) => {
                 self.build_counters += bvh.build_counters;
                 sat_bump(&mut self.build_counters.rebuilds, 1);
                 sat_bump(&mut self.stats.rebuilds, 1);
                 self.health_at_build = Some(refit::tree_health(&bvh));
-                self.scene = Some(bvh);
+                self.scene = Some(Level {
+                    bvh,
+                    first: self.head,
+                });
             }
             None => {
                 self.scene = None;
@@ -689,6 +635,17 @@ impl StreamingClusterer {
         true
     }
 
+    /// ε-spheres over the window's arrivals from `first` on; sphere `i` is
+    /// arrival `first + i`.
+    fn spheres_from(&self, first: u64) -> Vec<Sphere> {
+        let eps = self.config.params.eps;
+        self.window
+            .range((first - self.head) as usize..)
+            .zip(0..)
+            .map(|(entry, i)| Sphere::new(entry.point, eps, i))
+            .collect()
+    }
+
     /// One main-scene build attempt; the failpoint fires before any build
     /// work so a simulated failure costs nothing.
     fn try_build_scene(&mut self, spheres: Vec<Sphere>, telemetry: &Telemetry) -> Result<Bvh> {
@@ -696,8 +653,8 @@ impl StreamingClusterer {
         LbvhBuilder::default().build_with_telemetry(spheres, telemetry)
     }
 
-    /// One delta-compaction build attempt (same failpoint site as the main
-    /// rebuild: both are LBVH builds on the streaming path).
+    /// One delta build attempt (same failpoint site as the main rebuild:
+    /// both are LBVH builds on the streaming path).
     fn try_build_delta(&mut self, spheres: Vec<Sphere>) -> Result<Bvh> {
         rtcore::fail_point!(self.fault, FaultSite::HlbvhBuild);
         LbvhBuilder::default().build(spheres)
@@ -707,55 +664,38 @@ impl StreamingClusterer {
     // Queries
     // ------------------------------------------------------------------
 
-    /// The one neighbour rule every query arm shares: `candidate` counts as
-    /// a live ε-neighbour of the query at `origin` iff it is not the query
-    /// itself, its centre lies in the closed ε-ball (squared-f32
-    /// convention), and its slot is still alive.
-    #[inline]
-    fn is_live_neighbor(
-        slots: &[Slot],
-        exclude: u32,
-        eps_sq: f32,
-        candidate: u32,
-        center: Point3,
-        origin: Point3,
-    ) -> bool {
-        candidate != exclude
-            && center.distance_squared(origin) <= eps_sq
-            && slots[candidate as usize].alive
-    }
-
-    /// Exact live ε-neighbourhood of `point` (slot ids, `exclude` and
-    /// retired slots filtered out): one counted traversal of the indexed
-    /// scene plus an exact scan of the pending overlay, charged to stage 1.
-    fn neighbors_of(&mut self, point: Point3, exclude: u32, out: &mut Vec<u32>) {
+    /// Window positions of the points from arrival `live_from` on whose
+    /// centres lie in the closed ε-ball around `point` (squared-f32
+    /// convention; `point`'s own entry included if it is one): one counted
+    /// traversal of the scene and of each delta plus an exact scan of the
+    /// unindexed arrivals, charged to stage 1.
+    fn neighbors_of(&mut self, point: Point3, live_from: u64, out: &mut Vec<usize>) {
         out.clear();
         let mut counters = WorkCounters::ZERO;
         sat_bump(&mut counters.rays, 1);
         let ray = Ray::epsilon_ray(point);
-        let slots = &self.slots;
-        let eps_sq = self.eps_sq;
-        for tree in self.scene.iter().chain(self.deltas.iter()) {
-            traverse(tree, &ray, &mut counters, |sphere, counters| {
-                sat_bump(&mut counters.dist_comps, 1);
-                if Self::is_live_neighbor(
-                    slots,
-                    exclude,
-                    eps_sq,
-                    sphere.point_index,
-                    sphere.center,
-                    point,
-                ) {
-                    out.push(sphere.point_index);
-                }
-                Traversal::Continue
-            });
+        let (head, eps_sq) = (self.head, self.eps_sq);
+        for level in self.scene.iter().chain(&self.deltas) {
+            traverse_with_scratch(
+                &level.bvh,
+                &ray,
+                &mut self.scratch,
+                &mut counters,
+                |sphere, counters| {
+                    sat_bump(&mut counters.dist_comps, 1);
+                    let arrival = level.first + u64::from(sphere.point_index);
+                    if arrival >= live_from && sphere.center.distance_squared(point) <= eps_sq {
+                        out.push((arrival - head) as usize);
+                    }
+                    Traversal::Continue
+                },
+            );
         }
-        for &slot in &self.pending {
+        let unindexed = (self.indexed.max(live_from) - head) as usize;
+        for (entry, k) in self.window.range(unindexed..).zip(unindexed..) {
             sat_bump(&mut counters.dist_comps, 1);
-            let center = slots[slot as usize].point;
-            if Self::is_live_neighbor(slots, exclude, eps_sq, slot, center, point) {
-                out.push(slot);
+            if entry.point.distance_squared(point) <= eps_sq {
+                out.push(k);
             }
         }
         self.stage1_counters += counters;
@@ -816,15 +756,14 @@ impl StreamingClusterer {
             });
         }
         let eps = self.config.params.eps;
+        let min_pts = self.config.params.min_pts as u64;
         let points = self.window_points();
-        let (counts, core): (Vec<u64>, Vec<bool>) = self
-            .live
+        let counts: Vec<u64> = self
+            .window
             .iter()
-            .map(|&slot| {
-                let s = &self.slots[slot as usize];
-                (u64::from(s.neighbor_count), s.core)
-            })
-            .unzip();
+            .map(|entry| u64::from(entry.neighbor_count))
+            .collect();
+        let core: Vec<bool> = counts.iter().map(|&count| count >= min_pts).collect();
         let telemetry = self.telemetry.clone();
         let mut span = telemetry.span(PhaseKind::LbvhBuild);
         // Cannot fail in `snapshot`: ingest rejected every non-finite
@@ -1281,11 +1220,11 @@ mod tests {
             (Point3::new_2d(101.0, 0.0), 12.0),
         ])
         .unwrap();
+        let min_pts = c.config().params.min_pts;
         let far_cores = c
-            .live
+            .window
             .iter()
-            .map(|&slot| c.slots[slot as usize])
-            .filter(|s| s.core && s.point.x >= 100.0)
+            .filter(|e| e.neighbor_count as usize >= min_pts && e.point.x >= 100.0)
             .count();
         assert_eq!(far_cores, 3);
         assert_eq!(c.phase_counters().2, WorkCounters::ZERO);
@@ -1299,9 +1238,25 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_is_indexed_before_it_is_queried() {
+        // 400 points 3ε apart in one ingest: each query traverses the scene
+        // built over its batch and tests one LBVH leaf (at most 4
+        // primitives), never a scan of its batch-mates.
+        let mut c = StreamingClusterer::new(config(1.0, 2, WindowPolicy::Count(10_000))).unwrap();
+        let pts: Vec<Point3> = (0..400)
+            .map(|i| Point3::new_2d(i as f32 * 3.0, 0.0))
+            .collect();
+        c.ingest(&timestamped(&pts, 0.0)).unwrap();
+        let stage1 = c.phase_counters().1;
+        assert_eq!(stage1.rays, 400);
+        assert!(stage1.dist_comps <= 4 * 400, "{stage1:?}");
+        assert_matches_classic(&mut c);
+    }
+
+    #[test]
     fn a_reused_border_slot_joins_no_old_cluster() {
         // ε = 1, minPts = 2, a 10 s horizon, and a refit policy that never
-        // asks for a rebuild, so that a refit flushes evicted slots.
+        // asks for a rebuild, so that a refit flushes evicted points.
         let mut cfg = config(1.0, 2, WindowPolicy::Time(10.0));
         cfg.max_pending_fraction = 1.0;
         cfg.refit_policy = rtcore::bvh::RefitPolicy {
@@ -1317,26 +1272,24 @@ mod tests {
             .unwrap();
         c.ingest(&[at(0.0, 1.0), at(0.9, 5.0), at(1.5, 5.0), at(1.6, 5.0)])
             .unwrap();
-        let border = c.live[3];
+        let border = c.head + 3;
         // t = 10 evicts the far cores, and B leads the window.
         c.ingest(&[at(200.0, 10.0)]).unwrap();
-        assert_eq!(c.live.front(), Some(&border));
+        assert_eq!(c.head, border);
         let s = c.snapshot();
         assert!(!s.core[0] && s.labels[0] != NOISE, "B is a border");
         assert_matches_classic(&mut c);
 
-        // t = 11 evicts B alone, and a refit makes its slot reusable.
+        // t = 11 evicts B alone, and a refit flushes its sphere.
         let refits = c.stats().refits;
         c.ingest(&[at(300.0, 11.0)]).unwrap();
         assert!(c.stats().refits > refits);
-        assert!(c.free.contains(&border));
+        assert_eq!((c.head, c.dead_in_scene()), (border + 1, 0));
 
-        // t = 12: three points far from the cluster take the free slots, B's
-        // first, and all become core.
+        // t = 12: three points far from the cluster arrive and all become
+        // core.
         c.ingest(&[at(500.0, 12.0), at(500.5, 12.0), at(501.0, 12.0)])
             .unwrap();
-        let reused = c.slots[border as usize];
-        assert!(reused.alive && reused.core && reused.point.x == 500.0);
         assert_matches_classic(&mut c);
     }
 

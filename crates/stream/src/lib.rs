@@ -12,10 +12,12 @@
 //! * [`StreamingClusterer`] — batched ingestion into a sliding time/count
 //!   window ([`WindowPolicy`]).  The ε-sphere scene is kept alive across
 //!   batches: expiring points are *refitted* out of the BVH in place
-//!   (`rtcore::bvh::refit`), newly arrived points accumulate in a pending
-//!   overlay that queries scan exactly, and a quality heuristic
-//!   ([`rtcore::bvh::RefitPolicy`] plus a pending-fraction bound) decides
-//!   when the degraded tree is worth a full LBVH rebuild.
+//!   (`rtcore::bvh::refit`), each batch of newly arrived points is indexed
+//!   as a small delta LBVH before it is queried, and a quality heuristic
+//!   ([`rtcore::bvh::RefitPolicy`] plus a bound on the deltas' share)
+//!   decides when the degraded tree is worth a full LBVH rebuild.  Points
+//!   are named by arrival number, so the window is one deque and a
+//!   liveness check is one comparison.
 //! * Two layers of cluster maintenance.  Per-point ε-neighbour counts are
 //!   maintained exactly under insertion and deletion, so core flags never
 //!   need a stage-1 re-run.  Each [`StreamingClusterer::snapshot`] of a
@@ -34,7 +36,7 @@
 //! routes retirements to their owning shards and drops every bottom-level
 //! BVH that eviction empties (see `examples/sharded_scene.rs`).
 //!
-//! Every piece of work — traversals, pending scans, refits, rebuilds,
+//! Every piece of work — traversals, refits, rebuilds, delta builds,
 //! transient snapshot builds, stage-2 launches and union/find traffic — is
 //! recorded in `rtcore::hardware::WorkCounters`, with refit and rebuild
 //! decisions visible as `refits` / `rebuilds`, so the simulated-device cost

@@ -43,9 +43,10 @@ pub struct StreamingConfig {
     pub window: WindowPolicy,
     /// When the refitted BVH counts as degraded enough to rebuild.
     pub refit_policy: RefitPolicy,
-    /// Rebuild when pending (not-yet-indexed) points exceed this fraction
-    /// of the indexed primitives; until then they are scanned exactly by an
-    /// overlay pass per query.
+    /// Rebuild when the overlay — the delta BVHs' primitives plus the live
+    /// arrivals no BVH holds yet — exceeds this fraction of the scene's
+    /// live primitives; until then each ingest indexes its admitted points
+    /// as one more delta, which queries traverse beside the scene.
     pub max_pending_fraction: f32,
     /// Refit (physically remove retired primitives and recompute bounds)
     /// once the dead fraction of the indexed primitives exceeds this;
@@ -64,11 +65,12 @@ pub struct StreamingConfig {
     /// [`rtcore::Error::OverBudget`].  A snapshot's transient index is not
     /// resident and is not charged: it lives only for the call.
     pub memory_budget: MemoryBudget,
-    /// Bounded retry-with-backoff for main-scene rebuilds and tail
-    /// compactions that fail (today only via fault injection; real builds
-    /// over ingest-validated points cannot fail).  While a rebuild is
-    /// failing the clusterer degrades gracefully: the old scene, delta
-    /// overlays and exact tail scan keep answering correctly, just slower.
+    /// Bounded retry-with-backoff for main-scene rebuilds that fail (today
+    /// only via fault injection; real builds over ingest-validated points
+    /// cannot fail).  While a rebuild is failing the clusterer degrades
+    /// gracefully: the old scene, its deltas and an exact scan of the
+    /// arrivals a failed delta build left unindexed keep answering
+    /// correctly, just slower.
     pub rebuild_retry: RetryPolicy,
     /// Deterministic fault-injection schedule (default [`FaultPlan::Off`])
     /// for the maintained scene's builds.  Only a build compiled with the

@@ -245,3 +245,65 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Property: under a time window, ingesting a chunk in one call leaves
+    /// the same window, eviction count and snapshot as ingesting its points
+    /// one call at a time.  Timestamps repeat, jitter and step back, and a
+    /// chunk may hold more or fewer points than the window keeps, so some
+    /// chunks evict their own first points.  Every snapshot also equals
+    /// the default engine's run over the window.
+    #[test]
+    fn time_window_batches_equal_point_by_point_ingest(
+        n in 20usize..160,
+        horizon in 1.0f64..12.0,
+        chunk in 1usize..80,
+        eps in 0.3f32..1.2,
+        min_pts in 1usize..6,
+        seed in 0u64..1_000_000,
+    ) {
+        // Per point, a step code of 0 repeats the last timestamp, 1 steps
+        // back and the rest move forward by uneven amounts; points fall on
+        // a coarse grid of three blobs.
+        let mut state = seed;
+        let mut t = 0.0f64;
+        let timed: Vec<(Point3, f64)> = (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let h = state >> 33;
+                t += match h % 8 {
+                    0 => 0.0,
+                    1 => -0.75,
+                    step => step as f64 * 0.15,
+                };
+                let (x, y) = ((h >> 3) % 12, (h >> 7) % 6);
+                let blob = (x % 3) as f32 * 5.0;
+                (Point3::new_2d(blob + x as f32 * 0.25, y as f32 * 0.3), t)
+            })
+            .collect();
+
+        let params = DbscanParams::new(eps, min_pts).unwrap();
+        let engine = ClusterEngine::builder().params(params).build().unwrap();
+        let config = StreamingConfig::new(params, WindowPolicy::Time(horizon));
+        let mut batched = StreamingClusterer::new(config).unwrap();
+        let mut single = StreamingClusterer::new(config).unwrap();
+        for points in timed.chunks(chunk) {
+            batched.ingest(points).unwrap();
+            for &point in points {
+                single.ingest(&[point]).unwrap();
+            }
+            let window = batched.window_points();
+            prop_assert_eq!(&window, &single.window_points());
+            prop_assert_eq!(batched.stats().evicted, single.stats().evicted);
+            let snapshot = batched.snapshot();
+            prop_assert_eq!(&snapshot, &single.snapshot());
+            let run = engine.run(&window).unwrap().clustering;
+            prop_assert_eq!(&snapshot.labels, &run.labels);
+            prop_assert_eq!(&snapshot.core, &run.core);
+        }
+    }
+}
