@@ -1,12 +1,13 @@
 //! Streaming benches: ingest throughput, snapshot latency, and the
-//! refit-vs-rebuild comparison that justifies the BVH update policy.
+//! refit-vs-rebuild comparison that justifies the scene update policy.
 //!
 //! Three groups:
 //!
-//! * `refit_vs_rebuild` — the raw scene-maintenance primitives: removing a
-//!   slice of expired primitives via `rtcore::bvh::refit` against a full
-//!   LBVH rebuild of the survivors, at several scene sizes.  This is the
-//!   acceptance-criterion bench: refit must be demonstrably cheaper.
+//! * `refit_vs_rebuild` — the raw scene-maintenance primitives on the
+//!   streaming scene's index (the `Algo::Rt` engine's, without
+//!   compaction): removing a slice of expired points in place with
+//!   `NeighborIndex::remove` against a fresh build of the survivors through
+//!   the same builder, at several scene sizes.
 //! * `stream_ingest` — end-to-end sliding-window ingest throughput of
 //!   `StreamingClusterer` under (a) the default refit-first update policy
 //!   and (b) a policy pinned to rebuild on every batch.
@@ -14,9 +15,9 @@
 //!   a slid window with stage 2.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rtcore::bvh::{refit, spheres_from_points, BvhBuilder, LbvhBuilder};
 use rtcore::geometry::Point3;
-use rtcore::hardware::WorkCounters;
+use rtcore::index::NeighborIndexBuilder;
+use rtdbscan::engine::{Algo, ClusterEngine};
 use rtdbscan::DbscanParams;
 use rtdbscan_datasets::{generate, PaperDataset};
 use rtdbscan_stream::{StreamingClusterer, StreamingConfig, WindowPolicy};
@@ -28,43 +29,44 @@ fn bench_refit_vs_rebuild(c: &mut Criterion) {
     group.sample_size(20);
     group.warm_up_time(Duration::from_millis(200));
     group.measurement_time(Duration::from_secs(2));
+    let params = DbscanParams::new(0.5, 8).unwrap();
+    let builder = NeighborIndexBuilder {
+        compaction: false,
+        ..ClusterEngine::builder()
+            .algorithm(Algo::Rt)
+            .params(params)
+            .build()
+            .unwrap()
+            .index_config()
+    };
     for &n in &[10_000usize, 60_000] {
         let points = generate(PaperDataset::PortoTaxi, n, 42);
-        let radius = 0.5f32;
-        let base = LbvhBuilder::default()
-            .build(spheres_from_points(&points, radius))
-            .unwrap();
+        // Expire 10% of the points.
+        let retired: Vec<u32> = (0..n as u32).filter(|i| i % 10 == 0).collect();
+        let survivors: Vec<Point3> = points
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i % 10 != 0)
+            .map(|(_, &p)| p)
+            .collect();
         group.throughput(Throughput::Elements(n as u64));
-        // Refit: drop 10% of the primitives in place.
-        group.bench_with_input(BenchmarkId::new("refit_drop_10pct", n), &base, |b, base| {
+        // An index cannot be cloned, so both arms first build it over all
+        // n points: the gap between their medians is the in-place removal
+        // against the fresh build of the survivors.
+        group.bench_function(BenchmarkId::new("build_then_remove_10pct", n), |b| {
             b.iter(|| {
-                let mut bvh = base.clone();
-                let mut counters = WorkCounters::ZERO;
-                refit::remove_points(&mut bvh, |i| i % 10 == 0, &mut counters);
-                black_box((bvh.primitives.len(), counters.refit_node_ops))
+                let mut index = builder.build(&points, params.eps).unwrap();
+                let work = index.remove(&retired).unwrap();
+                black_box((index.len(), work.refit_node_ops))
             })
         });
-        // Rebuild: fresh LBVH over the same survivors.
-        group.bench_with_input(
-            BenchmarkId::new("rebuild_survivors", n),
-            &base,
-            |b, base| {
-                b.iter(|| {
-                    let survivors: Vec<_> = base
-                        .primitives
-                        .iter()
-                        .filter(|s| s.point_index % 10 != 0)
-                        .copied()
-                        .collect();
-                    black_box(
-                        LbvhBuilder::default()
-                            .build(survivors)
-                            .unwrap()
-                            .node_count(),
-                    )
-                })
-            },
-        );
+        group.bench_function(BenchmarkId::new("build_then_rebuild_survivors", n), |b| {
+            b.iter(|| {
+                let index = builder.build(&points, params.eps).unwrap();
+                let fresh = builder.build(&survivors, params.eps).unwrap();
+                black_box((index.len(), fresh.len()))
+            })
+        });
     }
     group.finish();
 }
@@ -106,7 +108,7 @@ fn bench_stream_ingest(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(4));
     group.throughput(Throughput::Elements(total as u64));
-    group.bench_function("refit_policy", |b| {
+    group.bench_function("refit_first", |b| {
         b.iter(|| black_box(drive_stream(refit_first, &points, batch).stats()))
     });
     group.bench_function("rebuild_every_batch", |b| {
@@ -117,7 +119,7 @@ fn bench_stream_ingest(c: &mut Criterion) {
     // One-off decision/work report so the policy's effect is visible in
     // bench output (and in the simulated device model's terms).
     for (name, cfg) in [
-        ("refit_policy", refit_first),
+        ("refit_first", refit_first),
         ("rebuild_every_batch", rebuild_always),
     ] {
         let clusterer = drive_stream(cfg, &points, batch);

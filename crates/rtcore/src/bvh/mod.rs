@@ -41,7 +41,7 @@ pub mod wide;
 pub use build::{BuildParallelism, BuilderKind, BvhBuilder, LbvhBuilder, SahBuilder};
 pub use compact::{compact_coincident, CompactionResult};
 pub use node::{Bvh, BvhNode, NodeKind};
-pub use refit::{remove_points, tree_health, update_spheres, RefitPolicy, RefitStats, TreeHealth};
+pub use refit::{remove_points, RefitStats};
 pub use tlas::{
     plan_shards, plan_shards_with, ShardPlan, ShardingConfig, Tlas, TlasNode, TlasNodeKind,
 };

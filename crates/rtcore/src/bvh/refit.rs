@@ -1,24 +1,17 @@
-//! In-place BVH refit: the cheap branch of a streaming update policy.
+//! In-place binary BVH refit: the cheap branch of a streaming update
+//! policy.
 //!
 //! Production ray tracers rarely rebuild an acceleration structure from
 //! scratch on every scene change; they *refit* — patch primitives in place
-//! and recompute node bounds bottom-up — and only fall back to a full
-//! rebuild when the refitted tree has degraded enough that traversal
-//! quality suffers.  OptiX exposes exactly this pair of operations
-//! (`OPTIX_BUILD_OPERATION_UPDATE` vs a fresh build); this module provides
-//! the software equivalent for the sphere scenes used by the RT-DBSCAN
-//! reproduction:
-//!
-//! * [`remove_points`] — delete primitives (points sliding out of a
-//!   streaming window) by compacting leaf ranges in place, then refitting
-//!   bounds bottom-up.  No sorting, no partitioning, no node allocation.
-//! * [`update_spheres`] — mutate primitives in place (moving centres,
-//!   changing ε) and refit bounds bottom-up.
-//! * [`TreeHealth`] / [`RefitPolicy`] — the quality heuristic: a refitted
-//!   tree keeps its topology, so after enough deletions (or enough motion)
-//!   its per-primitive node overhead and leaf-bound slack grow past what a
-//!   fresh build would produce; the policy says when to stop refitting and
-//!   rebuild.
+//! and recompute node bounds bottom-up.  OptiX exposes exactly this pair of
+//! operations (`OPTIX_BUILD_OPERATION_UPDATE` vs a fresh build).
+//! [`remove_points`] is the software equivalent for the binary sphere
+//! scenes of the RT-DBSCAN reproduction: it deletes primitives (points
+//! sliding out of a streaming window) by compacting leaf ranges in place,
+//! then refits bounds bottom-up.  No sorting, no partitioning, no node
+//! allocation.  The binary oracle index ([`crate::index::BinaryBvhIndex`])
+//! removes points through it; the wide scene has its own in-place removal
+//! ([`crate::bvh::WideBvh::remove_points`]).
 //!
 //! All work is counted: node AABB recomputations are charged to
 //! [`WorkCounters::refit_node_ops`] and each pass increments
@@ -27,7 +20,7 @@
 //! the fixed build-setup cost — that is precisely its advantage).
 
 use crate::bvh::{Bvh, NodeKind};
-use crate::geometry::{Aabb, Sphere};
+use crate::geometry::Aabb;
 use crate::hardware::sat_bump;
 use crate::hardware::WorkCounters;
 
@@ -132,147 +125,6 @@ where
     stats
 }
 
-/// Apply `update` to every primitive in place, then refit all node bounds
-/// bottom-up.
-///
-/// This is the classic animation-style refit: sphere centres and radii may
-/// change arbitrarily, the tree topology stays.  Bounds remain correct
-/// (every leaf recomputes them), but the *quality* of the partition decays
-/// with motion — measure it with [`tree_health`] and consult a
-/// [`RefitPolicy`] to decide when a rebuild pays for itself.
-pub fn update_spheres<F>(bvh: &mut Bvh, mut update: F, counters: &mut WorkCounters) -> RefitStats
-where
-    F: FnMut(&mut Sphere),
-{
-    for sphere in &mut bvh.primitives {
-        update(sphere);
-    }
-    sat_bump(&mut counters.misc_ops, bvh.primitives.len() as u64);
-    let stats = RefitStats {
-        nodes_refit: refit_bounds(bvh, counters),
-        prims_removed: 0,
-    };
-    sat_bump(&mut counters.refits, 1);
-    stats
-}
-
-/// A snapshot of refit-relevant tree quality metrics.
-///
-/// Captured once right after a full build and again after refits; the pair
-/// feeds [`RefitPolicy::should_rebuild`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TreeHealth {
-    /// Primitives currently in the tree.
-    pub live_prims: usize,
-    /// Total nodes (fixed at build time; refits never restructure).
-    pub node_count: usize,
-    /// Leaves that have lost all their primitives.
-    pub empty_leaves: usize,
-    /// Total leaves.
-    pub leaf_count: usize,
-    /// Sum of leaf surface areas — the SAH-style proxy for expected
-    /// traversal cost.  Grows as refitted leaves inflate (motion) and stays
-    /// roughly constant under deletion.
-    pub leaf_sa_sum: f32,
-    /// Surface area of the root bounds.
-    pub root_sa: f32,
-}
-
-impl TreeHealth {
-    /// Nodes per live primitive — the deletion-degradation axis.  A freshly
-    /// built tree sits near `2 / max_leaf_size`; heavy deletion inflates it
-    /// because the topology keeps paying for primitives that left.
-    pub fn nodes_per_prim(&self) -> f32 {
-        self.node_count as f32 / self.live_prims.max(1) as f32
-    }
-
-    /// Leaf surface area normalised by root area — the motion-degradation
-    /// axis.  Invariant to uniform scene growth, grows when leaves start
-    /// overlapping after refits.
-    pub fn leaf_sa_ratio(&self) -> f32 {
-        if self.root_sa <= 0.0 {
-            return 0.0;
-        }
-        self.leaf_sa_sum / self.root_sa
-    }
-}
-
-/// Measure the current [`TreeHealth`] of a BVH.
-pub fn tree_health(bvh: &Bvh) -> TreeHealth {
-    let mut empty_leaves = 0usize;
-    let mut leaf_count = 0usize;
-    let mut leaf_sa_sum = 0.0f32;
-    for node in &bvh.nodes {
-        if let NodeKind::Leaf { prim_count, .. } = node.kind {
-            leaf_count += 1;
-            if prim_count == 0 {
-                empty_leaves += 1;
-            } else {
-                leaf_sa_sum += node.bounds.surface_area();
-            }
-        }
-    }
-    TreeHealth {
-        live_prims: bvh.primitives.len(),
-        node_count: bvh.nodes.len(),
-        empty_leaves,
-        leaf_count,
-        leaf_sa_sum,
-        root_sa: bvh.scene_bounds().surface_area(),
-    }
-}
-
-/// When to stop refitting and rebuild from scratch.
-///
-/// Mirrors the heuristics production RT engines use: refit while cheap,
-/// rebuild when the refitted tree's expected traversal cost drifts too far
-/// from what a fresh build would give.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RefitPolicy {
-    /// Rebuild when `nodes_per_prim` has inflated by more than this factor
-    /// relative to the tree as built (deletions shrink `live_prims` while
-    /// `node_count` stays fixed).
-    pub max_node_inflation: f32,
-    /// Rebuild when the leaf-surface-area ratio has inflated by more than
-    /// this factor relative to the tree as built (leaf AABBs degraded past
-    /// the threshold — motion/update workloads).
-    pub max_leaf_sa_inflation: f32,
-    /// Below this many live primitives, always rebuild — tiny trees rebuild
-    /// faster than any bookkeeping can pay for.
-    pub min_prims_for_refit: usize,
-}
-
-impl Default for RefitPolicy {
-    fn default() -> Self {
-        RefitPolicy {
-            // A fresh build at max_leaf_size 4 sits near 0.5 nodes/prim;
-            // letting it double roughly corresponds to half the window
-            // having been deleted.
-            max_node_inflation: 2.0,
-            max_leaf_sa_inflation: 2.0,
-            min_prims_for_refit: 64,
-        }
-    }
-}
-
-impl RefitPolicy {
-    /// Decide whether a tree measured `now` has degraded past this policy's
-    /// thresholds relative to its health `at_build` time.
-    pub fn should_rebuild(&self, at_build: &TreeHealth, now: &TreeHealth) -> bool {
-        if now.live_prims < self.min_prims_for_refit {
-            return true;
-        }
-        if now.nodes_per_prim() > at_build.nodes_per_prim() * self.max_node_inflation {
-            return true;
-        }
-        let built_ratio = at_build.leaf_sa_ratio();
-        if built_ratio > 0.0 && now.leaf_sa_ratio() > built_ratio * self.max_leaf_sa_inflation {
-            return true;
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,106 +208,6 @@ mod tests {
             &mut c,
         );
         assert!(hits.is_empty());
-    }
-
-    #[test]
-    fn update_refit_tracks_moving_spheres() {
-        let pts = grid_points(10);
-        let radius = 0.75;
-        let mut bvh = SahBuilder::default()
-            .build(spheres_from_points(&pts, radius))
-            .unwrap();
-        let mut counters = WorkCounters::ZERO;
-        // Shift every sphere by a fixed offset: bounds must follow.
-        let offset = Point3::new(100.0, -3.0, 0.0);
-        update_spheres(
-            &mut bvh,
-            |s| {
-                s.center = Point3::new(
-                    s.center.x + offset.x,
-                    s.center.y + offset.y,
-                    s.center.z + offset.z,
-                );
-            },
-            &mut counters,
-        );
-        validate(&bvh).unwrap();
-        let moved: Vec<(u32, Point3)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                (
-                    i as u32,
-                    Point3::new(p.x + offset.x, p.y + offset.y, p.z + offset.z),
-                )
-            })
-            .collect();
-        let q = Point3::new(102.0, -1.0, 0.0);
-        let mut c = WorkCounters::ZERO;
-        let mut hits = collect_sphere_hits(&bvh, &Ray::epsilon_ray(q), None, &mut c);
-        hits.sort_unstable();
-        assert_eq!(hits, brute_force(&moved, q, radius));
-    }
-
-    #[test]
-    fn health_degrades_under_deletion_and_policy_fires() {
-        let pts = grid_points(24);
-        let mut bvh = LbvhBuilder::default()
-            .build(spheres_from_points(&pts, 0.5))
-            .unwrap();
-        let at_build = tree_health(&bvh);
-        let policy = RefitPolicy::default();
-        assert!(!policy.should_rebuild(&at_build, &at_build));
-
-        // Remove 75% of the points: nodes/prim inflates 4x > threshold 2x.
-        let mut counters = WorkCounters::ZERO;
-        remove_points(&mut bvh, |i| i % 4 != 0, &mut counters);
-        let now = tree_health(&bvh);
-        assert!(now.live_prims < at_build.live_prims);
-        assert_eq!(now.node_count, at_build.node_count);
-        assert!(now.nodes_per_prim() > at_build.nodes_per_prim() * 3.0);
-        assert!(policy.should_rebuild(&at_build, &now));
-    }
-
-    #[test]
-    fn health_degrades_under_motion_and_policy_fires() {
-        // Start from a tight grid, then scatter the points far apart with a
-        // deterministic hash: leaf AABBs inflate enormously.
-        let pts = grid_points(16);
-        let mut bvh = SahBuilder::default()
-            .build(spheres_from_points(&pts, 0.5))
-            .unwrap();
-        let at_build = tree_health(&bvh);
-        let mut counters = WorkCounters::ZERO;
-        update_spheres(
-            &mut bvh,
-            |s| {
-                let h = (s.point_index as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                s.center = Point3::new(
-                    ((h >> 16) & 0xffff) as f32,
-                    ((h >> 32) & 0xffff) as f32,
-                    0.0,
-                );
-            },
-            &mut counters,
-        );
-        let now = tree_health(&bvh);
-        assert!(
-            RefitPolicy::default().should_rebuild(&at_build, &now),
-            "leaf SA ratio {} vs built {}",
-            now.leaf_sa_ratio(),
-            at_build.leaf_sa_ratio()
-        );
-    }
-
-    #[test]
-    fn tiny_trees_always_rebuild() {
-        let pts = grid_points(4);
-        let bvh = LbvhBuilder::default()
-            .build(spheres_from_points(&pts, 0.5))
-            .unwrap();
-        let h = tree_health(&bvh);
-        assert!(RefitPolicy::default().should_rebuild(&h, &h));
     }
 
     #[test]

@@ -32,13 +32,13 @@
 //!
 //! # Maintenance in place
 //!
-//! [`WideBvh::remove_points`] and [`WideBvh::update_centers`] refit the
-//! wide scene without a binary tree: they edit the lanes (compacting each
-//! leaf's survivors, or writing new centres), then recompute every slot box
-//! in one reverse sweep over the node array — a child's index is always
-//! larger than its parent's, so children are refitted first.  A slot that
-//! loses its last primitive becomes [`WideChild::Empty`], and nodes cut off
-//! that way are pruned, so every [`validate_wide`] invariant survives.
+//! [`WideBvh::remove_points`] refits the wide scene without a binary tree:
+//! it compacts each leaf's survivors in the lanes, then recomputes every
+//! slot box in one reverse sweep over the node array — a child's index is
+//! always larger than its parent's, so children are refitted first.  A
+//! slot that loses its last primitive becomes [`WideChild::Empty`], and
+//! nodes cut off that way are pruned, so every [`validate_wide`] invariant
+//! survives.
 //!
 //! # Cost model
 //!
@@ -239,9 +239,9 @@ impl WideNode {
 /// Node 0 is the root.  The lanes hold the primitives in the order the
 /// source binary tree left them, so leaf ranges mean exactly what they
 /// meant there.  Nothing else is kept: the binary tree is not needed after
-/// the collapse, and [`WideBvh::remove_points`] / [`WideBvh::update_centers`]
-/// refit the wide nodes in place.  [`WideBvh::device_bytes`] is therefore
-/// `size_of::<WideNode>()` per node plus 20 B per lane slot.
+/// the collapse, and [`WideBvh::remove_points`] refits the wide nodes in
+/// place.  [`WideBvh::device_bytes`] is therefore `size_of::<WideNode>()`
+/// per node plus 20 B per lane slot.
 #[derive(Debug, Clone)]
 pub struct WideBvh {
     /// Flat wide-node storage; index 0 is the root.
@@ -416,24 +416,6 @@ impl WideBvh {
         RefitStats {
             nodes_refit,
             prims_removed: (before - self.lanes.len()) as u64,
-        }
-    }
-
-    /// Move primitives in place: `moved(id)` gives the new centre of point
-    /// `id` (`None` leaves it where it is).  The topology stays; the same
-    /// reverse sweep as [`WideBvh::remove_points`] re-bounds it.  Charges
-    /// like [`crate::bvh::refit::update_spheres`].
-    pub fn update_centers<F>(&mut self, moved: F, counters: &mut WorkCounters) -> RefitStats
-    where
-        F: FnMut(u32) -> Option<Point3>,
-    {
-        self.lanes.move_centers(moved);
-        sat_bump(&mut counters.misc_ops, self.lanes.len() as u64);
-        let nodes_refit = self.refit(counters);
-        sat_bump(&mut counters.refits, 1);
-        RefitStats {
-            nodes_refit,
-            prims_removed: 0,
         }
     }
 
@@ -679,17 +661,6 @@ impl PrimLanes {
         self.pad();
         self.uniform = uniform;
         kept_before
-    }
-
-    /// Write the new centre `moved(id)` of every primitive it names.
-    fn move_centers(&mut self, mut moved: impl FnMut(u32) -> Option<Point3>) {
-        for i in 0..self.len() {
-            if let Some(p) = moved(self.ids[i]) {
-                self.x[i] = p.x;
-                self.y[i] = p.y;
-                self.z[i] = p.z;
-            }
-        }
     }
 
     /// Multiplicity-weighted count of the candidates in
@@ -1372,7 +1343,7 @@ mod tests {
     #[test]
     fn in_place_removal_and_motion_match_a_fresh_collapse() {
         let eps = 1.5f32;
-        let mut pts = random_points(600, 41);
+        let pts = random_points(600, 41);
         let bvh = LbvhBuilder::default()
             .build(spheres_from_points(&pts, eps))
             .unwrap();
@@ -1382,10 +1353,9 @@ mod tests {
         // Retire every point in one corner (whole subtrees go, so nodes are
         // pruned) plus a scatter of others.
         let retire = |i: u32, p: Point3| p.x < -200.0 || i % 7 == 3;
-        let snapshot = pts.clone();
         let mut c = WorkCounters::ZERO;
         let nodes_before = wide.node_count();
-        let stats = wide.remove_points(|id| retire(id, snapshot[id as usize]), &mut c);
+        let stats = wide.remove_points(|id| retire(id, pts[id as usize]), &mut c);
         for (i, p) in pts.iter().enumerate() {
             alive[i] = !retire(i as u32, *p);
         }
@@ -1398,19 +1368,6 @@ mod tests {
         );
         assert_eq!(c.refits, 1);
         assert_eq!(c.refit_node_ops, nodes_before as u64);
-        validate_wide(&wide).unwrap();
-        // Move a few survivors far and near.
-        let moved: Vec<(u32, Point3)> = (0..pts.len() as u32)
-            .filter(|&i| alive[i as usize] && i % 5 == 0)
-            .map(|i| (i, Point3::new(i as f32 * 0.01, -(i as f32) * 0.02, 0.1)))
-            .collect();
-        wide.update_centers(
-            |id| moved.iter().find(|&&(i, _)| i == id).map(|&(_, p)| p),
-            &mut c,
-        );
-        for &(i, p) in &moved {
-            pts[i as usize] = p;
-        }
         validate_wide(&wide).unwrap();
         assert_eq!(wide.device_bytes(), {
             let slots = (live + LANE_PADDING) as u64;

@@ -154,18 +154,6 @@ impl NeighborIndex for BruteForceIndex {
         self.build_counters += counters;
         Ok(counters)
     }
-
-    fn update(&mut self, moved: &[(u32, Point3)]) -> Result<WorkCounters> {
-        let mut counters = WorkCounters::ZERO;
-        for &(i, p) in moved {
-            if let Some(slot) = self.points.get_mut(i as usize) {
-                *slot = p;
-                sat_bump(&mut counters.misc_ops, 1);
-            }
-        }
-        self.build_counters += counters;
-        Ok(counters)
-    }
 }
 
 #[cfg(test)]

@@ -132,8 +132,8 @@ struct BvhCore {
     representative_of: Vec<u32>,
     /// The build's Morton permutation of all `n` points, kept for
     /// [`QueryOrder::Morton`] self-join launches; `None` for SAH builds,
-    /// `AsGiven` indexes, shard BLASes and after maintenance moved or
-    /// removed points.  Host-side launch state, outside `device_bytes()`.
+    /// `AsGiven` indexes, shard BLASes and after maintenance removed
+    /// points.  Host-side launch state, outside `device_bytes()`.
     build_order: Option<Vec<u32>>,
     compacting: bool,
     geometry: GeometryKind,
@@ -322,16 +322,17 @@ impl BvhCore {
         *self.query_counters.lock() += *local;
     }
 
-    /// Refuse refit maintenance whenever compaction is configured (not
-    /// merely when it merged something), so behaviour always matches the
-    /// advertised `capabilities().refittable`: merged primitives stand for
-    /// several input points.
-    fn check_refittable(&self, action: &str) -> Result<()> {
+    /// Refuse removal whenever compaction is configured (not merely when
+    /// it merged something), so behaviour always matches the advertised
+    /// `capabilities().refittable`: merged primitives stand for several
+    /// input points.
+    fn check_refittable(&self) -> Result<()> {
         if self.compacting {
-            return Err(Error::InvalidConfig(format!(
-                "cannot {action} a compacting index: merged primitives \
+            return Err(Error::InvalidConfig(
+                "cannot remove points from a compacting index: merged primitives \
                  stand for several input points"
-            )));
+                    .into(),
+            ));
         }
         Ok(())
     }
@@ -595,7 +596,7 @@ impl NeighborIndex for BinaryBvhIndex {
     }
 
     fn remove(&mut self, retired: &[u32]) -> Result<WorkCounters> {
-        self.core.check_refittable("remove points from")?;
+        self.core.check_refittable()?;
         let dead: HashSet<u32> = retired.iter().copied().collect();
         let bvh = &mut self.bvh;
         let counters = self.core.refit(|n, counters| {
@@ -605,25 +606,6 @@ impl NeighborIndex for BinaryBvhIndex {
             if tree.primitives.is_empty() {
                 *bvh = None;
             }
-        });
-        self.refresh_heatmap();
-        Ok(counters)
-    }
-
-    fn update(&mut self, moved: &[(u32, Point3)]) -> Result<WorkCounters> {
-        self.core.check_refittable("move points of")?;
-        let bvh = &mut self.bvh;
-        let counters = self.core.refit(|_, counters| {
-            let Some(tree) = bvh.as_mut() else { return };
-            refit::update_spheres(
-                tree,
-                |sphere| {
-                    if let Some(&(_, p)) = moved.iter().find(|&&(i, _)| i == sphere.point_index) {
-                        sphere.center = p;
-                    }
-                },
-                counters,
-            );
         });
         self.refresh_heatmap();
         Ok(counters)
@@ -641,9 +623,8 @@ impl NeighborIndex for BinaryBvhIndex {
 /// One copy of the scene is resident: the BVH4 nodes and their SoA
 /// primitive lanes ([`WideBvh`]).  The binary tree is dropped right after
 /// the collapse, so [`NeighborIndex::device_bytes`] is the wide scene's
-/// alone.  [`NeighborIndex::remove`] and [`NeighborIndex::update`] (on a
-/// non-compacting index) refit the BVH4 in place
-/// ([`WideBvh::remove_points`], [`WideBvh::update_centers`]).
+/// alone.  [`NeighborIndex::remove`] (on a non-compacting index) refits
+/// the BVH4 in place ([`WideBvh::remove_points`]).
 ///
 /// Two coherence knobs of the [`NeighborIndexBuilder`] shape the launches:
 /// [`QueryOrder::Morton`] sorts query origins along the Z-order curve
@@ -760,7 +741,7 @@ impl WideBatchedIndex {
     /// The build's Morton permutation of the indexed points that
     /// self-join count launches walk (entry `i` is the index of the `i`-th
     /// point in `(code, index)` order), kept only by LBVH builds under
-    /// [`QueryOrder::Morton`] until maintenance moves or removes points.
+    /// [`QueryOrder::Morton`] until maintenance removes points.
     pub fn build_order(&self) -> Option<&[u32]> {
         self.core.build_order.as_deref()
     }
@@ -1330,7 +1311,7 @@ impl NeighborIndex for WideBatchedIndex {
     }
 
     fn remove(&mut self, retired: &[u32]) -> Result<WorkCounters> {
-        self.core.check_refittable("remove points from")?;
+        self.core.check_refittable()?;
         let dead: HashSet<u32> = retired.iter().copied().collect();
         let wide = &mut self.wide;
         let counters = self.core.refit(|n, counters| {
@@ -1342,20 +1323,6 @@ impl NeighborIndex for WideBatchedIndex {
             if scene.primitive_count() == 0 {
                 *wide = None;
             }
-        });
-        self.refresh_heatmap();
-        Ok(counters)
-    }
-
-    fn update(&mut self, moved: &[(u32, Point3)]) -> Result<WorkCounters> {
-        self.core.check_refittable("move points of")?;
-        let wide = &mut self.wide;
-        let counters = self.core.refit(|_, counters| {
-            let Some(scene) = wide.as_mut() else { return };
-            scene.update_centers(
-                |id| moved.iter().find(|&&(i, _)| i == id).map(|&(_, p)| p),
-                counters,
-            );
         });
         self.refresh_heatmap();
         Ok(counters)
@@ -1431,18 +1398,6 @@ pub(crate) mod tests {
         assert_eq!(index.len(), 38);
     }
 
-    #[test]
-    fn wide_backend_update_moves_points_in_place() {
-        let pts = line(20, 5.0);
-        let config = NeighborIndexBuilder::new(IndexKind::WideBatched);
-        let mut index = WideBatchedIndex::build(&config, &pts, 1.0).unwrap();
-        let mut c = WorkCounters::ZERO;
-        assert!(index.neighbors_of(pts[0], 1.0, Some(0), &mut c).is_empty());
-        // Move point 1 next to point 0.
-        index.update(&[(1, Point3::new(0.5, 0.0, 0.0))]).unwrap();
-        assert_eq!(index.neighbors_of(pts[0], 1.0, Some(0), &mut c), vec![1]);
-    }
-
     /// One resident copy of the scene: a wide index's bytes are its BVH4
     /// nodes plus 20 B per primitive lane slot (padding included) — no
     /// binary tree, no sphere array beside the lanes.
@@ -1505,6 +1460,5 @@ pub(crate) mod tests {
         let mut index = BinaryBvhIndex::build(&config, &pts, 1.0).unwrap();
         assert!(!index.capabilities().refittable);
         assert!(index.remove(&[0]).is_err());
-        assert!(index.update(&[(0, Point3::ORIGIN)]).is_err());
     }
 }

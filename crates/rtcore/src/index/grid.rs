@@ -271,30 +271,6 @@ impl NeighborIndex for UniformGridIndex {
         self.build_counters += counters;
         Ok(counters)
     }
-
-    fn update(&mut self, moved: &[(u32, Point3)]) -> Result<WorkCounters> {
-        let mut counters = WorkCounters::ZERO;
-        for &(i, p) in moved {
-            let Some(&old) = self.points.get(i as usize) else {
-                continue;
-            };
-            let old_cell = cell_of(old, self.eps);
-            let new_cell = cell_of(p, self.eps);
-            self.points[i as usize] = p;
-            sat_bump(&mut counters.misc_ops, 1);
-            if old_cell != new_cell {
-                if let Some(ids) = self.cells.get_mut(&old_cell) {
-                    ids.retain(|&j| j != i);
-                    if ids.is_empty() {
-                        self.cells.remove(&old_cell);
-                    }
-                }
-                self.cells.entry(new_cell).or_default().push(i);
-            }
-        }
-        self.build_counters += counters;
-        Ok(counters)
-    }
 }
 
 #[cfg(test)]
@@ -412,10 +388,5 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, vec![2, 3]);
         assert_eq!(index.len(), 4);
-        // Move the far point into range.
-        index.update(&[(4, Point3::new(0.5, 0.0, 0.0))]).unwrap();
-        let mut got = index.neighbors_of(pts[0], 1.0, Some(0), &mut c);
-        got.sort_unstable();
-        assert_eq!(got, vec![2, 3, 4]);
     }
 }

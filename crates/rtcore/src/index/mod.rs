@@ -156,8 +156,8 @@ pub struct IndexCapabilities {
     /// The backend merged exactly coincident points into one primitive with
     /// a multiplicity count; [`Neighbor::index`] values are representatives.
     pub compacting: bool,
-    /// [`NeighborIndex::remove`] / [`NeighborIndex::update`] are supported
-    /// (the refit hooks streaming maintenance relies on).
+    /// [`NeighborIndex::remove`] is supported (the refit hook streaming
+    /// maintenance relies on).
     pub refittable: bool,
     /// Traversal work is chargeable to the RT-core execution path of the
     /// device model (BVH-backed substrates only).
@@ -172,7 +172,7 @@ pub type NeighborVisitor<'a> = dyn FnMut(Neighbor, &mut WorkCounters) -> Neighbo
 pub type NeighborSink<'a> = dyn Fn(usize, Neighbor, &mut WorkCounters) -> NeighborFlow + Sync + 'a;
 
 /// A built fixed-radius neighbour-search backend over an immutable point
-/// set (plus refit hooks for the streaming shape).
+/// set (plus a removal hook for the streaming shape).
 ///
 /// The index is built for a fixed radius ε; queries may use any `eps` up to
 /// the build radius (the structure only guarantees completeness within it).
@@ -184,7 +184,8 @@ pub type NeighborSink<'a> = dyn Fn(usize, Neighbor, &mut WorkCounters) -> Neighb
 /// layer existed), `prim_tests` / node visits from the traversal itself, and
 /// one ray per query on the BVH substrates.
 pub trait NeighborIndex: std::fmt::Debug + Send + Sync {
-    /// Number of points the index was built over.
+    /// Number of points the index holds: those it was built over, less
+    /// those [`NeighborIndex::remove`] retired.
     fn len(&self) -> usize;
 
     /// True if the index holds no points.
@@ -401,10 +402,12 @@ pub trait NeighborIndex: std::fmt::Debug + Send + Sync {
         out
     }
 
-    /// Retire points from the index in place (streaming refit hook).
-    /// Returns the maintenance work performed.  Backends that cannot refit
-    /// report [`Error::InvalidConfig`], and so does a compacting BVH index
-    /// (a merged primitive stands for several points).
+    /// Retire points from the index in place (streaming refit hook): each
+    /// id in `retired` must be a point the index still holds, and
+    /// [`NeighborIndex::len`] falls by `retired.len()`.  Returns the
+    /// maintenance work performed.  Backends that cannot refit report
+    /// [`Error::InvalidConfig`], and so does a compacting BVH index (a
+    /// merged primitive stands for several points).
     ///
     /// The binary oracle refits its binary tree.  The wide backends keep
     /// no binary tree: they compact each BVH4 leaf's survivors in the
@@ -417,20 +420,6 @@ pub trait NeighborIndex: std::fmt::Debug + Send + Sync {
         let _ = retired;
         Err(Error::InvalidConfig(format!(
             "{} index does not support in-place removal",
-            self.capabilities().kind.name()
-        )))
-    }
-
-    /// Move points in place (streaming refit hook), rebounding the
-    /// structure.  Backends that cannot refit report
-    /// [`Error::InvalidConfig`], and so does a compacting BVH index.  The
-    /// wide backends write the new centres into the primitive lanes and
-    /// refit the BVH4 in place ([`crate::bvh::WideBvh::update_centers`]);
-    /// a moved point stays in its shard, whose box grows to follow it.
-    fn update(&mut self, moved: &[(u32, Point3)]) -> Result<WorkCounters> {
-        let _ = moved;
-        Err(Error::InvalidConfig(format!(
-            "{} index does not support in-place updates",
             self.capabilities().kind.name()
         )))
     }

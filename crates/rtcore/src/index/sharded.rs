@@ -220,7 +220,7 @@ pub struct ShardedIndex {
     representative_of: Vec<u32>,
     /// The build's Morton permutation of all `n` points, kept under
     /// [`QueryOrder::Morton`] for self-join count launches (as the flat
-    /// backend's); `None` once maintenance moved or removed points.
+    /// backend's); `None` once maintenance removed points.
     /// Host-side launch state, outside `device_bytes()`.
     build_order: Option<Vec<u32>>,
     /// Representative point id → owning shard (`u32::MAX` once retired).
@@ -672,7 +672,7 @@ impl ShardedIndex {
     /// The build's Morton permutation of the indexed points that
     /// self-join count launches walk, as
     /// [`WideBatchedIndex::build_order`]: kept under [`QueryOrder::Morton`]
-    /// until maintenance moves or removes points.
+    /// until maintenance removes points.
     pub fn build_order(&self) -> Option<&[u32]> {
         self.build_order.as_deref()
     }
@@ -1463,80 +1463,6 @@ impl NeighborIndex for ShardedIndex {
         Ok(total)
     }
 
-    fn update(&mut self, moved: &[(u32, Point3)]) -> Result<WorkCounters> {
-        if self.compacting {
-            return Err(Error::InvalidConfig(
-                "cannot move points of a compacting index: merged primitives \
-                 stand for several input points"
-                    .into(),
-            ));
-        }
-        // A moved point stays in its owning shard — the refit inflates the
-        // BLAS (and then TLAS) bounds exactly like the flat refit inflates
-        // the single tree.
-        // analyze-allow: hot-path-alloc -- refit path: per-shard routing buckets, once per move batch, not per query
-        let mut per_shard: Vec<Vec<(u32, Point3)>> = vec![Vec::new(); self.shards.len()];
-        for &(id, p) in moved {
-            if let Some(s) = self.owner_shard(id) {
-                per_shard[s as usize].push((id, p));
-            }
-        }
-        let work: Vec<Mutex<Option<ShardSlot>>> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .map(|s| Mutex::new(Some(s)))
-            .collect();
-        let refitted: Vec<Result<(ShardSlot, WorkCounters)>> = {
-            use rayon::prelude::*;
-            (0..work.len())
-                .into_par_iter()
-                .map(|s| {
-                    // analyze-allow: lib-unwrap -- each refit slot is wrapped Some above and taken exactly once by its own task
-                    let slot = work[s].lock().take().expect("slot consumed once");
-                    let shard_moves = &per_shard[s];
-                    if shard_moves.is_empty() {
-                        return Ok((slot, WorkCounters::ZERO));
-                    }
-                    match slot {
-                        ShardSlot::Live(mut blas) => {
-                            let counters = blas.update(shard_moves)?;
-                            Ok((ShardSlot::Live(blas), counters))
-                        }
-                        ShardSlot::Degraded(mut deg) => {
-                            // Move the fallback primitives directly; the
-                            // bounds are recomputed tight (still enclosing,
-                            // which is all the TLAS gate needs).
-                            let mut counters = WorkCounters::ZERO;
-                            for &(id, p) in shard_moves {
-                                if let Some(sp) =
-                                    deg.spheres.iter_mut().find(|sp| sp.point_index == id)
-                                {
-                                    sp.center = p;
-                                    sat_bump(&mut counters.misc_ops, 1);
-                                }
-                            }
-                            deg.bounds = deg
-                                .spheres
-                                .iter()
-                                .fold(Aabb::EMPTY, |acc, sp| acc.union(&sp.bounds()));
-                            Ok((ShardSlot::Degraded(deg), counters))
-                        }
-                        ShardSlot::Retired => Ok((ShardSlot::Retired, WorkCounters::ZERO)),
-                    }
-                })
-                .collect()
-        };
-        let mut total = WorkCounters::ZERO;
-        for r in refitted {
-            let (slot, counters) = r?;
-            total += counters;
-            self.shards.push(slot);
-        }
-        self.build_order = None;
-        self.build_counters += total;
-        self.rebuild_tlas();
-        Ok(total)
-    }
-
     fn as_sharded(&self) -> Option<&ShardedIndex> {
         Some(self)
     }
@@ -1894,8 +1820,8 @@ mod tests {
                     }
                 }
             }
-            // Moving or removing points leaves the kept order stale: the
-            // maintenance hooks drop it, and self-joins sort again.
+            // Removing points leaves the kept order stale: the maintenance
+            // hook drops it, and self-joins sort again.
             let config = NeighborIndexBuilder {
                 bvh_builder: BuilderKind::Lbvh,
                 query_order: QueryOrder::Morton,
@@ -1906,9 +1832,7 @@ mod tests {
                 ..config
             };
             let mut flat_index = WideBatchedIndex::build(&config, &pts, eps).unwrap();
-            flat_index
-                .update(&[(3, Point3::new(0.25, 0.25, 0.0))])
-                .unwrap();
+            flat_index.remove(&[3]).unwrap();
             let mut sharded = ShardedIndex::build(&sharded_config, &pts, eps).unwrap();
             sharded.remove(&[5]).unwrap();
             assert!(flat_index.build_order().is_none() && sharded.build_order().is_none());

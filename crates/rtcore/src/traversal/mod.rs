@@ -99,30 +99,9 @@ where
 
 /// [`traverse`] reusing the node stack of a caller-held
 /// [`TraversalScratch`] — zero allocations once the stack has grown to the
-/// tree's depth.  Hits, traversal order and counted work are identical to
-/// the one-shot entry point.
-pub fn traverse_with_scratch<F>(
-    bvh: &Bvh,
-    ray: &Ray,
-    scratch: &mut TraversalScratch,
-    counters: &mut WorkCounters,
-    on_primitive: F,
-) -> TraversalOutcome
-where
-    F: FnMut(&Sphere, &mut WorkCounters) -> Traversal,
-{
-    traverse_on_stack(
-        bvh,
-        ray,
-        &mut scratch.node_stack,
-        counters,
-        NoSink,
-        on_primitive,
-    )
-}
-
-/// [`traverse_with_scratch`] with a node-visit sink for the heatmap
-/// profiler; behaviour and counters are identical.
+/// tree's depth — with a node-visit sink for the heatmap profiler.  Hits,
+/// traversal order and counted work are identical to the one-shot entry
+/// point.
 pub(crate) fn traverse_with_scratch_sink<S, F>(
     bvh: &Bvh,
     ray: &Ray,
@@ -145,7 +124,7 @@ where
     )
 }
 
-/// Shared body of [`traverse`] / [`traverse_with_scratch`] over a
+/// Shared body of [`traverse`] / [`traverse_with_scratch_sink`] over a
 /// caller-provided node stack.
 fn traverse_on_stack<S, F>(
     bvh: &Bvh,

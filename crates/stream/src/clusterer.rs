@@ -1,4 +1,4 @@
-//! The streaming clusterer: windowed ingestion, BVH refit/rebuild, exact
+//! The streaming clusterer: windowed ingestion, scene refit/rebuild, exact
 //! neighbour-count maintenance, and the batch stage 2 at each snapshot.
 //!
 //! # What is incremental
@@ -9,15 +9,17 @@
 //! 1. **Neighbour counts / core flags** — maintained *exactly* by ingest
 //!    (the incremental counts of Ester et al., "Incremental Clustering for
 //!    Mining in a Data Warehousing Environment", VLDB 1998).  An ingest
-//!    first slides the window over the whole batch; each evicted window
-//!    point then queries its ε-neighbourhood once and decrements the
+//!    first slides the window over the whole batch; the evicted window
+//!    points then query their ε-neighbourhoods and decrement the
 //!    survivors; and once scene maintenance has indexed the admitted
-//!    points, each of them queries once, sets its own count and bumps its
+//!    points, they query too, each setting its own count and bumping its
 //!    older neighbours.  Counts therefore depend only on the window an
 //!    ingest leaves.  A point is core while its count reaches `minPts`, so
 //!    stage 1 of the batch pipeline never re-runs.  The maintained scene
-//!    serves these queries and is kept by refit with an LBVH-rebuild
-//!    fallback under the configured [`RefitPolicy`](rtcore::bvh::RefitPolicy).
+//!    and its deltas are [`NeighborIndex`]es, so each group of queries is
+//!    one batched CSR launch per level.  The scene drops evicted points
+//!    with [`NeighborIndex::remove`] and is rebuilt when the deltas
+//!    outgrow their share of it or their number reaches a cap.
 //! 2. **The partition** — formed by each [`snapshot`] with the batch
 //!    pipeline's own stage 2 ([`rtdbscan::stages::form_clusters`]): a
 //!    transient index over the window in the engine's `Algo::Rt`
@@ -34,29 +36,28 @@
 //! number (how many points were admitted before it) and no name is ever
 //! reused.  Every structure then holds a contiguous run of arrivals: the
 //! window deque's entry `k` is arrival `head + k`; the scene and each
-//! delta BVH hold the arrivals from their `first` on (primitive `i` is
-//! arrival `first + i`); and the arrivals from `indexed` on are in no BVH
-//! yet, so queries scan them exactly (only a failed build leaves any live
-//! one there once an ingest returns).  A hit is live iff its arrival is at
-//! least `head`: an evicted point's sphere stays in its BVH, filtered by
-//! that one comparison, until a refit or rebuild drops it.
+//! delta index hold the arrivals `first..end` (index point `i` is arrival
+//! `first + i`); and the arrivals from `indexed` on are in no index yet,
+//! so queries scan them exactly (only a failed build leaves any live one
+//! there once an ingest returns).  A hit is live iff its arrival is at
+//! least `head`: an evicted point stays in its index, filtered by that one
+//! comparison, until a refit or rebuild drops it.
 //!
 //! [`snapshot`]: StreamingClusterer::snapshot
 
 use crate::window::{StreamingConfig, WindowPolicy};
-use rtcore::bvh::{refit, Bvh, BvhBuilder, LbvhBuilder, TreeHealth};
 use rtcore::fault::{CancelScope, FaultInjector, FaultPlan, FaultSite, MemoryBudget};
-use rtcore::geometry::{Point3, Ray, Sphere};
+use rtcore::geometry::Point3;
 use rtcore::hardware::sat_bump;
 use rtcore::hardware::WorkCounters;
-use rtcore::index::NeighborIndexBuilder;
+use rtcore::index::{CsrNeighbors, NeighborIndex, NeighborIndexBuilder};
 use rtcore::telemetry::{PhaseKind, Telemetry, TelemetryConfig};
-use rtcore::traversal::{traverse_with_scratch, Traversal, TraversalScratch};
 use rtcore::Result;
 use rtdbscan::engine::{Algo, ClusterEngine};
 use rtdbscan::labels::Clustering;
 use rtdbscan::stages::form_clusters;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// One live point of the window.
 #[derive(Debug)]
@@ -68,12 +69,21 @@ struct Entry {
     neighbor_count: u32,
 }
 
-/// An LBVH over a contiguous run of arrivals: primitive `i` (its sphere's
-/// `point_index`) is arrival `first + i`.
+/// A neighbour index over the run of arrivals `first..end`: its point `i`
+/// is arrival `first + i`.  A refit removes a prefix of the run, so the
+/// index's `len()` tells where the last one stopped.
 #[derive(Debug)]
 struct Level {
-    bvh: Bvh,
+    index: Box<dyn NeighborIndex>,
     first: u64,
+    end: u64,
+}
+
+impl Level {
+    /// The oldest arrival still in the index.
+    fn unflushed(&self) -> u64 {
+        self.end - self.index.len() as u64
+    }
 }
 
 /// What one [`StreamingClusterer::ingest`] call did.
@@ -168,16 +178,16 @@ pub struct StreamingClusterer {
     /// or when the window empties.  Its evicted arrivals stay in it
     /// (filtered from hits) until a refit flushes them.
     scene: Option<Level>,
-    health_at_build: Option<TreeHealth>,
-    /// Small immutable LBVHs over the runs admitted since — the overlay
-    /// levels of the scene, in the LSM-tree sense.  Queries traverse the
+    /// Small immutable indexes over the runs admitted since — the overlay
+    /// levels of the scene, in the LSM-tree sense.  Queries launch on the
     /// main scene plus every delta; a full rebuild absorbs them.
     deltas: Vec<Level>,
-    /// The first arrival no BVH holds; queries scan the live arrivals from
-    /// here on exactly.
+    /// The first arrival no index holds; queries scan the live arrivals
+    /// from here on exactly.
     indexed: u64,
 
-    /// How a snapshot builds its transient index over the window.
+    /// How a snapshot builds its transient index over the window; the
+    /// scene and each delta are built the same way without compaction.
     snapshot_index: NeighborIndexBuilder,
     /// The last snapshot, valid while the window is unchanged: a repeat
     /// snapshot returns it without recomputing anything.  Any successful
@@ -206,11 +216,6 @@ pub struct StreamingClusterer {
     /// Consecutive exhausted rebuilds; drives the backoff exponent, reset
     /// by the first successful rebuild.
     rebuild_fail_streak: u32,
-
-    /// Neighbour-query scratch reused across calls: the hits' window
-    /// positions and the traversal's node stack.
-    hits: Vec<usize>,
-    scratch: TraversalScratch,
 }
 
 impl StreamingClusterer {
@@ -219,8 +224,8 @@ impl StreamingClusterer {
         config.validate()?;
         // The `Algo::Rt` engine's default index.  Its spans go to this
         // clusterer's recorder; fault injection and the memory budget act
-        // on the maintained scene, so the transient index arms neither (see
-        // `form_window`).
+        // on the maintained scene through the clusterer's own probes and
+        // checks, so no index arms either (see `form_window`).
         let snapshot_index = NeighborIndexBuilder {
             telemetry: TelemetryConfig::Off,
             fault: FaultPlan::Off,
@@ -238,7 +243,6 @@ impl StreamingClusterer {
             head: 0,
             now: f64::NEG_INFINITY,
             scene: None,
-            health_at_build: None,
             deltas: Vec::new(),
             indexed: 0,
             snapshot_index,
@@ -251,8 +255,6 @@ impl StreamingClusterer {
             fault: FaultInjector::new(config.fault),
             rebuild_backoff: 0,
             rebuild_fail_streak: 0,
-            hits: Vec::new(),
-            scratch: TraversalScratch::new(),
         })
     }
 
@@ -312,9 +314,13 @@ impl StreamingClusterer {
     /// Estimated resident device-memory footprint of the streaming state
     /// in bytes (a snapshot's transient index is not resident).
     pub fn device_bytes(&self) -> u64 {
-        let scene = self.scene.as_ref().map_or(0, |s| s.bvh.device_bytes());
-        let deltas: u64 = self.deltas.iter().map(|d| d.bvh.device_bytes()).sum();
-        scene + deltas + (self.window.len() * std::mem::size_of::<Entry>()) as u64
+        let levels: u64 = self
+            .scene
+            .iter()
+            .chain(&self.deltas)
+            .map(|level| level.index.device_bytes())
+            .sum();
+        levels + (self.window.len() * std::mem::size_of::<Entry>()) as u64
     }
 
     /// One past the newest arrival.
@@ -416,43 +422,35 @@ impl StreamingClusterer {
         evicted
     }
 
-    /// Evict the window's `count` oldest points: each queries its
-    /// ε-neighbourhood once and decrements its surviving neighbours.
+    /// Evict the window's `count` oldest points: they query their
+    /// ε-neighbourhoods and decrement their surviving neighbours.
     fn evict_front(&mut self, count: usize) {
         let survivors = self.head + count as u64;
-        let mut hits = std::mem::take(&mut self.hits);
-        for k in 0..count {
-            self.neighbors_of(self.window[k].point, survivors, &mut hits);
-            for &q in &hits {
-                self.window[q].neighbor_count -= 1;
-            }
-            sat_bump(&mut self.stage1_counters.misc_ops, hits.len() as u64);
-        }
-        self.hits = hits;
+        let mut decrements = 0;
+        self.for_each_pair(0..count, survivors, |window, _, q| {
+            window[q].neighbor_count -= 1;
+            decrements += 1;
+        });
+        sat_bump(&mut self.stage1_counters.misc_ops, decrements);
         self.window.drain(..count);
         self.head = survivors;
     }
 
     /// Count the neighbourhoods of the window points from position `from`
     /// on, this call's admissions, which scene maintenance has indexed by
-    /// now: each query sets its own point's count and bumps its neighbours
-    /// older than `from` (an admitted neighbour counts the pair in its own
-    /// query).
+    /// now: each query counts its own point's other neighbours and bumps
+    /// its neighbours older than `from` (an admitted neighbour counts the
+    /// pair in its own query).
     fn count_admitted(&mut self, from: usize) {
-        let mut hits = std::mem::take(&mut self.hits);
-        for k in from..self.window.len() {
-            self.neighbors_of(self.window[k].point, self.head, &mut hits);
-            let mut count = 0;
-            for &q in &hits {
-                if q < from {
-                    self.window[q].neighbor_count += 1;
-                    sat_bump(&mut self.stage1_counters.misc_ops, 1);
-                }
-                count += u32::from(q != k);
+        let mut bumps = 0;
+        self.for_each_pair(from..self.window.len(), self.head, |window, k, q| {
+            if q < from {
+                window[q].neighbor_count += 1;
+                bumps += 1;
             }
-            self.window[k].neighbor_count = count;
-        }
-        self.hits = hits;
+            window[k].neighbor_count += u32::from(q != k);
+        });
+        sat_bump(&mut self.stage1_counters.misc_ops, bumps);
     }
 
     // ------------------------------------------------------------------
@@ -483,46 +481,50 @@ impl StreamingClusterer {
                 .rebuild_retry
                 .backoff_ticks(self.rebuild_fail_streak);
         }
-        let mut refitted = false;
-        let dead = self.dead_in_scene();
-        if let Some(scene) = self.scene.as_mut() {
-            let prims = scene.bvh.primitives.len().max(1);
-            if dead > 0 && dead as f32 >= self.config.refit_dead_fraction * prims as f32 {
-                let telemetry = self.telemetry.clone();
-                let mut span = telemetry.span(PhaseKind::Refit);
-                let mut refit_counters = WorkCounters::ZERO;
-                let (first, head) = (scene.first, self.head);
-                refit::remove_points(
-                    &mut scene.bvh,
-                    |i| first + u64::from(i) < head,
-                    &mut refit_counters,
-                );
-                span.add_counters(refit_counters);
-                drop(span);
-                self.build_counters += refit_counters;
-                sat_bump(&mut self.stats.refits, 1);
-                refitted = true;
-            }
-        }
+        let refitted = self.refit_scene();
         self.build_delta();
         (refitted, false)
     }
 
-    /// Evicted arrivals still physically in the scene: its primitives less
-    /// the live arrivals of its run, which ends where the first delta's (or
-    /// else the unindexed arrivals') begins.
+    /// Remove the scene's evicted arrivals in place once they make up the
+    /// configured fraction of it.  Returns whether a refit ran; an index
+    /// that refuses removal (only a compacting one does) is left as it
+    /// was.
+    fn refit_scene(&mut self) -> bool {
+        let dead = self.dead_in_scene();
+        let Some(scene) = self.scene.as_mut() else {
+            return false;
+        };
+        let points = scene.index.len().max(1);
+        if dead == 0 || (dead as f32) < self.config.refit_dead_fraction * points as f32 {
+            return false;
+        }
+        let telemetry = self.telemetry.clone();
+        let mut span = telemetry.span(PhaseKind::Refit);
+        let from = (scene.unflushed() - scene.first) as u32;
+        let retired: Vec<u32> = (from..from + dead as u32).collect();
+        let Ok(refit_counters) = scene.index.remove(&retired) else {
+            return false;
+        };
+        span.add_counters(refit_counters);
+        drop(span);
+        self.build_counters += refit_counters;
+        sat_bump(&mut self.stats.refits, 1);
+        true
+    }
+
+    /// Evicted arrivals still in the scene: those from where its last
+    /// refit stopped up to the oldest live arrival.
     fn dead_in_scene(&self) -> usize {
         self.scene.as_ref().map_or(0, |scene| {
-            let end = self.deltas.first().map_or(self.indexed, |d| d.first);
-            let live = end.saturating_sub(scene.first.max(self.head));
-            scene.bvh.primitives.len() - live as usize
+            self.head.min(scene.end).saturating_sub(scene.unflushed()) as usize
         })
     }
 
-    /// Index the live arrivals no BVH holds as a small immutable LBVH so
+    /// Index the live arrivals no level holds as a small immutable delta so
     /// their later queries stop paying a linear scan.  These delta builds
     /// are the cheap, incremental part of the update policy: a few hundred
-    /// primitives each, absorbed wholesale by the next full rebuild.
+    /// points each, absorbed wholesale by the next full rebuild.
     fn build_delta(&mut self) {
         let first = self.indexed.max(self.head);
         if first == self.tail() {
@@ -532,49 +534,31 @@ impl StreamingClusterer {
         // possible via fault injection — the inputs were validated finite
         // on ingest) defers compaction, leaving the arrivals unindexed and
         // exactly scanned until a later pass succeeds.
-        let delta = match self.try_build_delta(self.spheres_from(first)) {
-            Ok(delta) => delta,
-            Err(_) => {
-                count_degradation(
-                    &mut self.stats.compaction_deferrals,
-                    &self.telemetry,
-                    "compaction_deferrals",
-                );
-                return;
-            }
+        let Ok(delta) = self.try_build(first) else {
+            count_degradation(
+                &mut self.stats.compaction_deferrals,
+                &self.telemetry,
+                "compaction_deferrals",
+            );
+            return;
         };
-        self.build_counters += delta.build_counters;
-        self.deltas.push(Level { bvh: delta, first });
+        self.build_counters += delta.index.build_counters();
+        self.deltas.push(delta);
         self.indexed = self.tail();
     }
 
     fn needs_rebuild(&self) -> bool {
-        let indexed_live =
-            self.scene.as_ref().map_or(0, |s| s.bvh.primitives.len()) - self.dead_in_scene();
-        let overlay: usize = self
-            .deltas
-            .iter()
-            .map(|d| d.bvh.primitives.len())
-            .sum::<usize>()
+        let indexed_live = self.scene.as_ref().map_or(0, |s| s.index.len()) - self.dead_in_scene();
+        let overlay: usize = self.deltas.iter().map(|d| d.index.len()).sum::<usize>()
             + (self.tail() - self.indexed.max(self.head)) as usize;
-        if overlay as f32 > self.config.max_pending_fraction * indexed_live.max(1) as f32 {
-            return true;
-        }
-        if self.deltas.len() >= Self::MAX_DELTAS {
-            return true;
-        }
-        match (&self.scene, &self.health_at_build) {
-            (Some(scene), Some(at_build)) => self
-                .config
-                .refit_policy
-                .should_rebuild(at_build, &refit::tree_health(&scene.bvh)),
-            _ => overlay > 0,
-        }
+        overlay as f32 > self.config.max_pending_fraction * indexed_live.max(1) as f32
+            || self.deltas.len() >= Self::MAX_DELTAS
+            || (self.scene.is_none() && overlay > 0)
     }
 
     /// Rebuild the main scene from the live window, with bounded in-call
     /// retry under the configured [`rtcore::fault::RetryPolicy`].  The new
-    /// BVH is built *first* and the streaming state committed only on
+    /// index is built *first* and the streaming state committed only on
     /// success: a failed build (only possible via fault injection — the
     /// inputs were validated finite on ingest) leaves the old scene and
     /// deltas untouched and returns `false`.
@@ -582,15 +566,14 @@ impl StreamingClusterer {
         let telemetry = self.telemetry.clone();
         let mut span = telemetry.span(PhaseKind::Rebuild);
         let counters_before = self.build_counters;
-        let spheres = self.spheres_from(self.head);
-        let built = if spheres.is_empty() {
+        let built = if self.window.is_empty() {
             None
         } else {
             let policy = self.config.rebuild_retry;
             let mut attempt = 0u32;
             loop {
-                match self.try_build_scene(spheres.clone(), &telemetry) {
-                    Ok(bvh) => break Some(bvh),
+                match self.try_build(self.head) {
+                    Ok(scene) => break Some(scene),
                     Err(_) => {
                         attempt += 1;
                         if !policy.allows_attempt(attempt) {
@@ -612,90 +595,88 @@ impl StreamingClusterer {
         };
 
         // Commit: every live arrival now lives in the (possibly empty) new
-        // scene, which replaces the deltas and drops every evicted sphere.
+        // scene, which replaces the deltas and drops every evicted point.
         self.deltas.clear();
         self.indexed = self.tail();
-        match built {
-            Some(bvh) => {
-                self.build_counters += bvh.build_counters;
-                sat_bump(&mut self.build_counters.rebuilds, 1);
-                sat_bump(&mut self.stats.rebuilds, 1);
-                self.health_at_build = Some(refit::tree_health(&bvh));
-                self.scene = Some(Level {
-                    bvh,
-                    first: self.head,
-                });
-            }
-            None => {
-                self.scene = None;
-                self.health_at_build = None;
-            }
+        if let Some(scene) = &built {
+            self.build_counters += scene.index.build_counters();
+            sat_bump(&mut self.build_counters.rebuilds, 1);
+            sat_bump(&mut self.stats.rebuilds, 1);
         }
+        self.scene = built;
         span.add_counters(self.build_counters - counters_before);
         true
     }
 
-    /// ε-spheres over the window's arrivals from `first` on; sphere `i` is
-    /// arrival `first + i`.
-    fn spheres_from(&self, first: u64) -> Vec<Sphere> {
-        let eps = self.config.params.eps;
-        self.window
+    /// One build attempt over the window's arrivals from `first` on, for
+    /// the scene or a delta; the failpoint fires before any build work so
+    /// a simulated failure costs nothing.  The index is the snapshot's
+    /// without compaction, because `remove` refuses a compacting index.
+    fn try_build(&self, first: u64) -> Result<Level> {
+        rtcore::fail_point!(self.fault, FaultSite::HlbvhBuild);
+        let points: Vec<Point3> = self
+            .window
             .range((first - self.head) as usize..)
-            .zip(0..)
-            .map(|(entry, i)| Sphere::new(entry.point, eps, i))
-            .collect()
-    }
-
-    /// One main-scene build attempt; the failpoint fires before any build
-    /// work so a simulated failure costs nothing.
-    fn try_build_scene(&mut self, spheres: Vec<Sphere>, telemetry: &Telemetry) -> Result<Bvh> {
-        rtcore::fail_point!(self.fault, FaultSite::HlbvhBuild);
-        LbvhBuilder::default().build_with_telemetry(spheres, telemetry)
-    }
-
-    /// One delta build attempt (same failpoint site as the main rebuild:
-    /// both are LBVH builds on the streaming path).
-    fn try_build_delta(&mut self, spheres: Vec<Sphere>) -> Result<Bvh> {
-        rtcore::fail_point!(self.fault, FaultSite::HlbvhBuild);
-        LbvhBuilder::default().build(spheres)
+            .map(|entry| entry.point)
+            .collect();
+        let builder = NeighborIndexBuilder {
+            compaction: false,
+            ..self.snapshot_index
+        };
+        Ok(Level {
+            index: builder.build(&points, self.config.params.eps)?,
+            first,
+            end: self.tail(),
+        })
     }
 
     // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
 
-    /// Window positions of the points from arrival `live_from` on whose
-    /// centres lie in the closed ε-ball around `point` (squared-f32
-    /// convention; `point`'s own entry included if it is one): one counted
-    /// traversal of the scene and of each delta plus an exact scan of the
-    /// unindexed arrivals, charged to stage 1.
-    fn neighbors_of(&mut self, point: Point3, live_from: u64, out: &mut Vec<usize>) {
-        out.clear();
-        let mut counters = WorkCounters::ZERO;
-        sat_bump(&mut counters.rays, 1);
-        let ray = Ray::epsilon_ray(point);
-        let (head, eps_sq) = (self.head, self.eps_sq);
-        for level in self.scene.iter().chain(&self.deltas) {
-            traverse_with_scratch(
-                &level.bvh,
-                &ray,
-                &mut self.scratch,
-                &mut counters,
-                |sphere, counters| {
-                    sat_bump(&mut counters.dist_comps, 1);
-                    let arrival = level.first + u64::from(sphere.point_index);
-                    if arrival >= live_from && sphere.center.distance_squared(point) <= eps_sq {
-                        out.push((arrival - head) as usize);
-                    }
-                    Traversal::Continue
-                },
-            );
+    /// Call `pair(window, k, q)` for every window position `k` in
+    /// `queries` and every position `q` from arrival `live_from` on whose
+    /// point lies in the closed ε-ball around `k`'s (squared-f32
+    /// convention; `k` itself included if it is one): one batched CSR
+    /// launch of the queries per level plus an exact scan of the unindexed
+    /// arrivals, charged to stage 1.
+    fn for_each_pair(
+        &mut self,
+        queries: Range<usize>,
+        live_from: u64,
+        mut pair: impl FnMut(&mut VecDeque<Entry>, usize, usize),
+    ) {
+        if queries.is_empty() {
+            return;
         }
-        let unindexed = (self.indexed.max(live_from) - head) as usize;
-        for (entry, k) in self.window.range(unindexed..).zip(unindexed..) {
-            sat_bump(&mut counters.dist_comps, 1);
-            if entry.point.distance_squared(point) <= eps_sq {
-                out.push(k);
+        let points: Vec<Point3> = self
+            .window
+            .range(queries.clone())
+            .map(|entry| entry.point)
+            .collect();
+        let eps = self.config.params.eps;
+        let mut counters = WorkCounters::ZERO;
+        let mut csr = CsrNeighbors::new();
+        for level in self.scene.iter().chain(&self.deltas) {
+            level
+                .index
+                .batch_neighbors_csr_into(&points, eps, &mut counters, &mut csr);
+            for (row, k) in queries.clone().enumerate() {
+                for &i in csr.neighbors(row) {
+                    let arrival = level.first + u64::from(i);
+                    if arrival >= live_from {
+                        pair(&mut self.window, k, (arrival - self.head) as usize);
+                    }
+                }
+            }
+        }
+        let unindexed = (self.indexed.max(live_from) - self.head) as usize;
+        for (k, point) in queries.zip(points) {
+            for q in unindexed..self.window.len() {
+                sat_bump(&mut counters.dist_comps, 1);
+                if self.window[q].point.distance_squared(point) <= self.eps_sq {
+                    pair(&mut self.window, k, q);
+                }
             }
         }
         self.stage1_counters += counters;
@@ -1228,20 +1209,47 @@ mod tests {
             .count();
         assert_eq!(far_cores, 3);
         assert_eq!(c.phase_counters().2, WorkCounters::ZERO);
-        assert_eq!(
-            c.phase_counters().1.rays,
-            16,
-            "a query per insert and eviction"
-        );
+        // One ray per query per level launched on.  The line's 10 queries
+        // launch on the scene built over it (10).  The far point evicts
+        // one line point, whose query launches on the scene (1); the far
+        // point is indexed as a delta beside the refitted scene and its
+        // query launches on both (2).  The last ingest evicts two line
+        // points, whose queries launch on the scene and the delta (4);
+        // the overlay then outgrows the scene, so a rebuild absorbs the
+        // delta, and the two newcomers launch on the new scene alone (2).
+        assert_eq!(c.phase_counters().1.rays, 10 + 1 + 2 + 4 + 2);
         assert_matches_classic(&mut c);
         assert!(c.phase_counters().2.rays > 0);
     }
 
     #[test]
+    fn ingest_queries_are_batched_launches() {
+        // A sliding window that refits, builds deltas and rebuilds: every
+        // ingest query runs in a packet launch on a wide index, never in a
+        // binary-tree traversal.
+        let mut cfg = config(1.0, 2, WindowPolicy::Count(40));
+        cfg.max_pending_fraction = 1.0;
+        let mut c = StreamingClusterer::new(cfg).unwrap();
+        for wave in 0..12 {
+            let pts: Vec<Point3> = (0..6)
+                .map(|i| Point3::new_2d(wave as f32 * 1.5 + (i % 3) as f32 * 0.4, 0.0))
+                .collect();
+            c.ingest(&timestamped(&pts, wave as f64 * 100.0)).unwrap();
+        }
+        let stage1 = c.phase_counters().1;
+        assert_eq!(stage1.node_visits, 0, "{stage1:?}");
+        assert!(stage1.batched_launches > 0, "{stage1:?}");
+        assert!(stage1.wide_node_visits > 0, "{stage1:?}");
+        let stats = c.stats();
+        assert!(stats.refits > 0 && stats.rebuilds > 1, "{stats:?}");
+        assert_matches_classic(&mut c);
+    }
+
+    #[test]
     fn a_batch_is_indexed_before_it_is_queried() {
-        // 400 points 3ε apart in one ingest: each query traverses the scene
-        // built over its batch and tests one LBVH leaf (at most 4
-        // primitives), never a scan of its batch-mates.
+        // 400 points 3ε apart in one ingest: each query launches on the
+        // scene built over its batch and tests one leaf (at most 4 points),
+        // never a scan of its batch-mates.
         let mut c = StreamingClusterer::new(config(1.0, 2, WindowPolicy::Count(10_000))).unwrap();
         let pts: Vec<Point3> = (0..400)
             .map(|i| Point3::new_2d(i as f32 * 3.0, 0.0))
@@ -1255,15 +1263,11 @@ mod tests {
 
     #[test]
     fn a_reused_border_slot_joins_no_old_cluster() {
-        // ε = 1, minPts = 2, a 10 s horizon, and a refit policy that never
-        // asks for a rebuild, so that a refit flushes evicted points.
+        // ε = 1, minPts = 2, a 10 s horizon, and a pending fraction that
+        // lets a delta sit beside the scene, so that a refit flushes
+        // evicted points.
         let mut cfg = config(1.0, 2, WindowPolicy::Time(10.0));
         cfg.max_pending_fraction = 1.0;
-        cfg.refit_policy = rtcore::bvh::RefitPolicy {
-            max_node_inflation: f32::INFINITY,
-            max_leaf_sa_inflation: f32::INFINITY,
-            min_prims_for_refit: 0,
-        };
         let mut c = StreamingClusterer::new(cfg).unwrap();
         let at = |x: f32, t: f64| (Point3::new_2d(x, 0.0), t);
         // Three cores far away, then a cluster led by a border: B (x = 0)

@@ -10,14 +10,16 @@
 //! shape on top of the same substrate:
 //!
 //! * [`StreamingClusterer`] — batched ingestion into a sliding time/count
-//!   window ([`WindowPolicy`]).  The ε-sphere scene is kept alive across
-//!   batches: expiring points are *refitted* out of the BVH in place
-//!   (`rtcore::bvh::refit`), each batch of newly arrived points is indexed
-//!   as a small delta LBVH before it is queried, and a quality heuristic
-//!   ([`rtcore::bvh::RefitPolicy`] plus a bound on the deltas' share)
-//!   decides when the degraded tree is worth a full LBVH rebuild.  Points
-//!   are named by arrival number, so the window is one deque and a
-//!   liveness check is one comparison.
+//!   window ([`WindowPolicy`]).  The scene is a
+//!   [`rtcore::index::NeighborIndex`] kept alive across batches: expiring
+//!   points are *refitted* out of its BVH4 in place
+//!   (`NeighborIndex::remove`), each batch of newly arrived points is
+//!   indexed as a small delta before it is queried, and a full rebuild
+//!   absorbs the deltas once they outgrow their share of the scene or
+//!   their number reaches a cap.  Each group of ingest queries (a batch's
+//!   evicted points, then its admitted ones) is one batched CSR launch per
+//!   level.  Points are named by arrival number, so the window is one deque
+//!   and a liveness check is one comparison.
 //! * Two layers of cluster maintenance.  Per-point ε-neighbour counts are
 //!   maintained exactly under insertion and deletion, so core flags never
 //!   need a stage-1 re-run.  Each [`StreamingClusterer::snapshot`] of a
@@ -31,12 +33,7 @@
 //!   oracle and metrics machinery (`same_clustering`, ARI/NMI, the bench
 //!   harness) applies to the streaming subsystem unchanged.
 //!
-//! Eviction over a two-level (TLAS over sharded BLAS) scene needs no
-//! wrapper here: `NeighborIndex::remove` on an `rtcore::index::ShardedIndex`
-//! routes retirements to their owning shards and drops every bottom-level
-//! BVH that eviction empties (see `examples/sharded_scene.rs`).
-//!
-//! Every piece of work — traversals, refits, rebuilds, delta builds,
+//! Every piece of work — ingest launches, refits, rebuilds, delta builds,
 //! transient snapshot builds, stage-2 launches and union/find traffic — is
 //! recorded in `rtcore::hardware::WorkCounters`, with refit and rebuild
 //! decisions visible as `refits` / `rebuilds`, so the simulated-device cost

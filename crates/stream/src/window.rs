@@ -1,6 +1,5 @@
 //! Window and update-policy configuration for the streaming clusterer.
 
-use rtcore::bvh::RefitPolicy;
 use rtcore::fault::{FaultPlan, MemoryBudget, RetryPolicy};
 use rtcore::telemetry::TelemetryConfig;
 use rtdbscan::DbscanParams;
@@ -41,16 +40,16 @@ pub struct StreamingConfig {
     pub params: DbscanParams,
     /// The sliding-window retention policy.
     pub window: WindowPolicy,
-    /// When the refitted BVH counts as degraded enough to rebuild.
-    pub refit_policy: RefitPolicy,
-    /// Rebuild when the overlay — the delta BVHs' primitives plus the live
-    /// arrivals no BVH holds yet — exceeds this fraction of the scene's
-    /// live primitives; until then each ingest indexes its admitted points
-    /// as one more delta, which queries traverse beside the scene.
+    /// Rebuild when the overlay — the delta indexes' points plus the live
+    /// arrivals no index holds yet — exceeds this fraction of the scene's
+    /// live points; until then each ingest indexes its admitted points as
+    /// one more delta, which queries launch on beside the scene.  Eight
+    /// deltas force a rebuild too.
     pub max_pending_fraction: f32,
-    /// Refit (physically remove retired primitives and recompute bounds)
-    /// once the dead fraction of the indexed primitives exceeds this;
-    /// below it, retired primitives are only filtered out of hit lists.
+    /// Refit (remove the evicted points from the scene in place with
+    /// `NeighborIndex::remove`, which re-bounds its BVH4) once they make up
+    /// at least this fraction of the scene's points; below it, evicted
+    /// points are only filtered out of hits.
     pub refit_dead_fraction: f32,
     /// Telemetry recording level.  Off (the default) allocates no recorder
     /// and leaves the ingest/snapshot paths bit-identical to a
@@ -86,7 +85,6 @@ impl StreamingConfig {
         StreamingConfig {
             params,
             window,
-            refit_policy: RefitPolicy::default(),
             max_pending_fraction: 0.25,
             refit_dead_fraction: 0.03125,
             telemetry: TelemetryConfig::Off,
