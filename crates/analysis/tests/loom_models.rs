@@ -165,7 +165,7 @@ fn concurrent_dsu_find_during_union_is_linearizable() {
     });
 }
 
-/// Model of stage 2's border claim (`rtdbscan::stages::form_clusters`):
+/// Model of stage 2's border claim (`rtdbscan::stages::ClusterForest`):
 /// each core lowers a border point's claim slot — a probe load, then a
 /// `fetch_min` only when its index is smaller — while a core–core union
 /// runs alongside, and after the join the border is unioned with its

@@ -11,8 +11,9 @@
 //! * `stream_ingest` — end-to-end sliding-window ingest throughput of
 //!   `StreamingClusterer` under (a) the default refit-first update policy
 //!   and (b) a policy pinned to rebuild on every batch.
-//! * `snapshot_latency` — a cached repeat snapshot against one that forms
-//!   a slid window with stage 2.
+//! * `snapshot_latency` — a cached repeat snapshot of a full 8k window
+//!   against a one-point slide of it followed by the snapshot that forms
+//!   the changed window from the edges ingest kept.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rtcore::geometry::Point3;
@@ -155,14 +156,15 @@ fn bench_snapshot_latency(c: &mut Criterion) {
     let mut clean = drive_stream(config, &points[..8_000], 500);
     group.bench_function("clean_path", |b| b.iter(|| black_box(clean.snapshot())));
 
-    // Dirty path: a slid window, formed by stage 2.
+    // Dirty path: each iteration slides the full window by one point (the
+    // rest of the input, then the input again), so every snapshot forms a
+    // changed window.
+    let mut slid = drive_stream(config, &points[..8_000], 500);
+    let mut arrivals = points.iter().cycle().skip(8_000).zip(8_001..);
     group.bench_function("dirty_path", |b| {
         b.iter(|| {
-            // Re-dirty by sliding one batch further each iteration pattern;
-            // rebuild a fresh slid clusterer outside timing would be
-            // costly, so slide once and snapshot (first call is dirty,
-            // subsequent are clean — the mix approximates steady state).
-            let mut slid = drive_stream(config, &points, 500);
+            let (&point, t) = arrivals.next().unwrap();
+            slid.ingest(&[(point, f64::from(t))]).unwrap();
             black_box(slid.snapshot())
         })
     });

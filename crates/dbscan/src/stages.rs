@@ -3,15 +3,20 @@
 //!
 //! Stage 1 (`count_all_neighbors`) counts every point's ε-neighbours in
 //! one batched launch, exactly or stopping each point at minPts; stage 2
-//! ([`form_clusters`]) merges core neighbours through a parallel union-find
+//! (`form_clusters`) merges core neighbours through a parallel union-find
 //! and claims every border point for its lowest-index core neighbour.  One
 //! function (`run_two_stage`) runs both and assembles the [`RunResult`]:
 //! RT-DBSCAN, the FDBSCAN baseline and the engine's runs are thin
-//! configurations of it, `ClusterSession` calls the two stages directly,
-//! and every streaming snapshot of a changed window calls stage 2 alone
-//! with the neighbour counts its ingests maintain.  The substrate
-//! (binary BVH, BVH4 packets, a two-level sharded scene, a grid or brute
-//! force) is whatever backend the caller hands in.
+//! configurations of it, and `ClusterSession` calls the two stages
+//! directly.  The substrate (binary BVH, BVH4 packets, a two-level sharded
+//! scene, a grid or brute force) is whatever backend the caller hands in.
+//!
+//! Stage 2's merge rule is one public type, [`ClusterForest`]: it takes
+//! ε-edges from any source and reads the labels off once all are in.
+//! `form_clusters` finds the edges with its launches.  A streaming
+//! snapshot launches nothing: its ingests already found every edge of the
+//! window and kept them, so it feeds them to the same rule and labels the
+//! window exactly as a batch run over it does.
 //!
 //! Stage 2 skips the queries the union-find already proves redundant.  This
 //! is Afforest's subgraph sampling (Sutton, Ben-Nun & Barak, "Optimizing
@@ -125,7 +130,7 @@ pub(crate) fn count_all_neighbors(
 
 /// What stage 2 ([`form_clusters`]) decides for each point.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FormedClusters {
+pub(crate) struct FormedClusters {
     /// Each point's cluster label, [`NOISE`] for noise.  A cluster's label
     /// is the smallest point index in its union-find component, which can
     /// be a border's.
@@ -136,7 +141,8 @@ pub struct FormedClusters {
 }
 
 /// Stage 2 of Algorithm 3, under one `stage2_union_find` telemetry span
-/// when the index records.  Core neighbours merge through the concurrent
+/// when the index records: its launches report the points' ε-edges to a
+/// [`ClusterForest`].  Core neighbours merge through the concurrent
 /// union-find.  A border point joins the cluster of the lowest-index core
 /// within ε of it (the paper's critical section, Algorithm 3 line 14):
 /// during the launches its claim slot is lowered to that core's index, and
@@ -152,7 +158,7 @@ pub struct FormedClusters {
 /// A scope trip surfaces as [`rtcore::Error::DeadlineExceeded`]; the
 /// union-find and claim state live in this frame, so a cancelled stage
 /// discards every partial merge.
-pub fn form_clusters(
+pub(crate) fn form_clusters(
     index: &dyn NeighborIndex,
     points: &[Point3],
     counts: &[u64],
@@ -167,11 +173,9 @@ pub fn form_clusters(
     let stage = Stage2 {
         index,
         points,
-        core,
         eps,
         scope,
-        dsu: ConcurrentDisjointSet::new(n),
-        claim: (0..n).map(|_| AtomicU32::new(NO_CLAIM)).collect(),
+        forest: ClusterForest::new(core),
     };
     let cores: Vec<u32> = (0..n as u32).filter(|&i| core[i as usize]).collect();
     // Only a non-core point with a neighbour can be a border.
@@ -214,29 +218,11 @@ pub fn form_clusters(
         }
     }
 
-    // Every launch has joined: each border joins exactly one cluster, that
-    // of its lowest-index core neighbour.
-    let Stage2 { dsu, claim, .. } = stage;
-    let claims: Vec<u32> = claim.into_iter().map(AtomicU32::into_inner).collect();
-    for (q, &c) in claims.iter().enumerate() {
-        if c != NO_CLAIM {
-            dsu.union(c as usize, q, &mut counters);
-        }
-    }
-
-    // Materialise labels.  Coincident duplicates merged away by a
+    // Every launch has joined.  Coincident duplicates merged away by a
     // compacting backend inherit their representative's assignment (they
     // have identical neighbourhoods, so this is always a valid DBSCAN
     // assignment).
-    let mut labels: Vec<i64> = (0..n)
-        .map(|i| {
-            if core[i] || claims[i] != NO_CLAIM {
-                dsu.find(i, &mut counters) as i64
-            } else {
-                NOISE
-            }
-        })
-        .collect();
+    let mut labels = stage.forest.labels(&mut counters);
     let mut dup_fixups = 0u64;
     for i in 0..n {
         let rep = index.representative_of(i as u32) as usize;
@@ -252,16 +238,103 @@ pub fn form_clusters(
     Ok(FormedClusters { labels, counters })
 }
 
-/// Stage 2's launch context and the state its launches share: the
-/// union-find forest and one border-claim slot per point.
+/// Stage 2's merge rule over ε-edges, whoever finds them: two cores union
+/// through the concurrent union-find, and a core lowers its non-core
+/// neighbour's claim slot to its own index; [`ClusterForest::labels`] then
+/// unions each claimed border with its claim (the paper's critical section,
+/// Algorithm 3 line 14) and names every cluster by its smallest index.
+/// Union and claim are both monotone, so the labels depend only on which
+/// edges were reported, not on their order or thread: `form_clusters`
+/// reports the edges its launches find, and the streaming clusterer the
+/// edges its ingests kept.
+#[derive(Debug)]
+pub struct ClusterForest<'a> {
+    core: &'a [bool],
+    dsu: ConcurrentDisjointSet,
+    /// Each point's lowest core neighbour so far, or [`NO_CLAIM`].
+    claim: Vec<AtomicU32>,
+}
+
+impl<'a> ClusterForest<'a> {
+    /// Singleton clusters and open claims over the points whose core flags
+    /// are `core`.
+    pub fn new(core: &'a [bool]) -> Self {
+        let n = core.len();
+        ClusterForest {
+            core,
+            dsu: ConcurrentDisjointSet::new(n),
+            claim: (0..n).map(|_| AtomicU32::new(NO_CLAIM)).collect(),
+        }
+    }
+
+    /// The edge from core `p` to `q`, as `p`'s query reports it: union with
+    /// a core `q`, lower any other `q`'s claim to `p`.  `p` itself is
+    /// skipped.  Union-find work is charged to `tally`.
+    pub fn visit_core(&self, p: u32, q: u32, tally: &mut WorkCounters) {
+        if q != p {
+            if self.core[q as usize] {
+                self.dsu.union(p as usize, q as usize, tally);
+            } else {
+                self.lower_claim(q as usize, p);
+            }
+        }
+    }
+
+    /// The edge between distinct points `a` and `b`, reported once: the
+    /// rule of [`ClusterForest::visit_core`] from whichever end is core.
+    pub fn link(&self, a: u32, b: u32, tally: &mut WorkCounters) {
+        if self.core[a as usize] {
+            self.visit_core(a, b, tally);
+        } else if self.core[b as usize] {
+            self.lower_claim(a as usize, b);
+        }
+    }
+
+    /// Lower point `b`'s claim slot to core index `c`.
+    // ordering: the claim slot is a monotone min register, so Relaxed is
+    // enough on both the probe load and the `fetch_min`.  A stale probe can
+    // only be larger than the slot's current value (it never rises), which
+    // costs a redundant `fetch_min`, never a missed one.  The slots are read
+    // only in `labels`, which takes the forest by value once every edge is
+    // reported: a launch's join is the happens-before edge that publishes
+    // every lowered value.
+    fn lower_claim(&self, b: usize, c: u32) {
+        if c < self.claim[b].load(Ordering::Relaxed) {
+            self.claim[b].fetch_min(c, Ordering::Relaxed);
+        }
+    }
+
+    /// Every point's label once every edge is reported: each claimed border
+    /// joins the cluster of its claim, and each core or claimed point takes
+    /// its component's smallest index (the union-find hangs the larger root
+    /// under the smaller); the rest are [`NOISE`].
+    pub fn labels(self, counters: &mut WorkCounters) -> Vec<i64> {
+        let ClusterForest { core, dsu, claim } = self;
+        let claims: Vec<u32> = claim.into_iter().map(AtomicU32::into_inner).collect();
+        for (q, &c) in claims.iter().enumerate() {
+            if c != NO_CLAIM {
+                dsu.union(c as usize, q, counters);
+            }
+        }
+        (0..core.len())
+            .map(|i| {
+                if core[i] || claims[i] != NO_CLAIM {
+                    dsu.find(i, counters) as i64
+                } else {
+                    NOISE
+                }
+            })
+            .collect()
+    }
+}
+
+/// Stage 2's launch context and the forest its launches share.
 struct Stage2<'a> {
     index: &'a dyn NeighborIndex,
     points: &'a [Point3],
-    core: &'a [bool],
     eps: f32,
     scope: &'a CancelScope,
-    dsu: ConcurrentDisjointSet,
-    claim: Vec<AtomicU32>,
+    forest: ClusterForest<'a>,
 }
 
 impl Stage2<'_> {
@@ -279,48 +352,22 @@ impl Stage2<'_> {
             .batch_neighbors_cancellable(&queries, self.eps, counters, sink, self.scope)
     }
 
-    /// The full query of core `p`, one neighbour at a time: union with
-    /// every core neighbour, lower every other neighbour's claim to `p`.
-    fn visit_core(&self, p: u32, neighbor: Neighbor, tally: &mut WorkCounters) -> NeighborFlow {
-        let q = neighbor.index as usize;
-        if q != p as usize {
-            if self.core[q] {
-                self.dsu.union(p as usize, q, tally);
-            } else {
-                self.lower_claim(q, p);
-            }
-        }
-        NeighborFlow::Continue
-    }
-
     /// The query of possible border `b`: lower its own claim to each core
     /// neighbour's index.  Neighbours are representatives, and a compacting
     /// backend's representative is the lowest index of its coincident
     /// group, so the minimum matches the one the cores' own queries reach.
     fn visit_border(&self, b: u32, neighbor: Neighbor) -> NeighborFlow {
-        if self.core[neighbor.index as usize] {
-            self.lower_claim(b as usize, neighbor.index);
+        if self.forest.core[neighbor.index as usize] {
+            self.forest.lower_claim(b as usize, neighbor.index);
         }
         NeighborFlow::Continue
-    }
-
-    /// Lower point `b`'s claim slot to core index `c`.
-    // ordering: the claim slot is a monotone min register, so Relaxed is
-    // enough on both the probe load and the `fetch_min`.  A stale probe can
-    // only be larger than the slot's current value (it never rises), which
-    // costs a redundant `fetch_min`, never a missed one.  The slots are read
-    // only after the launches have joined, and the join is the
-    // happens-before edge that publishes every lowered value.
-    fn lower_claim(&self, b: usize, c: u32) {
-        if c < self.claim[b].load(Ordering::Relaxed) {
-            self.claim[b].fetch_min(c, Ordering::Relaxed);
-        }
     }
 
     /// The full queries of `cores`.
     fn query_cores(&self, cores: &[u32], counters: &mut WorkCounters) -> Result<()> {
         self.launch(cores, counters, &|o, neighbor, tally| {
-            self.visit_core(cores[o], neighbor, tally)
+            self.forest.visit_core(cores[o], neighbor.index, tally);
+            NeighborFlow::Continue
         })
     }
 
@@ -352,7 +399,7 @@ impl Stage2<'_> {
         let linked: Vec<AtomicU8> = sampled.iter().map(|_| AtomicU8::new(0)).collect();
         self.launch(sampled, counters, &|o, neighbor, tally| {
             let (p, q) = (sampled[o] as usize, neighbor.index as usize);
-            if q == p || !self.core[q] {
+            if q == p || !self.forest.core[q] {
                 return NeighborFlow::Continue;
             }
             // A sharded scene keeps tracing a stopped query through the
@@ -362,7 +409,7 @@ impl Stage2<'_> {
                 return NeighborFlow::Stop;
             }
             linked[o].store(seen + 1, Ordering::Relaxed);
-            self.dsu.union(p, q, tally);
+            self.forest.dsu.union(p, q, tally);
             if seen + 1 < SAMPLE_LINKS {
                 NeighborFlow::Continue
             } else {
@@ -404,7 +451,7 @@ impl Stage2<'_> {
     fn components(&self, cores: &[u32], counters: &mut WorkCounters) -> (Vec<u32>, u32, usize) {
         let roots: Vec<u32> = cores
             .iter()
-            .map(|&c| self.dsu.find(c as usize, counters) as u32)
+            .map(|&c| self.forest.dsu.find(c as usize, counters) as u32)
             .collect();
         let mut size = vec![0u32; self.points.len()];
         for &r in &roots {

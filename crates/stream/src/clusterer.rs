@@ -1,32 +1,36 @@
 //! The streaming clusterer: windowed ingestion, scene refit/rebuild, exact
-//! neighbour-count maintenance, and the batch stage 2 at each snapshot.
+//! neighbour-count maintenance, and the batch stage-2 rule at each
+//! snapshot.
 //!
 //! # What is incremental
 //!
 //! DBSCAN's output rests on two layers (points never move once ingested,
 //! so ε-adjacency between two live points is immutable):
 //!
-//! 1. **Neighbour counts / core flags** — maintained *exactly* by ingest
-//!    (the incremental counts of Ester et al., "Incremental Clustering for
-//!    Mining in a Data Warehousing Environment", VLDB 1998).  An ingest
-//!    first slides the window over the whole batch; the evicted window
-//!    points then query their ε-neighbourhoods and decrement the
+//! 1. **Neighbour counts / core flags and ε-edges** — maintained *exactly*
+//!    by ingest (the incremental counts of Ester et al., "Incremental
+//!    Clustering for Mining in a Data Warehousing Environment", VLDB 1998).
+//!    An ingest first slides the window over the whole batch; the evicted
+//!    window points then query their ε-neighbourhoods and decrement the
 //!    survivors; and once scene maintenance has indexed the admitted
 //!    points, they query too, each setting its own count and bumping its
 //!    older neighbours.  Counts therefore depend only on the window an
 //!    ingest leaves.  A point is core while its count reaches `minPts`, so
-//!    stage 1 of the batch pipeline never re-runs.  The maintained scene
-//!    and its deltas are [`NeighborIndex`]es, so each group of queries is
-//!    one batched CSR launch per level.  The scene drops evicted points
-//!    with [`NeighborIndex::remove`] and is rebuilt when the deltas
-//!    outgrow their share of it or their number reaches a cap.
-//! 2. **The partition** — formed by each [`snapshot`] with the batch
-//!    pipeline's own stage 2 ([`rtdbscan::stages::form_clusters`]): a
-//!    transient index over the window in the engine's `Algo::Rt`
-//!    configuration (LBVH, Morton-ordered launches, compaction), dropped
-//!    when the call returns, and the parallel union-find launches fed the
-//!    maintained counts and core flags.  A snapshot therefore labels the
-//!    window exactly as `ClusterEngine::run` over
+//!    stage 1 of the batch pipeline never re-runs.  The admitted points'
+//!    edges to older points are kept too, one CSR chunk per ingest, so
+//!    every edge of the window is found once, by its newer end.  The
+//!    maintained scene and its deltas are [`NeighborIndex`]es, so each
+//!    group of queries is one batched CSR launch per level.  The scene
+//!    drops evicted points with [`NeighborIndex::remove`] and is rebuilt
+//!    when the deltas outgrow their share of it or their number reaches a
+//!    cap.
+//! 2. **The partition** — formed by each [`snapshot`] of a changed window
+//!    with the batch pipeline's own stage-2 rule
+//!    ([`rtdbscan::stages::ClusterForest`]) over the kept edges whose two
+//!    ends are live, fed the maintained core flags.  It builds no index
+//!    and launches no query: the batch stage 2 queries every core again
+//!    only because a batch run keeps no neighbour lists.  A snapshot
+//!    therefore labels the window exactly as `ClusterEngine::run` over
 //!    [`window_points`](StreamingClusterer::window_points) does.  A repeat
 //!    snapshot of an unchanged window returns the cached result.
 //!
@@ -41,7 +45,10 @@
 //! so queries scan them exactly (only a failed build leaves any live one
 //! there once an ingest returns).  A hit is live iff its arrival is at
 //! least `head`: an evicted point stays in its index, filtered by that one
-//! comparison, until a refit or rebuild drops it.
+//! comparison, until a refit or rebuild drops it.  A kept edge is named by
+//! its newer end's arrival and the delta back to its older end, so it is
+//! live iff `arrival - delta >= head`; a chunk goes once all of its rows
+//! are evicted.
 //!
 //! [`snapshot`]: StreamingClusterer::snapshot
 
@@ -55,7 +62,7 @@ use rtcore::telemetry::{PhaseKind, Telemetry, TelemetryConfig};
 use rtcore::Result;
 use rtdbscan::engine::{Algo, ClusterEngine};
 use rtdbscan::labels::Clustering;
-use rtdbscan::stages::form_clusters;
+use rtdbscan::stages::ClusterForest;
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -86,6 +93,122 @@ impl Level {
     }
 }
 
+/// The ε-edges one ingest found from its admitted arrivals to older ones,
+/// in CSR form: row `r` lists the neighbours of arrival `first + r` that
+/// arrived before it, each as its arrival delta (`first + r` minus the
+/// neighbour's arrival).
+#[derive(Debug)]
+struct EdgeChunk {
+    first: u64,
+    /// Row starts; `offsets[r]..offsets[r + 1]` indexes the deltas.
+    offsets: Vec<u32>,
+    deltas: Deltas,
+}
+
+/// A chunk's arrival deltas: two bytes each when all of them fit, which
+/// they always do under a count window of up to 65,536 points.
+#[derive(Debug)]
+enum Deltas {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl EdgeChunk {
+    /// Group `(row, delta)` pairs over `rows` rows, the first of which is
+    /// arrival `first`, by a counting pass over the rows.
+    fn new(first: u64, rows: usize, pairs: &[(u32, u32)]) -> Self {
+        let mut csr = CsrNeighbors::new();
+        csr.rebuild_from_pairs(rows, pairs);
+        let deltas = if pairs.iter().all(|&(_, delta)| delta <= u32::from(u16::MAX)) {
+            Deltas::Narrow(csr.indices().iter().map(|&delta| delta as u16).collect())
+        } else {
+            Deltas::Wide(csr.indices().to_vec())
+        };
+        EdgeChunk {
+            first,
+            offsets: csr.offsets().to_vec(),
+            deltas,
+        }
+    }
+
+    /// One past the last arrival with a row.
+    fn end(&self) -> u64 {
+        self.first + (self.offsets.len() - 1) as u64
+    }
+
+    /// Resident bytes: the row starts and the deltas.
+    fn bytes(&self) -> u64 {
+        let deltas = match &self.deltas {
+            Deltas::Narrow(deltas) => 2 * deltas.len(),
+            Deltas::Wide(deltas) => 4 * deltas.len(),
+        };
+        (4 * self.offsets.len() + deltas) as u64
+    }
+
+    /// Report each edge whose two ends are live, when the window starts at
+    /// arrival `head`, to `forest` as a pair of window positions.
+    fn link_live(&self, head: u64, forest: &ClusterForest<'_>, tally: &mut WorkCounters) {
+        match &self.deltas {
+            Deltas::Narrow(deltas) => self.link_rows(deltas, head, forest, tally),
+            Deltas::Wide(deltas) => self.link_rows(deltas, head, forest, tally),
+        }
+    }
+
+    fn link_rows<T: Copy + Into<u64>>(
+        &self,
+        deltas: &[T],
+        head: u64,
+        forest: &ClusterForest<'_>,
+        tally: &mut WorkCounters,
+    ) {
+        for r in head.saturating_sub(self.first) as usize..self.offsets.len() - 1 {
+            // The row's window position: its older end is live iff the
+            // delta does not reach past the window's front.
+            let k = self.first + r as u64 - head;
+            for &delta in &deltas[self.offsets[r] as usize..self.offsets[r + 1] as usize] {
+                let delta: u64 = delta.into();
+                if delta <= k {
+                    forest.link(k as u32, (k - delta) as u32, tally);
+                }
+            }
+        }
+    }
+
+    /// Drop the edges that are no longer live when the window starts at
+    /// arrival `head`, keeping the rest in order.
+    fn retain_live(&mut self, head: u64) {
+        match &mut self.deltas {
+            Deltas::Narrow(deltas) => retain_rows(self.first, &mut self.offsets, deltas, head),
+            Deltas::Wide(deltas) => retain_rows(self.first, &mut self.offsets, deltas, head),
+        }
+    }
+}
+
+/// [`EdgeChunk::retain_live`] over either delta width, in place.
+fn retain_rows<T: Copy + Into<u64>>(
+    first: u64,
+    offsets: &mut [u32],
+    deltas: &mut Vec<T>,
+    head: u64,
+) {
+    let (mut kept, mut start) = (0, 0);
+    for r in 0..offsets.len() - 1 {
+        let end = offsets[r + 1] as usize;
+        if let Some(k) = (first + r as u64).checked_sub(head) {
+            for i in start..end {
+                if deltas[i].into() <= k {
+                    deltas[kept] = deltas[i];
+                    kept += 1;
+                }
+            }
+        }
+        offsets[r + 1] = kept as u32;
+        start = end;
+    }
+    deltas.truncate(kept);
+    deltas.shrink_to_fit();
+}
+
 /// What one [`StreamingClusterer::ingest`] call did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestReport {
@@ -112,8 +235,8 @@ pub struct StreamingStats {
     pub rebuilds: u64,
     /// Snapshots of an unchanged window, answered from the cache.
     pub clean_snapshots: u64,
-    /// Snapshots that formed the window's clusters: the batch stage 2 over
-    /// a transient index of the window, from the maintained counts.
+    /// Snapshots that formed the window's clusters: the batch stage-2 rule
+    /// over the ε-edges ingest kept, from the maintained counts.
     pub dirty_snapshots: u64,
     /// Failed main-scene build attempts that were retried in-call.  Like
     /// the two degradations below, also counted under its own name in the
@@ -186,21 +309,24 @@ pub struct StreamingClusterer {
     /// from here on exactly.
     indexed: u64,
 
-    /// How a snapshot builds its transient index over the window; the
-    /// scene and each delta are built the same way without compaction.
-    snapshot_index: NeighborIndexBuilder,
+    /// How the scene and each delta are built.
+    level_builder: NeighborIndexBuilder,
+    /// The ε-edges of the window, one chunk per ingest, oldest first: each
+    /// admitted arrival's edges to the arrivals before it.  A chunk goes
+    /// once all of its rows are evicted; until then a snapshot skips the
+    /// edges whose older end has left.
+    edges: VecDeque<EdgeChunk>,
     /// The last snapshot, valid while the window is unchanged: a repeat
     /// snapshot returns it without recomputing anything.  Any successful
     /// ingest that inserts or evicts invalidates it.  It starts as the
     /// empty clustering, because the window is empty only before the first
-    /// ingest (a non-empty ingest admits at least its last point), so an
-    /// empty window never builds an index.
+    /// ingest (a non-empty ingest admits at least its last point).
     snapshot_cache: Option<Clustering>,
 
     /// Work by phase, mirroring the batch pipeline's breakdown: scene
-    /// maintenance (build/refit, and each snapshot's transient build),
-    /// neighbour-count maintenance (stage 1: every ingest query), cluster
-    /// formation (stage 2: the snapshots).
+    /// maintenance (build/refit), neighbour-count maintenance (stage 1:
+    /// every ingest query), cluster formation (stage 2: the snapshots'
+    /// union-find).
     build_counters: WorkCounters,
     stage1_counters: WorkCounters,
     stage2_counters: WorkCounters,
@@ -222,11 +348,13 @@ impl StreamingClusterer {
     /// Create an empty clusterer; fails on invalid configuration.
     pub fn new(config: StreamingConfig) -> Result<Self> {
         config.validate()?;
-        // The `Algo::Rt` engine's default index.  Its spans go to this
+        // The `Algo::Rt` engine's default index without compaction, because
+        // `remove` refuses a compacting index.  Its spans go to this
         // clusterer's recorder; fault injection and the memory budget act
-        // on the maintained scene through the clusterer's own probes and
-        // checks, so no index arms either (see `form_window`).
-        let snapshot_index = NeighborIndexBuilder {
+        // on the levels through the clusterer's own probes and checks, so
+        // no index arms either.
+        let level_builder = NeighborIndexBuilder {
+            compaction: false,
             telemetry: TelemetryConfig::Off,
             fault: FaultPlan::Off,
             memory_budget: MemoryBudget::Unlimited,
@@ -245,7 +373,8 @@ impl StreamingClusterer {
             scene: None,
             deltas: Vec::new(),
             indexed: 0,
-            snapshot_index,
+            level_builder,
+            edges: VecDeque::new(),
             snapshot_cache: Some(Clustering::new(Vec::new(), Vec::new())),
             build_counters: WorkCounters::ZERO,
             stage1_counters: WorkCounters::ZERO,
@@ -288,8 +417,8 @@ impl StreamingClusterer {
     /// under the default `TelemetryConfig::Off`).  Every ingest records a
     /// `streaming_slide` span, with nested `refit` / `rebuild` spans when
     /// scene maintenance ran; every snapshot that forms the window's
-    /// clusters records an `lbvh_build` span for its transient index and a
-    /// `stage2_union_find` span for stage 2, each with its counted work.
+    /// clusters records one `stage2_union_find` span with its counted
+    /// work.
     /// Its metrics registry counts the degradations named in
     /// [`StreamingStats`] and every snapshot's `deadline_trips`.
     pub fn telemetry(&self) -> Option<&Telemetry> {
@@ -312,7 +441,8 @@ impl StreamingClusterer {
     }
 
     /// Estimated resident device-memory footprint of the streaming state
-    /// in bytes (a snapshot's transient index is not resident).
+    /// in bytes: the scene and delta indexes, the window's entries and the
+    /// ε-edges kept for snapshots.
     pub fn device_bytes(&self) -> u64 {
         let levels: u64 = self
             .scene
@@ -320,7 +450,8 @@ impl StreamingClusterer {
             .chain(&self.deltas)
             .map(|level| level.index.device_bytes())
             .sum();
-        levels + (self.window.len() * std::mem::size_of::<Entry>()) as u64
+        let edges: u64 = self.edges.iter().map(EdgeChunk::bytes).sum();
+        levels + edges + (self.window.len() * std::mem::size_of::<Entry>()) as u64
     }
 
     /// One past the newest arrival.
@@ -423,8 +554,12 @@ impl StreamingClusterer {
     }
 
     /// Evict the window's `count` oldest points: they query their
-    /// ε-neighbourhoods and decrement their surviving neighbours.
+    /// ε-neighbourhoods and decrement their surviving neighbours.  The edge
+    /// chunks whose rows are all evicted go with them.
     fn evict_front(&mut self, count: usize) {
+        if count == 0 {
+            return;
+        }
         let survivors = self.head + count as u64;
         let mut decrements = 0;
         self.for_each_pair(0..count, survivors, |window, _, q| {
@@ -434,23 +569,48 @@ impl StreamingClusterer {
         sat_bump(&mut self.stage1_counters.misc_ops, decrements);
         self.window.drain(..count);
         self.head = survivors;
+        while self
+            .edges
+            .front()
+            .is_some_and(|chunk| chunk.end() <= survivors)
+        {
+            self.edges.pop_front();
+        }
+        // A chunk's deltas spread over the whole window, so halfway along
+        // the store about half of its edges reach points that have left.
+        // Rewriting that chunk keeps the store near three quarters of its
+        // size for one chunk's work per ingest.
+        let middle = self.edges.len() / 2;
+        if let Some(chunk) = self.edges.get_mut(middle) {
+            chunk.retain_live(survivors);
+        }
     }
 
     /// Count the neighbourhoods of the window points from position `from`
     /// on, this call's admissions, which scene maintenance has indexed by
     /// now: each query counts its own point's other neighbours and bumps
     /// its neighbours older than `from` (an admitted neighbour counts the
-    /// pair in its own query).
+    /// pair in its own query).  Each edge to an older point is kept, as one
+    /// chunk for the call, so that a snapshot need not find it again.
     fn count_admitted(&mut self, from: usize) {
         let mut bumps = 0;
+        let mut pairs = Vec::new();
         self.for_each_pair(from..self.window.len(), self.head, |window, k, q| {
             if q < from {
                 window[q].neighbor_count += 1;
                 bumps += 1;
             }
             window[k].neighbor_count += u32::from(q != k);
+            if q < k {
+                pairs.push(((k - from) as u32, (k - q) as u32));
+            }
         });
         sat_bump(&mut self.stage1_counters.misc_ops, bumps);
+        let rows = self.window.len() - from;
+        if rows > 0 {
+            let first = self.head + from as u64;
+            self.edges.push_back(EdgeChunk::new(first, rows, &pairs));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -610,8 +770,7 @@ impl StreamingClusterer {
 
     /// One build attempt over the window's arrivals from `first` on, for
     /// the scene or a delta; the failpoint fires before any build work so
-    /// a simulated failure costs nothing.  The index is the snapshot's
-    /// without compaction, because `remove` refuses a compacting index.
+    /// a simulated failure costs nothing.
     fn try_build(&self, first: u64) -> Result<Level> {
         rtcore::fail_point!(self.fault, FaultSite::HlbvhBuild);
         let points: Vec<Point3> = self
@@ -619,12 +778,8 @@ impl StreamingClusterer {
             .range((first - self.head) as usize..)
             .map(|entry| entry.point)
             .collect();
-        let builder = NeighborIndexBuilder {
-            compaction: false,
-            ..self.snapshot_index
-        };
         Ok(Level {
-            index: builder.build(&points, self.config.params.eps)?,
+            index: self.level_builder.build(&points, self.config.params.eps)?,
             first,
             end: self.tail(),
         })
@@ -689,27 +844,27 @@ impl StreamingClusterer {
     /// Current clustering of the live window, in arrival order (position
     /// `i` corresponds to `window_points()[i]`).
     ///
-    /// A changed window is clustered by the batch stage 2 over a transient
-    /// index of the window, fed the maintained neighbour counts and core
-    /// flags — never a stage-1 recount.  The result equals
-    /// `ClusterEngine::run` over [`StreamingClusterer::window_points`] bit
-    /// for bit, labels included.  A repeat snapshot of an *unchanged*
-    /// window performs no counted work at all: the previous result is
-    /// cached and returned directly.
+    /// A changed window is clustered by the batch stage-2 rule
+    /// ([`ClusterForest`]) over the ε-edges ingest found, fed the
+    /// maintained core flags: no index is built and no query launched.  The
+    /// result equals `ClusterEngine::run` over
+    /// [`StreamingClusterer::window_points`] bit for bit, labels included.
+    /// A repeat snapshot of an *unchanged* window performs no counted work
+    /// at all: the previous result is cached and returned directly.
     pub fn snapshot(&mut self) -> Clustering {
         self.snapshot_cancellable(&CancelScope::none())
-            // analyze-allow: lib-unwrap -- the inert scope never trips, and the transient build over ingest-validated points arms no fault plan or budget, so nothing can fail
+            // analyze-allow: lib-unwrap -- the inert scope never trips, and nothing else in forming the window can fail
             .expect("an unscoped snapshot cannot fail")
     }
 
     /// [`StreamingClusterer::snapshot`] under a deadline/cancellation
-    /// scope.  Stage 2 polls `scope` at packet granularity; a trip surfaces
-    /// as [`rtcore::Error::DeadlineExceeded`] carrying the work its launch
-    /// counted before the trip, counted as one `deadline_trips` in the
-    /// metrics registry when telemetry records.  A trip changes no state:
-    /// nothing half-formed is ever served, and a retried snapshot forms the
-    /// window again.  A cached snapshot performs no launches and cannot
-    /// trip.
+    /// scope.  The pass polls `scope` before each ingest's edges; a trip
+    /// surfaces as [`rtcore::Error::DeadlineExceeded`] carrying the work
+    /// counted before it, counted as one `deadline_trips` in the metrics
+    /// registry when telemetry records.  The pass only reads the kept
+    /// edges, so a trip changes no state: nothing half-formed is ever
+    /// served, and a retried snapshot forms the window again.  A cached
+    /// snapshot does no work and cannot trip.
     pub fn snapshot_cancellable(&mut self, scope: &CancelScope) -> Result<Clustering> {
         if let Some(cached) = &self.snapshot_cache {
             self.stats.clean_snapshots += 1;
@@ -726,41 +881,33 @@ impl StreamingClusterer {
         Ok(clustering)
     }
 
-    /// Cluster the window: build a transient index over it and run the
-    /// batch stage 2 with the maintained counts and core flags.  The build
-    /// is charged to the build counters under an `lbvh_build` span, the
-    /// stage to stage 2 under a `stage2_union_find` span.
+    /// Cluster the window: report every live kept edge to a
+    /// [`ClusterForest`] over the maintained core flags, charged to stage 2
+    /// under a `stage2_union_find` span.
     fn form_window(&mut self, scope: &CancelScope) -> Result<Clustering> {
-        if scope.should_stop() {
-            return Err(rtcore::Error::DeadlineExceeded {
-                partial: Box::new(WorkCounters::ZERO),
-            });
-        }
-        let eps = self.config.params.eps;
-        let min_pts = self.config.params.min_pts as u64;
-        let points = self.window_points();
-        let counts: Vec<u64> = self
+        let min_pts = self.config.params.min_pts;
+        let core: Vec<bool> = self
             .window
             .iter()
-            .map(|entry| u64::from(entry.neighbor_count))
+            .map(|entry| entry.neighbor_count as usize >= min_pts)
             .collect();
-        let core: Vec<bool> = counts.iter().map(|&count| count >= min_pts).collect();
-        let telemetry = self.telemetry.clone();
-        let mut span = telemetry.span(PhaseKind::LbvhBuild);
-        // Cannot fail in `snapshot`: ingest rejected every non-finite
-        // point, and the index arms no fault plan and no memory budget.
-        let index = self.snapshot_index.build(&points, eps)?;
-        let build = index.build_counters();
-        span.add_counters(build);
+        let mut span = self.telemetry.span(PhaseKind::Stage2UnionFind);
+        let forest = ClusterForest::new(&core);
+        let mut counters = WorkCounters::ZERO;
+        for chunk in &self.edges {
+            if scope.should_stop() {
+                return Err(rtcore::Error::DeadlineExceeded {
+                    partial: Box::new(counters),
+                });
+            }
+            chunk.link_live(self.head, &forest, &mut counters);
+        }
+        let labels = forest.labels(&mut counters);
+        span.add_counters(counters);
         drop(span);
-        let mut span = telemetry.span(PhaseKind::Stage2UnionFind);
-        let formed = form_clusters(index.as_ref(), &points, &counts, &core, eps, scope)?;
-        span.add_counters(formed.counters);
-        drop(span);
-        self.build_counters += build;
-        self.stage2_counters += formed.counters;
+        self.stage2_counters += counters;
         self.stats.dirty_snapshots += 1;
-        Ok(Clustering::new(formed.labels, core))
+        Ok(Clustering::new(labels, core))
     }
 }
 
@@ -989,9 +1136,12 @@ mod tests {
         assert!(build.build_prims > 0, "scene was built");
         assert!(stage1.rays > 0, "ingest queries are charged to stage 1");
         assert!(stage1.dist_comps > 0);
-        assert!(stage2.rays > 0, "the snapshot's stage 2 is charged to it");
-        assert!(stage2.wide_node_visits > 0, "batched stage 2 engaged");
-        assert!(stage2.batched_launches > 0);
+        assert!(
+            stage2.union_ops > 0,
+            "the snapshot's stage 2 is charged to it"
+        );
+        assert!(stage2.find_ops > 0);
+        assert_eq!(stage2.rays, 0, "a snapshot launches no query");
         assert!(c.device_bytes() > 0);
         assert_eq!(c.stats().ingested, 60);
     }
@@ -1219,7 +1369,7 @@ mod tests {
         // delta, and the two newcomers launch on the new scene alone (2).
         assert_eq!(c.phase_counters().1.rays, 10 + 1 + 2 + 4 + 2);
         assert_matches_classic(&mut c);
-        assert!(c.phase_counters().2.rays > 0);
+        assert!(c.phase_counters().2.find_ops > 0);
     }
 
     #[test]
@@ -1298,7 +1448,88 @@ mod tests {
     }
 
     #[test]
-    fn dirty_snapshots_record_one_build_and_one_stage2_span() {
+    fn dirty_snapshots_build_nothing_and_launch_nothing() {
+        // A sliding window that refits, rebuilds and evicts whole edge
+        // chunks: each snapshot forms the window from the edges ingest
+        // kept, with no index build and no query, and labels it as the
+        // engine's run over the window does.
+        let params = DbscanParams::new(0.8, 3).unwrap();
+        let engine = ClusterEngine::builder().params(params).build().unwrap();
+        let mut cfg = StreamingConfig::new(params, WindowPolicy::Count(150));
+        cfg.refit_dead_fraction = 0.02;
+        cfg.max_pending_fraction = 0.6;
+        let mut c = StreamingClusterer::new(cfg).unwrap();
+        for wave in 0..20 {
+            let pts: Vec<Point3> = (0..35)
+                .map(|i| {
+                    let h = (wave * 131 + i * 17) as u64;
+                    Point3::new_2d(
+                        (wave % 5) as f32 * 2.0 + ((h >> 2) & 7) as f32 * 0.3,
+                        ((h >> 5) & 7) as f32 * 0.3,
+                    )
+                })
+                .collect();
+            c.ingest(&timestamped(&pts, wave as f64 * 100.0)).unwrap();
+            let (build, _, stage2) = c.phase_counters();
+            let snapshot = c.snapshot();
+            assert_eq!(
+                c.phase_counters().0,
+                build,
+                "wave {wave}: a snapshot builds nothing"
+            );
+            let formed = c.phase_counters().2 - stage2;
+            assert_eq!(formed.rays, 0, "wave {wave}: a snapshot launches nothing");
+            assert!(formed.find_ops > 0, "wave {wave}: {formed:?}");
+            let run = engine.run(&c.window_points()).unwrap().clustering;
+            assert_eq!(snapshot, run, "wave {wave}");
+        }
+        let stats = c.stats();
+        assert!(stats.refits > 0 && stats.rebuilds > 1, "{stats:?}");
+        assert_eq!(stats.dirty_snapshots, 20);
+    }
+
+    #[test]
+    fn deltas_past_u16_are_kept_wide() {
+        // A 70,000-point count window of isolated points on a grid, but for
+        // three near the origin: arrival 66,000 is a core whose two
+        // neighbours are borders, one of them 66,000 arrivals older.  The
+        // chunk holding that edge must keep it exactly.
+        let params = DbscanParams::new(1.0, 2).unwrap();
+        let mut c =
+            StreamingClusterer::new(StreamingConfig::new(params, WindowPolicy::Count(70_000)))
+                .unwrap();
+        let points: Vec<Point3> = (0..70_000)
+            .map(|i| match i {
+                0 => Point3::new_2d(0.0, 0.0),
+                66_000 => Point3::new_2d(0.6, 0.0),
+                66_001 => Point3::new_2d(1.2, 0.0),
+                _ => Point3::new_2d(10.0 + (i % 300) as f32 * 3.0, 10.0 + (i / 300) as f32 * 3.0),
+            })
+            .collect();
+        for batch in timestamped(&points, 0.0).chunks(10_000) {
+            c.ingest(batch).unwrap();
+        }
+        assert!(c
+            .edges
+            .iter()
+            .any(|chunk| matches!(chunk.deltas, Deltas::Wide(_))));
+        let snapshot = c.snapshot();
+        assert!(snapshot.core[66_000] && !snapshot.core[0] && !snapshot.core[66_001]);
+        assert_eq!(
+            [
+                snapshot.labels[0],
+                snapshot.labels[66_000],
+                snapshot.labels[66_001]
+            ],
+            [0; 3]
+        );
+        let engine = ClusterEngine::builder().params(params).build().unwrap();
+        assert_eq!(snapshot, engine.run(&points).unwrap().clustering);
+        assert_matches_classic(&mut c);
+    }
+
+    #[test]
+    fn dirty_snapshots_record_one_stage2_span() {
         use rtcore::telemetry::TelemetryConfig;
         let mut work = Vec::new();
         for telemetry in [TelemetryConfig::Off, TelemetryConfig::Spans] {
@@ -1334,10 +1565,9 @@ mod tests {
                 }
                 let (build, _, stage2) = c.phase_counters();
                 let kinds: Vec<PhaseKind> = new.iter().map(|s| s.phase).collect();
-                assert_eq!(kinds, [PhaseKind::LbvhBuild, PhaseKind::Stage2UnionFind]);
-                assert_eq!(new[0].counters, build - phases.0, "the build span's work");
-                assert!(new[1].counters.rays > 0);
-                assert_eq!(new[1].counters.rays, stage2.rays - phases.2.rays);
+                assert_eq!(kinds, [PhaseKind::Stage2UnionFind]);
+                assert_eq!(new[0].counters, stage2 - phases.2, "the stage's work");
+                assert_eq!(build, phases.0, "a snapshot builds nothing");
             }
             assert!(c.stats().dirty_snapshots > 0);
             work.push(c.counters());

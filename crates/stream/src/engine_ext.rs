@@ -9,10 +9,10 @@ use rtdbscan::engine::ClusterEngine;
 /// Streaming entry points on [`ClusterEngine`] (bring this trait into scope
 /// — it is part of the workspace prelude).
 ///
-/// The engine's ε / `minPts` parameters carry over unchanged.  A snapshot's
-/// transient index always takes the `Algo::Rt` engine's default
-/// configuration: labels are identical across backends, so only the work
-/// counters could differ.
+/// The engine's ε / `minPts` parameters carry over unchanged.  The
+/// stream's scene and deltas always take the `Algo::Rt` engine's default
+/// index configuration (without compaction): labels are identical across
+/// backends, so only the work counters could differ.
 ///
 /// ```
 /// use rtcore::geometry::Point3;

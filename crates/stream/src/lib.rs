@@ -22,10 +22,11 @@
 //!   and a liveness check is one comparison.
 //! * Two layers of cluster maintenance.  Per-point ε-neighbour counts are
 //!   maintained exactly under insertion and deletion, so core flags never
-//!   need a stage-1 re-run.  Each [`StreamingClusterer::snapshot`] of a
-//!   changed window then runs the batch pipeline's own stage 2
-//!   ([`rtdbscan::stages::form_clusters`]) over a transient index of the
-//!   window, fed the maintained counts, so it labels the window exactly as
+//!   need a stage-1 re-run, and each admitted point's ε-edges to older
+//!   points are kept.  Each [`StreamingClusterer::snapshot`] of a changed
+//!   window then feeds the live edges to the batch pipeline's own stage-2
+//!   rule ([`rtdbscan::stages::ClusterForest`]) with the maintained core
+//!   flags — no index build, no query — so it labels the window exactly as
 //!   `ClusterEngine::run` over it would; a repeat snapshot of an unchanged
 //!   window returns the cached result.
 //! * [`StreamingSnapshotAlgorithm`] — a [`rtdbscan::DbscanAlgorithm`]
@@ -33,8 +34,8 @@
 //!   oracle and metrics machinery (`same_clustering`, ARI/NMI, the bench
 //!   harness) applies to the streaming subsystem unchanged.
 //!
-//! Every piece of work — ingest launches, refits, rebuilds, delta builds,
-//! transient snapshot builds, stage-2 launches and union/find traffic — is
+//! Every piece of work — ingest launches, refits, rebuilds, delta builds
+//! and the snapshots' union/find traffic — is
 //! recorded in `rtcore::hardware::WorkCounters`, with refit and rebuild
 //! decisions visible as `refits` / `rebuilds`, so the simulated-device cost
 //! model prices streaming updates the same way it prices the batch

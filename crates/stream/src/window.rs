@@ -54,15 +54,15 @@ pub struct StreamingConfig {
     /// Telemetry recording level.  Off (the default) allocates no recorder
     /// and leaves the ingest/snapshot paths bit-identical to a
     /// telemetry-free build; any enabled level records phase spans for
-    /// window slides, refits, rebuilds and snapshots' transient builds and
-    /// stage-2 passes, retrievable through
-    /// [`crate::StreamingClusterer::telemetry`].
+    /// window slides, refits, rebuilds and snapshots' stage-2 passes,
+    /// retrievable through [`crate::StreamingClusterer::telemetry`].
     pub telemetry: TelemetryConfig,
     /// Hard ceiling on the clusterer's resident device bytes (default
-    /// [`MemoryBudget::Unlimited`]).  An ingest that would start over
-    /// budget refuses — without touching window state — with
-    /// [`rtcore::Error::OverBudget`].  A snapshot's transient index is not
-    /// resident and is not charged: it lives only for the call.
+    /// [`MemoryBudget::Unlimited`]): the scene and delta indexes, the
+    /// window's entries and the kept ε-edges.  An ingest that would start
+    /// over budget refuses — without touching window state — with
+    /// [`rtcore::Error::OverBudget`].  A snapshot allocates only its
+    /// union-find for the call, which is not charged.
     pub memory_budget: MemoryBudget,
     /// Bounded retry-with-backoff for main-scene rebuilds that fail (today
     /// only via fault injection; real builds over ingest-validated points

@@ -71,12 +71,13 @@ fn synthetic_stream_matches_batch_across_slides_and_rebuilds() {
     assert!(counters.refit_node_ops > 0);
 }
 
-/// A snapshot forms the window with the batch stage 2, so its labels and
-/// core flags equal the default engine's run over the same points bit for
-/// bit: both claim each border for its lowest-index core neighbour and
+/// A snapshot forms the window with the batch stage-2 rule, so its labels
+/// and core flags equal the default engine's run over the same points bit
+/// for bit: both claim each border for its lowest-index core neighbour and
 /// name each cluster by its smallest index.  Piles and pairs of coincident
-/// points make compaction merge points, borders among them, whose claims
-/// follow their representative's.
+/// points make the engine's compaction merge points, borders among them,
+/// whose claims follow their representative's; the snapshot sees every
+/// duplicate's own edges.
 #[test]
 fn snapshots_equal_the_engine_run_exactly() {
     let params = DbscanParams::new(0.6, 4).unwrap();
@@ -104,17 +105,16 @@ fn snapshots_equal_the_engine_run_exactly() {
         timed.push(last);
         clusterer.ingest(&timed).unwrap();
 
-        let merges_before = clusterer.phase_counters().0.compaction_merges;
         let window = clusterer.window_points();
         let snapshot = clusterer.snapshot();
-        merged += clusterer.phase_counters().0.compaction_merges - merges_before;
         twin_borders += (0..window.len())
             .filter(|&j| !snapshot.core[j] && snapshot.labels[j] >= 0)
             .filter(|&j| window[..j].contains(&window[j]))
             .count();
-        let run = engine.run(&window).unwrap().clustering;
-        assert_eq!(snapshot.core, run.core, "batch {i}: core flags");
-        assert_eq!(snapshot.labels, run.labels, "batch {i}: labels");
+        let run = engine.run(&window).unwrap();
+        merged += run.counters.build.compaction_merges;
+        assert_eq!(snapshot.core, run.clustering.core, "batch {i}: core flags");
+        assert_eq!(snapshot.labels, run.clustering.labels, "batch {i}: labels");
     }
     assert!(clusterer.stats().evicted > 0, "the window never slid");
     assert!(merged > 0, "compaction never merged a point");
